@@ -8,6 +8,7 @@ paths, since the CLI surfaces those messages verbatim.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -64,6 +65,32 @@ def test_generate_matches_golden_document():
     assert to_json(generate(1)) == golden
 
 
+@pytest.mark.parametrize(
+    "knobs, digest",
+    [
+        ({}, "d961fd1fb555e9c7213222064ff1d18d1f3e84db1092b45bf8f10115643fd012"),
+        (
+            {"min_room_width": 2.2},
+            "369e5df5676cf3ea553d464f16acdb6bade62590793d4cdf1ac900c5b8105da6",
+        ),
+    ],
+)
+def test_plan_bytes_pinned_over_seed_range(knobs, digest):
+    # The golden document has no corridor; this digest covers the corridor,
+    # door and window paths, and the give-up messages, over 100 seeds.
+    cfg = GenConfig(**knobs)
+    h = hashlib.sha256()
+    for seed in range(100):
+        try:
+            plan = generate(seed, cfg)
+        except GenerationError as exc:
+            h.update(str(exc).encode())
+        else:
+            h.update(to_json(plan).encode())
+            h.update(to_svg(plan).encode())
+    assert h.hexdigest() == digest
+
+
 def test_generated_plans_self_validate(plain_plan, corridor_plan):
     assert validate(plain_plan, GenConfig()).ok
     assert validate(corridor_plan, GenConfig()).ok
@@ -112,8 +139,6 @@ def test_generate_is_hash_seed_independent(plain_plan):
         assert out.returncode == 0, out.stderr
         digests.add(out.stdout.strip())
     assert len(digests) == 1
-    import hashlib
-
     assert digests == {hashlib.sha256(to_json(plain_plan).encode()).hexdigest()}
 
 
