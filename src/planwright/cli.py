@@ -13,10 +13,12 @@ import os
 import statistics
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from .openings import validate
 from .plan import (
+    FloorPlan,
     GenerationError,
     PlanParseError,
     from_json,
@@ -135,13 +137,26 @@ def bench_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
     return 0
 
 
+def _room_mix(plan: FloorPlan) -> str:
+    """One line per plan: seed, footprint size, corridor or not, room kinds."""
+    mix = Counter(room.kind.value for room in plan.rooms)
+    rooms = ", ".join(f"{kind} x{n}" if n > 1 else kind for kind, n in sorted(mix.items()))
+    corridor = "corridor" if plan.corridor is not None else "open"
+    fp = plan.footprint
+    return f"seed {plan.seed:>6}  {fp.width:.1f}x{fp.height:.1f} m  {corridor:<8}  {rooms}"
+
+
 def gallery_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
-    plans = []
+    plans, skipped = [], []
     for seed in args.seeds:
         try:
             plans.append(generate(seed, cfg))
-        except GenerationError as exc:
-            print(exc, file=sys.stderr)
+        except GenerationError:
+            skipped.append(seed)
+    for plan in plans:
+        print(_room_mix(plan))
+    if skipped:
+        print(f"skipped (no plan within budget): {skipped}")
     if not plans:
         print("no plans to draw", file=sys.stderr)
         return 1

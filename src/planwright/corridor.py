@@ -27,6 +27,7 @@ from .geometry import (
     Segment,
     _m,
     _mm,
+    merge_runs,
 )
 from .sampling import GenConfig, RoomKind
 from .treemap import PlacedRoom
@@ -119,7 +120,7 @@ class CorridorResult:
     """What the pipeline needs downstream plus the full trace for debugging."""
 
     corridor: RectilinearPolygon | None
-    rooms: tuple[tuple[int, RoomKind, RectilinearPolygon], ...]
+    rooms: tuple[tuple[int, RoomKind, Region], ...]
     reparented: tuple[int, ...]
     trace: dict = field(default_factory=dict)
 
@@ -128,30 +129,15 @@ def identify_corridor_rooms(
     rooms: list[PlacedRoom], parent_of: dict[int, int], cfg: GenConfig
 ) -> set[int]:
     """Rooms lacking a door-width shared wall with their hierarchy parent."""
-    by_id = {room.id: room for room in rooms}
+    regions = {room.id: Region.from_rect(room.rect) for room in rooms}
     door_mm = _mm(cfg.door_width)
     stranded: set[int] = set()
     for child_id, parent_id in parent_of.items():
-        if parent_id not in by_id:
+        if parent_id not in regions:
             continue
-        span = _shared_span(by_id[child_id].rect, by_id[parent_id].rect)
-        if span < door_mm:
+        if regions[child_id].shared_border_mm(regions[parent_id]) < door_mm:
             stranded.add(child_id)
     return stranded
-
-
-def _shared_span(a: Rect, b: Rect) -> int:
-    """Longest shared wall between two snapped rects, in mm."""
-    ax0, ax1 = _mm(a.x), _mm(a.x1)
-    ay0, ay1 = _mm(a.y), _mm(a.y1)
-    bx0, bx1 = _mm(b.x), _mm(b.x1)
-    by0, by1 = _mm(b.y), _mm(b.y1)
-    best = 0
-    if ax0 == bx1 or ax1 == bx0:
-        best = max(best, min(ay1, by1) - max(ay0, by0))
-    if ay0 == by1 or ay1 == by0:
-        best = max(best, min(ax1, bx1) - max(ax0, bx0))
-    return best
 
 
 def _wall_lines(
@@ -173,8 +159,8 @@ def _wall_lines(
             v_lines.setdefault(x0, []).append((y0, y1))
         if x1 not in (fx0, fx1):
             v_lines.setdefault(x1, []).append((y0, y1))
-    h_merged = {line: _merge_intervals(spans) for line, spans in h_lines.items()}
-    v_merged = {line: _merge_intervals(spans) for line, spans in v_lines.items()}
+    h_merged = {line: merge_runs(spans) for line, spans in h_lines.items()}
+    v_merged = {line: merge_runs(spans) for line, spans in v_lines.items()}
     return h_merged, v_merged
 
 
@@ -212,16 +198,6 @@ def build_wall_graph(
     edges.sort(key=_seg_key)
     vertices = sorted({p for e in edges for p in (e.a, e.b)}, key=_vert_key)
     return WallGraph(tuple(vertices), tuple(edges), terminals)
-
-
-def _merge_intervals(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    merged: list[tuple[int, int]] = []
-    for lo, hi in sorted(spans):
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
 
 
 def prune(graph: WallGraph) -> WallGraph:
@@ -404,29 +380,6 @@ def _strip_rect(edge: Segment, action: EdgeAction, width: float) -> Rect:
     return Rect(_m(c0), _m(a0), _m(c1 - c0), _m(a1 - a0))
 
 
-def _strip_boxes(
-    edges: tuple[Segment, ...], actions: tuple[EdgeAction, ...], width: float
-) -> list[tuple[int, int, int, int]]:
-    """Millimetre boxes of every thickened edge plus the corner joints.
-
-    Perpendicular strips thickened to opposite sides meet only at a point;
-    the corner square between them restores an edge-wide connection.
-    """
-    ivs = [_strip_intervals(e, a, width) for e, a in zip(edges, actions)]
-    boxes = []
-    for edge, (c0, c1, a0, a1) in zip(edges, ivs):
-        boxes.append((a0, c0, a1, c1) if edge.horizontal else (c0, a0, c1, a1))
-    for h, v in _joint_pairs(edges):
-        boxes.append((ivs[v][0], ivs[h][0], ivs[v][1], ivs[h][1]))
-    return boxes
-
-
-def _corridor_region(
-    edges: tuple[Segment, ...], actions: tuple[EdgeAction, ...], width: float
-) -> Region:
-    return Region.from_boxes(_strip_boxes(edges, actions, width))
-
-
 def _nearest_align_shifts(edge: Segment, ws: _Workspace) -> list[float]:
     """Shifts that land the strip against the nearest parallel wall lines."""
     w = _mm(ws.cfg.corridor_width)
@@ -551,6 +504,9 @@ def enumerate_candidates(
                 ivs.append(iv)
                 c0, c1, a0, a1 = iv
                 boxes.append((a0, c0, a1, c1) if horiz[i] else (c0, a0, c1, a1))
+            # Perpendicular strips thickened to opposite sides meet only at
+            # a point; the corner square between them restores an edge-wide
+            # connection.
             for h, v in joints:
                 boxes.append((ivs[v][0], ivs[h][0], ivs[v][1], ivs[h][1]))
             candidates.append(_evaluate(edges, tuple(combo), ws, boxes))
@@ -598,11 +554,9 @@ def _evaluate(
     edges: tuple[Segment, ...],
     actions: tuple[EdgeAction, ...],
     ws: _Workspace,
-    boxes: list[tuple[int, int, int, int]] | None = None,
+    boxes: list[tuple[int, int, int, int]],
 ) -> CorridorCandidate:
     cfg = ws.cfg
-    if boxes is None:
-        boxes = _strip_boxes(edges, actions, cfg.corridor_width)
     region = Region.from_boxes(boxes)
     length_mm = sum(_mm(e.length) for e in edges) + sum(
         _mm(a.extend_lo) + _mm(a.extend_hi) for a in actions
@@ -682,15 +636,12 @@ def filter_and_select(candidates: list[CorridorCandidate]) -> CorridorCandidate:
 def extrude(ws: _Workspace, winner: CorridorCandidate) -> CorridorResult:
     """Carve the corridor out of the rooms it crosses and give it to the living room."""
     changed = dict(winner.rooms_after)
-    rooms_out: list[tuple[int, RoomKind, RectilinearPolygon]] = []
-    for room in ws.rooms:
-        if room.id in changed:
-            rooms_out.append((room.id, room.kind, changed[room.id].to_polygon()))
-        else:
-            rooms_out.append((room.id, room.kind, room.rect.to_polygon()))
     return CorridorResult(
         corridor=winner.region.to_polygon(),
-        rooms=tuple(rooms_out),
+        rooms=tuple(
+            (room.id, room.kind, changed.get(room.id) or ws.room_regions[room.id])
+            for room in ws.rooms
+        ),
         reparented=tuple(sorted(ws.terminals)),
     )
 
@@ -705,7 +656,7 @@ def plan_corridor(
     """Run the whole corridor stage; identity result when no room needs one."""
     terminals = frozenset(identify_corridor_rooms(rooms, parent_of, cfg))
     if not terminals:
-        plain = tuple((r.id, r.kind, r.rect.to_polygon()) for r in rooms)
+        plain = tuple((r.id, r.kind, Region.from_rect(r.rect)) for r in rooms)
         return CorridorResult(None, plain, (), {"corridor_rooms": 0, "candidates": []})
 
     graph = build_wall_graph(footprint, rooms, terminals)

@@ -193,9 +193,6 @@ class RectilinearPolygon:
     def is_rectangle(self) -> bool:
         return len(self.vertices) == 4
 
-    def edges(self) -> list[Segment]:
-        return [Segment(p, q) for p, q in _cycle_pairs(list(self.vertices))]
-
     def contains_point(self, p: Point) -> bool:
         """True for interior or boundary points."""
         if _on_boundary(self.vertices, p):
@@ -212,8 +209,15 @@ class RectilinearPolygon:
         return inside
 
 
-def polygon_area(polygon: RectilinearPolygon) -> float:
-    return polygon.area
+def merge_runs(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Sorted union of intervals on one line; touching intervals merge."""
+    merged: list[tuple[int, int]] = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
 def _cycle_pairs(verts: list[Point]) -> Iterable[tuple[Point, Point]]:
@@ -460,23 +464,19 @@ class Region:
                 raw.setdefault(("h", y1, 1), []).append((x0, x1))
             if (i, j - 1) not in self.cells:
                 raw.setdefault(("h", y0, -1), []).append((x0, x1))
-        for runs in raw.values():
-            runs.sort()
-            merged = [list(runs[0])]
-            for lo, hi in runs[1:]:
-                if lo <= merged[-1][1]:
-                    merged[-1][1] = max(merged[-1][1], hi)
-                else:
-                    merged.append([lo, hi])
-            runs[:] = [(lo, hi) for lo, hi in merged]
-        return raw
+        return {key: merge_runs(runs) for key, runs in raw.items()}
 
-    def shared_border_mm(self, other: "Region") -> int:
-        """Longest straight wall run shared with a disjoint neighbour, in mm."""
-        mine = self._facing_borders()
+    def shared_walls(self, other: "Region") -> list[tuple[bool, int, int, int]]:
+        """Maximal wall runs shared with a disjoint neighbour.
+
+        Each run is ``(horizontal, line, lo, hi)`` in mm: a stretch of this
+        region's boundary that the other region's boundary covers from the
+        opposite side.  Runs on one line merge where they touch, and the list
+        comes back sorted for deterministic downstream iteration.
+        """
         theirs = other._facing_borders()
-        best = 0
-        for (axis, line, face), runs in mine.items():
+        by_line: dict[tuple[bool, int], list[tuple[int, int]]] = {}
+        for (axis, line, face), runs in self._facing_borders().items():
             opposite = theirs.get((axis, line, -face))
             if not opposite:
                 continue
@@ -486,9 +486,18 @@ class Region:
                     k += 1
                 m = k
                 while m < len(opposite) and opposite[m][0] < hi:
-                    best = max(best, min(hi, opposite[m][1]) - max(lo, opposite[m][0]))
+                    by_line.setdefault((axis == "h", line), []).append(
+                        (max(lo, opposite[m][0]), min(hi, opposite[m][1]))
+                    )
                     m += 1
-        return best
+        out = []
+        for (horizontal, line), spans in by_line.items():
+            out.extend((horizontal, line, lo, hi) for lo, hi in merge_runs(spans))
+        return sorted(out)
+
+    def shared_border_mm(self, other: "Region") -> int:
+        """Longest straight wall run shared with a disjoint neighbour, in mm."""
+        return max((hi - lo for _, _, lo, hi in self.shared_walls(other)), default=0)
 
     def _boundary_edges(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
         """Directed boundary edges (interior on the left), keyed by start vertex.
@@ -570,66 +579,3 @@ class Region:
                         best = width
         return _m(best if best is not None else 0)
 
-
-def shared_segments(a: RectilinearPolygon, b: RectilinearPolygon) -> list[Segment]:
-    """Maximal collinear overlaps of two polygon boundaries.
-
-    The polygons must not overlap in the interior.  Segments come back sorted
-    for deterministic downstream iteration.
-    """
-    inter = Region.from_polygon(a).intersect(Region.from_polygon(b))
-    if inter.area > 0:
-        raise ValueError("polygons have overlapping interiors")
-    by_line: dict[tuple[bool, float], list[tuple[int, int]]] = {}
-    for ea in a.edges():
-        for eb in b.edges():
-            if ea.horizontal != eb.horizontal or ea.line != eb.line:
-                continue
-            lo = max(_mm(ea.span[0]), _mm(eb.span[0]))
-            hi = min(_mm(ea.span[1]), _mm(eb.span[1]))
-            if lo < hi:
-                by_line.setdefault((ea.horizontal, ea.line), []).append((lo, hi))
-    out = []
-    for (horizontal, line), spans in by_line.items():
-        spans.sort()
-        merged = [spans[0]]
-        for lo, hi in spans[1:]:
-            if lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        for lo, hi in merged:
-            if horizontal:
-                out.append(Segment(Point(_m(lo), line), Point(_m(hi), line)))
-            else:
-                out.append(Segment(Point(line, _m(lo)), Point(line, _m(hi))))
-    return sorted(out, key=lambda s: (s.a, s.b))
-
-
-def shared_edge(a: RectilinearPolygon, b: RectilinearPolygon) -> tuple[Segment | None, bool]:
-    """Longest shared boundary segment of two polygons.
-
-    Returns ``(segment, vertex_only)``: the longest maximal overlap (ties
-    broken by position) or None, plus a flag that is True when the boundaries
-    touch only at isolated points.
-    """
-    segs = shared_segments(a, b)
-    if segs:
-        best = max(segs, key=lambda s: (s.length, (-s.a.x, -s.a.y)))
-        return best, False
-    touch = any(_on_boundary(b.vertices, p) for p in a.vertices) or any(
-        _on_boundary(a.vertices, p) for p in b.vertices
-    )
-    return None, touch
-
-
-def subtract(a: RectilinearPolygon, b: RectilinearPolygon) -> RectilinearPolygon:
-    """Remove ``b`` from ``a``, requiring a single simple polygon remainder.
-
-    Raises ValueError when the cut consumes ``a`` entirely or splits it into
-    pieces (callers treat both as "this cut is not allowed").
-    """
-    result = Region.from_polygon(a).subtract(Region.from_polygon(b))
-    if result.is_empty:
-        raise ValueError("subtraction removed the whole polygon")
-    return result.to_polygon()

@@ -13,16 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import (
-    Point,
-    Rect,
-    RectilinearPolygon,
-    Region,
-    Segment,
-    _m,
-    _mm,
-    shared_segments,
-)
+from .geometry import Point, Rect, Region, Segment, _m, _mm
 from .hierarchy import OUTSIDE_ID
 from .sampling import BEDROOM_KINDS, GenConfig, RandomStream, RoomKind
 
@@ -89,25 +80,22 @@ def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-def _max_shared_mm(a: RectilinearPolygon, b: RectilinearPolygon) -> int:
-    try:
-        segs = shared_segments(a, b)
-    except ValueError:
-        return 0
-    return max((_mm(s.length) for s in segs), default=0)
+def _wall_segment(horizontal: bool, line: int, lo: int, hi: int) -> Segment:
+    if horizontal:
+        return Segment(Point(_m(lo), _m(line)), Point(_m(hi), _m(line)))
+    return Segment(Point(_m(line), _m(lo)), Point(_m(line), _m(hi)))
 
 
-def _exterior_walls(poly: RectilinearPolygon, footprint: Rect) -> list[Segment]:
-    """Polygon edges lying on the footprint boundary."""
+def _exterior_walls(region: Region, footprint: Rect) -> list[Segment]:
+    """Boundary runs of the room lying on the footprint boundary."""
     fx0, fx1 = _mm(footprint.x), _mm(footprint.x1)
     fy0, fy1 = _mm(footprint.y), _mm(footprint.y1)
-    walls = []
-    for edge in poly.edges():
-        if edge.horizontal and _mm(edge.a.y) in (fy0, fy1):
-            walls.append(edge)
-        elif not edge.horizontal and _mm(edge.a.x) in (fx0, fx1):
-            walls.append(edge)
-    return walls
+    return [
+        _wall_segment(axis == "h", line, lo, hi)
+        for (axis, line, _), runs in region._facing_borders().items()
+        if line in ((fy0, fy1) if axis == "h" else (fx0, fx1))
+        for lo, hi in runs
+    ]
 
 
 def _prohibited(kind_a: RoomKind, kind_b: RoomKind) -> bool:
@@ -120,7 +108,7 @@ def _prohibited(kind_a: RoomKind, kind_b: RoomKind) -> bool:
 
 
 def build_connection_graph(
-    rooms: tuple[tuple[int, RoomKind, RectilinearPolygon], ...],
+    rooms: tuple[tuple[int, RoomKind, Region], ...],
     parent_of: dict[int, int],
     living_id: int,
     rng: RandomStream,
@@ -131,13 +119,13 @@ def build_connection_graph(
     Raises when a mandatory edge has no door-width shared wall left; the
     corridor stage is supposed to have guaranteed them all.
     """
-    polys = {rid: poly for rid, _, poly in rooms}
+    regions = {rid: region for rid, _, region in rooms}
     kinds = {rid: kind for rid, kind, _ in rooms}
     door_mm = _mm(cfg.door_width)
 
     edges: list[tuple[int, int]] = [(OUTSIDE_ID, living_id)]
     for child, parent in sorted(parent_of.items()):
-        if _max_shared_mm(polys[child], polys[parent]) < door_mm:
+        if regions[child].shared_border_mm(regions[parent]) < door_mm:
             raise OpeningError(f"rooms {child} and {parent} share no door-width wall")
         edges.append(_pair(child, parent))
 
@@ -150,7 +138,7 @@ def build_connection_graph(
             if kinds[bath] is RoomKind.BATHROOM and kinds[other] in BEDROOM_KINDS:
                 bath_bedroom[bath] = bath_bedroom.get(bath, 0) + 1
 
-    ids = sorted(polys)
+    ids = sorted(regions)
     for i in ids:
         for j in ids:
             if j <= i:
@@ -171,14 +159,14 @@ def build_connection_graph(
                 )
                 if crosses_bath:
                     continue
-                if _max_shared_mm(polys[i], polys[j]) < door_mm:
+                if regions[i].shared_border_mm(regions[j]) < door_mm:
                     continue
                 if rng.random() < prob:
                     have.add(_pair(i, j))
                     edges.append(_pair(i, j))
                 break
 
-    nodes = frozenset(polys) | {OUTSIDE_ID}
+    nodes = frozenset(regions) | {OUTSIDE_ID}
     return ConnectionGraph(nodes, tuple(sorted(edges)))
 
 
@@ -240,20 +228,20 @@ def _choose_position(
 
 
 def place_doors(
-    rooms: tuple[tuple[int, RoomKind, RectilinearPolygon], ...],
+    rooms: tuple[tuple[int, RoomKind, Region], ...],
     graph: ConnectionGraph,
     footprint: Rect,
     rng: RandomStream,
     cfg: GenConfig,
 ) -> tuple[list[Opening], _WallLedger]:
     """One door per graph edge, entry door first, uniform over feasible spots."""
-    polys = {rid: poly for rid, _, poly in rooms}
+    regions = {rid: region for rid, _, region in rooms}
     door_mm = _mm(cfg.door_width)
     ledger = _WallLedger()
     openings: list[Opening] = []
 
     living_id = next(rid for rid, kind, _ in rooms if kind is RoomKind.LIVING_ROOM)
-    exterior = _exterior_walls(polys[living_id], footprint)
+    exterior = _exterior_walls(regions[living_id], footprint)
     exterior = [w for w in exterior if _mm(w.length) >= door_mm]
     if not exterior:
         raise OpeningError("living room has no exterior wall wide enough for the entry")
@@ -271,12 +259,9 @@ def place_doors(
     for a, b in graph.edges:
         if a == OUTSIDE_ID or b == OUTSIDE_ID:
             continue
-        try:
-            segs = shared_segments(polys[a], polys[b])
-        except ValueError as exc:
-            raise OpeningError(f"rooms {a} and {b} overlap") from exc
         spans: list[tuple[Segment, tuple[int, int]]] = []
-        for seg in segs:
+        for run in regions[a].shared_walls(regions[b]):
+            seg = _wall_segment(*run)
             for span in ledger.free_spans(seg):
                 spans.append((seg, span))
         spans.sort(key=lambda pair: (pair[1][0], _seg_sort(pair[0])))
@@ -302,7 +287,7 @@ def _make_opening(
 
 
 def place_windows(
-    rooms: tuple[tuple[int, RoomKind, RectilinearPolygon], ...],
+    rooms: tuple[tuple[int, RoomKind, Region], ...],
     footprint: Rect,
     ledger: _WallLedger,
     rng: RandomStream,
@@ -311,10 +296,10 @@ def place_windows(
     """One window per exterior room of an allowed kind, on a free exterior span."""
     window_mm = _mm(cfg.window_width)
     openings: list[Opening] = []
-    for rid, kind, poly in sorted(rooms, key=lambda r: r[0]):
+    for rid, kind, region in sorted(rooms, key=lambda r: r[0]):
         if kind in cfg.window_banned:
             continue
-        walls = _exterior_walls(poly, footprint)
+        walls = _exterior_walls(region, footprint)
         spans: list[tuple[Segment, tuple[int, int]]] = []
         for wall in sorted(walls, key=_seg_sort):
             for span in ledger.free_spans(wall):
@@ -347,8 +332,9 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
     """Re-check a finished plan from scratch.
 
     Verifies the area partition, pairwise disjointness, containment, opening
-    geometry, one-door-per-edge correspondence, door-graph connectivity
-    (Outside included), the entry door, and the connection prohibitions.
+    kinds and the rooms they name, opening geometry, the graph's node set,
+    one-door-per-edge correspondence, door-graph connectivity (Outside
+    included), the entry door, and the connection prohibitions.
     Passing the config adds its window-ban check; everything else is
     self-contained in the plan document.
     """
@@ -371,10 +357,18 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
             if regions[a].intersect(regions[b]).area > 1e-9:
                 failures.append(f"overlap: rooms {a} and {b}")
 
+    nodes = set(regions) | {OUTSIDE_ID}
     door_edges: set[tuple[int, int]] = set()
     entry_count = 0
     by_line: dict[tuple[str, int], list[tuple[int, int, str]]] = {}
     for opening in plan.openings:
+        if opening.kind not in (DOOR, ENTRY_DOOR, WINDOW):
+            failures.append(f"unknown opening kind {opening.kind!r}: {opening.rooms}")
+            continue
+        unknown = [rid for rid in opening.rooms if rid not in nodes]
+        if unknown:
+            failures.append(f"{opening.kind} names unknown room {unknown[0]}: {opening.rooms}")
+            continue
         lo, hi = opening.interval()
         slo, shi = _mm(opening.wall.span[0]), _mm(opening.wall.span[1])
         if lo < slo or hi > shi:
@@ -405,16 +399,16 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
     if entry_count == 0:
         failures.append("no entry door")
 
+    if set(plan.graph.nodes) != nodes:
+        failures.append("connection graph nodes are not the rooms plus outside")
     graph_edges = {(_pair(a, b)) for a, b in plan.graph.edges}
     if door_edges != graph_edges:
         failures.append("realized doors do not match the connection graph")
 
-    nodes = set(regions) | {OUTSIDE_ID}
     adjacency: dict[int, set[int]] = {n: set() for n in nodes}
     for a, b in door_edges:
-        if a in adjacency and b in adjacency:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
+        adjacency[a].add(b)
+        adjacency[b].add(a)
     seen = {OUTSIDE_ID}
     frontier = [OUTSIDE_ID]
     while frontier:
@@ -444,7 +438,7 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
 
     if cfg is not None:
         for opening in plan.openings:
-            if opening.kind == WINDOW and kinds[opening.rooms[0]] in cfg.window_banned:
+            if opening.kind == WINDOW and kinds.get(opening.rooms[0]) in cfg.window_banned:
                 failures.append(f"window in banned kind: room {opening.rooms[0]}")
 
     return ValidationReport(tuple(failures))
@@ -462,17 +456,11 @@ def _wall_is_shared(wall: Segment, region_a: Region | None, region_b: Region | N
     """The wall lies on the common boundary of both rooms."""
     if region_a is None or region_b is None:
         return False
-    try:
-        segs = shared_segments(region_a.to_polygon(), region_b.to_polygon())
-    except ValueError:
+    if not region_a.intersect(region_b).is_empty:
         return False
+    line = _mm(wall.line)
     wlo, whi = _mm(wall.span[0]), _mm(wall.span[1])
-    for seg in segs:
-        if seg.horizontal != wall.horizontal:
-            continue
-        same_line = (
-            _mm(seg.a.y) == _mm(wall.a.y) if wall.horizontal else _mm(seg.a.x) == _mm(wall.a.x)
-        )
-        if same_line and _mm(seg.span[0]) <= wlo and whi <= _mm(seg.span[1]):
-            return True
-    return False
+    return any(
+        horizontal == wall.horizontal and run_line == line and lo <= wlo and whi <= hi
+        for horizontal, run_line, lo, hi in region_a.shared_walls(region_b)
+    )

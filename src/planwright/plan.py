@@ -15,6 +15,7 @@ round-tripping for the same reason.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .corridor import CorridorError, plan_corridor
@@ -140,7 +141,8 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int) -> Floo
 
     targets = {e.id: round(e.target_area, 6) for e in program.entries}
     rooms = tuple(
-        Room(rid, kind, poly, targets[rid]) for rid, kind, poly in corridor.rooms
+        Room(rid, kind, region.to_polygon(), targets[rid])
+        for rid, kind, region in corridor.rooms
     )
     plan = FloorPlan(
         seed=seed,
@@ -171,6 +173,35 @@ def _poly_from_json(doc, path: str) -> RectilinearPolygon:
         return RectilinearPolygon(tuple(Point(x, y) for x, y in doc))
     except (TypeError, ValueError) as exc:
         raise PlanParseError(f"{path}: {exc}") from exc
+
+
+def _int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise PlanParseError(f"{path}: expected an integer")
+    return value
+
+
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise PlanParseError(f"{path}: expected a finite number")
+    return value
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise PlanParseError(f"{path}: expected a list")
+    return value
+
+
+def _pair(value, path: str, item) -> tuple:
+    """A two-element list whose elements ``item`` checks."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise PlanParseError(f"{path}: expected a pair")
+    return (item(value[0], f"{path}[0]"), item(value[1], f"{path}[1]"))
+
+
+def _point(value, path: str) -> tuple[float, float]:
+    return _pair(value, path, _number)
 
 
 def to_json(plan: FloorPlan) -> str:
@@ -238,10 +269,13 @@ def from_json(text: str) -> FloorPlan:
     fp = doc["footprint"]
     if not isinstance(fp, dict) or set(fp) != {"x", "y", "x1", "y1"}:
         raise PlanParseError("$.footprint: expected x, y, x1, y1")
-    footprint = Rect(fp["x"], fp["y"], fp["x1"] - fp["x"], fp["y1"] - fp["y"])
+    x, y, x1, y1 = (_number(fp[k], f"$.footprint.{k}") for k in ("x", "y", "x1", "y1"))
+    if x1 <= x or y1 <= y:
+        raise PlanParseError("$.footprint: x1 and y1 must exceed x and y")
+    footprint = Rect(x, y, x1 - x, y1 - y)
 
     rooms = []
-    for i, rdoc in enumerate(doc["rooms"]):
+    for i, rdoc in enumerate(_list(doc["rooms"], "$.rooms")):
         if not isinstance(rdoc, dict) or set(rdoc) != _ROOM_FIELDS:
             raise PlanParseError(f"$.rooms[{i}]: expected fields {sorted(_ROOM_FIELDS)}")
         try:
@@ -250,10 +284,10 @@ def from_json(text: str) -> FloorPlan:
             raise PlanParseError(f"$.rooms[{i}].kind: {rdoc['kind']!r}") from exc
         rooms.append(
             Room(
-                id=rdoc["id"],
+                id=_int(rdoc["id"], f"$.rooms[{i}].id"),
                 kind=kind,
                 polygon=_poly_from_json(rdoc["polygon"], f"$.rooms[{i}].polygon"),
-                target_area=rdoc["target_area"],
+                target_area=_number(rdoc["target_area"], f"$.rooms[{i}].target_area"),
             )
         )
 
@@ -262,9 +296,13 @@ def from_json(text: str) -> FloorPlan:
         corridor = _poly_from_json(doc["corridor"], "$.corridor")
 
     openings = []
-    for i, odoc in enumerate(doc["openings"]):
+    for i, odoc in enumerate(_list(doc["openings"], "$.openings")):
         if not isinstance(odoc, dict) or set(odoc) != _OPENING_FIELDS:
             raise PlanParseError(f"$.openings[{i}]: expected fields {sorted(_OPENING_FIELDS)}")
+        _pair(odoc["rooms"], f"$.openings[{i}].rooms", _int)
+        _pair(odoc["wall"], f"$.openings[{i}].wall", _point)
+        for key in ("offset", "width"):
+            _number(odoc[key], f"$.openings[{i}].{key}")
         try:
             openings.append(Opening.from_json(odoc))
         except (TypeError, ValueError, KeyError) as exc:
@@ -273,6 +311,10 @@ def from_json(text: str) -> FloorPlan:
     gdoc = doc["connection_graph"]
     if not isinstance(gdoc, dict) or set(gdoc) != {"nodes", "edges"}:
         raise PlanParseError("$.connection_graph: expected nodes and edges")
+    for j, node in enumerate(_list(gdoc["nodes"], "$.connection_graph.nodes")):
+        _int(node, f"$.connection_graph.nodes[{j}]")
+    for j, edge in enumerate(_list(gdoc["edges"], "$.connection_graph.edges")):
+        _pair(edge, f"$.connection_graph.edges[{j}]", _int)
     graph = ConnectionGraph.from_json(gdoc)
 
     return FloorPlan(

@@ -217,3 +217,39 @@ def pairwise_overlap_mm2(polygons):
     for i, j in combinations(range(len(slabs)), 2):
         worst = max(worst, overlap_area_mm2(slabs[i], slabs[j]))
     return worst
+
+
+def _edges_mm(vertices):
+    """Polygon edges as (horizontal, line, lo, hi) in mm."""
+    pts = [(round(x * MM), round(y * MM)) for x, y in vertices]
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+        if y0 == y1:
+            yield (True, y0, min(x0, x1), max(x0, x1))
+        else:
+            yield (False, x0, min(y0, y1), max(y0, y1))
+
+
+def shared_walls(vertices_a, vertices_b):
+    """Maximal collinear overlaps of two polygon boundaries.
+
+    Compares every edge of one polygon with every edge of the other and
+    merges the overlaps per line.  Runs come back as sorted
+    (horizontal, line, lo, hi) tuples in mm.
+    """
+    by_line = {}
+    for ha, la, loa, hia in _edges_mm(vertices_a):
+        for hb, lb, lob, hib in _edges_mm(vertices_b):
+            lo, hi = max(loa, lob), min(hia, hib)
+            if (ha, la) == (hb, lb) and lo < hi:
+                by_line.setdefault((ha, la), []).append((lo, hi))
+    out = []
+    for (horizontal, line), spans in by_line.items():
+        spans.sort()
+        merged = [list(spans[0])]
+        for lo, hi in spans[1:]:
+            if lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        out.extend((horizontal, line, lo, hi) for lo, hi in merged)
+    return sorted(out)

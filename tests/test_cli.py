@@ -186,6 +186,9 @@ def test_gallery_writes_contact_sheet(tmp_path, capsys):
         capsys, "gallery", "--seeds", "1..4", "--columns", "2", "--out", str(out_file)
     )
     assert rc == 0
+    # One room-mix line per plan; seed 1 is the two-room golden house.
+    assert "seed      1  5.6x3.1 m  open      kitchen, living_room" in out.splitlines()
+    assert "skipped (no plan within budget)" not in out
     svg = out_file.read_text()
     assert svg.startswith("<svg")
     assert "seed 1" in svg and "seed 3" in svg
@@ -196,12 +199,13 @@ def test_gallery_writes_contact_sheet(tmp_path, capsys):
 
 def test_gallery_all_seeds_failing(tmp_path, capsys):
     out_file = tmp_path / "none.svg"
-    rc, _, err = run(
+    rc, out, err = run(
         capsys, "gallery", "--seeds", f"{BAD_SEED}..{BAD_SEED}", "--out", str(out_file)
     )
     assert rc == 1
     assert not out_file.exists()
     assert "no plans to draw" in err
+    assert f"skipped (no plan within budget): [{BAD_SEED}]" in out
 
 
 # ------------------------------------------------------------ configuration

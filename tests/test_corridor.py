@@ -352,9 +352,9 @@ def test_plan_corridor_identity_when_all_adjacent():
     assert result.reparented == ()
     assert result.trace["corridor_rooms"] == 0
     assert [rid for rid, _, _ in result.rooms] == [0, 1, 2]
-    for placed, (_, kind, poly) in zip(rooms, result.rooms):
+    for placed, (_, kind, region) in zip(rooms, result.rooms):
         assert kind is placed.kind
-        assert poly.area == pytest.approx(placed.rect.area)
+        assert region.area == pytest.approx(placed.rect.area)
 
 
 def region_equal(a: Region, b: Region) -> bool:
@@ -369,7 +369,7 @@ def test_plan_corridor_strip_layout_winner():
     assert result.corridor.area == pytest.approx(3.0)
     assert region_equal(Region.from_polygon(result.corridor), Region.from_rect(Rect(3, 3, 3, 1)))
     # The dining room lost the strip to the living room, nobody else changed.
-    areas = {rid: poly.area for rid, _, poly in result.rooms}
+    areas = {rid: region.area for rid, _, region in result.rooms}
     assert areas[0] == pytest.approx(21.0)
     assert areas[1] == pytest.approx(9.0)
     assert areas[2] == pytest.approx(6.0)
@@ -419,9 +419,9 @@ def test_plan_corridor_conserves_area():
         (STRIP_FOOTPRINT, STRIP_ROOMS, STRIP_PARENTS, 0),
     ]:
         result = plan_corridor(fp, rooms, parents, living, CFG)
-        total = sum(poly.area for _, _, poly in result.rooms)
+        total = sum(region.area for _, _, region in result.rooms)
         assert total == pytest.approx(fp.area, rel=1e-9)
-        regions = {rid: Region.from_polygon(poly) for rid, _, poly in result.rooms}
+        regions = {rid: region for rid, _, region in result.rooms}
         ids = sorted(regions)
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
@@ -446,6 +446,6 @@ def test_plan_corridor_deterministic():
     second = plan_corridor(STRIP_FOOTPRINT, STRIP_ROOMS, STRIP_PARENTS, 0, CFG)
     assert first.trace == second.trace
     assert first.corridor.vertices == second.corridor.vertices
-    assert [(rid, poly.vertices) for rid, _, poly in first.rooms] == [
-        (rid, poly.vertices) for rid, _, poly in second.rooms
+    assert [(rid, region.to_polygon()) for rid, _, region in first.rooms] == [
+        (rid, region.to_polygon()) for rid, _, region in second.rooms
     ]

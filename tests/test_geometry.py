@@ -15,12 +15,10 @@ from planwright.geometry import (
     Region,
     Segment,
     aspect_ratio,
-    polygon_area,
-    shared_segments,
     snap,
 )
 
-from oracles import pairwise_overlap_mm2, polygon_slabs, shoelace_area
+from oracles import pairwise_overlap_mm2, polygon_slabs, shared_walls, shoelace_area
 
 
 def test_snap_is_millimetre_rounding():
@@ -86,12 +84,12 @@ def test_polygon_rejects_self_intersection():
         )
 
 
-def test_shared_segments_of_adjacent_rects():
-    a = Rect(0, 0, 2, 2).to_polygon()
-    b = Rect(2, 0.5, 2, 1).to_polygon()
-    segs = shared_segments(a, b)
-    assert len(segs) == 1
-    assert segs[0].length == pytest.approx(1.0)
+def test_shared_walls_of_adjacent_rects():
+    a = Region.from_rect(Rect(0, 0, 2, 2))
+    b = Region.from_rect(Rect(2, 0.5, 2, 1))
+    assert a.shared_walls(b) == [(False, 2000, 500, 1500)]
+    assert b.shared_walls(a) == [(False, 2000, 500, 1500)]
+    assert a.shared_walls(Region.from_rect(Rect(3, 0, 1, 1))) == []
 
 
 # --- regions ----------------------------------------------------------------
@@ -217,18 +215,17 @@ def test_shared_border_mm():
 @settings(max_examples=120, deadline=None)
 @given(boxes(), boxes())
 def test_shared_border_agrees_with_polygon_walls(a_boxes, b_boxes):
-    """The region border and the polygon wall code must agree on door room."""
+    """The region border and the polygon-edge oracle agree run for run."""
     a = region_of(a_boxes)
     b = region_of(b_boxes).subtract(a)
-    if not a.intersect(b).is_empty:
-        return
     try:
         pa, pb = a.to_polygon(), b.to_polygon()
     except ValueError:
         return
-    segs = shared_segments(pa, pb)
-    longest = max((round(s.length * 1000) for s in segs), default=0)
-    assert a.shared_border_mm(b) == longest
+    expected = shared_walls([(p.x, p.y) for p in pa.vertices], [(p.x, p.y) for p in pb.vertices])
+    assert a.shared_walls(b) == expected
+    assert b.shared_walls(a) == expected
+    assert a.shared_border_mm(b) == max((hi - lo for _, _, lo, hi in expected), default=0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -240,7 +237,7 @@ def test_polygon_area_against_shoelace(box_list):
     except ValueError:
         return
     verts = [(p.x, p.y) for p in poly.vertices]
-    assert math.isclose(polygon_area(poly), shoelace_area(verts), rel_tol=0, abs_tol=1e-9)
+    assert math.isclose(poly.area, shoelace_area(verts), rel_tol=0, abs_tol=1e-9)
     slab_mm2 = sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in polygon_slabs(verts))
     assert math.isclose(poly.area, slab_mm2 / 1e6, rel_tol=0, abs_tol=1e-9)
 

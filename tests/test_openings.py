@@ -9,10 +9,12 @@ right complaint, and only the right complaint, appears.
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
-from planwright.geometry import Point, Rect, Segment
+from planwright.geometry import Point, Rect, Region, Segment
 from planwright.hierarchy import OUTSIDE_ID
 from planwright.openings import (
     DOOR,
@@ -27,20 +29,22 @@ from planwright.openings import (
     place_windows,
     validate,
 )
-from planwright.plan import FloorPlan, Room, generate
+from planwright.plan import FloorPlan, Room, from_json, generate
 from planwright.sampling import GenConfig, RandomStream, RoomKind
 
 K = RoomKind
 CFG = GenConfig()
 
 
-def poly_rooms(*specs):
-    return tuple((rid, kind, Rect(x, y, w, h).to_polygon()) for rid, kind, x, y, w, h in specs)
+def region_rooms(*specs):
+    return tuple(
+        (rid, kind, Region.from_rect(Rect(x, y, w, h))) for rid, kind, x, y, w, h in specs
+    )
 
 
 # Living room column plus a kitchen/dining stack; everything is adjacent.
 TRIO_FP = Rect(0, 0, 6, 6)
-TRIO = poly_rooms(
+TRIO = region_rooms(
     (0, K.LIVING_ROOM, 0, 0, 3, 6),
     (1, K.KITCHEN, 3, 0, 3, 3),
     (2, K.DINING_ROOM, 3, 3, 3, 3),
@@ -79,7 +83,7 @@ def test_optional_edge_skipped_when_already_mandatory():
 
 
 def test_mandatory_edge_without_shared_wall_raises():
-    rooms = poly_rooms(
+    rooms = region_rooms(
         (0, K.LIVING_ROOM, 0, 0, 3, 3),
         (1, K.BEDROOM, 3, 3, 3, 3),
     )
@@ -88,7 +92,7 @@ def test_mandatory_edge_without_shared_wall_raises():
 
 
 def test_prohibited_pairs_never_added():
-    rooms = poly_rooms(
+    rooms = region_rooms(
         (0, K.LIVING_ROOM, 0, 0, 3, 6),
         (1, K.BEDROOM, 3, 0, 3, 3),
         (2, K.MASTER_BEDROOM, 3, 3, 3, 3),
@@ -96,7 +100,7 @@ def test_prohibited_pairs_never_added():
     cfg = cfg_with_doors((K.BEDROOM, K.MASTER_BEDROOM, 1.0))
     graph = build_connection_graph(rooms, {1: 0, 2: 0}, 0, RandomStream(1), cfg)
     assert (1, 2) not in graph.edges
-    kitchen = poly_rooms(
+    kitchen = region_rooms(
         (0, K.LIVING_ROOM, 0, 0, 3, 6),
         (1, K.KITCHEN, 3, 0, 3, 3),
         (2, K.BEDROOM, 3, 3, 3, 3),
@@ -109,7 +113,7 @@ def test_prohibited_pairs_never_added():
 def test_bathroom_never_bridges_bedrooms():
     # The bathroom already serves bedroom 1 (its parent); the optional door
     # to bedroom 3 would turn it into a pass-through and must be skipped.
-    rooms = poly_rooms(
+    rooms = region_rooms(
         (0, K.LIVING_ROOM, 0, 0, 3, 9),
         (1, K.BEDROOM, 3, 6, 3, 3),
         (2, K.BATHROOM, 3, 3, 3, 3),
@@ -185,7 +189,7 @@ def test_door_positions_vary_with_stream():
 
 
 def test_windows_skip_banned_kinds():
-    rooms = poly_rooms(
+    rooms = region_rooms(
         (0, K.LIVING_ROOM, 0, 0, 3, 6),
         (1, K.KITCHEN, 3, 0, 3, 3),
         (2, K.BATHROOM, 3, 3, 3, 3),
@@ -391,3 +395,31 @@ def test_validate_enforces_window_ban(sample_plan):
     strict = GenConfig(window_banned=(kind,))
     failures = validate(sample_plan, strict).failures
     assert any("window in banned kind" in f for f in failures)
+
+
+@pytest.mark.parametrize(
+    "mutate, failure",
+    [
+        pytest.param(
+            lambda d: d["openings"][1].update(kind="portal"),
+            "unknown opening kind 'portal'",
+            id="unknown-kind",
+        ),
+        pytest.param(
+            lambda d: d["connection_graph"].update(nodes=[]),
+            "connection graph nodes are not the rooms plus outside",
+            id="no-nodes",
+        ),
+        pytest.param(
+            lambda d: d["openings"][1].update(rooms=[99, 0]),
+            "door names unknown room 99",
+            id="unknown-room",
+        ),
+    ],
+)
+def test_validate_rejects_mutated_golden_plan(mutate, failure):
+    doc = json.loads((Path(__file__).parent / "data" / "plan-seed1.json").read_text())
+    assert validate(from_json(json.dumps(doc)), CFG).ok
+    mutate(doc)
+    failures = validate(from_json(json.dumps(doc)), CFG).failures
+    assert any(f.startswith(failure) for f in failures), failures

@@ -196,6 +196,24 @@ def corrupted(plan: FloorPlan, mutate) -> str:
         (lambda d: d["footprint"].pop("x1"), "$.footprint"),
         (lambda d: d["openings"][0].pop("offset"), "$.openings[0]"),
         (lambda d: d.update(connection_graph={"nodes": []}), "$.connection_graph"),
+        pytest.param(lambda d: d.update(rooms=5), "$.rooms:", id="rooms-not-a-list"),
+        pytest.param(lambda d: d.update(openings=None), "$.openings:", id="openings-null"),
+        pytest.param(
+            lambda d: d["openings"][1].update(rooms=[1]), "$.openings[1].rooms:", id="one-room"
+        ),
+        pytest.param(lambda d: d["rooms"][0].update(id="a"), "$.rooms[0].id:", id="id-string"),
+        pytest.param(lambda d: d["footprint"].update(x1=-1.0), "$.footprint:", id="x1-below-x"),
+        pytest.param(lambda d: d["footprint"].update(x="a"), "$.footprint.x:", id="x-string"),
+        pytest.param(
+            lambda d: d["connection_graph"].update(edges=[[1]]),
+            "$.connection_graph.edges[0]:",
+            id="edge-one-node",
+        ),
+        pytest.param(
+            lambda d: d["openings"][0].update(wall=[[float("nan"), 0.0], [1.0, 0.0]]),
+            "$.openings[0].wall[0][0]:",
+            id="wall-nan",
+        ),
     ],
 )
 def test_parse_errors_name_their_path(plain_plan, mutate, path):
