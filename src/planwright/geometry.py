@@ -4,9 +4,10 @@ All public types carry coordinates in metres.  Point, Segment and polygon
 constructors snap their inputs to the grid, so coordinate equality is exact
 ``==`` everywhere downstream: adjacency, vertex coincidence and boolean ops
 never need an epsilon.  Rect is the one exception: the treemap subdivides a
-rect at full float precision and the pipeline snaps afterwards.  Boolean
-operations run on an integer-millimetre cell decomposition internally, which
-keeps area bookkeeping exact.
+rect at full float precision and the pipeline snaps afterwards.  Polygons
+also keep their vertices in integer millimetres, and their checks run there.
+Boolean operations run on an integer-millimetre cell decomposition
+internally, which keeps area bookkeeping exact.
 """
 
 from __future__ import annotations
@@ -145,30 +146,58 @@ class RectilinearPolygon:
     The vertex list is normalised on construction: collinear runs are merged,
     orientation is forced counter-clockwise and the cycle is rotated to start
     at the lexicographically smallest vertex, so equal polygons compare equal
-    and serialise identically.
+    and serialise identically.  ``mm`` holds the same vertices in integer
+    millimetres; every check runs on it, and ``area`` is computed once.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "mm", "area")
 
     def __init__(self, vertices: Sequence[Point]) -> None:
-        verts = [Point(p.x, p.y) for p in vertices]
-        if len(verts) < 4:
+        pts = list(vertices)  # Points sit on the grid already
+        if len(pts) < 4:
             raise ValueError("rectilinear polygon needs at least 4 vertices")
-        verts = _merge_collinear(verts)
-        if len(verts) < 4:
+        mm = [(round(p.x * 1000), round(p.y * 1000)) for p in pts]
+        n = len(mm)
+        # Drop each vertex that lies on a straight line with both neighbours.
+        keep = []
+        for i, (x, y) in enumerate(mm):
+            (px, py), (nx, ny) = mm[i - 1], mm[(i + 1) % n]
+            if not (px == x == nx or py == y == ny):
+                keep.append(i)
+        if len(keep) < 4:
             raise ValueError("degenerate polygon after merging collinear vertices")
-        for p, q in _cycle_pairs(verts):
-            if p.x != q.x and p.y != q.y:
-                raise ValueError(f"edge not axis-aligned: {p} -> {q}")
-            if p == q:
-                raise ValueError(f"repeated vertex {p}")
-        if _signed_area_mm2(verts) < 0:
-            verts.reverse()
-        if _signed_area_mm2(verts) <= 0:
+        pts = [pts[i] for i in keep]
+        mm = [mm[i] for i in keep]
+        n = len(mm)
+        twice_area = 0
+        for i, ((x0, y0), (x1, y1)) in enumerate(zip(mm, mm[1:] + mm[:1])):
+            if x0 != x1 and y0 != y1:
+                raise ValueError(f"edge not axis-aligned: {pts[i]} -> {pts[(i + 1) % n]}")
+            if x0 == x1 and y0 == y1:
+                raise ValueError(f"repeated vertex {pts[i]}")
+            twice_area += x0 * y1 - x1 * y0
+        if twice_area < 0:
+            pts.reverse()
+            mm.reverse()
+            twice_area = -twice_area
+        if twice_area == 0:
             raise ValueError("polygon area must be positive")
-        _check_simple(verts)
-        start = min(range(len(verts)), key=lambda i: verts[i])
-        self.vertices: tuple[Point, ...] = tuple(verts[start:] + verts[:start])
+        if len(set(mm)) != n:
+            raise ValueError("polygon repeats a vertex")
+        # Edge bounding boxes; for axis-aligned edges, overlapping boxes
+        # means touching edges, which only neighbours in the cycle may do.
+        boxes = [
+            (min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1))
+            for (x0, y0), (x1, y1) in zip(mm, mm[1:] + mm[:1])
+        ]
+        for i, (ax0, ax1, ay0, ay1) in enumerate(boxes):
+            for bx0, bx1, by0, by1 in boxes[i + 2 : n if i else n - 1]:
+                if ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1:
+                    raise ValueError("polygon boundary self-intersects")
+        start = mm.index(min(mm))
+        self.vertices: tuple[Point, ...] = tuple(pts[start:] + pts[:start])
+        self.mm: tuple[tuple[int, int], ...] = tuple(mm[start:] + mm[:start])
+        self.area: float = twice_area / 2 / 1e6
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RectilinearPolygon) and self.vertices == other.vertices
@@ -179,9 +208,9 @@ class RectilinearPolygon:
     def __repr__(self) -> str:
         return f"RectilinearPolygon({list(self.vertices)!r})"
 
-    @property
-    def area(self) -> float:
-        return _signed_area_mm2(list(self.vertices)) / 1e6
+    def edges_mm(self) -> Iterable[tuple[tuple[int, int], tuple[int, int]]]:
+        """Consecutive vertex pairs in mm, closing edge included."""
+        return zip(self.mm, self.mm[1:] + self.mm[:1])
 
     @property
     def bounds(self) -> Rect:
@@ -195,16 +224,14 @@ class RectilinearPolygon:
 
     def contains_point(self, p: Point) -> bool:
         """True for interior or boundary points."""
-        if _on_boundary(self.vertices, p):
-            return True
-        # Parity of crossings along a ray to the left, in mm integers.
-        px, py2 = _mm(p.x), 2 * _mm(p.y)
+        px, py = _mm(p.x), _mm(p.y)
+        # Parity of crossings along a ray to the left; a point inside an
+        # edge's bounding box lies on that (axis-aligned) edge.
         inside = False
-        for a, b in _cycle_pairs(list(self.vertices)):
-            if a.x != b.x:
-                continue
-            ya, yb = 2 * _mm(a.y), 2 * _mm(b.y)
-            if min(ya, yb) < py2 < max(ya, yb) and _mm(a.x) < px:
+        for (ax, ay), (bx, by) in self.edges_mm():
+            if min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by):
+                return True
+            if ax == bx and min(ay, by) < py < max(ay, by) and ax < px:
                 inside = not inside
         return inside
 
@@ -218,63 +245,6 @@ def merge_runs(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
         else:
             merged.append((lo, hi))
     return merged
-
-
-def _cycle_pairs(verts: list[Point]) -> Iterable[tuple[Point, Point]]:
-    for i, p in enumerate(verts):
-        yield p, verts[(i + 1) % len(verts)]
-
-
-def _merge_collinear(verts: list[Point]) -> list[Point]:
-    out: list[Point] = []
-    n = len(verts)
-    for i, p in enumerate(verts):
-        prev = verts[(i - 1) % n]
-        nxt = verts[(i + 1) % n]
-        if (prev.x == p.x == nxt.x) or (prev.y == p.y == nxt.y):
-            continue
-        out.append(p)
-    return out
-
-
-def _signed_area_mm2(verts: list[Point]) -> float:
-    total = 0
-    for p, q in _cycle_pairs(verts):
-        total += _mm(p.x) * _mm(q.y) - _mm(q.x) * _mm(p.y)
-    return total / 2
-
-
-def _check_simple(verts: list[Point]) -> None:
-    if len(set(verts)) != len(verts):
-        raise ValueError("polygon repeats a vertex")
-    edges = list(_cycle_pairs(verts))
-    n = len(edges)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue
-            if _segments_touch(edges[i], edges[j]):
-                raise ValueError("polygon boundary self-intersects")
-
-
-def _segments_touch(e1: tuple[Point, Point], e2: tuple[Point, Point]) -> bool:
-    (a, b), (c, d) = e1, e2
-    ax0, ax1 = sorted((_mm(a.x), _mm(b.x)))
-    ay0, ay1 = sorted((_mm(a.y), _mm(b.y)))
-    cx0, cx1 = sorted((_mm(c.x), _mm(d.x)))
-    cy0, cy1 = sorted((_mm(c.y), _mm(d.y)))
-    return ax0 <= cx1 and cx0 <= ax1 and ay0 <= cy1 and cy0 <= ay1
-
-
-def _on_boundary(verts: tuple[Point, ...], p: Point) -> bool:
-    px, py = _mm(p.x), _mm(p.y)
-    for a, b in _cycle_pairs(list(verts)):
-        ax, ay, bx, by = _mm(a.x), _mm(a.y), _mm(b.x), _mm(b.y)
-        if ax == bx == px and min(ay, by) <= py <= max(ay, by):
-            return True
-        if ay == by == py and min(ax, bx) <= px <= max(ax, bx):
-            return True
-    return False
 
 
 class Region:
@@ -321,22 +291,19 @@ class Region:
 
     @classmethod
     def from_polygon(cls, polygon: RectilinearPolygon) -> "Region":
-        xs = tuple(sorted({_mm(p.x) for p in polygon.vertices}))
-        ys = tuple(sorted({_mm(p.y) for p in polygon.vertices}))
+        xs = tuple(sorted({x for x, _ in polygon.mm}))
+        ys = tuple(sorted({y for _, y in polygon.mm}))
+        xi = {x: i for i, x in enumerate(xs)}
         # Vertical polygon edges, for midline crossing parity per row slab.
-        vedges = []
-        for a, b in _cycle_pairs(list(polygon.vertices)):
-            if a.x == b.x:
-                vedges.append((_mm(a.x), min(_mm(a.y), _mm(b.y)), max(_mm(a.y), _mm(b.y))))
+        vedges = [
+            (ax, min(ay, by), max(ay, by)) for (ax, ay), (bx, by) in polygon.edges_mm() if ax == bx
+        ]
         cells = set()
         for j in range(len(ys) - 1):
             ymid2 = ys[j] + ys[j + 1]  # 2 * midpoint, keeps everything integral
             crossings = sorted(x for x, ylo, yhi in vedges if 2 * ylo < ymid2 < 2 * yhi)
             for k in range(0, len(crossings) - 1, 2):
-                lo, hi = crossings[k], crossings[k + 1]
-                for i in range(len(xs) - 1):
-                    if lo <= xs[i] and xs[i + 1] <= hi:
-                        cells.add((i, j))
+                cells.update((i, j) for i in range(xi[crossings[k]], xi[crossings[k + 1]]))
         return cls(xs, ys, frozenset(cells))
 
     @property
@@ -350,7 +317,7 @@ class Region:
             total += (self.xs[i + 1] - self.xs[i]) * (self.ys[j + 1] - self.ys[j])
         return total / 1e6
 
-    def _realign(self, xs: tuple[int, ...], ys: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    def realign(self, xs: tuple[int, ...], ys: tuple[int, ...]) -> frozenset[tuple[int, int]]:
         """Re-express this region's cells on a finer breakpoint grid."""
         if not self.cells:
             return frozenset()
@@ -366,7 +333,7 @@ class Region:
     def _common(self, other: "Region") -> tuple[tuple[int, ...], tuple[int, ...], frozenset, frozenset]:
         xs = tuple(sorted(set(self.xs) | set(other.xs)))
         ys = tuple(sorted(set(self.ys) | set(other.ys)))
-        return xs, ys, self._realign(xs, ys), other._realign(xs, ys)
+        return xs, ys, self.realign(xs, ys), other.realign(xs, ys)
 
     def union(self, other: "Region") -> "Region":
         xs, ys, a, b = self._common(other)

@@ -39,15 +39,6 @@ class Opening:
         lo = _mm(self.wall.span[0]) + _mm(self.offset)
         return (lo, lo + _mm(self.width))
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "wall": [[self.wall.a.x, self.wall.a.y], [self.wall.b.x, self.wall.b.y]],
-            "offset": self.offset,
-            "width": self.width,
-            "rooms": list(self.rooms),
-        }
-
     @classmethod
     def from_json(cls, doc: dict) -> "Opening":
         (ax, ay), (bx, by) = doc["wall"]
@@ -339,22 +330,29 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
     self-contained in the plan document.
     """
     failures: list[str] = []
-    rooms = [(room.id, room.kind, room.polygon) for room in plan.rooms]
-    regions = {rid: Region.from_polygon(poly) for rid, _, poly in rooms}
-    kinds = {rid: kind for rid, kind, _ in rooms}
+    regions = {room.id: Region.from_polygon(room.polygon) for room in plan.rooms}
+    kinds = {room.id: room.kind for room in plan.rooms}
     fp_region = Region.from_rect(plan.footprint)
 
-    total = sum(poly.area for _, _, poly in rooms)
+    total = sum(room.polygon.area for room in plan.rooms)
     fp_area = fp_region.area
     if abs(total - fp_area) > 1e-6 * fp_area:
         failures.append(f"partition: room areas sum to {total}, footprint is {fp_area}")
-    for rid, region in sorted(regions.items()):
-        if not region.subtract(fp_region).is_empty:
+    # Every room and the footprint on one breakpoint grid: containment is a
+    # subset test and overlap a shared cell.
+    xs = tuple(sorted({*fp_region.xs, *(x for r in regions.values() for x in r.xs)}))
+    ys = tuple(sorted({*fp_region.ys, *(y for r in regions.values() for y in r.ys)}))
+    fp_cells = fp_region.realign(xs, ys)
+    cells = {rid: region.realign(xs, ys) for rid, region in sorted(regions.items())}
+    for rid, room_cells in cells.items():
+        if not room_cells <= fp_cells:
             failures.append(f"containment: room {rid} leaves the footprint")
-    ids = sorted(regions)
+    overlapping: set[tuple[int, int]] = set()
+    ids = list(cells)
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
-            if regions[a].intersect(regions[b]).area > 1e-9:
+            if not cells[a].isdisjoint(cells[b]):
+                overlapping.add((a, b))
                 failures.append(f"overlap: rooms {a} and {b}")
 
     nodes = set(regions) | {OUTSIDE_ID}
@@ -387,7 +385,9 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
             door_edges.add(_pair(a, b))
             continue
         door_edges.add(_pair(a, b))
-        if not _wall_is_shared(opening.wall, regions.get(a), regions.get(b)):
+        if _pair(a, b) in overlapping or not _wall_is_shared(
+            opening.wall, regions.get(a), regions.get(b)
+        ):
             failures.append(f"door between {a} and {b} is not on their shared wall")
 
     for line, intervals in sorted(by_line.items()):
@@ -453,10 +453,8 @@ def _on_footprint_boundary(wall: Segment, footprint: Rect) -> bool:
 
 
 def _wall_is_shared(wall: Segment, region_a: Region | None, region_b: Region | None) -> bool:
-    """The wall lies on the common boundary of both rooms."""
+    """The wall lies on the common boundary of two rooms that do not overlap."""
     if region_a is None or region_b is None:
-        return False
-    if not region_a.intersect(region_b).is_empty:
         return False
     line = _mm(wall.line)
     wlo, whi = _mm(wall.span[0]), _mm(wall.span[1])

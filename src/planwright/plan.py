@@ -15,7 +15,7 @@ round-tripping for the same reason.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 
 from .corridor import CorridorError, plan_corridor
@@ -162,16 +162,13 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int) -> Floo
     return plan
 
 
-def _poly_json(poly: RectilinearPolygon) -> list[list[float]]:
-    return [[p.x, p.y] for p in poly.vertices]
-
-
 def _poly_from_json(doc, path: str) -> RectilinearPolygon:
     if not isinstance(doc, list) or len(doc) < 4:
         raise PlanParseError(f"{path}: expected a vertex list")
+    points = [Point(*_point(v, f"{path}[{k}]")) for k, v in enumerate(doc)]
     try:
-        return RectilinearPolygon(tuple(Point(x, y) for x, y in doc))
-    except (TypeError, ValueError) as exc:
+        return RectilinearPolygon(points)
+    except ValueError as exc:
         raise PlanParseError(f"{path}: {exc}") from exc
 
 
@@ -182,8 +179,16 @@ def _int(value, path: str) -> int:
 
 
 def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # Exact types leave out bool; the bound leaves out NaN, the infinities
+    # and integers too large for a float.
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise PlanParseError(f"{path}: expected a finite number")
+    return value
+
+
+def _str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise PlanParseError(f"{path}: expected a string")
     return value
 
 
@@ -204,34 +209,90 @@ def _point(value, path: str) -> tuple[float, float]:
     return _pair(value, path, _number)
 
 
+# The plan writer.  Each helper returns one JSON value laid out exactly as
+# json.dumps(indent=2) lays it out when the value's first line sits at
+# indent ``pad``.  Numbers print as their repr, which is what the json module
+# writes for ints and floats.
+
+
+def _object_json(fields: tuple[tuple[str, str], ...], pad: str) -> str:
+    inner = pad + "  "
+    return "{\n" + ",\n".join(f'{inner}"{key}": {value}' for key, value in fields) + f"\n{pad}}}"
+
+
+def _list_json(items: list[str], pad: str) -> str:
+    """A list of values already laid out at ``pad`` plus two spaces."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+
+
+def _pairs_json(pairs, pad: str) -> str:
+    """A list of two-number lists."""
+    if not pairs:
+        return "[]"
+    inner, item = pad + "  ", pad + "    "
+    body = f"\n{inner}],\n{inner}[\n{item}".join(f"{a!r},\n{item}{b!r}" for a, b in pairs)
+    return f"[\n{inner}[\n{item}{body}\n{inner}]\n{pad}]"
+
+
+def _poly_json(poly: RectilinearPolygon, pad: str) -> str:
+    return _pairs_json([(p.x, p.y) for p in poly.vertices], pad)
+
+
+def _room_json(room: Room) -> str:
+    fields = (
+        ("id", repr(room.id)),
+        ("kind", json.dumps(room.kind.value)),
+        ("target_area", repr(room.target_area)),
+        ("polygon", _poly_json(room.polygon, "      ")),
+    )
+    return _object_json(fields, "    ")
+
+
+def _opening_json(opening: Opening) -> str:
+    a, b = opening.wall.a, opening.wall.b
+    fields = (
+        ("kind", json.dumps(opening.kind)),
+        ("wall", _pairs_json(((a.x, a.y), (b.x, b.y)), "      ")),
+        ("offset", repr(opening.offset)),
+        ("width", repr(opening.width)),
+        ("rooms", _list_json([repr(r) for r in opening.rooms], "      ")),
+    )
+    return _object_json(fields, "    ")
+
+
 def to_json(plan: FloorPlan) -> str:
-    """Serialize with stable field order; every number sits on its grid."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "seed": plan.seed,
-        "config_fingerprint": plan.config_fingerprint,
-        "attempts": plan.attempts,
-        "corridor_candidates": plan.corridor_candidates,
-        "footprint": {
-            "x": plan.footprint.x,
-            "y": plan.footprint.y,
-            "x1": snap(plan.footprint.x1),
-            "y1": snap(plan.footprint.y1),
-        },
-        "rooms": [
-            {
-                "id": room.id,
-                "kind": room.kind.value,
-                "target_area": room.target_area,
-                "polygon": _poly_json(room.polygon),
-            }
-            for room in plan.rooms
-        ],
-        "corridor": _poly_json(plan.corridor) if plan.corridor is not None else None,
-        "openings": [o.to_json() for o in plan.openings],
-        "connection_graph": plan.graph.to_json(),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Serialize with stable field order; every number sits on its grid.
+
+    The text equals ``json.dumps(doc, indent=2) + "\\n"`` for the document
+    dict with its keys in the order written here.
+    """
+    fp = plan.footprint
+    footprint = (
+        ("x", repr(fp.x)),
+        ("y", repr(fp.y)),
+        ("x1", repr(snap(fp.x1))),
+        ("y1", repr(snap(fp.y1))),
+    )
+    graph = (
+        ("nodes", _list_json([repr(n) for n in sorted(plan.graph.nodes)], "    ")),
+        ("edges", _pairs_json(plan.graph.edges, "    ")),
+    )
+    doc = (
+        ("schema_version", repr(SCHEMA_VERSION)),
+        ("seed", repr(plan.seed)),
+        ("config_fingerprint", json.dumps(plan.config_fingerprint)),
+        ("attempts", repr(plan.attempts)),
+        ("corridor_candidates", repr(plan.corridor_candidates)),
+        ("footprint", _object_json(footprint, "  ")),
+        ("rooms", _list_json([_room_json(room) for room in plan.rooms], "  ")),
+        ("corridor", "null" if plan.corridor is None else _poly_json(plan.corridor, "  ")),
+        ("openings", _list_json([_opening_json(o) for o in plan.openings], "  ")),
+        ("connection_graph", _object_json(graph, "  ")),
+    )
+    return _object_json(doc, "") + "\n"
 
 
 _TOP_FIELDS = {
@@ -253,7 +314,7 @@ _OPENING_FIELDS = {"kind", "wall", "offset", "width", "rooms"}
 def from_json(text: str) -> FloorPlan:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise PlanParseError(f"$: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise PlanParseError("$: expected an object")
@@ -265,6 +326,10 @@ def from_json(text: str) -> FloorPlan:
         raise PlanParseError(f"$.{sorted(missing)[0]}: missing field")
     if doc["schema_version"] != SCHEMA_VERSION:
         raise PlanParseError(f"$.schema_version: unsupported {doc['schema_version']!r}")
+    seed = _int(doc["seed"], "$.seed")
+    fingerprint = _str(doc["config_fingerprint"], "$.config_fingerprint")
+    attempts = _int(doc["attempts"], "$.attempts")
+    candidates = _int(doc["corridor_candidates"], "$.corridor_candidates")
 
     fp = doc["footprint"]
     if not isinstance(fp, dict) or set(fp) != {"x", "y", "x1", "y1"}:
@@ -299,6 +364,7 @@ def from_json(text: str) -> FloorPlan:
     for i, odoc in enumerate(_list(doc["openings"], "$.openings")):
         if not isinstance(odoc, dict) or set(odoc) != _OPENING_FIELDS:
             raise PlanParseError(f"$.openings[{i}]: expected fields {sorted(_OPENING_FIELDS)}")
+        _str(odoc["kind"], f"$.openings[{i}].kind")
         _pair(odoc["rooms"], f"$.openings[{i}].rooms", _int)
         _pair(odoc["wall"], f"$.openings[{i}].wall", _point)
         for key in ("offset", "width"):
@@ -318,15 +384,15 @@ def from_json(text: str) -> FloorPlan:
     graph = ConnectionGraph.from_json(gdoc)
 
     return FloorPlan(
-        seed=doc["seed"],
-        config_fingerprint=doc["config_fingerprint"],
+        seed=seed,
+        config_fingerprint=fingerprint,
         footprint=footprint,
         rooms=tuple(rooms),
         corridor=corridor,
         openings=tuple(openings),
         graph=graph,
-        attempts=doc["attempts"],
-        corridor_candidates=doc["corridor_candidates"],
+        attempts=attempts,
+        corridor_candidates=candidates,
     )
 
 

@@ -8,6 +8,7 @@ imports package internals beyond plain data.
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 MM = 1000.0
@@ -217,6 +218,121 @@ def pairwise_overlap_mm2(polygons):
     for i, j in combinations(range(len(slabs)), 2):
         worst = max(worst, overlap_area_mm2(slabs[i], slabs[j]))
     return worst
+
+
+def _point_text(x, y):
+    return f"Point(x={x!r}, y={y!r})"
+
+
+def normalise_polygon(vertices):
+    """Vertex normalisation of a rectilinear polygon, done on the snapped floats.
+
+    ``vertices`` is a list of (x, y) in metres.  Every vertex is rounded to
+    the millimetre grid; then, in this order: vertices collinear with both
+    neighbours in the input cycle are dropped, each edge must be axis-aligned
+    and of nonzero length, clockwise input is reversed, the area must be
+    positive, no vertex may repeat, no two non-adjacent edges may touch, and
+    the cycle is rotated to start at the smallest (x, y).  Returns the
+    vertex list, or raises ValueError with the message the package gives.
+    """
+    verts = [(round(x, 3), round(y, 3)) for x, y in vertices]
+    if len(verts) < 4:
+        raise ValueError("rectilinear polygon needs at least 4 vertices")
+    n = len(verts)
+    verts = [
+        p
+        for i, p in enumerate(verts)
+        if not (
+            verts[i - 1][0] == p[0] == verts[(i + 1) % n][0]
+            or verts[i - 1][1] == p[1] == verts[(i + 1) % n][1]
+        )
+    ]
+    if len(verts) < 4:
+        raise ValueError("degenerate polygon after merging collinear vertices")
+    edges = list(zip(verts, verts[1:] + verts[:1]))
+    for p, q in edges:
+        if p[0] != q[0] and p[1] != q[1]:
+            raise ValueError(f"edge not axis-aligned: {_point_text(*p)} -> {_point_text(*q)}")
+        if p == q:
+            raise ValueError(f"repeated vertex {_point_text(*p)}")
+
+    def signed_area(vs):
+        pts = [(round(x * MM), round(y * MM)) for x, y in vs]
+        return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
+
+    if signed_area(verts) < 0:
+        verts.reverse()
+    if signed_area(verts) <= 0:
+        raise ValueError("polygon area must be positive")
+    if len(set(verts)) != len(verts):
+        raise ValueError("polygon repeats a vertex")
+    edges = list(zip(verts, verts[1:] + verts[:1]))
+    for i, j in combinations(range(len(edges)), 2):
+        if j == i + 1 or (i == 0 and j == len(edges) - 1):
+            continue
+        (a, b), (c, d) = edges[i], edges[j]
+        if (
+            min(a[0], b[0]) <= max(c[0], d[0])
+            and min(c[0], d[0]) <= max(a[0], b[0])
+            and min(a[1], b[1]) <= max(c[1], d[1])
+            and min(c[1], d[1]) <= max(a[1], b[1])
+        ):
+            raise ValueError("polygon boundary self-intersects")
+    start = verts.index(min(verts))
+    return verts[start:] + verts[:start]
+
+
+# --- plan document ---------------------------------------------------------
+
+
+def plan_json(plan):
+    """The plan document as the standard library writes it.
+
+    Builds the document dict in schema order and dumps it with indent=2.
+    """
+    fp = plan.footprint
+
+    def points(poly):
+        return [[p.x, p.y] for p in poly.vertices]
+
+    doc = {
+        "schema_version": 1,
+        "seed": plan.seed,
+        "config_fingerprint": plan.config_fingerprint,
+        "attempts": plan.attempts,
+        "corridor_candidates": plan.corridor_candidates,
+        "footprint": {
+            "x": fp.x,
+            "y": fp.y,
+            "x1": round(fp.x1, 3),
+            "y1": round(fp.y1, 3),
+        },
+        "rooms": [
+            {
+                "id": room.id,
+                "kind": room.kind.value,
+                "target_area": room.target_area,
+                "polygon": points(room.polygon),
+            }
+            for room in plan.rooms
+        ],
+        "corridor": points(plan.corridor) if plan.corridor is not None else None,
+        "openings": [
+            {
+                "kind": o.kind,
+                "wall": [[o.wall.a.x, o.wall.a.y], [o.wall.b.x, o.wall.b.y]],
+                "offset": o.offset,
+                "width": o.width,
+                "rooms": list(o.rooms),
+            }
+            for o in plan.openings
+        ],
+        "connection_graph": {
+            "nodes": sorted(plan.graph.nodes),
+            "edges": [list(e) for e in plan.graph.edges],
+        },
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _edges_mm(vertices):

@@ -18,7 +18,13 @@ from planwright.geometry import (
     snap,
 )
 
-from oracles import pairwise_overlap_mm2, polygon_slabs, shared_walls, shoelace_area
+from oracles import (
+    normalise_polygon,
+    pairwise_overlap_mm2,
+    polygon_slabs,
+    shared_walls,
+    shoelace_area,
+)
 
 
 def test_snap_is_millimetre_rounding():
@@ -226,6 +232,68 @@ def test_shared_border_agrees_with_polygon_walls(a_boxes, b_boxes):
     assert a.shared_walls(b) == expected
     assert b.shared_walls(a) == expected
     assert a.shared_border_mm(b) == max((hi - lo for _, _, lo, hi in expected), default=0)
+
+
+# Coordinates that collide often: integers and their float twins, half
+# steps, off-grid values that snap onto a neighbour, and a negative zero.
+coord = st.sampled_from([0, 1, 2, 3, 0.0, 1.0, 2.0, 0.5, 1.5, 2.0004, 0.9996, -0.0, -1.0])
+
+
+@st.composite
+def walks(draw):
+    """Alternating horizontal/vertical steps, often closed by one more step.
+
+    Zero steps give repeated vertices, backtracking gives collinear runs and
+    crossings; an unclosed walk usually ends in a non-axis-aligned edge.
+    """
+    x0, y0 = draw(coord), draw(coord)
+    x, y = x0, y0
+    out = [(x, y)]
+    horizontal = draw(st.booleans())
+    for _ in range(draw(st.integers(min_value=3, max_value=9))):
+        if horizontal:
+            x = draw(coord)
+        else:
+            y = draw(coord)
+        horizontal = not horizontal
+        out.append((x, y))
+    if draw(st.booleans()):
+        out.append((x0, y) if horizontal else (x, y0))
+    return out
+
+
+@st.composite
+def reshaped_polygons(draw):
+    """A valid polygon's vertices, then reversed, rotated or padded."""
+    poly = draw(boxes(n=st.integers(min_value=1, max_value=3)))
+    try:
+        verts = [(p.x, p.y) for p in Region.from_boxes(poly).to_polygon().vertices]
+    except ValueError:
+        verts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    if draw(st.booleans()):
+        verts.reverse()
+    k = draw(st.integers(min_value=0, max_value=len(verts) - 1))
+    verts = verts[k:] + verts[:k]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i = draw(st.integers(min_value=0, max_value=len(verts) - 1))
+        (x0, y0), (x1, y1) = verts[i], verts[(i + 1) % len(verts)]
+        verts.insert(i + 1, draw(st.sampled_from([(x0, y0), ((x0 + x1) / 2, (y0 + y1) / 2)])))
+    return verts
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(walks(), reshaped_polygons(), st.lists(st.tuples(coord, coord), min_size=3, max_size=8)))
+def test_polygon_normalisation_matches_oracle(verts):
+    """Same vertices (same int/float types) or the same ValueError message."""
+    try:
+        expected = normalise_polygon(verts)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            RectilinearPolygon(tuple(Point(x, y) for x, y in verts))
+        assert str(err.value) == str(exc)
+        return
+    poly = RectilinearPolygon(tuple(Point(x, y) for x, y in verts))
+    assert repr([(p.x, p.y) for p in poly.vertices]) == repr(expected)
 
 
 @settings(max_examples=100, deadline=None)

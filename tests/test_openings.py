@@ -300,6 +300,37 @@ def test_validate_rejects_bridging_bathroom():
     assert any("bathroom 2 bridges bedrooms [1, 3]" in f for f in report.failures)
 
 
+def trio_with_dining_at(x: float) -> FloorPlan:
+    """TRIO with the dining room moved to ``x``, doors where they were."""
+    rooms = [
+        make_room(0, K.LIVING_ROOM, 0, 0, 3, 6),
+        make_room(1, K.KITCHEN, 3, 0, 3, 3),
+        make_room(2, K.DINING_ROOM, x, 3, 3, 3),
+    ]
+    openings = [
+        door(Segment(Point(0, 0), Point(0, 6)), 1.0, (OUTSIDE_ID, 0), ENTRY_DOOR),
+        door(Segment(Point(3, 0), Point(3, 3)), 1.0, (0, 1)),
+        door(Segment(Point(3, 3), Point(3, 6)), 1.0, (0, 2)),
+    ]
+    return hand_plan(rooms, openings, [(OUTSIDE_ID, 0), (0, 1), (0, 2)], TRIO_FP)
+
+
+def test_validate_names_overlapping_rooms_and_their_door():
+    # The dining room slides into the living room; the areas still sum to
+    # the footprint, and the door's wall is no longer a shared wall.
+    assert list(validate(trio_with_dining_at(2.0), CFG).failures) == [
+        "overlap: rooms 0 and 2",
+        "door between 0 and 2 is not on their shared wall",
+    ]
+
+
+def test_validate_names_the_room_leaving_the_footprint():
+    assert list(validate(trio_with_dining_at(3.5), CFG).failures) == [
+        "containment: room 2 leaves the footprint",
+        "door between 0 and 2 is not on their shared wall",
+    ]
+
+
 @pytest.fixture(scope="module")
 def sample_plan() -> FloorPlan:
     for seed in range(64):

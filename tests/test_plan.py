@@ -32,6 +32,8 @@ from planwright.plan import (
 )
 from planwright.sampling import GenConfig
 
+from oracles import plan_json
+
 DATA = Path(__file__).parent / "data"
 
 # Scanned once: seed 2 needs no corridor, seed 3 does, seed 5 exhausts its
@@ -134,7 +136,13 @@ def test_generate_is_hash_seed_independent(plain_plan):
             [sys.executable, "-c", script],
             capture_output=True,
             text=True,
-            env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+            env={
+                "PYTHONHASHSEED": hash_seed,
+                "PATH": "/usr/bin:/bin",
+                "PYTHONPATH": package_root,
+                # Leave no bytecode cache behind in the source tree.
+                "PYTHONDONTWRITEBYTECODE": "1",
+            },
         )
         assert out.returncode == 0, out.stderr
         digests.add(out.stdout.strip())
@@ -151,6 +159,32 @@ def test_json_round_trip(plain_plan, corridor_plan):
         back = from_json(text)
         assert back == plan
         assert to_json(back) == text
+
+
+@pytest.mark.parametrize("knobs", [{}, {"min_room_width": 2.2}])
+def test_writer_matches_stdlib_layout(knobs):
+    cfg = GenConfig(**knobs)
+    for seed in range(100):
+        try:
+            plan = generate(seed, cfg)
+        except GenerationError:
+            continue
+        assert to_json(plan) == plan_json(plan), seed
+
+
+def test_writer_keeps_integer_valued_numbers():
+    # A parsed document may spell numbers as integers; they are written back
+    # as integers, exactly as the standard library would.
+    doc = json.loads((DATA / "plan-seed1.json").read_text())
+    doc["footprint"]["x"] = 0
+    doc["rooms"][0]["polygon"][0] = [0, 0.0]
+    doc["rooms"][1]["polygon"][1] = [5.568, 0]
+    doc["rooms"][1]["target_area"] = 8
+    doc["openings"][0]["offset"] = 1
+    text = json.dumps(doc, indent=2) + "\n"
+    plan = from_json(text)
+    assert to_json(plan) == plan_json(plan) == text
+    assert '"x": 0,' in text
 
 
 def test_json_numbers_sit_on_the_grid(corridor_plan):
@@ -214,6 +248,29 @@ def corrupted(plan: FloorPlan, mutate) -> str:
             "$.openings[0].wall[0][0]:",
             id="wall-nan",
         ),
+        pytest.param(lambda d: d.update(seed="x"), "$.seed:", id="seed-string"),
+        pytest.param(lambda d: d.update(seed=True), "$.seed:", id="seed-bool"),
+        pytest.param(lambda d: d.update(attempts=1.5), "$.attempts:", id="attempts-float"),
+        pytest.param(
+            lambda d: d.update(corridor_candidates=None),
+            "$.corridor_candidates:",
+            id="candidates-null",
+        ),
+        pytest.param(
+            lambda d: d.update(config_fingerprint=7), "$.config_fingerprint:", id="fingerprint-int"
+        ),
+        pytest.param(lambda d: d["openings"][0].update(kind=5), "$.openings[0].kind:", id="kind-int"),
+        pytest.param(
+            lambda d: [d["rooms"][0]["polygon"][k].__setitem__(0, float("inf")) for k in (1, 2)],
+            "$.rooms[0].polygon[1][0]:",
+            id="vertex-inf",
+        ),
+        pytest.param(
+            lambda d: d["rooms"][0]["polygon"][1].__setitem__(1, True),
+            "$.rooms[0].polygon[1][1]:",
+            id="vertex-bool",
+        ),
+        pytest.param(lambda d: d["footprint"].update(x=10**400), "$.footprint.x:", id="x-huge-int"),
     ],
 )
 def test_parse_errors_name_their_path(plain_plan, mutate, path):
@@ -226,6 +283,9 @@ def test_parse_errors_name_their_path(plain_plan, mutate, path):
 def test_parse_error_on_unparseable_text():
     with pytest.raises(PlanParseError) as err:
         from_json("{not json")
+    assert str(err.value).startswith("$:")
+    with pytest.raises(PlanParseError) as err:
+        from_json('{"seed": ' + "1" * 5000 + "}")
     assert str(err.value).startswith("$:")
     with pytest.raises(PlanParseError):
         from_json("[1, 2, 3]")
