@@ -93,6 +93,32 @@ def test_plan_bytes_pinned_over_seed_range(knobs, digest):
     assert h.hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "knobs, digest",
+    [
+        ({}, "e72f7ebd66e5df4df8fa6dd06ccde6fbe7ca95fd7e1966d6bd57a681f8562f93"),
+        (
+            {"min_room_width": 2.2},
+            "968be03d5eb54108b0acd8d40c45a037150060947349e56583369e0be31d1b0a",
+        ),
+    ],
+)
+def test_corridor_trace_pinned_over_seed_range(knobs, digest):
+    # The corridor trace (`generate --trace`, AC-5, scripts/corridor_stats.py)
+    # is not part of the plan bytes; this pins every number in it: candidate
+    # actions, areas and lengths, the winner, the path and the routing.
+    cfg = GenConfig(**knobs)
+    h = hashlib.sha256()
+    for seed in range(100):
+        try:
+            plan = generate(seed, cfg)
+        except GenerationError as exc:
+            h.update(str(exc).encode())
+        else:
+            h.update(json.dumps(plan.trace, sort_keys=True).encode())
+    assert h.hexdigest() == digest
+
+
 def test_generated_plans_self_validate(plain_plan, corridor_plan):
     assert validate(plain_plan, GenConfig()).ok
     assert validate(corridor_plan, GenConfig()).ok
