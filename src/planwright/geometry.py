@@ -1,13 +1,16 @@
 """Axis-aligned geometry primitives on a 1 mm grid.
 
-All public types carry coordinates in metres.  Point, Segment and polygon
-constructors snap their inputs to the grid, so coordinate equality is exact
-``==`` everywhere downstream: adjacency, vertex coincidence and boolean ops
-never need an epsilon.  Rect is the one exception: the treemap subdivides a
-rect at full float precision and the pipeline snaps afterwards.  Polygons
-also keep their vertices in integer millimetres, and their checks run there.
-Boolean operations run on an integer-millimetre cell decomposition
-internally, which keeps area bookkeeping exact.
+Two units, each in its own place.  The plan document's types - Point,
+Segment, Rect and RectilinearPolygon's ``vertices`` - carry metres, as the
+JSON, the SVG and the config give them; Point, Segment and polygon
+constructors snap their inputs to the grid, and Rect keeps full float
+precision because the treemap subdivides with it.  Everything the generator
+computes on runs in integer millimetres: ``mm_box`` turns a treemap rect into
+an ``(x0, y0, x1, y1)`` box once, polygons keep their vertices in mm as
+``mm``, wall runs are ``(horizontal, line, lo, hi)`` tuples, and Region is a
+cell set over an integer breakpoint grid whose areas are in square
+millimetres.  Coordinate equality is exact ``==`` everywhere: adjacency,
+vertex coincidence and boolean ops never need an epsilon.
 """
 
 from __future__ import annotations
@@ -29,6 +32,16 @@ def _mm(value: float) -> int:
 
 def _m(value: int) -> float:
     return value / 1000
+
+
+def mm_box(rect: "Rect") -> tuple[int, int, int, int]:
+    """The rect snapped to the grid as an (x0, y0, x1, y1) millimetre box."""
+    return (
+        _mm(snap(rect.x)),
+        _mm(snap(rect.y)),
+        _mm(snap(rect.x1)),
+        _mm(snap(rect.y1)),
+    )
 
 
 @dataclass(frozen=True, order=True)
@@ -63,12 +76,6 @@ class Segment:
         return self.a.y == self.b.y
 
     @property
-    def length(self) -> float:
-        if self.horizontal:
-            return _m(_mm(self.b.x) - _mm(self.a.x))
-        return _m(_mm(self.b.y) - _mm(self.a.y))
-
-    @property
     def line(self) -> float:
         """The fixed coordinate (y for horizontal segments, x for vertical)."""
         return self.a.y if self.horizontal else self.a.x
@@ -80,20 +87,13 @@ class Segment:
             return self.a.x, self.b.x
         return self.a.y, self.b.y
 
-    def point_at(self, offset: float) -> Point:
-        lo, _ = self.span
-        if self.horizontal:
-            return Point(snap(lo + offset), self.a.y)
-        return Point(self.a.x, snap(lo + offset))
-
 
 @dataclass(frozen=True)
 class Rect:
-    """Axis-aligned rectangle.
+    """Axis-aligned rectangle in metres.
 
     Unlike Point, a Rect keeps its floats unsnapped: the treemap subdivides at
-    full precision and the pipeline snaps in one pass afterwards (room
-    polygons snap their vertices on construction).
+    full precision and the pipeline turns each rect into an ``mm_box`` once.
     """
 
     x: float
@@ -117,27 +117,10 @@ class Rect:
     def area(self) -> float:
         return self.width * self.height
 
-    def snapped(self) -> "Rect":
-        x0, y0 = snap(self.x), snap(self.y)
-        return Rect(x0, y0, snap(self.x1) - x0, snap(self.y1) - y0)
 
-    def to_polygon(self) -> "RectilinearPolygon":
-        return RectilinearPolygon(
-            (
-                Point(self.x, self.y),
-                Point(self.x1, self.y),
-                Point(self.x1, self.y1),
-                Point(self.x, self.y1),
-            )
-        )
-
-    def contains_point(self, p: Point) -> bool:
-        return self.x <= p.x <= self.x1 and self.y <= p.y <= self.y1
-
-
-def aspect_ratio(rect: Rect) -> float:
+def aspect_ratio(width: float, height: float) -> float:
     """Longer side over shorter side; always >= 1."""
-    return max(rect.width / rect.height, rect.height / rect.width)
+    return max(width / height, height / width)
 
 
 class RectilinearPolygon:
@@ -212,29 +195,6 @@ class RectilinearPolygon:
         """Consecutive vertex pairs in mm, closing edge included."""
         return zip(self.mm, self.mm[1:] + self.mm[:1])
 
-    @property
-    def bounds(self) -> Rect:
-        xs = [p.x for p in self.vertices]
-        ys = [p.y for p in self.vertices]
-        return Rect(min(xs), min(ys), max(xs) - min(xs), max(ys) - min(ys))
-
-    @property
-    def is_rectangle(self) -> bool:
-        return len(self.vertices) == 4
-
-    def contains_point(self, p: Point) -> bool:
-        """True for interior or boundary points."""
-        px, py = _mm(p.x), _mm(p.y)
-        # Parity of crossings along a ray to the left; a point inside an
-        # edge's bounding box lies on that (axis-aligned) edge.
-        inside = False
-        for (ax, ay), (bx, by) in self.edges_mm():
-            if min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by):
-                return True
-            if ax == bx and min(ay, by) < py < max(ay, by) and ax < px:
-                inside = not inside
-        return inside
-
 
 def merge_runs(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """Sorted union of intervals on one line; touching intervals merge."""
@@ -252,7 +212,7 @@ class Region:
 
     Backs the boolean operations: every op realigns both operands onto the
     union of their breakpoints and manipulates plain cell sets, so areas,
-    unions and differences are exact.
+    unions and differences are exact.  Areas are in square millimetres.
     """
 
     __slots__ = ("xs", "ys", "cells")
@@ -311,11 +271,11 @@ class Region:
         return not self.cells
 
     @property
-    def area(self) -> float:
+    def area(self) -> int:
         total = 0
         for i, j in self.cells:
             total += (self.xs[i + 1] - self.xs[i]) * (self.ys[j + 1] - self.ys[j])
-        return total / 1e6
+        return total
 
     def realign(self, xs: tuple[int, ...], ys: tuple[int, ...]) -> frozenset[tuple[int, int]]:
         """Re-express this region's cells on a finer breakpoint grid."""
@@ -412,10 +372,6 @@ class Region:
                     stack.append(nb)
         box = (imax - imin + 1) * (jmax - jmin + 1)
         return len(seen) + len(self.cells) != box
-
-    def is_simple(self) -> bool:
-        """True when the region traces to a single simple polygon."""
-        return self.connected() and not self.has_pinch() and not self.has_hole()
 
     def _facing_borders(self) -> dict[tuple[str, int, int], list[tuple[int, int]]]:
         """Merged boundary runs keyed by (axis, line mm, facing sign)."""
@@ -516,15 +472,15 @@ class Region:
             raise ValueError("region has a hole or multiple boundary loops")
         return RectilinearPolygon(tuple(Point(_m(x), _m(y)) for x, y in loop))
 
-    def thickness(self) -> float:
-        """Width of the narrowest limb.
+    def thickness(self) -> int:
+        """Width of the narrowest limb, in mm.
 
         Every maximal contiguous run of cells in a row contributes its width
         and every column run its height; the minimum over both passes is the
         narrowest limb.  For a plain rectangle this is min(width, height).
         """
         if not self.cells:
-            return 0.0
+            return 0
         best: int | None = None
         for transpose in (False, True):
             axis = self.ys if transpose else self.xs
@@ -544,5 +500,5 @@ class Region:
                     width = axis[b] - axis[a]
                     if best is None or width < best:
                         best = width
-        return _m(best if best is not None else 0)
+        return best if best is not None else 0
 

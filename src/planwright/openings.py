@@ -13,13 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Point, Rect, Region, Segment, _m, _mm
+from .geometry import Point, Region, Segment, _m, _mm
 from .hierarchy import OUTSIDE_ID
 from .sampling import BEDROOM_KINDS, GenConfig, RandomStream, RoomKind
 
 DOOR = "door"
 ENTRY_DOOR = "entry_door"
 WINDOW = "window"
+
+# A wall run: (horizontal, line, lo, hi) in mm, as Region.shared_walls gives it.
+Run = tuple[bool, int, int, int]
 
 
 class OpeningError(RuntimeError):
@@ -28,16 +31,23 @@ class OpeningError(RuntimeError):
 
 @dataclass(frozen=True)
 class Opening:
+    """A door or window as the plan document holds it, in metres.
+
+    ``offset`` runs from the low end of the host ``wall``.
+    """
+
     kind: str
     wall: Segment
     offset: float
     width: float
     rooms: tuple[int, int]
 
-    def interval(self) -> tuple[int, int]:
-        """Occupied span along the wall's line, in mm."""
-        lo = _mm(self.wall.span[0]) + _mm(self.offset)
-        return (lo, lo + _mm(self.width))
+    def mm(self) -> tuple[Run, int, int]:
+        """The host wall as a run and the occupied (lo, hi) along it, in mm."""
+        lo, hi = self.wall.span
+        wall = (self.wall.horizontal, _mm(self.wall.line), _mm(lo), _mm(hi))
+        start = wall[2] + _mm(self.offset)
+        return wall, start, start + _mm(self.width)
 
     @classmethod
     def from_json(cls, doc: dict) -> "Opening":
@@ -56,9 +66,6 @@ class ConnectionGraph:
     nodes: frozenset[int]
     edges: tuple[tuple[int, int], ...]
 
-    def to_json(self) -> dict:
-        return {"nodes": sorted(self.nodes), "edges": [list(e) for e in self.edges]}
-
     @classmethod
     def from_json(cls, doc: dict) -> "ConnectionGraph":
         return cls(
@@ -71,22 +78,21 @@ def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-def _wall_segment(horizontal: bool, line: int, lo: int, hi: int) -> Segment:
-    if horizontal:
-        return Segment(Point(_m(lo), _m(line)), Point(_m(hi), _m(line)))
-    return Segment(Point(_m(line), _m(lo)), Point(_m(line), _m(hi)))
-
-
-def _exterior_walls(region: Region, footprint: Rect) -> list[Segment]:
+def _exterior_walls(region: Region, footprint: tuple[int, int, int, int]) -> list[Run]:
     """Boundary runs of the room lying on the footprint boundary."""
-    fx0, fx1 = _mm(footprint.x), _mm(footprint.x1)
-    fy0, fy1 = _mm(footprint.y), _mm(footprint.y1)
+    fx0, fy0, fx1, fy1 = footprint
     return [
-        _wall_segment(axis == "h", line, lo, hi)
+        (axis == "h", line, lo, hi)
         for (axis, line, _), runs in region._facing_borders().items()
         if line in ((fy0, fy1) if axis == "h" else (fx0, fx1))
         for lo, hi in runs
     ]
+
+
+def _run_order(run: Run) -> tuple[int, int, int, int]:
+    """The run's end points (ax, ay, bx, by): the order walls are tried in."""
+    horizontal, line, lo, hi = run
+    return (lo, line, hi, line) if horizontal else (line, lo, line, hi)
 
 
 def _prohibited(kind_a: RoomKind, kind_b: RoomKind) -> bool:
@@ -165,18 +171,12 @@ class _WallLedger:
     """Occupied intervals per wall line, so openings never collide."""
 
     def __init__(self) -> None:
-        self._taken: dict[tuple[str, int], list[tuple[int, int]]] = {}
+        self._taken: dict[tuple[bool, int], list[tuple[int, int]]] = {}
 
-    @staticmethod
-    def _line(seg: Segment) -> tuple[str, int]:
-        if seg.horizontal:
-            return ("h", _mm(seg.a.y))
-        return ("v", _mm(seg.a.x))
-
-    def free_spans(self, seg: Segment) -> list[tuple[int, int]]:
-        lo, hi = _mm(seg.span[0]), _mm(seg.span[1])
+    def free_spans(self, wall: Run) -> list[tuple[int, int]]:
+        _, _, lo, hi = wall
         spans = [(lo, hi)]
-        for tlo, thi in self._taken.get(self._line(seg), []):
+        for tlo, thi in self._taken.get(wall[:2], []):
             spans = [
                 piece
                 for a, b in spans
@@ -185,8 +185,8 @@ class _WallLedger:
             ]
         return sorted(spans)
 
-    def occupy(self, seg: Segment, lo: int, hi: int) -> None:
-        self._taken.setdefault(self._line(seg), []).append((lo, hi))
+    def occupy(self, wall: Run, lo: int, hi: int) -> None:
+        self._taken.setdefault(wall[:2], []).append((lo, hi))
 
 
 def _choose_position(
@@ -218,10 +218,41 @@ def _choose_position(
     return (i, start, start + width_mm)
 
 
+def _place(
+    kind: str,
+    walls: list[Run],
+    width: float,
+    width_mm: int,
+    rooms: tuple[int, int],
+    ledger: _WallLedger,
+    rng: RandomStream,
+) -> Opening | None:
+    """Place one opening uniformly over the free spans of ``walls``.
+
+    Occupies its interval in the ledger and builds its Segment and Opening;
+    None when no free span is wide enough.
+    """
+    spans = sorted(
+        ((span, wall) for wall in walls for span in ledger.free_spans(wall)),
+        key=lambda pair: (pair[0][0], _run_order(pair[1])),
+    )
+    choice = _choose_position([span for span, _ in spans], width_mm, rng)
+    if choice is None:
+        return None
+    idx, lo, hi = choice
+    wall = spans[idx][1]
+    ledger.occupy(wall, lo, hi)
+    horizontal, line, wlo, whi = wall
+    a, b = (_m(wlo), _m(line)), (_m(whi), _m(line))
+    if not horizontal:
+        a, b = a[::-1], b[::-1]
+    return Opening(kind, Segment(Point(*a), Point(*b)), _m(lo - wlo), width, rooms)
+
+
 def place_doors(
     rooms: tuple[tuple[int, RoomKind, Region], ...],
     graph: ConnectionGraph,
-    footprint: Rect,
+    footprint: tuple[int, int, int, int],
     rng: RandomStream,
     cfg: GenConfig,
 ) -> tuple[list[Opening], _WallLedger]:
@@ -229,81 +260,47 @@ def place_doors(
     regions = {rid: region for rid, _, region in rooms}
     door_mm = _mm(cfg.door_width)
     ledger = _WallLedger()
-    openings: list[Opening] = []
 
     living_id = next(rid for rid, kind, _ in rooms if kind is RoomKind.LIVING_ROOM)
-    exterior = _exterior_walls(regions[living_id], footprint)
-    exterior = [w for w in exterior if _mm(w.length) >= door_mm]
+    exterior = [w for w in _exterior_walls(regions[living_id], footprint) if w[3] - w[2] >= door_mm]
     if not exterior:
         raise OpeningError("living room has no exterior wall wide enough for the entry")
-    exterior.sort(key=lambda w: (-_mm(w.length), _seg_sort(w)))
-    host = exterior[0]
-    choice = _choose_position(ledger.free_spans(host), door_mm, rng)
-    if choice is None:
+    host = min(exterior, key=lambda w: (w[2] - w[3], _run_order(w)))
+    door = (cfg.door_width, door_mm)
+    entry = _place(ENTRY_DOOR, [host], *door, (OUTSIDE_ID, living_id), ledger, rng)
+    if entry is None:
         raise OpeningError("entry door does not fit")
-    _, lo, hi = choice
-    openings.append(
-        _make_opening(ENTRY_DOOR, host, (lo, hi), cfg.door_width, (OUTSIDE_ID, living_id))
-    )
-    ledger.occupy(host, lo, hi)
+    openings = [entry]
 
     for a, b in graph.edges:
         if a == OUTSIDE_ID or b == OUTSIDE_ID:
             continue
-        spans: list[tuple[Segment, tuple[int, int]]] = []
-        for run in regions[a].shared_walls(regions[b]):
-            seg = _wall_segment(*run)
-            for span in ledger.free_spans(seg):
-                spans.append((seg, span))
-        spans.sort(key=lambda pair: (pair[1][0], _seg_sort(pair[0])))
-        choice = _choose_position([span for _, span in spans], door_mm, rng)
-        if choice is None:
+        walls = regions[a].shared_walls(regions[b])
+        placed = _place(DOOR, walls, *door, (a, b), ledger, rng)
+        if placed is None:
             raise OpeningError(f"no room left for a door between {a} and {b}")
-        idx, lo, hi = choice
-        openings.append(_make_opening(DOOR, spans[idx][0], (lo, hi), cfg.door_width, (a, b)))
-        ledger.occupy(spans[idx][0], lo, hi)
+        openings.append(placed)
 
     return openings, ledger
 
 
-def _seg_sort(seg: Segment) -> tuple:
-    return (seg.a.x, seg.a.y, seg.b.x, seg.b.y)
-
-
-def _make_opening(
-    kind: str, host: Segment, pos: tuple[int, int], width: float, rooms: tuple[int, int]
-) -> Opening:
-    offset = _m(pos[0] - _mm(host.span[0]))
-    return Opening(kind, host, offset, width, rooms)
-
-
 def place_windows(
     rooms: tuple[tuple[int, RoomKind, Region], ...],
-    footprint: Rect,
+    footprint: tuple[int, int, int, int],
     ledger: _WallLedger,
     rng: RandomStream,
     cfg: GenConfig,
 ) -> list[Opening]:
     """One window per exterior room of an allowed kind, on a free exterior span."""
-    window_mm = _mm(cfg.window_width)
+    width = (cfg.window_width, _mm(cfg.window_width))
     openings: list[Opening] = []
     for rid, kind, region in sorted(rooms, key=lambda r: r[0]):
         if kind in cfg.window_banned:
             continue
         walls = _exterior_walls(region, footprint)
-        spans: list[tuple[Segment, tuple[int, int]]] = []
-        for wall in sorted(walls, key=_seg_sort):
-            for span in ledger.free_spans(wall):
-                spans.append((wall, span))
-        spans.sort(key=lambda pair: (pair[1][0], _seg_sort(pair[0])))
-        choice = _choose_position([span for _, span in spans], window_mm, rng)
-        if choice is None:
-            continue
-        idx, lo, hi = choice
-        openings.append(
-            _make_opening(WINDOW, spans[idx][0], (lo, hi), cfg.window_width, (rid, OUTSIDE_ID))
-        )
-        ledger.occupy(spans[idx][0], lo, hi)
+        window = _place(WINDOW, walls, *width, (rid, OUTSIDE_ID), ledger, rng)
+        if window is not None:
+            openings.append(window)
     return openings
 
 
@@ -335,7 +332,7 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
     fp_region = Region.from_rect(plan.footprint)
 
     total = sum(room.polygon.area for room in plan.rooms)
-    fp_area = fp_region.area
+    fp_area = fp_region.area / 1e6
     if abs(total - fp_area) > 1e-6 * fp_area:
         failures.append(f"partition: room areas sum to {total}, footprint is {fp_area}")
     # Every room and the footprint on one breakpoint grid: containment is a
@@ -358,7 +355,8 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
     nodes = set(regions) | {OUTSIDE_ID}
     door_edges: set[tuple[int, int]] = set()
     entry_count = 0
-    by_line: dict[tuple[str, int], list[tuple[int, int, str]]] = {}
+    # Keyed (vertical, line), so horizontal walls are reported first.
+    by_line: dict[tuple[bool, int], list[tuple[int, int, str]]] = {}
     for opening in plan.openings:
         if opening.kind not in (DOOR, ENTRY_DOOR, WINDOW):
             failures.append(f"unknown opening kind {opening.kind!r}: {opening.rooms}")
@@ -367,27 +365,25 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
         if unknown:
             failures.append(f"{opening.kind} names unknown room {unknown[0]}: {opening.rooms}")
             continue
-        lo, hi = opening.interval()
-        slo, shi = _mm(opening.wall.span[0]), _mm(opening.wall.span[1])
+        wall, lo, hi = opening.mm()
+        horizontal, line, slo, shi = wall
         if lo < slo or hi > shi:
             failures.append(f"opening outside its wall: {opening.kind} {opening.rooms}")
-        line = _WallLedger._line(opening.wall)
-        by_line.setdefault(line, []).append((lo, hi, opening.kind))
+        by_line.setdefault((not horizontal, line), []).append((lo, hi, opening.kind))
+        on_boundary = line in (fp_region.ys if horizontal else fp_region.xs)
         a, b = opening.rooms
         if opening.kind == WINDOW:
-            if b != OUTSIDE_ID or not _on_footprint_boundary(opening.wall, plan.footprint):
+            if b != OUTSIDE_ID or not on_boundary:
                 failures.append(f"window not on the footprint boundary: room {a}")
             continue
         if opening.kind == ENTRY_DOOR:
             entry_count += 1
-            if not _on_footprint_boundary(opening.wall, plan.footprint):
+            if not on_boundary:
                 failures.append("entry door not on the footprint boundary")
             door_edges.add(_pair(a, b))
             continue
         door_edges.add(_pair(a, b))
-        if _pair(a, b) in overlapping or not _wall_is_shared(
-            opening.wall, regions.get(a), regions.get(b)
-        ):
+        if _pair(a, b) in overlapping or not _wall_is_shared(wall, regions.get(a), regions.get(b)):
             failures.append(f"door between {a} and {b} is not on their shared wall")
 
     for line, intervals in sorted(by_line.items()):
@@ -444,21 +440,12 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
     return ValidationReport(tuple(failures))
 
 
-def _on_footprint_boundary(wall: Segment, footprint: Rect) -> bool:
-    fx0, fx1 = _mm(footprint.x), _mm(footprint.x1)
-    fy0, fy1 = _mm(footprint.y), _mm(footprint.y1)
-    if wall.horizontal:
-        return _mm(wall.a.y) in (fy0, fy1)
-    return _mm(wall.a.x) in (fx0, fx1)
-
-
-def _wall_is_shared(wall: Segment, region_a: Region | None, region_b: Region | None) -> bool:
+def _wall_is_shared(wall: Run, region_a: Region | None, region_b: Region | None) -> bool:
     """The wall lies on the common boundary of two rooms that do not overlap."""
     if region_a is None or region_b is None:
         return False
-    line = _mm(wall.line)
-    wlo, whi = _mm(wall.span[0]), _mm(wall.span[1])
+    horizontal, line, wlo, whi = wall
     return any(
-        horizontal == wall.horizontal and run_line == line and lo <= wlo and whi <= hi
-        for horizontal, run_line, lo, hi in region_a.shared_walls(region_b)
+        (h, run_line) == (horizontal, line) and lo <= wlo and whi <= hi
+        for h, run_line, lo, hi in region_a.shared_walls(region_b)
     )

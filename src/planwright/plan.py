@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .corridor import CorridorError, plan_corridor
-from .geometry import Point, Rect, RectilinearPolygon, Region, _m, _mm, aspect_ratio, snap
+from .geometry import Point, Rect, RectilinearPolygon, Region, _m, _mm, aspect_ratio, mm_box, snap
 from .hierarchy import OUTSIDE_ID, build_hierarchy
 from .openings import (
     ENTRY_DOOR,
@@ -43,7 +43,7 @@ from .sampling import (
     sample_areas,
     sample_counts,
 )
-from .treemap import LayoutError, PlacedRoom, layout_rooms
+from .treemap import LayoutError, layout_rooms
 
 SCHEMA_VERSION = 1
 
@@ -113,16 +113,17 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int) -> Floo
     via_dining = rng.random() < cfg.kitchen_via_dining_prob
     tree = build_hierarchy(program, kitchen_via_dining=via_dining)
 
-    placed = [
-        PlacedRoom(r.id, r.kind, r.rect.snapped()) for r in layout_rooms(footprint, tree)
-    ]
+    # From here to the finished rooms, geometry is in integer millimetres.
+    fp_box = mm_box(footprint)
+    placed = [(r.id, r.kind, mm_box(r.rect)) for r in layout_rooms(footprint, tree)]
     min_mm = _mm(cfg.min_room_width)
-    for room in placed:
-        rect = room.rect
-        if min(_mm(rect.width), _mm(rect.height)) < min_mm:
-            raise LayoutError(f"room {room.id} narrower than {cfg.min_room_width} m")
-        if aspect_ratio(rect) > cfg.max_room_aspect:
-            raise LayoutError(f"room {room.id} too elongated")
+    for rid, _, (x0, y0, x1, y1) in placed:
+        if min(x1 - x0, y1 - y0) < min_mm:
+            raise LayoutError(f"room {rid} narrower than {cfg.min_room_width} m")
+        # Sides in metres, so a ratio right on the bound compares as it did
+        # on the snapped treemap rect.
+        if aspect_ratio(_m(x1) - _m(x0), _m(y1) - _m(y0)) > cfg.max_room_aspect:
+            raise LayoutError(f"room {rid} too elongated")
 
     parent_of: dict[int, int] = {}
     for node in tree.walk():
@@ -131,13 +132,13 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int) -> Floo
                 parent_of[child.room_id] = node.room_id
     living_id = tree.children[0].room_id
 
-    corridor = plan_corridor(footprint, placed, parent_of, living_id, cfg)
+    corridor = plan_corridor(fp_box, placed, parent_of, living_id, cfg)
     for t in corridor.reparented:
         parent_of[t] = living_id
 
     graph = build_connection_graph(corridor.rooms, parent_of, living_id, rng, cfg)
-    doors, ledger = place_doors(corridor.rooms, graph, footprint, rng, cfg)
-    windows = place_windows(corridor.rooms, footprint, ledger, rng, cfg)
+    doors, ledger = place_doors(corridor.rooms, graph, fp_box, rng, cfg)
+    windows = place_windows(corridor.rooms, fp_box, ledger, rng, cfg)
 
     targets = {e.id: round(e.target_area, 6) for e in program.entries}
     rooms = tuple(
@@ -186,6 +187,18 @@ def _number(value, path: str) -> float:
     return value
 
 
+# Coordinates beyond this many metres are refused: it keeps their millimetre
+# values, and the square-millimetre areas built from them, within float range.
+MAX_COORD = 1e150
+
+
+def _coord(value, path: str) -> float:
+    """A length or coordinate in metres."""
+    if not abs(_number(value, path)) <= MAX_COORD:
+        raise PlanParseError(f"{path}: coordinate beyond {MAX_COORD:g} m")
+    return value
+
+
 def _str(value, path: str) -> str:
     if not isinstance(value, str):
         raise PlanParseError(f"{path}: expected a string")
@@ -206,7 +219,7 @@ def _pair(value, path: str, item) -> tuple:
 
 
 def _point(value, path: str) -> tuple[float, float]:
-    return _pair(value, path, _number)
+    return _pair(value, path, _coord)
 
 
 # The plan writer.  Each helper returns one JSON value laid out exactly as
@@ -324,7 +337,7 @@ def from_json(text: str) -> FloorPlan:
     missing = _TOP_FIELDS - set(doc)
     if missing:
         raise PlanParseError(f"$.{sorted(missing)[0]}: missing field")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if _int(doc["schema_version"], "$.schema_version") != SCHEMA_VERSION:
         raise PlanParseError(f"$.schema_version: unsupported {doc['schema_version']!r}")
     seed = _int(doc["seed"], "$.seed")
     fingerprint = _str(doc["config_fingerprint"], "$.config_fingerprint")
@@ -334,7 +347,7 @@ def from_json(text: str) -> FloorPlan:
     fp = doc["footprint"]
     if not isinstance(fp, dict) or set(fp) != {"x", "y", "x1", "y1"}:
         raise PlanParseError("$.footprint: expected x, y, x1, y1")
-    x, y, x1, y1 = (_number(fp[k], f"$.footprint.{k}") for k in ("x", "y", "x1", "y1"))
+    x, y, x1, y1 = (_coord(fp[k], f"$.footprint.{k}") for k in ("x", "y", "x1", "y1"))
     if x1 <= x or y1 <= y:
         raise PlanParseError("$.footprint: x1 and y1 must exceed x and y")
     footprint = Rect(x, y, x1 - x, y1 - y)
@@ -368,7 +381,7 @@ def from_json(text: str) -> FloorPlan:
         _pair(odoc["rooms"], f"$.openings[{i}].rooms", _int)
         _pair(odoc["wall"], f"$.openings[{i}].wall", _point)
         for key in ("offset", "width"):
-            _number(odoc[key], f"$.openings[{i}].{key}")
+            _coord(odoc[key], f"$.openings[{i}].{key}")
         try:
             openings.append(Opening.from_json(odoc))
         except (TypeError, ValueError, KeyError) as exc:
@@ -487,7 +500,7 @@ def _render_plan(plan: FloorPlan, style: SvgStyle, ox: float, oy: float) -> list
 
     for opening in plan.openings:
         wall = opening.wall
-        lo_mm, hi_mm = opening.interval()
+        _, lo_mm, hi_mm = opening.mm()
         if wall.horizontal:
             a = Point(_m(lo_mm), wall.a.y)
             b = Point(_m(hi_mm), wall.a.y)

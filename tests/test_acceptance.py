@@ -18,7 +18,7 @@ import pytest
 
 from planwright.cli import main as cli_main
 from planwright.corridor import build_wall_graph, prune
-from planwright.geometry import Point, Rect, Region
+from planwright.geometry import Rect, Region, mm_box
 from planwright.hierarchy import OUTSIDE_ID
 from planwright.openings import DOOR, ENTRY_DOOR, validate
 from planwright.plan import GenerationError, generate, to_json, to_svg
@@ -30,7 +30,7 @@ from planwright.sampling import (
     RoomKind,
     sample_counts,
 )
-from planwright.treemap import LayoutRequest, PlacedRoom, squarify
+from planwright.treemap import LayoutRequest, squarify
 
 from oracles import rect_mm, shortest_path_bruteforce, squarify_sorted
 
@@ -92,8 +92,8 @@ def random_layout(rng: RandomStream, max_rooms: int = 8):
     height = (sum(areas) / aspect) ** 0.5
     container = Rect(0, 0, aspect * height, height)
     rects = squarify(LayoutRequest(container, tuple(enumerate(areas))))
-    rooms = [PlacedRoom(i, RoomKind.BEDROOM, r.snapped()) for i, r in enumerate(rects)]
-    return container.snapped(), rooms
+    rooms = [(i, RoomKind.BEDROOM, mm_box(r)) for i, r in enumerate(rects)]
+    return mm_box(container), rooms
 
 
 def test_ac1_distribution_fidelity(capsys):
@@ -158,7 +158,7 @@ def test_ac3_partition_and_disjointness(capsys, pool):
         regions = [Region.from_polygon(room.polygon) for room in plan.rooms]
         for i, a in enumerate(regions):
             for b in regions[i + 1 :]:
-                overlap = a.intersect(b).area
+                overlap = a.intersect(b).area / 1e6
                 worst_overlap = max(worst_overlap, overlap)
                 if overlap >= 1e-9:
                     overlap_violations += 1
@@ -307,10 +307,10 @@ def test_ac7_pruning(capsys):
         pruned = prune(graph)
         if not pruned.edges:
             empty += 1
-        degrees: dict[Point, int] = {}
-        for e in pruned.edges:
-            degrees[e.a] = degrees.get(e.a, 0) + 1
-            degrees[e.b] = degrees.get(e.b, 0) + 1
+        degrees: dict[tuple[int, int], int] = {}
+        for ax, ay, bx, by in pruned.edges:
+            for v in ((ax, ay), (bx, by)):
+                degrees[v] = degrees.get(v, 0) + 1
         if degrees and min(degrees.values()) < 2:
             degree_failures += 1
         again = prune(pruned)

@@ -23,9 +23,10 @@ from planwright.corridor import (
     prune,
     route,
 )
-from planwright.geometry import Point, Rect, Region, Segment
+from planwright.corridor import _contact_vertices
+from planwright.geometry import Rect, Region, mm_box
 from planwright.sampling import GenConfig, RandomStream, RoomKind
-from planwright.treemap import LayoutRequest, PlacedRoom, squarify
+from planwright.treemap import LayoutRequest, squarify
 
 from oracles import shortest_path_bruteforce
 
@@ -34,16 +35,33 @@ CFG = GenConfig()
 K = RoomKind
 
 
-def seg(ax: float, ay: float, bx: float, by: float) -> Segment:
-    return Segment(Point(ax, ay), Point(bx, by))
+def seg(ax: float, ay: float, bx: float, by: float) -> tuple[int, int, int, int]:
+    """A wall-graph edge in mm from its end points in metres."""
+    return tuple(round(v * 1000) for v in (ax, ay, bx, by))
 
 
-def room(rid: int, kind: RoomKind, x: float, y: float, w: float, h: float) -> PlacedRoom:
-    return PlacedRoom(rid, kind, Rect(x, y, w, h))
+def box(x: float, y: float, w: float, h: float) -> tuple[int, int, int, int]:
+    return mm_box(Rect(x, y, w, h))
+
+
+def room(rid: int, kind: RoomKind, x: float, y: float, w: float, h: float):
+    return (rid, kind, box(x, y, w, h))
+
+
+def degrees_of(edges) -> dict[tuple[int, int], int]:
+    degrees: dict[tuple[int, int], int] = {}
+    for ax, ay, bx, by in edges:
+        for v in ((ax, ay), (bx, by)):
+            degrees[v] = degrees.get(v, 0) + 1
+    return degrees
+
+
+def path_mm(path) -> int:
+    return sum(bx - ax + by - ay for ax, ay, bx, by in path.edges)
 
 
 # Bathroom touches the living room only at the corner (3, 3).
-PIN_FOOTPRINT = Rect(0, 0, 8, 6)
+PIN_FOOTPRINT = box(0, 0, 8, 6)
 PIN_ROOMS = [
     room(0, K.LIVING_ROOM, 0, 0, 3, 3),
     room(1, K.KITCHEN, 3, 0, 5, 3),
@@ -53,7 +71,7 @@ PIN_ROOMS = [
 PIN_PARENTS = {1: 0, 2: 0, 3: 0}
 
 # Bedroom is separated from the living room by the kitchen/dining column.
-STRIP_FOOTPRINT = Rect(0, 0, 9, 6)
+STRIP_FOOTPRINT = box(0, 0, 9, 6)
 STRIP_ROOMS = [
     room(0, K.LIVING_ROOM, 0, 0, 3, 6),
     room(1, K.KITCHEN, 3, 0, 3, 3),
@@ -69,23 +87,11 @@ def grid_layout(n: int, size: float = 3.0):
     for row in range(n):
         for col in range(n):
             rooms.append(room(row * n + col, K.BEDROOM, col * size, row * size, size, size))
-    return Rect(0, 0, n * size, n * size), rooms
+    return box(0, 0, n * size, n * size), rooms
 
 
 def graph_to_oracle_edges(graph: WallGraph):
-    from planwright.geometry import _mm
-
-    return [
-        ((_mm(e.a.x), _mm(e.a.y)), (_mm(e.b.x), _mm(e.b.y)), _mm(e.length))
-        for e in graph.edges
-    ]
-
-
-def contact_mm(graph: WallGraph, rect: Rect):
-    from planwright.corridor import _contact_vertices
-    from planwright.geometry import _mm
-
-    return {(_mm(p.x), _mm(p.y)) for p in _contact_vertices(graph, rect)}
+    return [((ax, ay), (bx, by), bx - ax + by - ay) for ax, ay, bx, by in graph.edges]
 
 
 # ---------------------------------------------------------------- detection
@@ -130,7 +136,7 @@ def test_wall_graph_pin_layout():
 
 def test_wall_graph_excludes_footprint_boundary():
     # Two rooms: the only interior wall is the one between them.
-    fp = Rect(0, 0, 6, 4)
+    fp = box(0, 0, 6, 4)
     rooms = [room(0, K.LIVING_ROOM, 0, 0, 3, 4), room(1, K.KITCHEN, 3, 0, 3, 4)]
     graph = build_wall_graph(fp, rooms)
     assert set(graph.edges) == {seg(3, 0, 3, 4)}
@@ -138,7 +144,7 @@ def test_wall_graph_excludes_footprint_boundary():
 
 def test_wall_graph_splits_runs_at_junctions():
     # The long wall at x=3 is split where the y=2 wall meets it.
-    fp = Rect(0, 0, 6, 4)
+    fp = box(0, 0, 6, 4)
     rooms = [
         room(0, K.LIVING_ROOM, 0, 0, 3, 4),
         room(1, K.KITCHEN, 3, 0, 3, 2),
@@ -153,10 +159,7 @@ def test_wall_graph_grid_lattice():
     graph = build_wall_graph(fp, rooms)
     # Two vertical and two horizontal lines, each split into three edges.
     assert len(graph.edges) == 12
-    degrees: dict[Point, int] = {}
-    for e in graph.edges:
-        degrees[e.a] = degrees.get(e.a, 0) + 1
-        degrees[e.b] = degrees.get(e.b, 0) + 1
+    degrees = degrees_of(graph.edges)
     # Eight stubs end on the boundary; four full crossings sit inside.
     assert sorted(degrees.values()) == [1] * 8 + [4] * 4
 
@@ -199,8 +202,8 @@ def random_layouts(draw):
     h = (total / aspect) ** 0.5
     fp = Rect(0, 0, aspect * h, h)
     rects = squarify(LayoutRequest(fp, tuple(enumerate(areas))))
-    rooms = [PlacedRoom(i, K.BEDROOM, r.snapped()) for i, r in enumerate(rects)]
-    return fp.snapped(), rooms
+    rooms = [(i, K.BEDROOM, mm_box(r)) for i, r in enumerate(rects)]
+    return mm_box(fp), rooms
 
 
 @settings(max_examples=150, deadline=None)
@@ -210,10 +213,7 @@ def test_prune_two_core_property(layout):
     graph = build_wall_graph(fp, rooms)
     pruned = prune(graph)
     assert set(pruned.edges) <= set(graph.edges)
-    degrees: dict[Point, int] = {}
-    for e in pruned.edges:
-        degrees[e.a] = degrees.get(e.a, 0) + 1
-        degrees[e.b] = degrees.get(e.b, 0) + 1
+    degrees = degrees_of(pruned.edges)
     assert all(d >= 2 for d in degrees.values())
     again = prune(pruned)
     assert again.edges == pruned.edges and again.vertices == pruned.vertices
@@ -224,70 +224,54 @@ def test_prune_two_core_property(layout):
 
 def test_route_corner_contact_yields_anchor():
     graph = build_wall_graph(PIN_FOOTPRINT, PIN_ROOMS)
-    from planwright.corridor import _contact_vertices
-
     sets = [
-        (0, _contact_vertices(graph, PIN_ROOMS[0].rect)),
-        (3, _contact_vertices(graph, PIN_ROOMS[3].rect)),
+        (0, _contact_vertices(graph, PIN_ROOMS[0][2])),
+        (3, _contact_vertices(graph, PIN_ROOMS[3][2])),
     ]
     path = route(graph, sets)
     assert path.edges == ()
-    assert path.anchor == Point(3, 3)
-    assert path.length == 0
+    assert path.anchor == (3000, 3000)
 
 
 def test_route_single_edge_path():
     graph = build_wall_graph(STRIP_FOOTPRINT, STRIP_ROOMS)
-    from planwright.corridor import _contact_vertices
-
     sets = [
-        (0, _contact_vertices(graph, STRIP_ROOMS[0].rect)),
-        (3, _contact_vertices(graph, STRIP_ROOMS[3].rect)),
+        (0, _contact_vertices(graph, STRIP_ROOMS[0][2])),
+        (3, _contact_vertices(graph, STRIP_ROOMS[3][2])),
     ]
     path = route(graph, sets)
     assert path.edges == (seg(3, 3, 6, 3),)
     assert path.anchor is None
-    assert path.length == pytest.approx(3.0)
+    assert path_mm(path) == 3000
 
 
 def test_route_across_grid_matches_bruteforce():
     fp, rooms = grid_layout(3)
     graph = build_wall_graph(fp, rooms)
-    sets = [
-        (0, frozenset(p for p in graph.vertices if contact_mm(graph, rooms[0].rect))),
-    ]
     # Opposite corners of the grid: vertex-disjoint contact sets.
-    from planwright.corridor import _contact_vertices
-
-    a = _contact_vertices(graph, rooms[0].rect)
-    b = _contact_vertices(graph, rooms[8].rect)
+    a = _contact_vertices(graph, rooms[0][2])
+    b = _contact_vertices(graph, rooms[8][2])
     path = route(graph, [(0, a), (8, b)])
-    cost = shortest_path_bruteforce(
-        graph_to_oracle_edges(graph),
-        contact_mm(graph, rooms[0].rect),
-        contact_mm(graph, rooms[8].rect),
-    )
+    cost = shortest_path_bruteforce(graph_to_oracle_edges(graph), a, b)
     assert cost == 6000
-    assert round(path.length * 1000) == cost
+    assert path_mm(path) == cost
 
 
 def test_route_raises_when_sets_empty_or_unreachable():
     graph = build_wall_graph(PIN_FOOTPRINT, PIN_ROOMS)
     with pytest.raises(CorridorError):
-        route(graph, [(0, frozenset()), (3, frozenset({Point(3, 3)}))])
+        route(graph, [(0, frozenset()), (3, frozenset({(3000, 3000)}))])
     # Two parallel walls with nothing joining them.
-    fp = Rect(0, 0, 9, 3)
+    fp = box(0, 0, 9, 3)
     rooms = [
         room(0, K.LIVING_ROOM, 0, 0, 3, 3),
         room(1, K.KITCHEN, 3, 0, 3, 3),
         room(2, K.BEDROOM, 6, 0, 3, 3),
     ]
     split = build_wall_graph(fp, rooms)
-    from planwright.corridor import _contact_vertices
-
     sets = [
-        (0, _contact_vertices(split, rooms[0].rect)),
-        (2, _contact_vertices(split, rooms[2].rect)),
+        (0, _contact_vertices(split, rooms[0][2])),
+        (2, _contact_vertices(split, rooms[2][2])),
     ]
     with pytest.raises(CorridorError):
         route(split, sets)
@@ -300,23 +284,17 @@ def test_route_length_matches_bruteforce(layout):
     graph = build_wall_graph(fp, rooms)
     if len(graph.edges) == 0 or len(graph.edges) > 12:
         return
-    from planwright.corridor import _contact_vertices
-
-    a = _contact_vertices(graph, rooms[0].rect)
-    b = _contact_vertices(graph, rooms[-1].rect)
+    a = _contact_vertices(graph, rooms[0][2])
+    b = _contact_vertices(graph, rooms[-1][2])
     if not a or not b:
         return
-    cost = shortest_path_bruteforce(
-        graph_to_oracle_edges(graph),
-        contact_mm(graph, rooms[0].rect),
-        contact_mm(graph, rooms[-1].rect),
-    )
+    cost = shortest_path_bruteforce(graph_to_oracle_edges(graph), a, b)
     if cost is None:
         with pytest.raises(CorridorError):
             route(graph, [(0, a), (len(rooms) - 1, b)])
         return
     path = route(graph, [(0, a), (len(rooms) - 1, b)])
-    assert round(path.length * 1000) == cost
+    assert path_mm(path) == cost
 
 
 # ------------------------------------------------------------ edge actions
@@ -324,17 +302,18 @@ def test_route_length_matches_bruteforce(layout):
 
 def test_edge_action_ordering():
     keep = EdgeAction()
-    ext_hi = EdgeAction(extend_hi=0.9)
-    ext_lo = EdgeAction(extend_lo=0.9)
-    shift_pos = EdgeAction(shift=1.0)
-    shift_neg = EdgeAction(shift=-1.0)
-    far = EdgeAction(shift=-2.0)
+    ext_hi = EdgeAction(extend_hi=900)
+    ext_lo = EdgeAction(extend_lo=900)
+    shift_pos = EdgeAction(shift=1000)
+    shift_neg = EdgeAction(shift=-1000)
+    far = EdgeAction(shift=-2000)
     ordered = sorted([far, shift_neg, ext_lo, keep, shift_pos, ext_hi], key=EdgeAction.sort_key)
     assert ordered == [keep, ext_hi, ext_lo, shift_pos, shift_neg, far]
 
 
 def test_edge_action_json():
-    act = EdgeAction(shift=-1.0, extend_lo=0.9)
+    # Actions hold mm; the trace reports metres.
+    act = EdgeAction(shift=-1000, extend_lo=900)
     assert act.to_json() == {"shift": -1.0, "extend_lo": 0.9, "extend_hi": 0.0}
 
 
@@ -347,14 +326,14 @@ def test_plan_corridor_identity_when_all_adjacent():
         room(1, K.KITCHEN, 3, 0, 3, 3),
         room(2, K.DINING_ROOM, 3, 3, 3, 3),
     ]
-    result = plan_corridor(Rect(0, 0, 6, 6), rooms, {1: 0, 2: 0}, 0, CFG)
+    result = plan_corridor(box(0, 0, 6, 6), rooms, {1: 0, 2: 0}, 0, CFG)
     assert result.corridor is None
     assert result.reparented == ()
     assert result.trace["corridor_rooms"] == 0
     assert [rid for rid, _, _ in result.rooms] == [0, 1, 2]
-    for placed, (_, kind, region) in zip(rooms, result.rooms):
-        assert kind is placed.kind
-        assert region.area == pytest.approx(placed.rect.area)
+    for (_, placed_kind, (x0, y0, x1, y1)), (_, kind, region) in zip(rooms, result.rooms):
+        assert kind is placed_kind
+        assert region.area == (x1 - x0) * (y1 - y0)
 
 
 def region_equal(a: Region, b: Region) -> bool:
@@ -370,10 +349,7 @@ def test_plan_corridor_strip_layout_winner():
     assert region_equal(Region.from_polygon(result.corridor), Region.from_rect(Rect(3, 3, 3, 1)))
     # The dining room lost the strip to the living room, nobody else changed.
     areas = {rid: region.area for rid, _, region in result.rooms}
-    assert areas[0] == pytest.approx(21.0)
-    assert areas[1] == pytest.approx(9.0)
-    assert areas[2] == pytest.approx(6.0)
-    assert areas[3] == pytest.approx(18.0)
+    assert areas == {0: 21_000_000, 1: 9_000_000, 2: 6_000_000, 3: 18_000_000}
     trace = result.trace
     assert trace["routed_on_pruned"] is False
     assert trace["path_edges"] == 1
@@ -420,7 +396,8 @@ def test_plan_corridor_conserves_area():
     ]:
         result = plan_corridor(fp, rooms, parents, living, CFG)
         total = sum(region.area for _, _, region in result.rooms)
-        assert total == pytest.approx(fp.area, rel=1e-9)
+        x0, y0, x1, y1 = fp
+        assert total == (x1 - x0) * (y1 - y0)
         regions = {rid: region for rid, _, region in result.rooms}
         ids = sorted(regions)
         for i, a in enumerate(ids):
@@ -431,7 +408,7 @@ def test_plan_corridor_conserves_area():
 
 
 def test_plan_corridor_raises_on_disconnected_walls():
-    fp = Rect(0, 0, 9, 3)
+    fp = box(0, 0, 9, 3)
     rooms = [
         room(0, K.LIVING_ROOM, 0, 0, 3, 3),
         room(1, K.KITCHEN, 3, 0, 3, 3),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from planwright.geometry import Point, Rect, Region, Segment
+from planwright.geometry import Point, Rect, RectilinearPolygon, Region, Segment, mm_box
 from planwright.hierarchy import OUTSIDE_ID
 from planwright.openings import (
     DOOR,
@@ -44,6 +44,7 @@ def region_rooms(*specs):
 
 # Living room column plus a kitchen/dining stack; everything is adjacent.
 TRIO_FP = Rect(0, 0, 6, 6)
+TRIO_BOX = mm_box(TRIO_FP)  # the footprint as placement sees it, in mm
 TRIO = region_rooms(
     (0, K.LIVING_ROOM, 0, 0, 3, 6),
     (1, K.KITCHEN, 3, 0, 3, 3),
@@ -127,7 +128,8 @@ def test_bathroom_never_bridges_bedrooms():
 
 def test_graph_json_round_trip():
     graph = build_connection_graph(TRIO, TRIO_PARENTS, 0, RandomStream(1), CFG)
-    assert ConnectionGraph.from_json(graph.to_json()) == graph
+    doc = {"nodes": sorted(graph.nodes), "edges": [list(e) for e in graph.edges]}
+    assert ConnectionGraph.from_json(doc) == graph
 
 
 # ------------------------------------------------------------- wall ledger
@@ -135,12 +137,12 @@ def test_graph_json_round_trip():
 
 def test_ledger_splits_free_spans():
     ledger = _WallLedger()
-    wall = Segment(Point(0, 0), Point(0, 6))
+    wall = (False, 0, 0, 6000)
     assert ledger.free_spans(wall) == [(0, 6000)]
     ledger.occupy(wall, 2000, 3000)
     assert ledger.free_spans(wall) == [(0, 2000), (3000, 6000)]
     # Occupation is per line, so a collinear wall sees the same blocks.
-    other = Segment(Point(0, 1), Point(0, 2.5))
+    other = (False, 0, 1000, 2500)
     assert ledger.free_spans(other) == [(1000, 2000)]
 
 
@@ -150,7 +152,7 @@ def test_ledger_splits_free_spans():
 def trio_doors(seed: int = 1):
     cfg = cfg_with_doors()
     graph = build_connection_graph(TRIO, TRIO_PARENTS, 0, RandomStream(seed), cfg)
-    return place_doors(TRIO, graph, TRIO_FP, RandomStream(seed), cfg), graph
+    return place_doors(TRIO, graph, TRIO_BOX, RandomStream(seed), cfg), graph
 
 
 def test_entry_door_on_longest_exterior_living_wall():
@@ -160,7 +162,7 @@ def test_entry_door_on_longest_exterior_living_wall():
     assert entry.rooms == (OUTSIDE_ID, 0)
     # The living room's west wall is its longest exterior run (6 m).
     assert not entry.wall.horizontal and entry.wall.a.x == 0
-    lo, hi = entry.interval()
+    _, lo, hi = entry.mm()
     assert 0 <= lo and hi <= 6000 and hi - lo == 900
 
 
@@ -181,7 +183,7 @@ def test_door_positions_vary_with_stream():
     positions = set()
     for seed in range(8):
         (openings, _), _ = trio_doors(seed=seed)
-        positions.add(openings[0].interval())
+        positions.add(openings[0].mm())
     assert len(positions) > 1
 
 
@@ -196,8 +198,8 @@ def test_windows_skip_banned_kinds():
     )
     cfg = cfg_with_doors()
     graph = build_connection_graph(rooms, {1: 0, 2: 0}, 0, RandomStream(3), cfg)
-    _, ledger = place_doors(rooms, graph, TRIO_FP, RandomStream(3), cfg)
-    windows = place_windows(rooms, TRIO_FP, ledger, RandomStream(3), cfg)
+    _, ledger = place_doors(rooms, graph, TRIO_BOX, RandomStream(3), cfg)
+    windows = place_windows(rooms, TRIO_BOX, ledger, RandomStream(3), cfg)
     assert {o.rooms[0] for o in windows} == {0, 1}
     for window in windows:
         assert window.kind == WINDOW
@@ -208,12 +210,13 @@ def test_windows_skip_banned_kinds():
 def test_windows_do_not_collide_with_doors():
     cfg = cfg_with_doors()
     graph = build_connection_graph(TRIO, TRIO_PARENTS, 0, RandomStream(5), cfg)
-    doors, ledger = place_doors(TRIO, graph, TRIO_FP, RandomStream(5), cfg)
-    windows = place_windows(TRIO, TRIO_FP, ledger, RandomStream(5), cfg)
+    doors, ledger = place_doors(TRIO, graph, TRIO_BOX, RandomStream(5), cfg)
+    windows = place_windows(TRIO, TRIO_BOX, ledger, RandomStream(5), cfg)
     assert len(windows) == 3
     by_line: dict[tuple, list[tuple[int, int]]] = {}
     for opening in doors + windows:
-        by_line.setdefault(_WallLedger._line(opening.wall), []).append(opening.interval())
+        wall, lo, hi = opening.mm()
+        by_line.setdefault(wall[:2], []).append((lo, hi))
     for intervals in by_line.values():
         intervals.sort()
         for (alo, ahi), (blo, bhi) in zip(intervals, intervals[1:]):
@@ -240,7 +243,8 @@ def hand_plan(rooms, openings, edges, footprint) -> FloorPlan:
 
 
 def make_room(rid: int, kind: RoomKind, x, y, w, h) -> Room:
-    return Room(rid, kind, Rect(x, y, w, h).to_polygon(), float(w * h))
+    corners = (Point(x, y), Point(x + w, y), Point(x + w, y + h), Point(x, y + h))
+    return Room(rid, kind, RectilinearPolygon(corners), float(w * h))
 
 
 def door(wall: Segment, offset: float, rooms: tuple[int, int], kind: str = DOOR) -> Opening:

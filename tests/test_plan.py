@@ -297,6 +297,20 @@ def corrupted(plan: FloorPlan, mutate) -> str:
             id="vertex-bool",
         ),
         pytest.param(lambda d: d["footprint"].update(x=10**400), "$.footprint.x:", id="x-huge-int"),
+        pytest.param(
+            lambda d: d.update(schema_version=True), "$.schema_version:", id="schema-version-bool"
+        ),
+        pytest.param(
+            lambda d: d.update(schema_version=1.0), "$.schema_version:", id="schema-version-float"
+        ),
+        pytest.param(
+            lambda d: d["rooms"][0]["polygon"][1].__setitem__(0, 1e306),
+            "$.rooms[0].polygon[1][0]:",
+            id="vertex-mm-overflow",
+        ),
+        pytest.param(
+            lambda d: d["footprint"].update(x1=1e306), "$.footprint.x1:", id="x1-mm-overflow"
+        ),
     ],
 )
 def test_parse_errors_name_their_path(plain_plan, mutate, path):

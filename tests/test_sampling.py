@@ -179,7 +179,7 @@ def test_derive_footprint_aspect_within_bounds(seed):
     bedrooms, rooms = sample_counts(rng, cfg.joint_table)
     program = sample_areas(assign_functions(bedrooms, rooms, PRIORITY), rng, cfg)
     footprint, adjusted = derive_footprint(program, rng, cfg)
-    assert 1.0 <= aspect_ratio(footprint) <= cfg.max_footprint_aspect + 1e-9
+    assert 1.0 <= aspect_ratio(footprint.width, footprint.height) <= cfg.max_footprint_aspect + 1e-9
     assert footprint.area == pytest.approx(
         sum(e.target_area for e in adjusted.entries), rel=1e-6
     )

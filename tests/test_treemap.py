@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planwright.geometry import Rect
+from planwright.geometry import Rect, Region
 from planwright.hierarchy import build_hierarchy
 from planwright.sampling import RandomStream, RoomEntry, RoomKind, RoomProgram
 from planwright.treemap import LayoutError, LayoutRequest, layout_rooms, squarify
@@ -219,7 +219,7 @@ def test_parent_room_sits_inside_its_allotment_corner():
     footprint = Rect(0, 0, 6, 5)
     rooms = layout_rooms(footprint, tree)
     by_id = {r.id: r.rect for r in rooms}
-    assert by_id[0].contains_point(by_id[0].to_polygon().vertices[0])
+    assert Region.from_rect(by_id[0]).subtract(Region.from_rect(footprint)).is_empty
     assert by_id[0].x == 0 and by_id[0].y == 0
     assert sum(r.rect.area for r in rooms) == pytest.approx(footprint.area, rel=1e-9)
 
