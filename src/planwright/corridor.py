@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
 
-from .geometry import RectilinearPolygon, Region, _m, _mm, merge_runs
+from .geometry import Box, RectilinearPolygon, Region, Run, _m, _mm, merge_runs
 from .sampling import GenConfig, RoomKind
 
-Box = tuple[int, int, int, int]
 Vertex = tuple[int, int]
 Edge = tuple[int, int, int, int]
 Rooms = Sequence[tuple[int, RoomKind, Box]]
@@ -44,8 +43,7 @@ def _ends(edge: Edge) -> tuple[Vertex, Vertex]:
     return (edge[0], edge[1]), (edge[2], edge[3])
 
 
-def _run(edge: Edge) -> tuple[bool, int, int, int]:
-    """The edge as (horizontal, line, lo, hi)."""
+def _run(edge: Edge) -> Run:
     ax, ay, bx, by = edge
     if ay == by:
         return True, ay, ax, bx

@@ -20,6 +20,12 @@ from typing import Iterable, Sequence
 
 GRID = 0.001
 
+# An (x0, y0, x1, y1) rectangle in mm.
+Box = tuple[int, int, int, int]
+# A wall run (horizontal, line, lo, hi) in mm: on the line y = line (or
+# x = line when vertical), from lo to hi.
+Run = tuple[bool, int, int, int]
+
 
 def snap(value: float) -> float:
     """Round a coordinate to the 1 mm grid."""
@@ -34,7 +40,7 @@ def _m(value: int) -> float:
     return value / 1000
 
 
-def mm_box(rect: "Rect") -> tuple[int, int, int, int]:
+def mm_box(rect: "Rect") -> Box:
     """The rect snapped to the grid as an (x0, y0, x1, y1) millimetre box."""
     return (
         _mm(snap(rect.x)),
@@ -233,7 +239,7 @@ class Region:
         return cls(xs, ys, frozenset({(0, 0)}))
 
     @classmethod
-    def from_boxes(cls, boxes: "list[tuple[int, int, int, int]]") -> "Region":
+    def from_boxes(cls, boxes: list[Box]) -> "Region":
         """Union of (x0, y0, x1, y1) millimetre boxes, built in one pass."""
         boxes = [b for b in boxes if b[0] < b[2] and b[1] < b[3]]
         if not boxes:
@@ -389,7 +395,7 @@ class Region:
                 raw.setdefault(("h", y0, -1), []).append((x0, x1))
         return {key: merge_runs(runs) for key, runs in raw.items()}
 
-    def shared_walls(self, other: "Region") -> list[tuple[bool, int, int, int]]:
+    def shared_walls(self, other: "Region") -> list[Run]:
         """Maximal wall runs shared with a disjoint neighbour.
 
         Each run is ``(horizontal, line, lo, hi)`` in mm: a stretch of this

@@ -13,16 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import Point, Region, Segment, _m, _mm
+from .geometry import Box, Point, Region, Run, Segment, _m, _mm
 from .hierarchy import OUTSIDE_ID
 from .sampling import BEDROOM_KINDS, GenConfig, RandomStream, RoomKind
 
 DOOR = "door"
 ENTRY_DOOR = "entry_door"
 WINDOW = "window"
-
-# A wall run: (horizontal, line, lo, hi) in mm, as Region.shared_walls gives it.
-Run = tuple[bool, int, int, int]
 
 
 class OpeningError(RuntimeError):
@@ -78,7 +75,7 @@ def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-def _exterior_walls(region: Region, footprint: tuple[int, int, int, int]) -> list[Run]:
+def _exterior_walls(region: Region, footprint: Box) -> list[Run]:
     """Boundary runs of the room lying on the footprint boundary."""
     fx0, fy0, fx1, fy1 = footprint
     return [
@@ -252,7 +249,7 @@ def _place(
 def place_doors(
     rooms: tuple[tuple[int, RoomKind, Region], ...],
     graph: ConnectionGraph,
-    footprint: tuple[int, int, int, int],
+    footprint: Box,
     rng: RandomStream,
     cfg: GenConfig,
 ) -> tuple[list[Opening], _WallLedger]:
@@ -286,7 +283,7 @@ def place_doors(
 
 def place_windows(
     rooms: tuple[tuple[int, RoomKind, Region], ...],
-    footprint: tuple[int, int, int, int],
+    footprint: Box,
     ledger: _WallLedger,
     rng: RandomStream,
     cfg: GenConfig,
