@@ -358,9 +358,9 @@ def _strip_intervals(edge: Edge, action: EdgeAction, width: int) -> tuple[int, i
     return (line + s, line + s + width, lo - action.extend_lo, hi + action.extend_hi)
 
 
-def _strip_box(edge: Edge, action: EdgeAction, width: int) -> Box:
-    c0, c1, a0, a1 = _strip_intervals(edge, action, width)
-    return (a0, c0, a1, c1) if edge[1] == edge[3] else (c0, a0, c1, a1)
+def _strip_box(intervals: tuple[int, int, int, int], horizontal: bool) -> Box:
+    c0, c1, a0, a1 = intervals
+    return (a0, c0, a1, c1) if horizontal else (c0, a0, c1, a1)
 
 
 def _nearest_align_shifts(edge: Edge, ws: _Workspace) -> list[int]:
@@ -401,7 +401,8 @@ def _lengthen_priority(edge: Edge, degrees: dict[Vertex, int], ws: _Workspace) -
         act = EdgeAction(extend_lo=ws.door_width) if which == "lo" else EdgeAction(
             extend_hi=ws.door_width
         )
-        ext = Region.from_boxes([_strip_box(edge, act, ws.corridor_width)])
+        strip = _strip_intervals(edge, act, ws.corridor_width)
+        ext = Region.from_boxes([_strip_box(strip, edge[1] == edge[3])])
         return ext.intersect(lr).area
 
     free.sort(key=lambda which: (-gain(which), which))
@@ -473,8 +474,7 @@ def enumerate_candidates(
                     iv = _strip_intervals(edges[i], action, width)
                     iv_cache[i][action] = iv
                 ivs.append(iv)
-                c0, c1, a0, a1 = iv
-                boxes.append((a0, c0, a1, c1) if horiz[i] else (c0, a0, c1, a1))
+                boxes.append(_strip_box(iv, horiz[i]))
             # Perpendicular strips thickened to opposite sides meet only at
             # a point; the corner square between them restores an edge-wide
             # connection.
