@@ -194,9 +194,10 @@ MAX_COORD = 1e150
 
 def _coord(value, path: str) -> float:
     """A length or coordinate in metres."""
-    if not abs(_number(value, path)) <= MAX_COORD:
-        raise PlanParseError(f"{path}: coordinate beyond {MAX_COORD:g} m")
-    return value
+    if type(value) in (int, float) and abs(value) <= MAX_COORD:
+        return value
+    _number(value, path)  # a value that is not a finite number fails here
+    raise PlanParseError(f"{path}: coordinate beyond {MAX_COORD:g} m")
 
 
 def _str(value, path: str) -> str:
