@@ -14,7 +14,8 @@ rooms arrive as ``(x0, y0, x1, y1)`` boxes, wall-graph vertices are ``(x, y)``
 tuples and edges ``(ax, ay, bx, by)`` tuples with the lower end first, and
 the config's lengths are converted once per call, so containment, contact
 and area tests are exact integer comparisons.  Only the trace reports
-metres.
+metres.  ``plan_corridor`` builds each room's Region once; detection,
+candidate evaluation and the result all read that one dict.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ def _length(edge: Edge) -> int:
 class WallGraph:
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
-    terminals: frozenset[int] = frozenset()
 
     def adjacency(self) -> dict[Vertex, list[tuple[Vertex, Edge]]]:
         adj: dict[Vertex, list[tuple[Vertex, Edge]]] = {v: [] for v in self.vertices}
@@ -130,9 +130,10 @@ class CorridorResult:
     trace: dict = field(default_factory=dict)
 
 
-def identify_corridor_rooms(rooms: Rooms, parent_of: dict[int, int], cfg: GenConfig) -> set[int]:
+def identify_corridor_rooms(
+    regions: dict[int, Region], parent_of: dict[int, int], cfg: GenConfig
+) -> set[int]:
     """Rooms lacking a door-width shared wall with their hierarchy parent."""
-    regions = {rid: Region.from_boxes([box]) for rid, _, box in rooms}
     door_mm = _mm(cfg.door_width)
     stranded: set[int] = set()
     for child_id, parent_id in parent_of.items():
@@ -143,10 +144,19 @@ def identify_corridor_rooms(rooms: Rooms, parent_of: dict[int, int], cfg: GenCon
     return stranded
 
 
-def _wall_lines(
-    footprint: Box, rooms: Rooms
-) -> tuple[dict[int, list[tuple[int, int]]], dict[int, list[tuple[int, int]]]]:
-    """Interior wall runs, merged per horizontal/vertical line."""
+def _graph(edges) -> tuple[tuple[Vertex, ...], tuple[Edge, ...]]:
+    """Sorted vertices and edges of an edge set."""
+    edges = tuple(sorted(edges))
+    return tuple(sorted({v for e in edges for v in _ends(e)})), edges
+
+
+def build_wall_graph(footprint: Box, rooms: Rooms) -> WallGraph:
+    """Graph of all interior wall segments, split at every coincident vertex.
+
+    Walls on the footprint boundary are excluded.  Collinear overlapping wall
+    runs are merged, then re-split wherever another wall starts, ends or
+    crosses, so graph vertices are exactly the wall junctions.
+    """
     fx0, fy0, fx1, fy1 = footprint
     h_lines: dict[int, list[tuple[int, int]]] = {}
     v_lines: dict[int, list[tuple[int, int]]] = {}
@@ -161,23 +171,6 @@ def _wall_lines(
             v_lines.setdefault(x1, []).append((y0, y1))
     h_merged = {line: merge_runs(spans) for line, spans in h_lines.items()}
     v_merged = {line: merge_runs(spans) for line, spans in v_lines.items()}
-    return h_merged, v_merged
-
-
-def _graph(edges) -> tuple[tuple[Vertex, ...], tuple[Edge, ...]]:
-    """Sorted vertices and edges of an edge set."""
-    edges = tuple(sorted(edges))
-    return tuple(sorted({v for e in edges for v in _ends(e)})), edges
-
-
-def build_wall_graph(footprint: Box, rooms: Rooms, terminals: frozenset[int] = frozenset()) -> WallGraph:
-    """Graph of all interior wall segments, split at every coincident vertex.
-
-    Walls on the footprint boundary are excluded.  Collinear overlapping wall
-    runs are merged, then re-split wherever another wall starts, ends or
-    crosses, so graph vertices are exactly the wall junctions.
-    """
-    h_merged, v_merged = _wall_lines(footprint, rooms)
 
     edges: list[Edge] = []
     for y, spans in h_merged.items():
@@ -196,7 +189,7 @@ def build_wall_graph(footprint: Box, rooms: Rooms, terminals: frozenset[int] = f
         for lo, hi in spans:
             inner = sorted(c for c in cuts if lo <= c <= hi)
             edges.extend((x, a, x, b) for a, b in zip(inner, inner[1:]))
-    return WallGraph(*_graph(edges), terminals)
+    return WallGraph(*_graph(edges))
 
 
 def prune(graph: WallGraph) -> WallGraph:
@@ -216,7 +209,7 @@ def prune(graph: WallGraph) -> WallGraph:
         adj[other].discard(edge)
         if len(adj[other]) == 1:
             stack.append(other)
-    return WallGraph(*_graph(alive), graph.terminals)
+    return WallGraph(*_graph(alive))
 
 
 def _contact_vertices(graph: WallGraph, box: Box) -> frozenset[Vertex]:
@@ -307,9 +300,11 @@ def route(graph: WallGraph, contact_sets: list[tuple[int, frozenset[Vertex]]]) -
 
 @dataclass
 class _Workspace:
-    """Precomputed geometry and mm lengths shared by every candidate evaluation."""
+    """Room geometry, wall lines and mm lengths shared by every candidate evaluation."""
 
-    rooms: tuple[tuple[int, RoomKind, Box], ...]
+    rooms: Rooms
+    room_regions: dict[int, Region]
+    walls: tuple[Edge, ...]
     parent_of: dict[int, int]
     terminals: frozenset[int]
     living_id: int
@@ -318,37 +313,6 @@ class _Workspace:
     min_room_width: int
     max_room_aspect: float
     fp_box: Box
-    room_regions: dict[int, Region]
-    room_boxes: dict[int, Box]
-    h_lines: dict[int, list[tuple[int, int]]]
-    v_lines: dict[int, list[tuple[int, int]]]
-
-    @classmethod
-    def build(
-        cls,
-        footprint: Box,
-        rooms: Rooms,
-        parent_of: dict[int, int],
-        terminals: frozenset[int],
-        living_id: int,
-        cfg: GenConfig,
-    ) -> "_Workspace":
-        h_lines, v_lines = _wall_lines(footprint, rooms)
-        return cls(
-            rooms=tuple(rooms),
-            parent_of=dict(parent_of),
-            terminals=terminals,
-            living_id=living_id,
-            corridor_width=_mm(cfg.corridor_width),
-            door_width=_mm(cfg.door_width),
-            min_room_width=_mm(cfg.min_room_width),
-            max_room_aspect=cfg.max_room_aspect,
-            fp_box=footprint,
-            room_regions={rid: Region.from_boxes([box]) for rid, _, box in rooms},
-            room_boxes={rid: box for rid, _, box in rooms},
-            h_lines=h_lines,
-            v_lines=v_lines,
-        )
 
 
 def _strip_intervals(edge: Edge, action: EdgeAction, width: int) -> tuple[int, int, int, int]:
@@ -366,22 +330,21 @@ def _strip_box(intervals: tuple[int, int, int, int], horizontal: bool) -> Box:
 def _nearest_align_shifts(edge: Edge, ws: _Workspace) -> list[int]:
     """Shifts that land the strip against the nearest parallel wall lines."""
     horizontal, line, lo, hi = _run(edge)
-    lines = ws.h_lines if horizontal else ws.v_lines
-    below = [
-        c
-        for c, spans in lines.items()
-        if c < line and any(min(hi, b) - max(lo, a) > 0 for a, b in spans)
-    ]
-    above = [
-        c
-        for c, spans in lines.items()
-        if c > line and any(min(hi, b) - max(lo, a) > 0 for a, b in spans)
-    ]
+    below: int | None = None
+    above: int | None = None
+    for wall in ws.walls:
+        wall_horizontal, c, a, b = _run(wall)
+        if wall_horizontal != horizontal or min(hi, b) - max(lo, a) <= 0:
+            continue
+        if c < line and (below is None or c > below):
+            below = c
+        elif c > line and (above is None or c < above):
+            above = c
     shifts: list[int] = []
-    if below:
-        shifts.append(max(below) - line)
-    if above:
-        shifts.append(min(above) - line - ws.corridor_width)
+    if below is not None:
+        shifts.append(below - line)
+    if above is not None:
+        shifts.append(above - line - ws.corridor_width)
     return [s for s in shifts if s != 0]
 
 
@@ -395,15 +358,15 @@ def _lengthen_priority(edge: Edge, degrees: dict[Vertex, int], ws: _Workspace) -
         free.append("hi")
     if len(free) < 2:
         return free
-    lr = ws.room_regions[ws.living_id]
+    lx0, ly0, lx1, ly1 = next(box for rid, _, box in ws.rooms if rid == ws.living_id)
 
     def gain(which: str) -> int:
         act = EdgeAction(extend_lo=ws.door_width) if which == "lo" else EdgeAction(
             extend_hi=ws.door_width
         )
         strip = _strip_intervals(edge, act, ws.corridor_width)
-        ext = Region.from_boxes([_strip_box(strip, edge[1] == edge[3])])
-        return ext.intersect(lr).area
+        x0, y0, x1, y1 = _strip_box(strip, edge[1] == edge[3])
+        return max(0, min(x1, lx1) - max(x0, lx0)) * max(0, min(y1, ly1) - max(y0, ly0))
 
     free.sort(key=lambda which: (-gain(which), which))
     return free
@@ -502,7 +465,7 @@ def _joint_pairs(edges: tuple[Edge, ...]) -> list[tuple[int, int]]:
 
 
 def _touches_any_terminal(edge: Edge, ws: _Workspace) -> bool:
-    return any(_edge_on_box(edge, ws.room_boxes[t]) for t in ws.terminals)
+    return any(_edge_on_box(edge, box) for rid, _, box in ws.rooms if rid in ws.terminals)
 
 
 def _peculiar(region: Region, ws: _Workspace) -> bool:
@@ -542,10 +505,8 @@ def _evaluate(
             continue
         if not any(b[0] < rx1 and b[2] > rx0 and b[1] < ry1 and b[3] > ry0 for b in boxes):
             continue
-        before = ws.room_regions[rid]
-        after = before.subtract(region)
-        if after.area == before.area:
-            continue
+        # The strip overlaps the room with positive area, so the room shrinks.
+        after = ws.room_regions[rid].subtract(region)
         if after.is_empty:
             return reject(f"room {rid} swallowed by the corridor")
         if not after.connected():
@@ -587,18 +548,6 @@ def filter_and_select(candidates: list[CorridorCandidate]) -> CorridorCandidate:
     return min(valid, key=lambda c: c.sort_key())
 
 
-def extrude(ws: _Workspace, winner: CorridorCandidate) -> CorridorResult:
-    """Carve the corridor out of the rooms it crosses and give it to the living room."""
-    changed = dict(winner.rooms_after)
-    return CorridorResult(
-        corridor=winner.region.to_polygon(),
-        rooms=tuple(
-            (rid, kind, changed.get(rid) or ws.room_regions[rid]) for rid, kind, _ in ws.rooms
-        ),
-        reparented=tuple(sorted(ws.terminals)),
-    )
-
-
 def plan_corridor(
     footprint: Box,
     rooms: Rooms,
@@ -607,12 +556,13 @@ def plan_corridor(
     cfg: GenConfig,
 ) -> CorridorResult:
     """Run the whole corridor stage; identity result when no room needs one."""
-    terminals = frozenset(identify_corridor_rooms(rooms, parent_of, cfg))
+    regions = {rid: Region.from_boxes([box]) for rid, _, box in rooms}
+    terminals = frozenset(identify_corridor_rooms(regions, parent_of, cfg))
     if not terminals:
-        plain = tuple((rid, kind, Region.from_boxes([box])) for rid, kind, box in rooms)
+        plain = tuple((rid, kind, regions[rid]) for rid, kind, _ in rooms)
         return CorridorResult(None, plain, (), {"corridor_rooms": 0, "candidates": []})
 
-    graph = build_wall_graph(footprint, rooms, terminals)
+    graph = build_wall_graph(footprint, rooms)
     pruned = prune(graph)
     boxes = {rid: box for rid, _, box in rooms}
 
@@ -637,10 +587,23 @@ def plan_corridor(
     if path is None:
         raise last_error if last_error is not None else CorridorError("unroutable")
 
-    ws = _Workspace.build(footprint, rooms, parent_of, terminals, living_id, cfg)
+    ws = _Workspace(
+        rooms=rooms,
+        room_regions=regions,
+        walls=graph.edges,
+        parent_of=parent_of,
+        terminals=terminals,
+        living_id=living_id,
+        corridor_width=_mm(cfg.corridor_width),
+        door_width=_mm(cfg.door_width),
+        min_room_width=_mm(cfg.min_room_width),
+        max_room_aspect=cfg.max_room_aspect,
+        fp_box=footprint,
+    )
     candidates = enumerate_candidates(path, ws, routing_graph)
     winner = filter_and_select(candidates)
-    result = extrude(ws, winner)
+    # Carve the corridor out of the rooms it crosses; the living room gains it.
+    regions.update(winner.rooms_after)
 
     path_mm = sum(_length(e) for e in path.edges)
     trace = {
@@ -669,4 +632,9 @@ def plan_corridor(
         ],
         "winner_area": winner.area / 1e6,
     }
-    return CorridorResult(result.corridor, result.rooms, result.reparented, trace)
+    return CorridorResult(
+        corridor=winner.region.to_polygon(),
+        rooms=tuple((rid, kind, regions[rid]) for rid, kind, _ in rooms),
+        reparented=tuple(sorted(terminals)),
+        trace=trace,
+    )

@@ -428,25 +428,6 @@ class Region:
         """Longest straight wall run shared with a disjoint neighbour, in mm."""
         return max((hi - lo for _, _, lo, hi in self.shared_walls(other)), default=0)
 
-    def _boundary_edges(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
-        """Directed boundary edges (interior on the left), keyed by start vertex.
-
-        Vertices are in millimetres.
-        """
-        out: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for i, j in self.cells:
-            x0, x1 = self.xs[i], self.xs[i + 1]
-            y0, y1 = self.ys[j], self.ys[j + 1]
-            if (i, j - 1) not in self.cells:
-                out.setdefault((x0, y0), []).append((x1, y0))
-            if (i + 1, j) not in self.cells:
-                out.setdefault((x1, y0), []).append((x1, y1))
-            if (i, j + 1) not in self.cells:
-                out.setdefault((x1, y1), []).append((x0, y1))
-            if (i - 1, j) not in self.cells:
-                out.setdefault((x0, y1), []).append((x0, y0))
-        return out
-
     def to_polygon(self) -> RectilinearPolygon:
         """Trace the boundary into a single simple polygon.
 
@@ -457,7 +438,14 @@ class Region:
             raise ValueError("empty region has no boundary")
         if not self.connected():
             raise ValueError("region is disconnected")
-        edges = self._boundary_edges()
+        # Each merged boundary run, directed with the interior on its left.
+        edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for (axis, line, face), runs in self._facing_borders().items():
+            for lo, hi in runs:
+                a, b = ((lo, line), (hi, line)) if axis == "h" else ((line, lo), (line, hi))
+                if (axis == "h") == (face == 1):
+                    a, b = b, a
+                edges.setdefault(a, []).append(b)
         start = min(edges)
         loop = [start]
         cur = start

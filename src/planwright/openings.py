@@ -324,14 +324,17 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
     self-contained in the plan document.
     """
     failures: list[str] = []
-    regions = {room.id: Region.from_polygon(room.polygon) for room in plan.rooms}
+    # One per listed room, so a room listed twice counts twice in the partition.
+    room_regions = [Region.from_polygon(room.polygon) for room in plan.rooms]
+    regions = {room.id: region for room, region in zip(plan.rooms, room_regions)}
     kinds = {room.id: room.kind for room in plan.rooms}
     fp_region = Region.from_rect(plan.footprint)
 
-    total = sum(room.polygon.area for room in plan.rooms)
-    fp_area = fp_region.area / 1e6
-    if abs(total - fp_area) > 1e-6 * fp_area:
-        failures.append(f"partition: room areas sum to {total}, footprint is {fp_area}")
+    total = sum(region.area for region in room_regions)
+    if total != fp_region.area:
+        failures.append(
+            f"partition: room areas sum to {total} mm², footprint is {fp_region.area} mm²"
+        )
     # Every room and the footprint on one breakpoint grid: containment is a
     # subset test and overlap a shared cell.
     xs = tuple(sorted({*fp_region.xs, *(x for r in regions.values() for x in r.xs)}))

@@ -311,9 +311,13 @@ class GenConfig:
         if self.priority.count(RoomKind.LIVING_ROOM) != 1 or self.priority.count(RoomKind.OUTSIDE) != 1:
             raise ConfigError("outside and living room appear exactly once in the priority list")
         for name in ("corridor_width", "door_width", "window_width", "min_room_width"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.max_footprint_aspect < 1 or self.max_room_aspect < 1:
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
+            # Off the grid, the plan would write one length and place another.
+            if snap(value) != value:
+                raise ConfigError(f"{name} must be a whole number of millimetres, got {value}")
+        if not (self.max_footprint_aspect >= 1 and self.max_room_aspect >= 1):
             raise ConfigError("aspect ratio bounds must be >= 1")
         if not 0 <= self.kitchen_via_dining_prob <= 1:
             raise ConfigError("kitchen_via_dining_prob must be in [0, 1]")
@@ -374,6 +378,8 @@ class GenConfig:
             if "priority" in data:
                 kwargs["priority"] = tuple(RoomKind(k) for k in data["priority"])
             if "areas" in data:
+                if not isinstance(data["areas"], dict):
+                    raise ConfigError("areas must be a JSON object")
                 areas = _default_areas()
                 areas.update({RoomKind(k): AreaDistribution.from_json(d) for k, d in data["areas"].items()})
                 kwargs["areas"] = areas
@@ -393,7 +399,7 @@ class GenConfig:
                     kwargs[name] = float(data[name])
             if "max_attempts" in data:
                 kwargs["max_attempts"] = int(data["max_attempts"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"malformed config value: {exc}") from exc

@@ -268,3 +268,16 @@ def test_invalid_config_is_exit_2(tmp_path, capsys):
     rc, _, err = run(capsys, "--config", str(bad), "generate", "--seed", "1")
     assert rc == 2
     assert "config error" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"areas": null}', '{"max_attempts": 1e999}', '{"door_width": 0.9004}'],
+    ids=["null-areas", "infinite-attempts", "off-grid-length"],
+)
+def test_malformed_config_is_exit_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    rc, _, err = run(capsys, "--config", str(bad), "generate", "--seed", "1")
+    assert rc == 2
+    assert "config error" in err

@@ -48,6 +48,10 @@ def room(rid: int, kind: RoomKind, x: float, y: float, w: float, h: float):
     return (rid, kind, box(x, y, w, h))
 
 
+def regions_of(rooms) -> dict[int, Region]:
+    return {rid: Region.from_boxes([b]) for rid, _, b in rooms}
+
+
 def degrees_of(edges) -> dict[tuple[int, int], int]:
     degrees: dict[tuple[int, int], int] = {}
     for ax, ay, bx, by in edges:
@@ -98,8 +102,8 @@ def graph_to_oracle_edges(graph: WallGraph):
 
 
 def test_identify_flags_corner_contact_only():
-    assert identify_corridor_rooms(PIN_ROOMS, PIN_PARENTS, CFG) == {3}
-    assert identify_corridor_rooms(STRIP_ROOMS, STRIP_PARENTS, CFG) == {3}
+    assert identify_corridor_rooms(regions_of(PIN_ROOMS), PIN_PARENTS, CFG) == {3}
+    assert identify_corridor_rooms(regions_of(STRIP_ROOMS), STRIP_PARENTS, CFG) == {3}
 
 
 def test_identify_accepts_door_width_contact():
@@ -108,21 +112,21 @@ def test_identify_accepts_door_width_contact():
         room(0, K.LIVING_ROOM, 0, 0, 3, 3),
         room(1, K.BEDROOM, 3, 2.1, 3, 3),
     ]
-    assert identify_corridor_rooms(rooms, {1: 0}, CFG) == set()
+    assert identify_corridor_rooms(regions_of(rooms), {1: 0}, CFG) == set()
     rooms[1] = room(1, K.BEDROOM, 3, 2.2, 3, 3)
-    assert identify_corridor_rooms(rooms, {1: 0}, CFG) == {1}
+    assert identify_corridor_rooms(regions_of(rooms), {1: 0}, CFG) == {1}
 
 
 def test_identify_ignores_parents_outside_layout():
     rooms = [room(0, K.LIVING_ROOM, 0, 0, 3, 3)]
-    assert identify_corridor_rooms(rooms, {0: 99}, CFG) == set()
+    assert identify_corridor_rooms(regions_of(rooms), {0: 99}, CFG) == set()
 
 
 # --------------------------------------------------------------- wall graph
 
 
 def test_wall_graph_pin_layout():
-    graph = build_wall_graph(PIN_FOOTPRINT, PIN_ROOMS, frozenset({3}))
+    graph = build_wall_graph(PIN_FOOTPRINT, PIN_ROOMS)
     expected = {
         seg(3, 0, 3, 3),
         seg(3, 3, 3, 6),
@@ -131,7 +135,6 @@ def test_wall_graph_pin_layout():
     }
     assert set(graph.edges) == expected
     assert len(graph.vertices) == 5
-    assert graph.terminals == frozenset({3})
 
 
 def test_wall_graph_excludes_footprint_boundary():
@@ -168,11 +171,10 @@ def test_wall_graph_grid_lattice():
 
 
 def test_prune_peels_tree_to_nothing():
-    graph = build_wall_graph(PIN_FOOTPRINT, PIN_ROOMS, frozenset({3}))
+    graph = build_wall_graph(PIN_FOOTPRINT, PIN_ROOMS)
     pruned = prune(graph)
     assert pruned.edges == ()
     assert pruned.vertices == ()
-    assert pruned.terminals == graph.terminals
 
 
 def test_prune_keeps_interior_ring():

@@ -186,6 +186,23 @@ def test_region_to_polygon_rejects_bad_shapes():
         region_of([(0, 0, 1000, 1000), (2000, 0, 3000, 1000)]).to_polygon()
     with pytest.raises(ValueError):
         region_of([(0, 0, 1000, 1000), (1000, 1000, 2000, 2000)]).to_polygon()
+    # Connected, but the walled-off middle cell touches the outside at one corner.
+    pinched = [
+        (0, 0, 3000, 1000),
+        (0, 1000, 1000, 2000),
+        (2000, 1000, 3000, 3000),
+        (1000, 2000, 2000, 3000),
+    ]
+    with pytest.raises(ValueError, match="pinches to a corner contact"):
+        region_of(pinched).to_polygon()
+    ring = [
+        (0, 0, 3000, 1000),
+        (0, 2000, 3000, 3000),
+        (0, 1000, 1000, 2000),
+        (2000, 1000, 3000, 2000),
+    ]
+    with pytest.raises(ValueError, match="has a hole"):
+        region_of(ring).to_polygon()
 
 
 @settings(max_examples=120, deadline=None)

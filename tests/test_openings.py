@@ -432,9 +432,17 @@ def test_validate_enforces_window_ban(sample_plan):
     assert any("window in banned kind" in f for f in failures)
 
 
+def _notch_kitchen(doc: dict) -> None:
+    """Cut a 4 mm x 4 mm notch from the kitchen's corner at the footprint's (x1, y)."""
+    kitchen = doc["rooms"][1]
+    assert kitchen["kind"] == "kitchen" and kitchen["polygon"][1] == [5.568, 0.0]
+    kitchen["polygon"][1:2] = [[5.564, 0.0], [5.564, 0.004], [5.568, 0.004]]
+
+
 @pytest.mark.parametrize(
     "mutate, failure",
     [
+        pytest.param(_notch_kitchen, "partition: room areas sum to", id="notched-kitchen"),
         pytest.param(
             lambda d: d["openings"][1].update(kind="portal"),
             "unknown opening kind 'portal'",

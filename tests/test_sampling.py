@@ -210,6 +210,32 @@ def test_config_rejects_bad_values():
         GenConfig.from_json({"door_width": 0.9, "no_such_knob": 1})
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"areas": None},
+        {"areas": [1]},
+        {"max_attempts": float("inf")},
+        {"door_width": 0.9004},
+        {"corridor_width": float("nan")},
+        {"min_room_width": float("inf")},
+        {"max_room_aspect": float("nan")},
+    ],
+    ids=[
+        "null-areas",
+        "list-areas",
+        "infinite-attempts",
+        "off-grid-door",
+        "nan-corridor",
+        "infinite-width",
+        "nan-aspect",
+    ],
+)
+def test_config_from_json_rejects_malformed_values(doc):
+    with pytest.raises(ConfigError):
+        GenConfig.from_json(doc)
+
+
 def test_config_load_from_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"door_width": 0.8}))
