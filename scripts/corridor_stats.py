@@ -32,7 +32,7 @@ def main() -> None:
     winner_areas: list[float] = []
     for seed in range(args.start, args.start + args.n):
         try:
-            plan = generate(seed)
+            plan = generate(seed, trace=True)
         except GenerationError:
             tally["failed"] += 1
             continue

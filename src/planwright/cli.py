@@ -65,7 +65,7 @@ def generate_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
     failures = 0
     for seed in seeds:
         try:
-            plan = generate(seed, cfg)
+            plan = generate(seed, cfg, trace=args.trace)
         except GenerationError as exc:
             print(exc, file=sys.stderr)
             failures += 1

@@ -9,6 +9,16 @@ and Lengthen variants - and extrudes the cheapest valid corridor from the
 rooms it crosses.  The corridor then counts as living-room space, and the
 rooms it serves hang off the living room in the connection graph.
 
+Each candidate corridor is a handful of strip and joint boxes, and the search
+decides as much as it can on those boxes: area, footprint containment,
+connectivity and contact with the living room need no Region.  A room's
+verdict (swallowed, split, peculiar or fine) depends only on its box and the
+boxes that cut into it, so it is computed on a grid local to the room and
+memoised for the rest of the search.  The trace is opt-in.  Traced, every
+candidate is evaluated in product order and its rejection reason recorded;
+untraced, candidates are evaluated cheapest first and the search stops at
+the first valid one, which is the same winner.
+
 The stage works in integer millimetres throughout: the footprint and the
 rooms arrive as ``(x0, y0, x1, y1)`` boxes, wall-graph vertices are ``(x, y)``
 tuples and edges ``(ax, ay, bx, by)`` tuples with the lower end first, and
@@ -21,7 +31,7 @@ candidate evaluation and the result all read that one dict.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Sequence
 
@@ -105,11 +115,14 @@ class EdgeAction:
 
 @dataclass(frozen=True)
 class CorridorCandidate:
-    """One evaluated corridor: ``area`` in mm², ``length`` in mm."""
+    """One evaluated corridor: ``area`` in mm², ``length`` in mm.
+
+    ``region`` is None when the candidate was rejected before it was built.
+    """
 
     edges: tuple[Edge, ...]
     actions: tuple[EdgeAction, ...]
-    region: Region
+    region: Region | None
     area: int
     length: int
     valid: bool
@@ -117,17 +130,27 @@ class CorridorCandidate:
     rooms_after: tuple[tuple[int, Region], ...] = ()
 
     def sort_key(self) -> tuple:
-        return (self.area, self.length, tuple(a.sort_key() for a in self.actions))
+        return _rank(self.area, self.length, self.actions)
+
+
+def _rank(area: int, length: int, actions: tuple[EdgeAction, ...]) -> tuple:
+    """Selection order: least area, then shortest, then the action vector."""
+    return (area, length, tuple(a.sort_key() for a in actions))
 
 
 @dataclass(frozen=True)
 class CorridorResult:
-    """What the pipeline needs downstream plus the full trace for debugging."""
+    """What the pipeline needs downstream, plus the trace when one was asked for.
+
+    ``candidates`` is the number of corridors the search weighed (the size of
+    the action product), traced or not.
+    """
 
     corridor: RectilinearPolygon | None
     rooms: tuple[tuple[int, RoomKind, Region], ...]
     reparented: tuple[int, ...]
-    trace: dict = field(default_factory=dict)
+    candidates: int = 0
+    trace: dict | None = None
 
 
 def identify_corridor_rooms(
@@ -300,7 +323,11 @@ def route(graph: WallGraph, contact_sets: list[tuple[int, frozenset[Vertex]]]) -
 
 @dataclass
 class _Workspace:
-    """Room geometry, wall lines and mm lengths shared by every candidate evaluation."""
+    """Room geometry, wall lines and mm lengths shared by every candidate evaluation.
+
+    ``verdicts`` memoises room verdicts for the search; ``combinations`` is
+    set to the size of the action product once it is enumerated.
+    """
 
     rooms: Rooms
     room_regions: dict[int, Region]
@@ -308,11 +335,15 @@ class _Workspace:
     parent_of: dict[int, int]
     terminals: frozenset[int]
     living_id: int
+    living_box: Box
     corridor_width: int
     door_width: int
     min_room_width: int
     max_room_aspect: float
     fp_box: Box
+    trace: bool = False
+    verdicts: dict[tuple[int, tuple[Box, ...]], tuple[str, Region]] = field(default_factory=dict)
+    combinations: int = 0
 
 
 def _strip_intervals(edge: Edge, action: EdgeAction, width: int) -> tuple[int, int, int, int]:
@@ -358,7 +389,7 @@ def _lengthen_priority(edge: Edge, degrees: dict[Vertex, int], ws: _Workspace) -
         free.append("hi")
     if len(free) < 2:
         return free
-    lx0, ly0, lx1, ly1 = next(box for rid, _, box in ws.rooms if rid == ws.living_id)
+    lx0, ly0, lx1, ly1 = ws.living_box
 
     def gain(which: str) -> int:
         act = EdgeAction(extend_lo=ws.door_width) if which == "lo" else EdgeAction(
@@ -396,7 +427,10 @@ def enumerate_candidates(
     """Evaluate the bounded Cartesian product of per-edge actions.
 
     A zero-length path (vertex-only contact) borrows each graph edge incident
-    to the anchor vertex as a one-edge path of its own.
+    to the anchor vertex as a one-edge path of its own.  Traced, every
+    combination is evaluated in product order.  Untraced, they are evaluated
+    in ``sort_key`` order and the search stops at the first valid one, so the
+    list holds only the candidates evaluated.
     """
     paths: list[tuple[Edge, ...]]
     if path.edges:
@@ -408,7 +442,7 @@ def enumerate_candidates(
         return []
 
     width = ws.corridor_width
-    candidates: list[CorridorCandidate] = []
+    combos: list[tuple[tuple, tuple[Edge, ...], tuple[EdgeAction, ...], list[Box]]] = []
     for edges in paths:
         degrees: dict[Vertex, int] = {}
         for e in edges:
@@ -428,6 +462,7 @@ def enumerate_candidates(
         horiz = [e[1] == e[3] for e in edges]
         iv_cache: list[dict[EdgeAction, tuple[int, int, int, int]]] = [{} for _ in edges]
         joints = _joint_pairs(edges)
+        path_length = sum(_length(e) for e in edges)
         for combo in product(*per_edge):
             ivs = []
             boxes = []
@@ -443,8 +478,53 @@ def enumerate_candidates(
             # connection.
             for h, v in joints:
                 boxes.append((ivs[v][0], ivs[h][0], ivs[v][1], ivs[h][1]))
-            candidates.append(_evaluate(edges, tuple(combo), ws, boxes))
+            length = path_length + sum(a.extend_lo + a.extend_hi for a in combo)
+            combos.append((_rank(_union_area(boxes), length, combo), edges, combo, boxes))
+    ws.combinations = len(combos)
+    if not ws.trace:
+        # Stable, so equal keys keep product order: the first valid candidate
+        # is the one filter_and_select's min would pick from the full list.
+        combos.sort(key=lambda c: c[0])
+    candidates: list[CorridorCandidate] = []
+    for (area, length, _), edges, actions, boxes in combos:
+        candidates.append(_evaluate(edges, actions, boxes, area, length, ws))
+        if candidates[-1].valid and not ws.trace:
+            break
     return candidates
+
+
+def _union_area(boxes: list[Box]) -> int:
+    """Area of the union of the boxes in mm², by a sweep over x."""
+    xs = sorted({x for b in boxes for x in (b[0], b[2])})
+    total = 0
+    for xa, xb in zip(xs, xs[1:]):
+        spans = merge_runs((b[1], b[3]) for b in boxes if b[0] <= xa and b[2] >= xb)
+        total += (xb - xa) * sum(hi - lo for lo, hi in spans)
+    return total
+
+
+def _boxes_connected(boxes: list[Box]) -> bool:
+    """True when the union of the boxes is one piece.
+
+    Two boxes join when they overlap or share an edge of positive length;
+    meeting at a corner does not count.
+    """
+    rest = boxes[1:]
+    stack = [boxes[0]]
+    while stack and rest:
+        ax0, ay0, ax1, ay1 = stack.pop()
+        keep = []
+        for b in rest:
+            bx0, by0, bx1, by1 = b
+            if (
+                bx0 <= ax1 and ax0 <= bx1 and by0 <= ay1 and ay0 <= by1
+                and not ((bx0 == ax1 or bx1 == ax0) and (by0 == ay1 or by1 == ay0))
+            ):
+                stack.append(b)
+            else:
+                keep.append(b)
+        rest = keep
+    return not rest
 
 
 def _joint_pairs(edges: tuple[Edge, ...]) -> list[tuple[int, int]]:
@@ -478,47 +558,96 @@ def _peculiar(region: Region, ws: _Workspace) -> bool:
     return region.thickness() < ws.min_room_width
 
 
+def _clipped(room: Box, boxes: list[Box]) -> tuple[Box, ...]:
+    """The boxes overlapping the room with positive area, clipped to it, sorted."""
+    rx0, ry0, rx1, ry1 = room
+    return tuple(sorted({
+        (max(bx0, rx0), max(by0, ry0), min(bx1, rx1), min(by1, ry1))
+        for bx0, by0, bx1, by1 in boxes
+        if bx0 < rx1 and bx1 > rx0 and by0 < ry1 and by1 > ry0
+    }))
+
+
+def _room_verdict(
+    rid: int, room: Box, boxes: list[Box], ws: _Workspace
+) -> tuple[str, Region] | None:
+    """The room's rejection reason ("" when it passes) and what is left of it.
+
+    None when no box overlaps the room with positive area.  The verdict
+    depends only on the room and the boxes clipped to it, so it is memoised
+    per search under those and computed on the room's own grid.
+    """
+    cuts = _clipped(room, boxes)
+    if not cuts:
+        return None
+    verdict = ws.verdicts.get((rid, cuts))
+    if verdict is None:
+        after = ws.room_regions[rid].subtract(Region.from_boxes(list(cuts)))
+        if after.is_empty:
+            reason = f"room {rid} swallowed by the corridor"
+        elif not after.connected():
+            reason = f"room {rid} split by the corridor"
+        elif _peculiar(after, ws):
+            reason = f"room {rid} left peculiar"
+        else:
+            reason = ""
+        verdict = ws.verdicts[rid, cuts] = (reason, after)
+    return verdict
+
+
+def _simple(region: Region) -> bool:
+    return not (region.has_pinch() or region.has_hole())
+
+
 def _evaluate(
     edges: tuple[Edge, ...],
     actions: tuple[EdgeAction, ...],
-    ws: _Workspace,
     boxes: list[Box],
+    area: int,
+    length: int,
+    ws: _Workspace,
 ) -> CorridorCandidate:
-    region = Region.from_boxes(boxes)
-    length = sum(_length(e) for e in edges) + sum(a.extend_lo + a.extend_hi for a in actions)
-    base = dict(edges=edges, actions=actions, region=region, area=region.area, length=length)
+    region: Region | None = None
 
     def reject(reason: str) -> CorridorCandidate:
-        return CorridorCandidate(valid=False, reason=reason, **base)
+        return CorridorCandidate(edges, actions, region, area, length, False, reason)
 
+    # Traced, the checks run in the order their reasons are reported in.
+    # Untraced only validity matters, so the checks on boxes and the memoised
+    # room verdicts run before the corridor Region is built.
     fx0, fy0, fx1, fy1 = ws.fp_box
     if any(b[0] < fx0 or b[1] < fy0 or b[2] > fx1 or b[3] > fy1 for b in boxes):
         return reject("corridor leaves the footprint")
-    if not region.connected():
+    if not _boxes_connected(boxes):
         return reject("corridor is disconnected")
-    if region.has_pinch() or region.has_hole():
-        return reject("corridor is not a simple region")
+    # The corridor is one piece, so it joins the living room when one of its
+    # boxes does.
+    reaches = _boxes_connected([ws.living_box, *boxes])
+    if not (reaches or ws.trace):
+        return reject("corridor does not reach the living room")
+    if ws.trace:
+        region = Region.from_boxes(boxes)
+        if not _simple(region):
+            return reject("corridor is not a simple region")
 
     changed: dict[int, Region] = {}
-    for rid, _, (rx0, ry0, rx1, ry1) in ws.rooms:
-        if rid == ws.living_id:
+    for rid, _, room in ws.rooms:
+        verdict = None if rid == ws.living_id else _room_verdict(rid, room, boxes, ws)
+        if verdict is None:
             continue
-        if not any(b[0] < rx1 and b[2] > rx0 and b[1] < ry1 and b[3] > ry0 for b in boxes):
-            continue
-        # The strip overlaps the room with positive area, so the room shrinks.
-        after = ws.room_regions[rid].subtract(region)
-        if after.is_empty:
-            return reject(f"room {rid} swallowed by the corridor")
-        if not after.connected():
-            return reject(f"room {rid} split by the corridor")
-        if _peculiar(after, ws):
-            return reject(f"room {rid} left peculiar")
+        reason, after = verdict
+        if reason:
+            return reject(reason)
         changed[rid] = after
 
-    living_after = ws.room_regions[ws.living_id].union(region)
-    if not living_after.connected():
+    if not reaches:
         return reject("corridor does not reach the living room")
-    if living_after.has_pinch() or living_after.has_hole():
+    if region is None:
+        region = Region.from_boxes(boxes)
+        if not _simple(region):
+            return reject("corridor is not a simple region")
+    living_after = ws.room_regions[ws.living_id].union(region)
+    if not _simple(living_after):
         return reject("living space is not a simple region")
     changed[ws.living_id] = living_after
 
@@ -534,9 +663,7 @@ def _evaluate(
             return reject(f"no door-width wall between rooms {child} and {parent}")
 
     return CorridorCandidate(
-        valid=True,
-        rooms_after=tuple(sorted(changed.items())),
-        **base,
+        edges, actions, region, area, length, True, rooms_after=tuple(sorted(changed.items()))
     )
 
 
@@ -554,13 +681,21 @@ def plan_corridor(
     parent_of: dict[int, int],
     living_id: int,
     cfg: GenConfig,
+    *,
+    trace: bool = False,
 ) -> CorridorResult:
-    """Run the whole corridor stage; identity result when no room needs one."""
+    """Run the whole corridor stage; identity result when no room needs one.
+
+    With ``trace`` the result carries the trace: the routing instance and
+    every candidate with its area, length and rejection reason.
+    """
     regions = {rid: Region.from_boxes([box]) for rid, _, box in rooms}
     terminals = frozenset(identify_corridor_rooms(regions, parent_of, cfg))
     if not terminals:
         plain = tuple((rid, kind, regions[rid]) for rid, kind, _ in rooms)
-        return CorridorResult(None, plain, (), {"corridor_rooms": 0, "candidates": []})
+        return CorridorResult(
+            None, plain, (), trace={"corridor_rooms": 0, "candidates": []} if trace else None
+        )
 
     graph = build_wall_graph(footprint, rooms)
     pruned = prune(graph)
@@ -594,19 +729,29 @@ def plan_corridor(
         parent_of=parent_of,
         terminals=terminals,
         living_id=living_id,
+        living_box=boxes[living_id],
         corridor_width=_mm(cfg.corridor_width),
         door_width=_mm(cfg.door_width),
         min_room_width=_mm(cfg.min_room_width),
         max_room_aspect=cfg.max_room_aspect,
         fp_box=footprint,
+        trace=trace,
     )
     candidates = enumerate_candidates(path, ws, routing_graph)
     winner = filter_and_select(candidates)
     # Carve the corridor out of the rooms it crosses; the living room gains it.
     regions.update(winner.rooms_after)
+    result = CorridorResult(
+        corridor=winner.region.to_polygon(),  # type: ignore[union-attr]
+        rooms=tuple((rid, kind, regions[rid]) for rid, kind, _ in rooms),
+        reparented=tuple(sorted(terminals)),
+        candidates=ws.combinations,
+    )
+    if not trace:
+        return result
 
     path_mm = sum(_length(e) for e in path.edges)
-    trace = {
+    doc = {
         "corridor_rooms": len(terminals),
         "graph_edges": len(graph.edges),
         "pruned_edges": len(pruned.edges),
@@ -632,9 +777,4 @@ def plan_corridor(
         ],
         "winner_area": winner.area / 1e6,
     }
-    return CorridorResult(
-        corridor=winner.region.to_polygon(),
-        rooms=tuple((rid, kind, regions[rid]) for rid, kind, _ in rooms),
-        reparented=tuple(sorted(terminals)),
-        trace=trace,
-    )
+    return replace(result, trace=doc)

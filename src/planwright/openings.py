@@ -316,10 +316,11 @@ class ValidationReport:
 def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
     """Re-check a finished plan from scratch.
 
-    Verifies the area partition, pairwise disjointness, containment, opening
-    kinds and the rooms they name, opening geometry, the graph's node set,
-    one-door-per-edge correspondence, door-graph connectivity (Outside
-    included), the entry door, and the connection prohibitions.
+    Verifies unique room ids, the area partition, pairwise disjointness,
+    containment, opening kinds and the rooms they name, opening geometry,
+    the graph's node set, one-door-per-edge correspondence, door-graph
+    connectivity (Outside included), the entry door, and the connection
+    prohibitions.
     Passing the config adds its window-ban check; everything else is
     self-contained in the plan document.
     """
@@ -330,6 +331,10 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
     kinds = {room.id: room.kind for room in plan.rooms}
     fp_region = Region.from_rect(plan.footprint)
 
+    # Every check below names rooms by id, so a repeated id hides a room.
+    listed = [room.id for room in plan.rooms]
+    for rid in sorted({rid for rid in listed if listed.count(rid) > 1}):
+        failures.append(f"room id {rid} is listed {listed.count(rid)} times")
     total = sum(region.area for region in room_regions)
     if total != fp_region.area:
         failures.append(

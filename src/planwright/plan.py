@@ -89,15 +89,19 @@ class FloorPlan:
         return next(r for r in self.rooms if r.id == room_id)
 
 
-def generate(seed: int, cfg: GenConfig | None = None) -> FloorPlan:
-    """Deterministically generate one house for (seed, config)."""
+def generate(seed: int, cfg: GenConfig | None = None, *, trace: bool = False) -> FloorPlan:
+    """Deterministically generate one house for (seed, config).
+
+    With ``trace`` the plan carries the winning attempt's corridor trace;
+    without it ``FloorPlan.trace`` is None.  The plan is the same either way.
+    """
     cfg = cfg if cfg is not None else GenConfig()
     root = RandomStream(seed)
     last: Exception | None = None
     for attempt in range(cfg.max_attempts):
         rng = root.substream(attempt)
         try:
-            return _attempt(seed, rng, cfg, attempt + 1)
+            return _attempt(seed, rng, cfg, attempt + 1, trace)
         except (SamplingError, LayoutError, CorridorError, OpeningError) as exc:
             last = exc
     raise GenerationError(
@@ -105,7 +109,7 @@ def generate(seed: int, cfg: GenConfig | None = None) -> FloorPlan:
     ) from last
 
 
-def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int) -> FloorPlan:
+def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int, trace: bool) -> FloorPlan:
     bedrooms, n_rooms = sample_counts(rng, cfg.joint_table)
     program = assign_functions(bedrooms, n_rooms, cfg.priority)
     program = sample_areas(program, rng, cfg)
@@ -132,7 +136,7 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int) -> Floo
                 parent_of[child.room_id] = node.room_id
     living_id = tree.children[0].room_id
 
-    corridor = plan_corridor(fp_box, placed, parent_of, living_id, cfg)
+    corridor = plan_corridor(fp_box, placed, parent_of, living_id, cfg, trace=trace)
     for t in corridor.reparented:
         parent_of[t] = living_id
 
@@ -154,7 +158,7 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int) -> Floo
         openings=tuple(doors + windows),
         graph=graph,
         attempts=attempt,
-        corridor_candidates=len(corridor.trace.get("candidates", [])),
+        corridor_candidates=corridor.candidates,
         trace=corridor.trace,
     )
     report = validate(plan, cfg)

@@ -213,11 +213,11 @@ class AreaDistribution:
         if not isinstance(data, dict) or len(data) != 1:
             raise ConfigError(f"bad distribution spec: {data!r}")
         if "constant" in data:
-            v = data["constant"]
+            v = _number(data["constant"], "constant")
             return cls(v, v)
         if "uniform" in data:
             lo, hi = data["uniform"]
-            return cls(lo, hi)
+            return cls(_number(lo, "uniform bound"), _number(hi, "uniform bound"))
         raise ConfigError(f"unknown distribution kind: {list(data)[0]!r}")
 
 
@@ -376,10 +376,10 @@ class GenConfig:
                 else:
                     kwargs["joint_table"] = JointCountTable(table)
             if "priority" in data:
-                kwargs["priority"] = tuple(RoomKind(k) for k in data["priority"])
+                kwargs["priority"] = tuple(RoomKind(k) for k in _list(data, "priority"))
             if "areas" in data:
-                if not isinstance(data["areas"], dict):
-                    raise ConfigError("areas must be a JSON object")
+                if not isinstance(data["areas"], dict) or not data["areas"]:
+                    raise ConfigError("areas must be a non-empty JSON object")
                 areas = _default_areas()
                 areas.update({RoomKind(k): AreaDistribution.from_json(d) for k, d in data["areas"].items()})
                 kwargs["areas"] = areas
@@ -387,18 +387,19 @@ class GenConfig:
                 kwargs["footprint_aspect"] = AreaDistribution.from_json(data["footprint_aspect"])
             if "optional_doors" in data:
                 kwargs["optional_doors"] = tuple(
-                    (RoomKind(a), RoomKind(b), float(p)) for a, b, p in data["optional_doors"]
+                    (RoomKind(a), RoomKind(b), float(_number(p, "optional door probability")))
+                    for a, b, p in _list(data, "optional_doors")
                 )
             if "window_banned" in data:
-                kwargs["window_banned"] = tuple(RoomKind(k) for k in data["window_banned"])
+                kwargs["window_banned"] = tuple(RoomKind(k) for k in _list(data, "window_banned"))
             for name in (
                 "max_footprint_aspect", "corridor_width", "door_width", "window_width",
                 "min_room_width", "max_room_aspect", "kitchen_via_dining_prob",
             ):
                 if name in data:
-                    kwargs[name] = float(data[name])
+                    kwargs[name] = float(_number(data[name], name))
             if "max_attempts" in data:
-                kwargs["max_attempts"] = int(data["max_attempts"])
+                kwargs["max_attempts"] = int(_number(data["max_attempts"], "max_attempts"))
         except (TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
@@ -413,6 +414,20 @@ class GenConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_json(data, base_dir=path.parent)
+
+
+def _number(value, name: str) -> int | float:
+    # JSON true is not a number, although Python's bool is an int.
+    if type(value) not in (int, float):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _list(data: dict, name: str) -> list:
+    # An object would be read as the list of its keys.
+    if not isinstance(data[name], list):
+        raise ConfigError(f"{name} must be a JSON list")
+    return data[name]
 
 
 def sample_counts(rng: RandomStream, table: JointCountTable) -> tuple[int, int]:

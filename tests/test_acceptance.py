@@ -64,7 +64,7 @@ def pool() -> Pool:
             break
         out.seeds_scanned = seed + 1
         try:
-            plan = generate(seed)
+            plan = generate(seed, trace=len(out.traces) < CORRIDOR_TRACES)
         except GenerationError:
             out.failures += 1
             continue

@@ -272,8 +272,24 @@ def test_invalid_config_is_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ['{"areas": null}', '{"max_attempts": 1e999}', '{"door_width": 0.9004}'],
-    ids=["null-areas", "infinite-attempts", "off-grid-length"],
+    [
+        '{"areas": null}',
+        '{"max_attempts": 1e999}',
+        '{"door_width": 0.9004}',
+        '{"door_width": true}',
+        '{"max_attempts": true}',
+        '{"areas": {}}',
+        '{"window_banned": {"bathroom": 1}}',
+    ],
+    ids=[
+        "null-areas",
+        "infinite-attempts",
+        "off-grid-length",
+        "bool-length",
+        "bool-attempts",
+        "empty-areas",
+        "object-window-banned",
+    ],
 )
 def test_malformed_config_is_exit_2(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"

@@ -9,6 +9,8 @@ optimal corridor is a single 1 m x 3 m strip whose location is forced.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,13 @@ from planwright.corridor import (
     prune,
     route,
 )
-from planwright.corridor import _contact_vertices
+from planwright.corridor import (
+    _boxes_connected,
+    _clipped,
+    _contact_vertices,
+    _peculiar,
+    _union_area,
+)
 from planwright.geometry import Rect, Region, mm_box
 from planwright.sampling import GenConfig, RandomStream, RoomKind
 from planwright.treemap import LayoutRequest, squarify
@@ -328,7 +336,7 @@ def test_plan_corridor_identity_when_all_adjacent():
         room(1, K.KITCHEN, 3, 0, 3, 3),
         room(2, K.DINING_ROOM, 3, 3, 3, 3),
     ]
-    result = plan_corridor(box(0, 0, 6, 6), rooms, {1: 0, 2: 0}, 0, CFG)
+    result = plan_corridor(box(0, 0, 6, 6), rooms, {1: 0, 2: 0}, 0, CFG, trace=True)
     assert result.corridor is None
     assert result.reparented == ()
     assert result.trace["corridor_rooms"] == 0
@@ -343,7 +351,7 @@ def region_equal(a: Region, b: Region) -> bool:
 
 
 def test_plan_corridor_strip_layout_winner():
-    result = plan_corridor(STRIP_FOOTPRINT, STRIP_ROOMS, STRIP_PARENTS, 0, CFG)
+    result = plan_corridor(STRIP_FOOTPRINT, STRIP_ROOMS, STRIP_PARENTS, 0, CFG, trace=True)
     assert result.reparented == (3,)
     # The cheapest corridor thickens the routed wall in place: 1 m x 3 m.
     assert result.corridor is not None
@@ -368,7 +376,7 @@ def test_plan_corridor_strip_layout_winner():
 
 
 def test_plan_corridor_pin_layout_borrows_incident_walls():
-    result = plan_corridor(PIN_FOOTPRINT, PIN_ROOMS, PIN_PARENTS, 0, CFG)
+    result = plan_corridor(PIN_FOOTPRINT, PIN_ROOMS, PIN_PARENTS, 0, CFG, trace=True)
     assert result.reparented == (3,)
     assert result.trace["path_edges"] == 0
     assert result.trace["graph_edges"] == 4
@@ -383,7 +391,7 @@ def test_plan_corridor_winner_is_linear_scan_minimum():
         (PIN_FOOTPRINT, PIN_ROOMS, PIN_PARENTS),
         (STRIP_FOOTPRINT, STRIP_ROOMS, STRIP_PARENTS),
     ]:
-        trace = plan_corridor(fp, rooms, parents, 0, CFG).trace
+        trace = plan_corridor(fp, rooms, parents, 0, CFG, trace=True).trace
         valid = [c["area"] for c in trace["candidates"] if c["valid"]]
         assert valid
         assert trace["winner_area"] == pytest.approx(min(valid))
@@ -421,10 +429,90 @@ def test_plan_corridor_raises_on_disconnected_walls():
 
 
 def test_plan_corridor_deterministic():
-    first = plan_corridor(STRIP_FOOTPRINT, STRIP_ROOMS, STRIP_PARENTS, 0, CFG)
-    second = plan_corridor(STRIP_FOOTPRINT, STRIP_ROOMS, STRIP_PARENTS, 0, CFG)
+    first = plan_corridor(STRIP_FOOTPRINT, STRIP_ROOMS, STRIP_PARENTS, 0, CFG, trace=True)
+    second = plan_corridor(STRIP_FOOTPRINT, STRIP_ROOMS, STRIP_PARENTS, 0, CFG, trace=True)
     assert first.trace == second.trace
     assert first.corridor.vertices == second.corridor.vertices
     assert [(rid, region.to_polygon()) for rid, _, region in first.rooms] == [
         (rid, region.to_polygon()) for rid, _, region in second.rooms
     ]
+
+
+# ------------------------------------------------- box-level search checks
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def small_boxes(draw):
+    """An mm box on a coarse 0.5 m lattice, so edges and corners coincide often."""
+    x0 = draw(st.integers(0, 8))
+    y0 = draw(st.integers(0, 8))
+    w = draw(st.integers(1, 4))
+    h = draw(st.integers(1, 4))
+    return (x0 * 500, y0 * 500, (x0 + w) * 500, (y0 + h) * 500)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(small_boxes(), min_size=1, max_size=7))
+def test_box_connectivity_and_area_match_region(boxes):
+    region = Region.from_boxes(boxes)
+    assert _boxes_connected(boxes) == region.connected()
+    assert _union_area(boxes) == region.area
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    small_boxes(),
+    st.lists(small_boxes(), min_size=1, max_size=5),
+    st.sampled_from([500, 1000, 1800]),
+    st.sampled_from([1.5, 4.0]),
+)
+def test_room_remainder_matches_full_subtract(room, boxes, min_width, max_aspect):
+    # The search subtracts only the clipped boxes, on a grid local to the
+    # room; every check it runs must read the same as on the full subtract.
+    ws = SimpleNamespace(min_room_width=min_width, max_room_aspect=max_aspect)
+    full = Region.from_boxes([room]).subtract(Region.from_boxes(boxes))
+    cuts = _clipped(room, boxes)
+    local = Region.from_boxes([room]).subtract(Region.from_boxes(list(cuts)))
+    assert all(c[0] >= room[0] and c[2] <= room[2] and c[1] >= room[1] and c[3] <= room[3] for c in cuts)
+    assert local.area == full.area
+    assert local.connected() == full.connected()
+    assert _peculiar(local, ws) == _peculiar(full, ws)
+    assert _outcome(local.to_polygon) == _outcome(full.to_polygon)
+
+
+@st.composite
+def corridor_instances(draw):
+    fp, rooms = draw(random_layouts())
+    parent_of = {i: draw(st.integers(0, i - 1)) for i in range(1, len(rooms))}
+    return fp, rooms, parent_of
+
+
+@settings(max_examples=120, deadline=None)
+@given(corridor_instances())
+def test_plan_corridor_same_with_and_without_trace(instance):
+    fp, rooms, parent_of = instance
+
+    def run(trace: bool):
+        try:
+            return plan_corridor(fp, rooms, parent_of, 0, CFG, trace=trace)
+        except CorridorError as exc:
+            return str(exc)
+
+    traced, plain = run(True), run(False)
+    if isinstance(traced, str):
+        assert plain == traced
+        return
+    assert plain.trace is None
+    assert plain.corridor == traced.corridor
+    assert plain.reparented == traced.reparented
+    assert plain.candidates == traced.candidates == len(traced.trace["candidates"])
+    assert [(rid, kind) for rid, kind, _ in plain.rooms] == [(rid, kind) for rid, kind, _ in traced.rooms]
+    for (_, _, a), (_, _, b) in zip(plain.rooms, traced.rooms):
+        assert region_equal(a, b)

@@ -439,10 +439,27 @@ def _notch_kitchen(doc: dict) -> None:
     kitchen["polygon"][1:2] = [[5.564, 0.0], [5.564, 0.004], [5.568, 0.004]]
 
 
+def _split_kitchen(doc: dict) -> None:
+    """Split the kitchen at y = 1.5 m into two rooms that both keep id 1.
+
+    The door moves onto the upper half's wall, so the plan is consistent if
+    only the last room listed under id 1 is looked at.
+    """
+    kitchen = doc["rooms"][1]
+    assert kitchen["kind"] == "kitchen" and kitchen["polygon"][0] == [3.095, 0.0]
+    lower = dict(kitchen, polygon=[[3.095, 0.0], [5.568, 0.0], [5.568, 1.5], [3.095, 1.5]])
+    upper = dict(kitchen, polygon=[[3.095, 1.5], [5.568, 1.5], [5.568, 3.126], [3.095, 3.126]])
+    doc["rooms"][1:2] = [lower, upper]
+    door = doc["openings"][1]
+    assert door["kind"] == "door" and door["rooms"] == [0, 1]
+    door.update(wall=[[3.095, 1.5], [3.095, 3.126]], offset=0.2)
+
+
 @pytest.mark.parametrize(
     "mutate, failure",
     [
         pytest.param(_notch_kitchen, "partition: room areas sum to", id="notched-kitchen"),
+        pytest.param(_split_kitchen, "room id 1 is listed 2 times", id="duplicate-room-id"),
         pytest.param(
             lambda d: d["openings"][1].update(kind="portal"),
             "unknown opening kind 'portal'",

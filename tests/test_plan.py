@@ -111,7 +111,7 @@ def test_corridor_trace_pinned_over_seed_range(knobs, digest):
     h = hashlib.sha256()
     for seed in range(100):
         try:
-            plan = generate(seed, cfg)
+            plan = generate(seed, cfg, trace=True)
         except GenerationError as exc:
             h.update(str(exc).encode())
         else:

@@ -220,6 +220,14 @@ def test_config_rejects_bad_values():
         {"corridor_width": float("nan")},
         {"min_room_width": float("inf")},
         {"max_room_aspect": float("nan")},
+        {"door_width": True},
+        {"max_room_aspect": True},
+        {"kitchen_via_dining_prob": True},
+        {"optional_doors": [["kitchen", "dining_room", True]]},
+        {"max_attempts": True},
+        {"areas": {"kitchen": {"constant": True}}},
+        {"areas": {}},
+        {"window_banned": {"bathroom": 1}},
     ],
     ids=[
         "null-areas",
@@ -229,6 +237,14 @@ def test_config_rejects_bad_values():
         "nan-corridor",
         "infinite-width",
         "nan-aspect",
+        "bool-length",
+        "bool-aspect",
+        "bool-probability",
+        "bool-door-probability",
+        "bool-attempts",
+        "bool-area",
+        "empty-areas",
+        "object-window-banned",
     ],
 )
 def test_config_from_json_rejects_malformed_values(doc):
