@@ -33,6 +33,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field, replace
 from itertools import product
+from math import prod
 from typing import Sequence
 
 from .geometry import Box, RectilinearPolygon, Region, Run, _m, _mm, merge_runs
@@ -428,9 +429,11 @@ def enumerate_candidates(
 
     A zero-length path (vertex-only contact) borrows each graph edge incident
     to the anchor vertex as a one-edge path of its own.  Traced, every
-    combination is evaluated in product order.  Untraced, they are evaluated
-    in ``sort_key`` order and the search stops at the first valid one, so the
-    list holds only the candidates evaluated.
+    combination is evaluated in product order.  Untraced, combinations whose
+    boxes leave the footprint, fall apart or miss the living room are dropped
+    before they are ranked; the rest are evaluated in ``sort_key`` order and
+    the search stops at the first valid one, so the list holds only the
+    candidates evaluated.  ``ws.combinations`` counts every combination.
     """
     paths: list[tuple[Edge, ...]]
     if path.edges:
@@ -442,6 +445,7 @@ def enumerate_candidates(
         return []
 
     width = ws.corridor_width
+    n_combos = 0
     combos: list[tuple[tuple, tuple[Edge, ...], tuple[EdgeAction, ...], list[Box]]] = []
     for edges in paths:
         degrees: dict[Vertex, int] = {}
@@ -463,6 +467,7 @@ def enumerate_candidates(
         iv_cache: list[dict[EdgeAction, tuple[int, int, int, int]]] = [{} for _ in edges]
         joints = _joint_pairs(edges)
         path_length = sum(_length(e) for e in edges)
+        n_combos += prod(map(len, per_edge))
         for combo in product(*per_edge):
             ivs = []
             boxes = []
@@ -478,9 +483,12 @@ def enumerate_candidates(
             # connection.
             for h, v in joints:
                 boxes.append((ivs[v][0], ivs[h][0], ivs[v][1], ivs[h][1]))
+            # Untraced, a corridor the boxes already rule out is never ranked.
+            if not (ws.trace or _boxes_pass(boxes, ws)):
+                continue
             length = path_length + sum(a.extend_lo + a.extend_hi for a in combo)
             combos.append((_rank(_union_area(boxes), length, combo), edges, combo, boxes))
-    ws.combinations = len(combos)
+    ws.combinations = n_combos
     if not ws.trace:
         # Stable, so equal keys keep product order: the first valid candidate
         # is the one filter_and_select's min would pick from the full list.
@@ -501,6 +509,23 @@ def _union_area(boxes: list[Box]) -> int:
         spans = merge_runs((b[1], b[3]) for b in boxes if b[0] <= xa and b[2] >= xb)
         total += (xb - xa) * sum(hi - lo for lo, hi in spans)
     return total
+
+
+def _inside(boxes: list[Box], footprint: Box) -> bool:
+    fx0, fy0, fx1, fy1 = footprint
+    return all(fx0 <= b[0] and fy0 <= b[1] and b[2] <= fx1 and b[3] <= fy1 for b in boxes)
+
+
+def _boxes_pass(boxes: list[Box], ws: _Workspace) -> bool:
+    """The corridor stays in the footprint, is one piece and joins the living room.
+
+    It is one piece, so it joins the living room when one of its boxes does.
+    """
+    return (
+        _inside(boxes, ws.fp_box)
+        and _boxes_connected(boxes)
+        and _boxes_connected([ws.living_box, *boxes])
+    )
 
 
 def _boxes_connected(boxes: list[Box]) -> bool:
@@ -613,19 +638,14 @@ def _evaluate(
         return CorridorCandidate(edges, actions, region, area, length, False, reason)
 
     # Traced, the checks run in the order their reasons are reported in.
-    # Untraced only validity matters, so the checks on boxes and the memoised
-    # room verdicts run before the corridor Region is built.
-    fx0, fy0, fx1, fy1 = ws.fp_box
-    if any(b[0] < fx0 or b[1] < fy0 or b[2] > fx1 or b[3] > fy1 for b in boxes):
-        return reject("corridor leaves the footprint")
-    if not _boxes_connected(boxes):
-        return reject("corridor is disconnected")
-    # The corridor is one piece, so it joins the living room when one of its
-    # boxes does.
-    reaches = _boxes_connected([ws.living_box, *boxes])
-    if not (reaches or ws.trace):
-        return reject("corridor does not reach the living room")
+    # Untraced, enumerate_candidates has already passed the boxes with
+    # _boxes_pass, and the memoised room verdicts run before the corridor
+    # Region is built.
     if ws.trace:
+        if not _inside(boxes, ws.fp_box):
+            return reject("corridor leaves the footprint")
+        if not _boxes_connected(boxes):
+            return reject("corridor is disconnected")
         region = Region.from_boxes(boxes)
         if not _simple(region):
             return reject("corridor is not a simple region")
@@ -640,7 +660,7 @@ def _evaluate(
             return reject(reason)
         changed[rid] = after
 
-    if not reaches:
+    if ws.trace and not _boxes_connected([ws.living_box, *boxes]):
         return reject("corridor does not reach the living room")
     if region is None:
         region = Region.from_boxes(boxes)

@@ -219,14 +219,17 @@ class Region:
     Backs the boolean operations: every op realigns both operands onto the
     union of their breakpoints and manipulates plain cell sets, so areas,
     unions and differences are exact.  Areas are in square millimetres.
+    A Region is never changed after construction, so its boundary runs are
+    computed once, on first use.
     """
 
-    __slots__ = ("xs", "ys", "cells")
+    __slots__ = ("xs", "ys", "cells", "_borders")
 
     def __init__(self, xs: tuple[int, ...], ys: tuple[int, ...], cells: frozenset[tuple[int, int]]):
         self.xs = xs
         self.ys = ys
         self.cells = cells
+        self._borders: dict[tuple[str, int, int], list[tuple[int, int]]] | None = None
 
     @classmethod
     def empty(cls) -> "Region":
@@ -380,7 +383,12 @@ class Region:
         return len(seen) + len(self.cells) != box
 
     def _facing_borders(self) -> dict[tuple[str, int, int], list[tuple[int, int]]]:
-        """Merged boundary runs keyed by (axis, line mm, facing sign)."""
+        """Merged boundary runs keyed by (axis, line mm, facing sign).
+
+        Computed once per Region; callers must not mutate what it returns.
+        """
+        if self._borders is not None:
+            return self._borders
         raw: dict[tuple[str, int, int], list[tuple[int, int]]] = {}
         for i, j in self.cells:
             x0, x1 = self.xs[i], self.xs[i + 1]
@@ -393,7 +401,8 @@ class Region:
                 raw.setdefault(("h", y1, 1), []).append((x0, x1))
             if (i, j - 1) not in self.cells:
                 raw.setdefault(("h", y0, -1), []).append((x0, x1))
-        return {key: merge_runs(runs) for key, runs in raw.items()}
+        self._borders = {key: merge_runs(runs) for key, runs in raw.items()}
+        return self._borders
 
     def shared_walls(self, other: "Region") -> list[Run]:
         """Maximal wall runs shared with a disjoint neighbour.

@@ -17,9 +17,10 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .corridor import CorridorError, plan_corridor
-from .geometry import Point, Rect, RectilinearPolygon, Region, _m, _mm, aspect_ratio, mm_box, snap
+from .geometry import Box, Point, Rect, RectilinearPolygon, Region, _m, _mm, aspect_ratio, mm_box, snap
 from .hierarchy import OUTSIDE_ID, build_hierarchy
 from .openings import (
     ENTRY_DOOR,
@@ -43,7 +44,7 @@ from .sampling import (
     sample_areas,
     sample_counts,
 )
-from .treemap import LayoutError, layout_rooms
+from .treemap import LayoutError, PlacedRoom, layout_rooms
 
 SCHEMA_VERSION = 1
 
@@ -119,15 +120,7 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int, trace: 
 
     # From here to the finished rooms, geometry is in integer millimetres.
     fp_box = mm_box(footprint)
-    placed = [(r.id, r.kind, mm_box(r.rect)) for r in layout_rooms(footprint, tree)]
-    min_mm = _mm(cfg.min_room_width)
-    for rid, _, (x0, y0, x1, y1) in placed:
-        if min(x1 - x0, y1 - y0) < min_mm:
-            raise LayoutError(f"room {rid} narrower than {cfg.min_room_width} m")
-        # Sides in metres, so a ratio right on the bound compares as it did
-        # on the snapped treemap rect.
-        if aspect_ratio(_m(x1) - _m(x0), _m(y1) - _m(y0)) > cfg.max_room_aspect:
-            raise LayoutError(f"room {rid} too elongated")
+    placed = layout_rooms(footprint, tree, _room_check(cfg))
 
     parent_of: dict[int, int] = {}
     for node in tree.walk():
@@ -165,6 +158,23 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int, trace: 
     if not report.ok:
         raise OpeningError(f"self-check failed: {report.failures[0]}")
     return plan
+
+
+def _room_check(cfg: GenConfig) -> Callable[[PlacedRoom], tuple[int, RoomKind, Box]]:
+    """The layout's per-room check: the room as an mm box, or LayoutError."""
+    min_mm = _mm(cfg.min_room_width)
+
+    def check(room: PlacedRoom) -> tuple[int, RoomKind, Box]:
+        box = x0, y0, x1, y1 = mm_box(room.rect)
+        if min(x1 - x0, y1 - y0) < min_mm:
+            raise LayoutError(f"room {room.id} narrower than {cfg.min_room_width} m")
+        # Sides in metres, so a ratio right on the bound compares as it did
+        # on the snapped treemap rect.
+        if aspect_ratio(_m(x1) - _m(x0), _m(y1) - _m(y0)) > cfg.max_room_aspect:
+            raise LayoutError(f"room {room.id} too elongated")
+        return room.id, room.kind, box
+
+    return check
 
 
 def _poly_from_json(doc, path: str) -> RectilinearPolygon:

@@ -17,12 +17,15 @@ the container edge rather than accumulated).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from .geometry import Rect
 from .hierarchy import HierarchyNode
 from .sampling import RoomKind
 
 AREA_TOLERANCE = 1e-6
+
+T = TypeVar("T")
 
 
 class LayoutError(RuntimeError):
@@ -119,28 +122,35 @@ def _fill(container: Rect, areas: list[float]) -> list[Rect]:
     return rects
 
 
-def layout_rooms(footprint: Rect, tree: HierarchyNode) -> list[PlacedRoom]:
+def layout_rooms(
+    footprint: Rect, tree: HierarchyNode, check: Callable[[PlacedRoom], T] | None = None
+) -> list:
     """Place every room of the (area-annotated) hierarchy inside the footprint.
 
     A parent room is the first, unsorted item of its own allotment so it
     stays adjacent to the edge it shares with the level above; child subtrees
     follow in decreasing aggregate area.
+
+    Without ``check`` the result is every PlacedRoom in placement order.
+    With it, each room goes to ``check`` as soon as it is placed and the
+    result lists what ``check`` returns; a check that raises stops the
+    layout at that room, so rooms after the first failure are never built.
     """
     if tree.kind is not RoomKind.OUTSIDE or len(tree.children) != 1:
         raise LayoutError("layout expects the Outside root with its living-room child")
-    rooms: list[PlacedRoom] = []
-    _place(tree.children[0], footprint, rooms)
+    rooms: list = []
+    _place(tree.children[0], footprint, rooms, check or (lambda room: room))
     return rooms
 
 
-def _place(node: HierarchyNode, rect: Rect, rooms: list[PlacedRoom]) -> None:
+def _place(node: HierarchyNode, rect: Rect, rooms: list, check: Callable[[PlacedRoom], T]) -> None:
     if not node.children:
-        rooms.append(PlacedRoom(node.room_id, node.kind, rect))
+        rooms.append(check(PlacedRoom(node.room_id, node.kind, rect)))
         return
     children = sorted(node.children, key=lambda c: (-c.aggregate_area, c.room_id))
     items = [(node.room_id, node.target_area)]
     items += [(child.room_id, child.aggregate_area) for child in children]
     cells = squarify(LayoutRequest(rect, tuple(items)), keep_order=True)
-    rooms.append(PlacedRoom(node.room_id, node.kind, cells[0]))
+    rooms.append(check(PlacedRoom(node.room_id, node.kind, cells[0])))
     for child, cell in zip(children, cells[1:]):
-        _place(child, cell, rooms)
+        _place(child, cell, rooms, check)
