@@ -191,7 +191,7 @@ class AreaDistribution:
     high: float
 
     def __post_init__(self) -> None:
-        if self.low <= 0 or self.high < self.low:
+        if not 0 < self.low <= self.high < math.inf:
             raise ConfigError(f"bad area distribution [{self.low}, {self.high}]")
 
     def sample(self, rng: RandomStream) -> float:
@@ -317,8 +317,8 @@ class GenConfig:
             # Off the grid, the plan would write one length and place another.
             if snap(value) != value:
                 raise ConfigError(f"{name} must be a whole number of millimetres, got {value}")
-        if not (self.max_footprint_aspect >= 1 and self.max_room_aspect >= 1):
-            raise ConfigError("aspect ratio bounds must be >= 1")
+        if not (1 <= self.max_footprint_aspect < math.inf and 1 <= self.max_room_aspect < math.inf):
+            raise ConfigError("aspect ratio bounds must be finite and >= 1")
         if not 0 <= self.kitchen_via_dining_prob <= 1:
             raise ConfigError("kitchen_via_dining_prob must be in [0, 1]")
         for a, b, p in self.optional_doors:
@@ -399,7 +399,10 @@ class GenConfig:
                 if name in data:
                     kwargs[name] = float(_number(data[name], name))
             if "max_attempts" in data:
-                kwargs["max_attempts"] = int(_number(data["max_attempts"], "max_attempts"))
+                attempts = _number(data["max_attempts"], "max_attempts")
+                if attempts != int(attempts):
+                    raise ConfigError(f"max_attempts must be a whole number, got {attempts!r}")
+                kwargs["max_attempts"] = int(attempts)
         except (TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise

@@ -280,6 +280,11 @@ def test_invalid_config_is_exit_2(tmp_path, capsys):
         '{"max_attempts": true}',
         '{"areas": {}}',
         '{"window_banned": {"bathroom": 1}}',
+        '{"areas": {"kitchen": {"constant": NaN}}}',
+        '{"max_room_aspect": Infinity}',
+        '{"max_footprint_aspect": Infinity}',
+        '{"footprint_aspect": {"uniform": [1, Infinity]}}',
+        '{"max_attempts": 2.5}',
     ],
     ids=[
         "null-areas",
@@ -289,6 +294,11 @@ def test_invalid_config_is_exit_2(tmp_path, capsys):
         "bool-attempts",
         "empty-areas",
         "object-window-banned",
+        "nan-area",
+        "infinite-room-aspect",
+        "infinite-footprint-aspect",
+        "infinite-footprint-aspect-bound",
+        "fractional-attempts",
     ],
 )
 def test_malformed_config_is_exit_2(tmp_path, capsys, text):

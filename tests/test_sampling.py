@@ -228,6 +228,11 @@ def test_config_rejects_bad_values():
         {"areas": {"kitchen": {"constant": True}}},
         {"areas": {}},
         {"window_banned": {"bathroom": 1}},
+        {"areas": {"kitchen": {"constant": float("nan")}}},
+        {"max_room_aspect": float("inf")},
+        {"max_footprint_aspect": float("inf")},
+        {"footprint_aspect": {"uniform": [1, float("inf")]}},
+        {"max_attempts": 2.5},
     ],
     ids=[
         "null-areas",
@@ -245,6 +250,11 @@ def test_config_rejects_bad_values():
         "bool-area",
         "empty-areas",
         "object-window-banned",
+        "nan-area",
+        "infinite-room-aspect",
+        "infinite-footprint-aspect",
+        "infinite-footprint-aspect-bound",
+        "fractional-attempts",
     ],
 )
 def test_config_from_json_rejects_malformed_values(doc):
