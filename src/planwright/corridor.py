@@ -15,9 +15,10 @@ connectivity and contact with the living room need no Region.  A room's
 verdict (swallowed, split, peculiar or fine) depends only on its box and the
 boxes that cut into it, so it is computed on a grid local to the room and
 memoised for the rest of the search.  The trace is opt-in.  Traced, every
-candidate is evaluated in product order and its rejection reason recorded;
-untraced, candidates are evaluated cheapest first and the search stops at
-the first valid one, which is the same winner.
+candidate is evaluated in product order and its rejection reason recorded.
+Untraced, candidates that the box checks reject are dropped before they are
+ranked, the rest are evaluated cheapest first, and the search stops at the
+first valid one, which is the same winner.
 
 The stage works in integer millimetres throughout: the footprint and the
 rooms arrive as ``(x0, y0, x1, y1)`` boxes, wall-graph vertices are ``(x, y)``
@@ -429,11 +430,10 @@ def enumerate_candidates(
 
     A zero-length path (vertex-only contact) borrows each graph edge incident
     to the anchor vertex as a one-edge path of its own.  Traced, every
-    combination is evaluated in product order.  Untraced, combinations whose
-    boxes leave the footprint, fall apart or miss the living room are dropped
-    before they are ranked; the rest are evaluated in ``sort_key`` order and
-    the search stops at the first valid one, so the list holds only the
-    candidates evaluated.  ``ws.combinations`` counts every combination.
+    combination is evaluated in product order.  Untraced, those that fail
+    ``_boxes_pass`` are dropped before ranking, the rest are evaluated in
+    ``sort_key`` order and the search stops at the first valid one, so the
+    list holds only the candidates evaluated; ``ws.combinations`` counts all.
     """
     paths: list[tuple[Edge, ...]]
     if path.edges:
@@ -517,10 +517,7 @@ def _inside(boxes: list[Box], footprint: Box) -> bool:
 
 
 def _boxes_pass(boxes: list[Box], ws: _Workspace) -> bool:
-    """The corridor stays in the footprint, is one piece and joins the living room.
-
-    It is one piece, so it joins the living room when one of its boxes does.
-    """
+    """In the footprint, one piece, and (so) touching the living room with a box."""
     return (
         _inside(boxes, ws.fp_box)
         and _boxes_connected(boxes)
@@ -638,9 +635,8 @@ def _evaluate(
         return CorridorCandidate(edges, actions, region, area, length, False, reason)
 
     # Traced, the checks run in the order their reasons are reported in.
-    # Untraced, enumerate_candidates has already passed the boxes with
-    # _boxes_pass, and the memoised room verdicts run before the corridor
-    # Region is built.
+    # Untraced, the boxes passed _boxes_pass before ranking, and the memoised
+    # room verdicts run before the corridor Region is built.
     if ws.trace:
         if not _inside(boxes, ws.fp_box):
             return reject("corridor leaves the footprint")

@@ -219,8 +219,7 @@ class Region:
     Backs the boolean operations: every op realigns both operands onto the
     union of their breakpoints and manipulates plain cell sets, so areas,
     unions and differences are exact.  Areas are in square millimetres.
-    A Region is never changed after construction, so its boundary runs are
-    computed once, on first use.
+    Regions are immutable; each computes its boundary runs once, on first use.
     """
 
     __slots__ = ("xs", "ys", "cells", "_borders")
@@ -383,10 +382,7 @@ class Region:
         return len(seen) + len(self.cells) != box
 
     def _facing_borders(self) -> dict[tuple[str, int, int], list[tuple[int, int]]]:
-        """Merged boundary runs keyed by (axis, line mm, facing sign).
-
-        Computed once per Region; callers must not mutate what it returns.
-        """
+        """Merged boundary runs keyed by (axis, line mm, facing sign); do not mutate."""
         if self._borders is not None:
             return self._borders
         raw: dict[tuple[str, int, int], list[tuple[int, int]]] = {}

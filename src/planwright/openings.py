@@ -12,6 +12,7 @@ the CLI's validate subcommand and the batch audits run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .geometry import Box, Point, Region, Run, Segment, _m, _mm
 from .hierarchy import OUTSIDE_ID
@@ -132,33 +133,23 @@ def build_connection_graph(
             if kinds[bath] is RoomKind.BATHROOM and kinds[other] in BEDROOM_KINDS:
                 bath_bedroom[bath] = bath_bedroom.get(bath, 0) + 1
 
-    ids = sorted(regions)
-    for i in ids:
-        for j in ids:
-            if j <= i:
+    for i, j in combinations(sorted(regions), 2):
+        for kind_a, kind_b, prob in cfg.optional_doors:
+            if {kinds[i], kinds[j]} != {kind_a, kind_b}:
                 continue
-            for kind_a, kind_b, prob in cfg.optional_doors:
-                if {kinds[i], kinds[j]} != {kind_a, kind_b}:
-                    continue
-                if _pair(i, j) in have or _prohibited(kinds[i], kinds[j]):
-                    continue
-                crosses_bath = (
-                    kinds[i] is RoomKind.BATHROOM
-                    and kinds[j] in BEDROOM_KINDS
-                    and bath_bedroom.get(i, 0) > 0
-                ) or (
-                    kinds[j] is RoomKind.BATHROOM
-                    and kinds[i] in BEDROOM_KINDS
-                    and bath_bedroom.get(j, 0) > 0
-                )
-                if crosses_bath:
-                    continue
-                if regions[i].shared_border_mm(regions[j]) < door_mm:
-                    continue
-                if rng.random() < prob:
-                    have.add(_pair(i, j))
-                    edges.append(_pair(i, j))
-                break
+            if _pair(i, j) in have or _prohibited(kinds[i], kinds[j]):
+                continue
+            if any(
+                kinds[bath] is RoomKind.BATHROOM and kinds[bed] in BEDROOM_KINDS and bath_bedroom.get(bath, 0)
+                for bath, bed in ((i, j), (j, i))
+            ):
+                continue  # a bathroom that serves a bedroom serves no second one
+            if regions[i].shared_border_mm(regions[j]) < door_mm:
+                continue
+            if rng.random() < prob:
+                have.add(_pair(i, j))
+                edges.append(_pair(i, j))
+            break
 
     nodes = frozenset(regions) | {OUTSIDE_ID}
     return ConnectionGraph(nodes, tuple(sorted(edges)))

@@ -539,15 +539,10 @@ def _render_plan(plan: FloorPlan, style: SvgStyle, ox: float, oy: float) -> list
             continue
         color = style.entry_color if opening.kind == ENTRY_DOOR else style.door_color
         r = opening.width * s
-        if wall.horizontal:
-            leaf = (ax, ay - r)
-            arc_end = (bx, by)
-        else:
-            leaf = (ax + r, ay)
-            arc_end = (bx, by)
+        leaf = (ax, ay - r) if wall.horizontal else (ax + r, ay)
         out.append(
             f'<path d="M {_fmt(ax)} {_fmt(ay)} L {_fmt(leaf[0])} {_fmt(leaf[1])} '
-            f'A {_fmt(r)} {_fmt(r)} 0 0 1 {_fmt(arc_end[0])} {_fmt(arc_end[1])}" '
+            f'A {_fmt(r)} {_fmt(r)} 0 0 1 {_fmt(bx)} {_fmt(by)}" '
             f'fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
 

@@ -324,8 +324,8 @@ class GenConfig:
         for a, b, p in self.optional_doors:
             if not 0 <= p <= 1:
                 raise ConfigError(f"optional door probability for ({a.value}, {b.value}) must be in [0, 1]")
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
+        if type(self.max_attempts) is not int or self.max_attempts < 1:
+            raise ConfigError(f"max_attempts must be a whole number >= 1, got {self.max_attempts!r}")
         for kind in self.priority:
             if kind is not RoomKind.OUTSIDE and kind not in self.areas:
                 raise ConfigError(f"no area distribution for {kind.value}")
@@ -399,10 +399,7 @@ class GenConfig:
                 if name in data:
                     kwargs[name] = float(_number(data[name], name))
             if "max_attempts" in data:
-                attempts = _number(data["max_attempts"], "max_attempts")
-                if attempts != int(attempts):
-                    raise ConfigError(f"max_attempts must be a whole number, got {attempts!r}")
-                kwargs["max_attempts"] = int(attempts)
+                kwargs["max_attempts"] = _number(data["max_attempts"], "max_attempts")
         except (TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise

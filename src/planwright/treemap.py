@@ -5,10 +5,11 @@ gaps or overlaps, greedily keeping each rect as square as the row rule
 allows.  ``layout_rooms`` applies it level by level to the hierarchy tree:
 the footprint is split among the living room and its child subtrees by
 aggregate area, then each subtree's allotment is split among the parent room
-itself and its children, recursively.
+itself and its children, recursively.  A per-room check passed in sees each
+room as it is placed, so a failing layout stops at its first failing room.
 
-All arithmetic here stays at full float precision; the pipeline snaps the
-resulting rects onto the millimetre grid in one pass afterwards.  Every cut
+All arithmetic here stays at full float precision; the pipeline's check
+snaps each rect onto the millimetre grid as it is placed.  Every cut
 coordinate is computed once and shared by the rects on both sides, so the
 partition is exact by construction (the last rect of each row is pinned to
 the container edge rather than accumulated).
@@ -17,15 +18,13 @@ the container edge rather than accumulated).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable
 
 from .geometry import Rect
 from .hierarchy import HierarchyNode
 from .sampling import RoomKind
 
 AREA_TOLERANCE = 1e-6
-
-T = TypeVar("T")
 
 
 class LayoutError(RuntimeError):
@@ -122,19 +121,15 @@ def _fill(container: Rect, areas: list[float]) -> list[Rect]:
     return rects
 
 
-def layout_rooms(
-    footprint: Rect, tree: HierarchyNode, check: Callable[[PlacedRoom], T] | None = None
-) -> list:
+def layout_rooms(footprint: Rect, tree: HierarchyNode, check: Callable | None = None) -> list:
     """Place every room of the (area-annotated) hierarchy inside the footprint.
 
     A parent room is the first, unsorted item of its own allotment so it
     stays adjacent to the edge it shares with the level above; child subtrees
     follow in decreasing aggregate area.
 
-    Without ``check`` the result is every PlacedRoom in placement order.
-    With it, each room goes to ``check`` as soon as it is placed and the
-    result lists what ``check`` returns; a check that raises stops the
-    layout at that room, so rooms after the first failure are never built.
+    The result lists each PlacedRoom in placement order, or what ``check``
+    returns for it; ``check`` sees each room as it is placed and may raise.
     """
     if tree.kind is not RoomKind.OUTSIDE or len(tree.children) != 1:
         raise LayoutError("layout expects the Outside root with its living-room child")
@@ -143,7 +138,7 @@ def layout_rooms(
     return rooms
 
 
-def _place(node: HierarchyNode, rect: Rect, rooms: list, check: Callable[[PlacedRoom], T]) -> None:
+def _place(node: HierarchyNode, rect: Rect, rooms: list, check: Callable) -> None:
     if not node.children:
         rooms.append(check(PlacedRoom(node.room_id, node.kind, rect)))
         return

@@ -88,6 +88,29 @@ def rect_mm(rect):
     )
 
 
+# --- room check ------------------------------------------------------------
+
+
+def eager_room_check(rects, min_room_width, max_room_aspect):
+    """Lay out first, then check every room in placement order.
+
+    ``rects`` is [(room_id, x, y, x1, y1)] in metres, in placement order.
+    Each rect is snapped to the millimetre grid.  A room fails when its
+    shorter side is below ``min_room_width``, or when its aspect ratio, taken
+    on the sides in metres, exceeds ``max_room_aspect``.  Returns every
+    room's [(room_id, (x0, y0, x1, y1))] mm box and the first failure's
+    message, or None when all rooms pass.
+    """
+    boxes = [(rid, tuple(round(round(v, 3) * MM) for v in rect)) for rid, *rect in rects]
+    for rid, (x0, y0, x1, y1) in boxes:
+        if min(x1 - x0, y1 - y0) < round(min_room_width * MM):
+            return boxes, f"room {rid} narrower than {min_room_width} m"
+        width, height = x1 / MM - x0 / MM, y1 / MM - y0 / MM
+        if max(width / height, height / width) > max_room_aspect:
+            return boxes, f"room {rid} too elongated"
+    return boxes, None
+
+
 # --- shortest paths --------------------------------------------------------
 
 

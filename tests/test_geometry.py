@@ -249,6 +249,33 @@ def test_shared_border_agrees_with_polygon_walls(a_boxes, b_boxes):
     assert a.shared_border_mm(b) == max((hi - lo for _, _, lo, hi in expected), default=0)
 
 
+def fresh_borders(region):
+    """The region's borders computed on a new Region with nothing cached."""
+    return Region(region.xs, region.ys, region.cells)._facing_borders()
+
+
+@settings(max_examples=150, deadline=None)
+@given(boxes(), boxes())
+def test_cached_borders_match_a_fresh_computation(a_boxes, b_boxes):
+    """Borders are computed once per Region and never go stale."""
+    a, b = region_of(a_boxes), region_of(b_boxes)
+    warm = {id(r): r._facing_borders() for r in (a, b)}
+    derived = [a.union(b), a.subtract(b), b.subtract(a), a.intersect(b), region_of(a_boxes + b_boxes)]
+    for region in (a, b, *derived):
+        borders = region._facing_borders()
+        assert borders == fresh_borders(region)
+        assert region._facing_borders() is borders
+    assert a._facing_borders() is warm[id(a)] and b._facing_borders() is warm[id(b)]
+    rest = derived[2]
+    assert a.shared_walls(rest) == Region(a.xs, a.ys, a.cells).shared_walls(rest)
+    try:
+        first = a.to_polygon()
+    except ValueError:
+        return
+    assert a.to_polygon() == first
+    assert a._facing_borders() == fresh_borders(a)
+
+
 # Coordinates that collide often: integers and their float twins, half
 # steps, off-grid values that snap onto a neighbour, and a negative zero.
 coord = st.sampled_from([0, 1, 2, 3, 0.0, 1.0, 2.0, 0.5, 1.5, 2.0004, 0.9996, -0.0, -1.0])

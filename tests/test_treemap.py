@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planwright.plan
 from planwright.geometry import Rect, Region
 from planwright.hierarchy import build_hierarchy
-from planwright.sampling import RandomStream, RoomEntry, RoomKind, RoomProgram
+from planwright.plan import GenerationError, generate
+from planwright.sampling import GenConfig, RandomStream, RoomEntry, RoomKind, RoomProgram
 from planwright.treemap import LayoutError, LayoutRequest, layout_rooms, squarify
 
-from oracles import rect_mm, row_rects, squarify_sorted, worst_aspect
+from oracles import eager_room_check, rect_mm, row_rects, squarify_sorted, worst_aspect
 
 K = RoomKind
 
@@ -251,3 +253,74 @@ def test_layout_requires_outside_root():
     tree = build_hierarchy(program_of((K.LIVING_ROOM, 10)))
     with pytest.raises(LayoutError):
         layout_rooms(Rect(0, 0, 5, 2), tree.children[0])
+
+
+def test_layout_lists_what_its_check_returns_in_placement_order():
+    tree = build_hierarchy(program_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4)))
+    rooms = layout_rooms(Rect(0, 0, 5, 5), tree)
+    assert [r.id for r in rooms] == [0, 1, 2]
+    assert layout_rooms(Rect(0, 0, 5, 5), tree, lambda room: room.rect) == [r.rect for r in rooms]
+
+
+def test_layout_stops_at_the_first_room_its_check_rejects():
+    tree = build_hierarchy(program_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4)))
+    order = [room.id for room in layout_rooms(Rect(0, 0, 5, 5), tree)]
+    seen = []
+
+    def check(room):
+        seen.append(room.id)
+        if len(seen) == 2:
+            raise LayoutError(f"room {room.id} rejected")
+        return room
+
+    with pytest.raises(LayoutError, match=f"room {order[1]} rejected"):
+        layout_rooms(Rect(0, 0, 5, 5), tree, check)
+    assert seen == order[:2]
+
+
+@pytest.mark.parametrize("knobs", [{}, {"min_room_width": 2.2}], ids=["default", "strict"])
+def test_room_check_during_layout_matches_eager_check(knobs, monkeypatch):
+    """The pipeline's check inside the layout fails where checking afterwards does.
+
+    Every layout ``generate`` asks for over seeds 0-299 is also laid out in
+    full and checked room by room in placement order.  The check inside the
+    layout must raise the same message, after placing the same boxes, and
+    stop at the failing room.
+    """
+    cfg = GenConfig(**knobs)
+    outcomes = {"passed": 0, "failed": 0}
+
+    def layout(footprint, tree, check):
+        try:
+            full = layout_rooms(footprint, tree)
+        except LayoutError as exc:
+            pytest.fail(f"the layout itself failed: {exc}")
+        rects = [(r.id, r.rect.x, r.rect.y, r.rect.x1, r.rect.y1) for r in full]
+        boxes, failure = eager_room_check(rects, cfg.min_room_width, cfg.max_room_aspect)
+        placed = []
+
+        def recording(room):
+            result = check(room)
+            placed.append((result[0], result[2]))
+            return result
+
+        try:
+            rooms = layout_rooms(footprint, tree, recording)
+        except LayoutError as exc:
+            assert str(exc) == failure
+            assert placed == boxes[: len(placed)]
+            assert failure.startswith(f"room {boxes[len(placed)][0]} ")
+            outcomes["failed"] += 1
+            raise
+        assert failure is None
+        assert [(rid, box) for rid, _, box in rooms] == placed == boxes
+        outcomes["passed"] += 1
+        return rooms
+
+    monkeypatch.setattr(planwright.plan, "layout_rooms", layout)
+    for seed in range(300):
+        try:
+            generate(seed, cfg)
+        except GenerationError:
+            pass
+    assert outcomes["passed"] > 0 and outcomes["failed"] > 0
