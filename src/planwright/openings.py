@@ -139,11 +139,17 @@ def build_connection_graph(
                 continue
             if _pair(i, j) in have or _prohibited(kinds[i], kinds[j]):
                 continue
-            if any(
-                kinds[bath] is RoomKind.BATHROOM and kinds[bed] in BEDROOM_KINDS and bath_bedroom.get(bath, 0)
-                for bath, bed in ((i, j), (j, i))
-            ):
-                continue  # a bathroom that serves a bedroom serves no second one
+            crosses_bath = (
+                kinds[i] is RoomKind.BATHROOM
+                and kinds[j] in BEDROOM_KINDS
+                and bath_bedroom.get(i, 0) > 0
+            ) or (
+                kinds[j] is RoomKind.BATHROOM
+                and kinds[i] in BEDROOM_KINDS
+                and bath_bedroom.get(j, 0) > 0
+            )
+            if crosses_bath:
+                continue
             if regions[i].shared_border_mm(regions[j]) < door_mm:
                 continue
             if rng.random() < prob:

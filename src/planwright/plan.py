@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .corridor import CorridorError, plan_corridor
 from .geometry import Box, Point, Rect, RectilinearPolygon, Region, _m, _mm, aspect_ratio, mm_box, snap
@@ -120,7 +119,20 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int, trace: 
 
     # From here to the finished rooms, geometry is in integer millimetres.
     fp_box = mm_box(footprint)
-    placed = layout_rooms(footprint, tree, _room_check(cfg))
+    min_mm = _mm(cfg.min_room_width)
+
+    def check(room: PlacedRoom) -> tuple[int, RoomKind, Box]:
+        """The room as an mm box, checked as the treemap places it."""
+        box = x0, y0, x1, y1 = mm_box(room.rect)
+        if min(x1 - x0, y1 - y0) < min_mm:
+            raise LayoutError(f"room {room.id} narrower than {cfg.min_room_width} m")
+        # Sides in metres, so a ratio right on the bound compares as it did
+        # on the snapped treemap rect.
+        if aspect_ratio(_m(x1) - _m(x0), _m(y1) - _m(y0)) > cfg.max_room_aspect:
+            raise LayoutError(f"room {room.id} too elongated")
+        return room.id, room.kind, box
+
+    placed = layout_rooms(footprint, tree, check)
 
     parent_of: dict[int, int] = {}
     for node in tree.walk():
@@ -158,23 +170,6 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int, trace: 
     if not report.ok:
         raise OpeningError(f"self-check failed: {report.failures[0]}")
     return plan
-
-
-def _room_check(cfg: GenConfig) -> Callable[[PlacedRoom], tuple[int, RoomKind, Box]]:
-    """The layout's per-room check: the room as an mm box, or LayoutError."""
-    min_mm = _mm(cfg.min_room_width)
-
-    def check(room: PlacedRoom) -> tuple[int, RoomKind, Box]:
-        box = x0, y0, x1, y1 = mm_box(room.rect)
-        if min(x1 - x0, y1 - y0) < min_mm:
-            raise LayoutError(f"room {room.id} narrower than {cfg.min_room_width} m")
-        # Sides in metres, so a ratio right on the bound compares as it did
-        # on the snapped treemap rect.
-        if aspect_ratio(_m(x1) - _m(x0), _m(y1) - _m(y0)) > cfg.max_room_aspect:
-            raise LayoutError(f"room {room.id} too elongated")
-        return room.id, room.kind, box
-
-    return check
 
 
 def _poly_from_json(doc, path: str) -> RectilinearPolygon:

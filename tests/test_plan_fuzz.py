@@ -14,7 +14,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planwright.openings import ValidationReport, validate
@@ -93,7 +93,7 @@ def _mutate(doc, data) -> None:
             pass  # the first assignment moved a container the second path ran through
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_mutated_plans_parse_or_fail_cleanly(documents, data):
     doc = json.loads(json.dumps(data.draw(st.sampled_from(documents))))
