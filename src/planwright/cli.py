@@ -106,21 +106,28 @@ def validate_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
 
 
 def bench_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
+    """Time seeds 0..n-1; --trace adds attempt and corridor stats, and its cost to the times."""
     times_ms: list[float] = []
-    failures = 0
-    corridor = 0
-    candidate_counts: list[int] = []
+    failures = pruned = 0
+    attempts: list[int] = []
+    candidates: list[int] = []
+    areas: list[float] = []
+    rejections: Counter[str] = Counter()
     for seed in range(args.n):
         t0 = time.perf_counter()
         try:
-            plan = generate(seed, cfg)
+            plan = generate(seed, cfg, trace=args.trace)
         except GenerationError:
             failures += 1
             continue
         times_ms.append((time.perf_counter() - t0) * 1000.0)
-        if plan.corridor is not None:
-            corridor += 1
-        candidate_counts.append(plan.corridor_candidates)
+        if args.trace:
+            attempts.append(plan.attempts)
+            candidates.append(plan.corridor_candidates)
+            rejections.update(c["reason"] for c in plan.trace["candidates"] if not c["valid"])
+            if plan.corridor is not None:
+                pruned += plan.trace["routed_on_pruned"]
+                areas.append(plan.trace["winner_area"])
     report = {
         "plans": len(times_ms),
         "failures": failures,
@@ -128,11 +135,16 @@ def bench_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
         "p95_ms": round(_percentile(times_ms, 0.95), 3) if times_ms else None,
     }
     if args.trace:
-        report["corridor_plans"] = corridor
-        report["mean_candidates"] = (
-            round(statistics.mean(candidate_counts), 2) if candidate_counts else None
+        spread = (min(areas), statistics.median(areas), max(areas)) if areas else None
+        report.update(
+            corridor_plans=len(areas),
+            mean_candidates=round(statistics.mean(candidates), 2) if candidates else None,
+            max_candidates=max(candidates, default=None),
+            mean_attempts=round(statistics.mean(attempts), 2) if attempts else None,
+            routed_on_pruned=pruned,
+            winner_area=spread and dict(zip(("min", "median", "max"), (round(a, 2) for a in spread))),
+            rejections=dict(sorted(rejections.items(), key=lambda kv: (-kv[1], kv[0]))),
         )
-        report["max_candidates"] = max(candidate_counts, default=None)
     print(json.dumps(report))
     return 0
 
@@ -186,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="time plan generation")
     ben.add_argument("-n", type=int, default=100, help="number of seeds, from 0")
-    ben.add_argument("--trace", action="store_true", help="add corridor candidate stats")
+    ben.add_argument("--trace", action="store_true", help="trace plans; add attempt and corridor stats")
     ben.set_defaults(func=bench_cmd)
 
     gal = sub.add_parser("gallery", help="draw a contact sheet of many seeds")

@@ -43,10 +43,10 @@ def _m(value: int) -> float:
 def mm_box(rect: "Rect") -> Box:
     """The rect snapped to the grid as an (x0, y0, x1, y1) millimetre box."""
     return (
-        _mm(snap(rect.x)),
-        _mm(snap(rect.y)),
-        _mm(snap(rect.x1)),
-        _mm(snap(rect.y1)),
+        round(round(rect.x, 3) * 1000),
+        round(round(rect.y, 3) * 1000),
+        round(round(rect.x + rect.width, 3) * 1000),
+        round(round(rect.y + rect.height, 3) * 1000),
     )
 
 

@@ -81,13 +81,6 @@ class FloorPlan:
     corridor_candidates: int
     trace: dict | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def living_id(self) -> int:
-        return next(r.id for r in self.rooms if r.kind is RoomKind.LIVING_ROOM)
-
-    def room(self, room_id: int) -> Room:
-        return next(r for r in self.rooms if r.id == room_id)
-
 
 def generate(seed: int, cfg: GenConfig | None = None, *, trace: bool = False) -> FloorPlan:
     """Deterministically generate one house for (seed, config).

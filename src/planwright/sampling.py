@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -69,9 +69,6 @@ class RandomStream:
         if n <= 0:
             raise ValueError("randrange needs n >= 1")
         return (self.next_u64() * n) >> 64
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
 
     def substream(self, index: int) -> "RandomStream":
         return RandomStream(_mix64(self.seed + (index + 1) * _SUBSTREAM_GAMMA))
@@ -249,9 +246,6 @@ class RoomProgram:
     def total_area(self) -> float:
         return sum(e.target_area for e in self.entries)
 
-    def entry(self, room_id: int) -> RoomEntry:
-        return self.entries[room_id]
-
 
 _DEFAULT_PRIORITY = (
     RoomKind.OUTSIDE,
@@ -319,6 +313,8 @@ class GenConfig:
                 raise ConfigError(f"{name} must be a whole number of millimetres, got {value}")
         if not (1 <= self.max_footprint_aspect < math.inf and 1 <= self.max_room_aspect < math.inf):
             raise ConfigError("aspect ratio bounds must be finite and >= 1")
+        if self.footprint_aspect.low > self.max_footprint_aspect:
+            raise ConfigError("footprint_aspect cannot draw a ratio within max_footprint_aspect")
         if not 0 <= self.kitchen_via_dining_prob <= 1:
             raise ConfigError("kitchen_via_dining_prob must be in [0, 1]")
         for a, b, p in self.optional_doors:
@@ -356,12 +352,7 @@ class GenConfig:
     def from_json(cls, data: dict, base_dir: str | Path | None = None) -> "GenConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
-        known = {
-            "joint_table", "priority", "areas", "footprint_aspect", "max_footprint_aspect",
-            "corridor_width", "door_width", "window_width", "min_room_width", "max_room_aspect",
-            "kitchen_via_dining_prob", "optional_doors", "window_banned", "max_attempts",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config field: {sorted(unknown)[0]!r}")
         kwargs = {}
@@ -514,7 +505,7 @@ def derive_footprint(program: RoomProgram, rng: RandomStream, cfg: GenConfig) ->
         if ratio <= cfg.max_footprint_aspect:
             break
     else:
-        raise ConfigError("aspect distribution cannot satisfy the configured cap")
+        raise SamplingError("footprint aspect draws all exceed the configured cap")
     width = snap(math.sqrt(total * ratio))
     height = snap(total / width)
     # Snapping may push the realized ratio a hair past the cap; walk it back.

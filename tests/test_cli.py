@@ -171,10 +171,39 @@ def test_bench_single_seed_p95_equals_median(capsys):
 
 
 def test_bench_trace_adds_candidate_stats(capsys):
-    rc, out, _ = run(capsys, "bench", "-n", "4", "--trace")
+    rc, out, _ = run(capsys, "bench", "-n", "5", "--trace")
     assert rc == 0
     report = json.loads(out)
     assert {"corridor_plans", "mean_candidates", "max_candidates"} <= set(report)
+    assert report["plans"] + report["failures"] == 5
+    assert 0 <= report["routed_on_pruned"] <= report["corridor_plans"]
+    area = report["winner_area"]
+    assert 0 < area["min"] <= area["median"] <= area["max"]
+    counts = report["rejections"]
+    assert counts and all(n > 0 for n in counts.values())
+    # Most frequent first, ties by reason.
+    assert list(counts.items()) == sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def test_bench_trace_counts_attempts_under_config(tmp_path, capsys):
+    cfg = tmp_path / "strict.json"
+    cfg.write_text(json.dumps({"min_room_width": 2.2}))
+    rc, out, _ = run(capsys, "--config", str(cfg), "bench", "-n", "5", "--trace")
+    assert rc == 0
+    report = json.loads(out)
+    assert report["plans"] + report["failures"] == 5
+    assert report["mean_attempts"] >= 1
+
+
+def test_bench_trace_with_no_plans_reports_nulls(tmp_path, capsys):
+    cfg = tmp_path / "one-try.json"
+    cfg.write_text(json.dumps({"max_attempts": 1}))  # seed 0 gives up on its first attempt
+    rc, out, _ = run(capsys, "--config", str(cfg), "bench", "-n", "1", "--trace")
+    assert rc == 0
+    report = json.loads(out)
+    assert (report["plans"], report["failures"], report["corridor_plans"]) == (0, 1, 0)
+    assert report["winner_area"] is None and report["mean_attempts"] is None
+    assert report["max_candidates"] is None and report["rejections"] == {}
 
 
 # ------------------------------------------------------------------ gallery
@@ -285,6 +314,7 @@ def test_invalid_config_is_exit_2(tmp_path, capsys):
         '{"max_footprint_aspect": Infinity}',
         '{"footprint_aspect": {"uniform": [1, Infinity]}}',
         '{"max_attempts": 2.5}',
+        '{"footprint_aspect": {"uniform": [2.5, 3.0]}, "max_footprint_aspect": 2.0}',
     ],
     ids=[
         "null-areas",
@@ -299,6 +329,7 @@ def test_invalid_config_is_exit_2(tmp_path, capsys):
         "infinite-footprint-aspect",
         "infinite-footprint-aspect-bound",
         "fractional-attempts",
+        "footprint-aspect-above-cap",
     ],
 )
 def test_malformed_config_is_exit_2(tmp_path, capsys, text):

@@ -27,6 +27,7 @@ from planwright.corridor import (
 )
 from planwright.corridor import (
     _boxes_connected,
+    _boxes_pass,
     _clipped,
     _contact_vertices,
     _peculiar,
@@ -456,6 +457,17 @@ def small_boxes(draw):
     w = draw(st.integers(1, 4))
     h = draw(st.integers(1, 4))
     return (x0 * 500, y0 * 500, (x0 + w) * 500, (y0 + h) * 500)
+
+
+def test_boxes_pass_requires_living_room_contact():
+    # Two strips inside the footprint that join each other but stop 2 m short
+    # of the living room: the untraced search must drop them before ranking.
+    ws = SimpleNamespace(fp_box=(0, 0, 10000, 6000), living_box=(0, 0, 4000, 6000))
+    apart = [(6000, 0, 7000, 6000), (6000, 3000, 9000, 4000)]
+    assert _boxes_connected(apart)
+    assert not _boxes_pass(apart, ws)
+    touching = [(4000, 0, 5000, 6000), (4000, 3000, 9000, 4000)]
+    assert _boxes_pass(touching, ws)
 
 
 @settings(max_examples=300, deadline=None)

@@ -104,7 +104,7 @@ def test_plan_bytes_pinned_over_seed_range(knobs, digest):
     ],
 )
 def test_corridor_trace_pinned_over_seed_range(knobs, digest):
-    # The corridor trace (`generate --trace`, AC-5, scripts/corridor_stats.py)
+    # The corridor trace (`generate --trace`, `bench --trace`, AC-5)
     # is not part of the plan bytes; this pins every number in it: candidate
     # actions, areas and lengths, the winner, the path and the routing.
     cfg = GenConfig(**knobs)

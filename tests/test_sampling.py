@@ -171,6 +171,15 @@ def test_derive_footprint_algebra():
     assert footprint.width == pytest.approx(5.0, abs=2e-3)
 
 
+def test_derive_footprint_cap_missed_is_a_sampling_error():
+    # The lower bound sits on the cap, so every draw above it misses: the
+    # attempt fails and generate retries instead of crashing.
+    cfg = GenConfig(footprint_aspect=AreaDistribution(2.0, 3.0), max_footprint_aspect=2.0)
+    program = sample_areas(assign_functions(1, 4, PRIORITY), RandomStream(5), cfg)
+    with pytest.raises(SamplingError):
+        derive_footprint(program, RandomStream(6), cfg)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32))
 def test_derive_footprint_aspect_within_bounds(seed):
@@ -233,6 +242,7 @@ def test_config_rejects_bad_values():
         {"max_footprint_aspect": float("inf")},
         {"footprint_aspect": {"uniform": [1, float("inf")]}},
         {"max_attempts": 2.5},
+        {"footprint_aspect": {"uniform": [2.5, 3.0]}, "max_footprint_aspect": 2.0},
     ],
     ids=[
         "null-areas",
@@ -255,6 +265,7 @@ def test_config_rejects_bad_values():
         "infinite-footprint-aspect",
         "infinite-footprint-aspect-bound",
         "fractional-attempts",
+        "footprint-aspect-above-cap",
     ],
 )
 def test_config_from_json_rejects_malformed_values(doc):
