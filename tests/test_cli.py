@@ -171,10 +171,16 @@ def test_bench_single_seed_p95_equals_median(capsys):
 
 
 def test_bench_trace_adds_candidate_stats(capsys):
-    rc, out, _ = run(capsys, "bench", "-n", "5", "--trace")
+    rc, out, _ = run(capsys, "bench", "-n", "4", "--trace")
     assert rc == 0
     report = json.loads(out)
     assert {"corridor_plans", "mean_candidates", "max_candidates"} <= set(report)
+
+
+def test_bench_trace_tallies_rejections_and_winner_area(capsys):
+    rc, out, _ = run(capsys, "bench", "-n", "5", "--trace")
+    assert rc == 0
+    report = json.loads(out)
     assert report["plans"] + report["failures"] == 5
     assert 0 <= report["routed_on_pruned"] <= report["corridor_plans"]
     area = report["winner_area"]
