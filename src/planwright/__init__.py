@@ -1,28 +1,12 @@
-"""Seeded generator of single-storey suburban house floor plans."""
+"""Seeded generator of single-storey suburban house floor plans.
 
-from .geometry import Point, Rect, RectilinearPolygon, Region, Segment, aspect_ratio, snap
-from .hierarchy import OUTSIDE_ID, HierarchyNode, aggregate_areas, build_hierarchy
-from .openings import (
-    ConnectionGraph,
-    Opening,
-    OpeningError,
-    ValidationReport,
-    build_connection_graph,
-    place_doors,
-    place_windows,
-    validate,
-)
-from .corridor import (
-    CorridorError,
-    CorridorPath,
-    WallGraph,
-    build_wall_graph,
-    filter_and_select,
-    identify_corridor_rooms,
-    plan_corridor,
-    prune,
-    route,
-)
+The package root holds the API a caller needs: the config, ``generate`` and
+the plan document with its JSON, SVG and validity check.  The pipeline's
+stage functions live in their own modules (``planwright.sampling``,
+``planwright.treemap``, ``planwright.corridor`` and so on).
+"""
+
+from .openings import ValidationReport, validate
 from .plan import (
     FloorPlan,
     GenerationError,
@@ -35,75 +19,23 @@ from .plan import (
     to_json,
     to_svg,
 )
-from .sampling import (
-    ConfigError,
-    GenConfig,
-    JointCountTable,
-    RandomStream,
-    RoomKind,
-    RoomProgram,
-    SamplingError,
-    assign_functions,
-    derive_footprint,
-    sample_areas,
-    sample_counts,
-)
-from .treemap import LayoutError, LayoutRequest, PlacedRoom, layout_rooms, squarify
+from .sampling import ConfigError, GenConfig, RoomKind
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "ConnectionGraph",
-    "CorridorError",
-    "CorridorPath",
     "FloorPlan",
     "GenConfig",
     "GenerationError",
-    "HierarchyNode",
-    "JointCountTable",
-    "LayoutError",
-    "LayoutRequest",
-    "Opening",
-    "OpeningError",
-    "OUTSIDE_ID",
-    "PlacedRoom",
     "PlanParseError",
-    "Point",
-    "RandomStream",
-    "Rect",
-    "RectilinearPolygon",
-    "Region",
     "Room",
     "RoomKind",
-    "RoomProgram",
-    "SamplingError",
-    "Segment",
     "SvgStyle",
     "ValidationReport",
-    "WallGraph",
-    "aggregate_areas",
-    "aspect_ratio",
-    "assign_functions",
-    "build_connection_graph",
-    "build_hierarchy",
-    "build_wall_graph",
-    "derive_footprint",
-    "filter_and_select",
     "from_json",
     "gallery_svg",
     "generate",
-    "identify_corridor_rooms",
-    "layout_rooms",
-    "place_doors",
-    "place_windows",
-    "plan_corridor",
-    "prune",
-    "route",
-    "sample_areas",
-    "sample_counts",
-    "snap",
-    "squarify",
     "to_json",
     "to_svg",
     "validate",

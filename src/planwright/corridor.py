@@ -183,37 +183,29 @@ def build_wall_graph(footprint: Box, rooms: Rooms) -> WallGraph:
     crosses, so graph vertices are exactly the wall junctions.
     """
     fx0, fy0, fx1, fy1 = footprint
-    h_lines: dict[int, list[tuple[int, int]]] = {}
-    v_lines: dict[int, list[tuple[int, int]]] = {}
+    # Wall spans by line, per axis: horizontal walls keyed by y, vertical by x.
+    lines: tuple[dict[int, list[tuple[int, int]]], ...] = ({}, {})
     for _, _, (x0, y0, x1, y1) in rooms:
-        if y0 not in (fy0, fy1):
-            h_lines.setdefault(y0, []).append((x0, x1))
-        if y1 not in (fy0, fy1):
-            h_lines.setdefault(y1, []).append((x0, x1))
-        if x0 not in (fx0, fx1):
-            v_lines.setdefault(x0, []).append((y0, y1))
-        if x1 not in (fx0, fx1):
-            v_lines.setdefault(x1, []).append((y0, y1))
-    h_merged = {line: merge_runs(spans) for line, spans in h_lines.items()}
-    v_merged = {line: merge_runs(spans) for line, spans in v_lines.items()}
+        for by_line, span, ends, boundary in (
+            (lines[0], (x0, x1), (y0, y1), (fy0, fy1)),
+            (lines[1], (y0, y1), (x0, x1), (fx0, fx1)),
+        ):
+            for line in ends:
+                if line not in boundary:
+                    by_line.setdefault(line, []).append(span)
+    horizontal, vertical = (
+        {line: merge_runs(spans) for line, spans in by_line.items()} for by_line in lines
+    )
 
     edges: list[Edge] = []
-    for y, spans in h_merged.items():
-        cuts = {c for lo, hi in spans for c in (lo, hi)}
-        for x, vspans in v_merged.items():
-            if any(lo <= y <= hi for lo, hi in vspans):
-                cuts.add(x)
-        for lo, hi in spans:
-            inner = sorted(c for c in cuts if lo <= c <= hi)
-            edges.extend((a, y, b, y) for a, b in zip(inner, inner[1:]))
-    for x, spans in v_merged.items():
-        cuts = {c for lo, hi in spans for c in (lo, hi)}
-        for y, hspans in h_merged.items():
-            if any(lo <= x <= hi for lo, hi in hspans):
-                cuts.add(y)
-        for lo, hi in spans:
-            inner = sorted(c for c in cuts if lo <= c <= hi)
-            edges.extend((x, a, x, b) for a, b in zip(inner, inner[1:]))
+    for along, across, flip in ((horizontal, vertical, False), (vertical, horizontal, True)):
+        for line, spans in along.items():
+            cuts = {c for lo, hi in spans for c in (lo, hi)}
+            cuts.update(c for c, cross in across.items() if any(lo <= line <= hi for lo, hi in cross))
+            for lo, hi in spans:
+                inner = sorted(c for c in cuts if lo <= c <= hi)
+                for a, b in zip(inner, inner[1:]):
+                    edges.append((line, a, line, b) if flip else (a, line, b, line))
     return WallGraph(*_graph(edges))
 
 
@@ -721,22 +713,18 @@ def plan_corridor(
     # tilings whose rooms all reach the boundary peel away completely, and
     # then the full wall graph is the only routable one (the area objective
     # already punishes corridors that end blind, which is all pruning trims).
-    path = None
-    routing_graph = pruned
-    last_error: CorridorError | None = None
-    for candidate_graph in (pruned, graph):
+    for routing_graph in (pruned, graph):
         contact_sets = [
-            (rid, _contact_vertices(candidate_graph, boxes[rid]))
+            (rid, _contact_vertices(routing_graph, boxes[rid]))
             for rid in (living_id, *sorted(terminals))
         ]
         try:
-            path = route(candidate_graph, contact_sets)
-            routing_graph = candidate_graph
+            path = route(routing_graph, contact_sets)
             break
         except CorridorError as exc:
             last_error = exc
-    if path is None:
-        raise last_error if last_error is not None else CorridorError("unroutable")
+    else:
+        raise last_error
 
     ws = _Workspace(
         rooms=rooms,

@@ -19,6 +19,13 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 GRID = 0.001
+# Plan coordinates, config lengths and area bounds beyond this many metres
+# (square metres for areas) are refused: it keeps their millimetre values, and
+# the square-millimetre areas built from them, within float range.
+MAX_COORD = 1e150
+# Millimetre coordinates up to this many metres go to float metres and back
+# exactly; the generator keeps its footprint within it.
+MAX_EXACT = 1e12
 
 # An (x0, y0, x1, y1) rectangle in mm.
 Box = tuple[int, int, int, int]

@@ -47,17 +47,6 @@ class Opening:
         start = wall[2] + _mm(self.offset)
         return wall, start, start + _mm(self.width)
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "Opening":
-        (ax, ay), (bx, by) = doc["wall"]
-        return cls(
-            kind=doc["kind"],
-            wall=Segment(Point(ax, ay), Point(bx, by)),
-            offset=doc["offset"],
-            width=doc["width"],
-            rooms=(doc["rooms"][0], doc["rooms"][1]),
-        )
-
 
 @dataclass(frozen=True)
 class ConnectionGraph:
@@ -125,13 +114,14 @@ def build_connection_graph(
         edges.append(_pair(child, parent))
 
     have = set(edges)
-    bath_bedroom: dict[int, int] = {}
-    for a, b in edges:
-        if a == OUTSIDE_ID:
-            continue
-        for bath, other in ((a, b), (b, a)):
-            if kinds[bath] is RoomKind.BATHROOM and kinds[other] in BEDROOM_KINDS:
-                bath_bedroom[bath] = bath_bedroom.get(bath, 0) + 1
+    # Bathrooms a mandatory edge already joins to a bedroom.
+    bedroom_baths = {
+        bath
+        for a, b in edges
+        if a != OUTSIDE_ID
+        for bath, other in ((a, b), (b, a))
+        if kinds[bath] is RoomKind.BATHROOM and kinds[other] in BEDROOM_KINDS
+    }
 
     for i, j in combinations(sorted(regions), 2):
         for kind_a, kind_b, prob in cfg.optional_doors:
@@ -139,16 +129,8 @@ def build_connection_graph(
                 continue
             if _pair(i, j) in have or _prohibited(kinds[i], kinds[j]):
                 continue
-            crosses_bath = (
-                kinds[i] is RoomKind.BATHROOM
-                and kinds[j] in BEDROOM_KINDS
-                and bath_bedroom.get(i, 0) > 0
-            ) or (
-                kinds[j] is RoomKind.BATHROOM
-                and kinds[i] in BEDROOM_KINDS
-                and bath_bedroom.get(j, 0) > 0
-            )
-            if crosses_bath:
+            # Such a bathroom gets no door to a second bedroom.
+            if any(b in bedroom_baths and kinds[o] in BEDROOM_KINDS for b, o in ((i, j), (j, i))):
                 continue
             if regions[i].shared_border_mm(regions[j]) < door_mm:
                 continue

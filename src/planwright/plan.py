@@ -19,7 +19,9 @@ import sys
 from dataclasses import dataclass, field
 
 from .corridor import CorridorError, plan_corridor
-from .geometry import Box, Point, Rect, RectilinearPolygon, Region, _m, _mm, aspect_ratio, mm_box, snap
+from .geometry import (
+    MAX_COORD, Box, Point, Rect, RectilinearPolygon, Region, Segment, _m, _mm, aspect_ratio, mm_box, snap
+)
 from .hierarchy import OUTSIDE_ID, build_hierarchy
 from .openings import (
     ENTRY_DOOR,
@@ -187,11 +189,6 @@ def _number(value, path: str) -> float:
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise PlanParseError(f"{path}: expected a finite number")
     return value
-
-
-# Coordinates beyond this many metres are refused: it keeps their millimetre
-# values, and the square-millimetre areas built from them, within float range.
-MAX_COORD = 1e150
 
 
 def _coord(value, path: str) -> float:
@@ -380,15 +377,15 @@ def from_json(text: str) -> FloorPlan:
     for i, odoc in enumerate(_list(doc["openings"], "$.openings")):
         if not isinstance(odoc, dict) or set(odoc) != _OPENING_FIELDS:
             raise PlanParseError(f"$.openings[{i}]: expected fields {sorted(_OPENING_FIELDS)}")
-        _str(odoc["kind"], f"$.openings[{i}].kind")
-        _pair(odoc["rooms"], f"$.openings[{i}].rooms", _int)
-        _pair(odoc["wall"], f"$.openings[{i}].wall", _point)
-        for key in ("offset", "width"):
-            _coord(odoc[key], f"$.openings[{i}].{key}")
+        kind = _str(odoc["kind"], f"$.openings[{i}].kind")
+        ids = _pair(odoc["rooms"], f"$.openings[{i}].rooms", _int)
+        a, b = _pair(odoc["wall"], f"$.openings[{i}].wall", _point)
+        offset, width = (_coord(odoc[key], f"$.openings[{i}].{key}") for key in ("offset", "width"))
         try:
-            openings.append(Opening.from_json(odoc))
-        except (TypeError, ValueError, KeyError) as exc:
+            wall = Segment(Point(*a), Point(*b))
+        except ValueError as exc:
             raise PlanParseError(f"$.openings[{i}]: {exc}") from exc
+        openings.append(Opening(kind, wall, offset, width, ids))
 
     gdoc = doc["connection_graph"]
     if not isinstance(gdoc, dict) or set(gdoc) != {"nodes", "edges"}:
@@ -431,19 +428,6 @@ class SvgStyle:
         ("service", "#dcebe4"),
         ("private", "#e6e1f2"),
     )
-
-
-_KIND_LABELS = {
-    RoomKind.LIVING_ROOM: "Living room",
-    RoomKind.KITCHEN: "Kitchen",
-    RoomKind.DINING_ROOM: "Dining room",
-    RoomKind.MASTER_BEDROOM: "Master bedroom",
-    RoomKind.BEDROOM: "Bedroom",
-    RoomKind.BATHROOM: "Bathroom",
-    RoomKind.LAUNDRY: "Laundry",
-    RoomKind.PANTRY: "Pantry",
-    RoomKind.STORAGE: "Storage",
-}
 
 
 def _fmt(v: float) -> str:
@@ -537,7 +521,7 @@ def _render_plan(plan: FloorPlan, style: SvgStyle, ox: float, oy: float) -> list
     if style.labels:
         for room in plan.rooms:
             cx, cy = px(_label_point(room.polygon))
-            name = _KIND_LABELS.get(room.kind, room.kind.value)
+            name = room.kind.value.replace("_", " ").capitalize()
             out.append(
                 f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
                 f'font-family="Helvetica, Arial, sans-serif" font-size="{_fmt(style.font_size)}" '
@@ -548,37 +532,38 @@ def _render_plan(plan: FloorPlan, style: SvgStyle, ox: float, oy: float) -> list
     return out
 
 
+def _svg_document(width: float, height: float, background: str, body: list[str]) -> str:
+    """A standalone SVG of the given size: background rect, then ``body``."""
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
+        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+        f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="{background}"/>',
+        *body,
+        "</svg>",
+    ]) + "\n"
+
+
 def to_svg(plan: FloorPlan, style: SvgStyle | None = None) -> str:
     """Deterministic standalone SVG drawing of one plan."""
     style = style if style is not None else SvgStyle()
     width = plan.footprint.width * style.scale + 2 * style.margin
     height = plan.footprint.height * style.scale + 2 * style.margin
     body = _render_plan(plan, style, style.margin, style.margin)
-    head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
-    )
-    bg = f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="{style.background}"/>'
-    return "\n".join([head, bg, *body, "</svg>"]) + "\n"
+    return _svg_document(width, height, style.background, body)
 
 
-def gallery_svg(plans: list[FloorPlan], columns: int = 5, cell: float = 320.0) -> str:
+def gallery_svg(plans: list[FloorPlan], columns: int = 5) -> str:
     """Contact sheet of several plans, one labelled cell each."""
     if not plans:
         raise ValueError("gallery of zero plans")
     if columns < 1:
         raise ValueError("gallery needs at least one column")
     style = SvgStyle(labels=False)
+    cell = 320.0
     caption = 18.0
     pad = 16.0
     rows = (len(plans) + columns - 1) // columns
-    width = columns * cell
-    height = rows * (cell + caption)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="{style.background}"/>',
-    ]
+    parts = []
     for i, plan in enumerate(plans):
         col, row = i % columns, i // columns
         avail = cell - 2 * pad
@@ -596,5 +581,4 @@ def gallery_svg(plans: list[FloorPlan], columns: int = 5, cell: float = 320.0) -
             f'font-family="Helvetica, Arial, sans-serif" font-size="12" '
             f'fill="{style.label_color}">seed {plan.seed}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_document(columns * cell, rows * (cell + caption), style.background, parts)

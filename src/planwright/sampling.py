@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
-from .geometry import GRID, Rect, snap
+from .geometry import GRID, MAX_COORD, MAX_EXACT, Rect, snap
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -50,9 +50,9 @@ class RandomStream:
 
     __slots__ = ("seed", "counter")
 
-    def __init__(self, seed: int, counter: int = 0) -> None:
+    def __init__(self, seed: int) -> None:
         self.seed = seed & _MASK64
-        self.counter = counter
+        self.counter = 0
 
     def next_u64(self) -> int:
         self.counter += 1
@@ -134,13 +134,15 @@ class JointCountTable:
         for b, row in enumerate(rows):
             for r_index, value in enumerate(row):
                 rooms = r_index + 1
-                if value < 0:
-                    raise ConfigError(f"joint table entry ({b},{rooms}) is negative")
+                if not 0 <= value < math.inf:
+                    raise ConfigError(f"joint table entry ({b},{rooms}) must be finite and >= 0")
                 if value > 0 and b >= rooms:
                     raise ConfigError(f"joint table entry ({b},{rooms}) must be 0 (bedrooms >= rooms)")
                 total += value
         if total <= 0:
             raise ConfigError("joint table sums to zero")
+        if total == math.inf:
+            raise ConfigError("joint table sum overflows")
         # Renormalizing an already-normalized table must not drift any bits,
         # or a config would change its own fingerprint on a round trip.
         if abs(total - 1.0) < 1e-9:
@@ -188,7 +190,7 @@ class AreaDistribution:
     high: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.low <= self.high < math.inf:
+        if not 0 < self.low <= self.high <= MAX_COORD:
             raise ConfigError(f"bad area distribution [{self.low}, {self.high}]")
 
     def sample(self, rng: RandomStream) -> float:
@@ -306,14 +308,17 @@ class GenConfig:
             raise ConfigError("outside and living room appear exactly once in the priority list")
         for name in ("corridor_width", "door_width", "window_width", "min_room_width"):
             value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ConfigError(f"{name} must be positive and finite")
+            if not 0 < value <= MAX_COORD:
+                raise ConfigError(f"{name} must be positive and at most {MAX_COORD:g} m")
             # Off the grid, the plan would write one length and place another.
             if snap(value) != value:
                 raise ConfigError(f"{name} must be a whole number of millimetres, got {value}")
         if not (1 <= self.max_footprint_aspect < math.inf and 1 <= self.max_room_aspect < math.inf):
             raise ConfigError("aspect ratio bounds must be finite and >= 1")
-        if self.footprint_aspect.low > self.max_footprint_aspect:
+        # A uniform draw lands on its low end with probability zero, so the
+        # low end must lie below the cap unless the draw is a constant.
+        low, high = self.footprint_aspect.low, self.footprint_aspect.high
+        if low > self.max_footprint_aspect or high > low == self.max_footprint_aspect:
             raise ConfigError("footprint_aspect cannot draw a ratio within max_footprint_aspect")
         if not 0 <= self.kitchen_via_dining_prob <= 1:
             raise ConfigError("kitchen_via_dining_prob must be in [0, 1]")
@@ -507,9 +512,11 @@ def derive_footprint(program: RoomProgram, rng: RandomStream, cfg: GenConfig) ->
     else:
         raise SamplingError("footprint aspect draws all exceed the configured cap")
     width = snap(math.sqrt(total * ratio))
-    height = snap(total / width)
+    height = snap(total / width) if width > 0 else 0.0
     # Snapping may push the realized ratio a hair past the cap; walk it back.
     for _ in range(16):
+        if min(width, height) <= 0 or max(width, height) > MAX_EXACT:
+            raise SamplingError(f"a footprint side snaps to 0 mm or exceeds {MAX_EXACT:g} m")
         if max(width, height) / min(width, height) <= cfg.max_footprint_aspect:
             break
         if width >= height:

@@ -91,32 +91,34 @@ def _fill(container: Rect, areas: list[float]) -> list[Rect]:
     x0, y0, x1, y1 = container.x, container.y, container.x1, container.y1
     start = 0
     while start < len(areas):
-        width, height = x1 - x0, y1 - y0
-        vertical = width >= height
-        side = height if vertical else width
+        # A row is laid along the shorter side (v) and grows across it (u):
+        # a column at the left of a wide container, a row at the bottom of a
+        # tall one.
+        vertical = x1 - x0 >= y1 - y0
+        u0, u1, v0, v1 = (x0, x1, y0, y1) if vertical else (y0, y1, x0, x1)
+        side = v1 - v0
+        if side <= 0:
+            raise LayoutError("container side rounds to zero")
         end = start + 1
         while end < len(areas) and _worst(areas, start, end + 1, side) <= _worst(
             areas, start, end, side
         ):
             end += 1
         thickness = sum(areas[start:end]) / side
-        last_row = end == len(areas)
+        usplit = u1 if end == len(areas) else u0 + thickness
+        v = v0
+        for k in range(start, end):
+            vnext = v1 if k == end - 1 else v + areas[k] / thickness
+            du, dv = usplit - u0, vnext - v
+            if du <= 0 or dv <= 0:
+                # An area too small beside the others to move a float coordinate.
+                raise LayoutError("rect side rounds to zero")
+            rects.append(Rect(u0, v, du, dv) if vertical else Rect(v, u0, dv, du))
+            v = vnext
         if vertical:
-            xsplit = x1 if last_row else x0 + thickness
-            y = y0
-            for k in range(start, end):
-                ytop = y1 if k == end - 1 else y + areas[k] / thickness
-                rects.append(Rect(x0, y, xsplit - x0, ytop - y))
-                y = ytop
-            x0 = xsplit
+            x0 = usplit
         else:
-            ysplit = y1 if last_row else y0 + thickness
-            x = x0
-            for k in range(start, end):
-                xright = x1 if k == end - 1 else x + areas[k] / thickness
-                rects.append(Rect(x, y0, xright - x, ysplit - y0))
-                x = xright
-            y0 = ysplit
+            y0 = usplit
         start = end
     return rects
 

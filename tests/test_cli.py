@@ -19,6 +19,11 @@ GOOD_SEED = 1
 CORRIDOR_SEED = 3
 BAD_SEED = 5  # exhausts its attempt budget under the default config
 
+# Joint tables that normalise to no positive cell: one with a NaN cell, and
+# one whose two cells at 1e308 sum to infinity.
+NAN_CELL_TABLE = [[float("nan"), 1.0] + [0.0] * 8] + [[0.0] * 10] * 4
+OVERFLOWING_TABLE = [[1e308, 1e308] + [0.0] * 8] + [[0.0] * 10] * 4
+
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     rc = main(list(argv))
@@ -321,6 +326,14 @@ def test_invalid_config_is_exit_2(tmp_path, capsys):
         '{"footprint_aspect": {"uniform": [1, Infinity]}}',
         '{"max_attempts": 2.5}',
         '{"footprint_aspect": {"uniform": [2.5, 3.0]}, "max_footprint_aspect": 2.0}',
+        '{"footprint_aspect": {"uniform": [2.0, 3.0]}, "max_footprint_aspect": 2.0}',
+        json.dumps({"joint_table": NAN_CELL_TABLE}),
+        json.dumps({"joint_table": OVERFLOWING_TABLE}),
+        '{"door_width": 1e308}',
+        '{"corridor_width": 1e308}',
+        '{"window_width": 1e308}',
+        '{"min_room_width": 1e308}',
+        '{"areas": {"kitchen": {"constant": 1e308}}}',
     ],
     ids=[
         "null-areas",
@@ -336,6 +349,14 @@ def test_invalid_config_is_exit_2(tmp_path, capsys):
         "infinite-footprint-aspect-bound",
         "fractional-attempts",
         "footprint-aspect-above-cap",
+        "footprint-aspect-at-cap",
+        "nan-joint-cell",
+        "overflowing-joint-table",
+        "huge-door",
+        "huge-corridor",
+        "huge-window",
+        "huge-min-room-width",
+        "huge-area",
     ],
 )
 def test_malformed_config_is_exit_2(tmp_path, capsys, text):

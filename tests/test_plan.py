@@ -56,6 +56,25 @@ def corridor_plan() -> FloorPlan:
 # --------------------------------------------------------------- generation
 
 
+# The API the package root exports; stage functions stay in their modules.
+ROOT_API = [
+    "ConfigError", "FloorPlan", "GenConfig", "GenerationError", "PlanParseError", "Room",
+    "RoomKind", "SvgStyle", "ValidationReport", "from_json", "gallery_svg", "generate",
+    "to_json", "to_svg", "validate",
+]
+
+
+def test_package_root_exports_only_the_documented_api():
+    assert sorted(planwright.__all__) == ROOT_API
+    for name in ROOT_API:
+        assert getattr(planwright, name) is not None
+    assert isinstance(planwright.__version__, str)
+    for name in ("route", "prune", "squarify", "Region", "RandomStream", "Opening", "layout_rooms"):
+        assert not hasattr(planwright, name), name
+    # The README's library example.
+    from planwright import GenConfig, generate, to_json, to_svg  # noqa: F401
+
+
 def test_generate_deterministic(plain_plan):
     again = generate(PLAIN_SEED)
     assert again == plain_plan
@@ -273,6 +292,16 @@ def corrupted(plan: FloorPlan, mutate) -> str:
             lambda d: d["openings"][0].update(wall=[[float("nan"), 0.0], [1.0, 0.0]]),
             "$.openings[0].wall[0][0]:",
             id="wall-nan",
+        ),
+        pytest.param(
+            lambda d: d["openings"][0].update(wall=[[0.0, 0.0], [1.0, 1.0]]),
+            "$.openings[0]: segment not axis-aligned",
+            id="wall-diagonal",
+        ),
+        pytest.param(
+            lambda d: d["openings"][0].update(wall=[[1.0, 0.0], [1.0, 0.0]]),
+            "$.openings[0]: zero-length segment",
+            id="wall-zero-length",
         ),
         pytest.param(lambda d: d.update(seed="x"), "$.seed:", id="seed-string"),
         pytest.param(lambda d: d.update(seed=True), "$.seed:", id="seed-bool"),

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planwright.geometry import aspect_ratio
+from planwright.plan import GenerationError, generate
 from planwright.sampling import (
     AreaDistribution,
     ConfigError,
@@ -26,6 +28,11 @@ from planwright.sampling import (
 from oracles import assign_program_oracle
 
 PRIORITY = GenConfig().priority
+
+# Joint tables that normalise to no positive cell: one with a NaN cell, and
+# one whose two cells at 1e308 sum to infinity.
+NAN_CELL_TABLE = [[float("nan"), 1.0] + [0.0] * 8] + [[0.0] * 10] * 4
+OVERFLOWING_TABLE = [[1e308, 1e308] + [0.0] * 8] + [[0.0] * 10] * 4
 
 
 def test_stream_is_platform_stable():
@@ -172,12 +179,30 @@ def test_derive_footprint_algebra():
 
 
 def test_derive_footprint_cap_missed_is_a_sampling_error():
-    # The lower bound sits on the cap, so every draw above it misses: the
-    # attempt fails and generate retries instead of crashing.
-    cfg = GenConfig(footprint_aspect=AreaDistribution(2.0, 3.0), max_footprint_aspect=2.0)
+    # Only a draw within 0.01 of the low end meets the cap, about one in
+    # 1e22, so every draw misses: the attempt fails and generate retries
+    # instead of crashing.
+    cfg = GenConfig(footprint_aspect=AreaDistribution(1.99, 1e20), max_footprint_aspect=2.0)
     program = sample_areas(assign_functions(1, 4, PRIORITY), RandomStream(5), cfg)
     with pytest.raises(SamplingError):
         derive_footprint(program, RandomStream(6), cfg)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"areas": {kind.value: {"constant": 1e-4} for kind in GenConfig().areas}},
+        {"footprint_aspect": {"constant": 1e9}, "max_footprint_aspect": 1e9},
+    ],
+    ids=["every-area-snaps-to-zero", "height-snaps-to-zero"],
+)
+def test_derive_footprint_side_snapping_to_zero_is_a_sampling_error(doc):
+    cfg = GenConfig.from_json(doc)
+    program = sample_areas(assign_functions(1, 4, PRIORITY), RandomStream(5), cfg)
+    with pytest.raises(SamplingError, match="snaps to 0 mm"):
+        derive_footprint(program, RandomStream(6), cfg)
+    with pytest.raises(GenerationError):
+        generate(0, replace(cfg, max_attempts=2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,6 +268,14 @@ def test_config_rejects_bad_values():
         {"footprint_aspect": {"uniform": [1, float("inf")]}},
         {"max_attempts": 2.5},
         {"footprint_aspect": {"uniform": [2.5, 3.0]}, "max_footprint_aspect": 2.0},
+        {"footprint_aspect": {"uniform": [2.0, 3.0]}, "max_footprint_aspect": 2.0},
+        {"joint_table": NAN_CELL_TABLE},
+        {"joint_table": OVERFLOWING_TABLE},
+        {"door_width": 1e308},
+        {"corridor_width": 1e308},
+        {"window_width": 1e308},
+        {"min_room_width": 1e308},
+        {"areas": {"kitchen": {"constant": 1e308}}},
     ],
     ids=[
         "null-areas",
@@ -266,6 +299,14 @@ def test_config_rejects_bad_values():
         "infinite-footprint-aspect-bound",
         "fractional-attempts",
         "footprint-aspect-above-cap",
+        "footprint-aspect-at-cap",
+        "nan-joint-cell",
+        "overflowing-joint-table",
+        "huge-door",
+        "huge-corridor",
+        "huge-window",
+        "huge-min-room-width",
+        "huge-area",
     ],
 )
 def test_config_from_json_rejects_malformed_values(doc):

@@ -73,6 +73,21 @@ def test_request_validation():
         request([1, 1], Rect(0, 0, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "container, areas",
+    [
+        # Far from the origin, x1 - x0 rounds to 0 although the width is 1.
+        (Rect(1e20, 0, 1, 4), [2, 2]),
+        # The first row's height, 1e-13, does not move y off 1e6.
+        (Rect(0, 1e6, 10, 10), [1e-12, 100 - 1e-12]),
+    ],
+    ids=["container-side", "rect-side"],
+)
+def test_sides_lost_to_float_precision_are_a_layout_error(container, areas):
+    with pytest.raises(LayoutError, match="rounds to zero"):
+        squarify(request(areas, container), keep_order=True)
+
+
 areas_lists = st.lists(
     st.floats(min_value=0.5, max_value=40.0, allow_nan=False, allow_infinity=False),
     min_size=1,
