@@ -11,14 +11,15 @@ drawn by the caller and passed in as a flag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator
 
-from .sampling import BEDROOM_KINDS, RoomKind, RoomProgram
+from .sampling import RoomKind, RoomProgram
 
 OUTSIDE_ID = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class HierarchyNode:
     room_id: int
     kind: RoomKind
@@ -33,6 +34,14 @@ class HierarchyNode:
             yield from child.walk()
 
 
+# Each kind's rule group, in the order build_hierarchy unpacks them; kinds
+# without a rule of their own make up group 6.
+_GROUP = {
+    RoomKind.LIVING_ROOM: 0, RoomKind.DINING_ROOM: 1, RoomKind.KITCHEN: 2, RoomKind.MASTER_BEDROOM: 3,
+    RoomKind.BEDROOM: 3, RoomKind.BATHROOM: 4, RoomKind.LAUNDRY: 5, RoomKind.PANTRY: 5,
+}
+
+
 def build_hierarchy(program: RoomProgram, *, kitchen_via_dining: bool = False) -> HierarchyNode:
     """Attach every program entry under its rule-given parent.
 
@@ -45,53 +54,30 @@ def build_hierarchy(program: RoomProgram, *, kitchen_via_dining: bool = False) -
     bedrooms run out; laundry and pantry go under the kitchen when there is
     one.
     """
-    entries = sorted(program.entries, key=lambda e: e.id)
-    living = [e for e in entries if e.kind is RoomKind.LIVING_ROOM]
+    groups = ([], [], [], [], [], [], [])
+    for room_id, kind, area in sorted(program.entries, key=attrgetter("id")):
+        groups[_GROUP.get(kind, 6)].append(HierarchyNode(room_id, kind, area))
+    living, dining, kitchens, bedrooms, bathrooms, service, rest = groups
     if len(living) != 1:
         raise ValueError("program must contain exactly one living room")
+    lr = living[0]
 
-    nodes = {e.id: HierarchyNode(e.id, e.kind, e.target_area) for e in entries}
-    root = HierarchyNode(OUTSIDE_ID, RoomKind.OUTSIDE, 0.0)
-    lr = nodes[living[0].id]
-    root.children.append(lr)
-
-    bedrooms = [nodes[e.id] for e in entries if e.kind in BEDROOM_KINDS]
-    if bedrooms:
-        master = max(bedrooms, key=lambda n: (n.target_area, -n.room_id))
-        for node in bedrooms:
-            node.kind = RoomKind.MASTER_BEDROOM if node is master else RoomKind.BEDROOM
-
-    dining = [nodes[e.id] for e in entries if e.kind is RoomKind.DINING_ROOM]
-    kitchens = [nodes[e.id] for e in entries if e.kind is RoomKind.KITCHEN]
-    kitchen_parent = dining[0] if (kitchen_via_dining and dining) else lr
-
-    lr.children.extend(dining)
-    kitchen_parent.children.extend(kitchens)
-    lr.children.extend(bedrooms)
-
-    bathrooms = [nodes[e.id] for e in entries if e.kind is RoomKind.BATHROOM]
     by_size = sorted(bedrooms, key=lambda n: (-n.target_area, n.room_id))
-    for i, bath in enumerate(bathrooms):
-        if i == 0 or i - 1 >= len(by_size):
-            lr.children.append(bath)
-        else:
-            by_size[i - 1].children.append(bath)
-
-    for entry in entries:
-        node = nodes[entry.id]
-        if entry.kind in (RoomKind.LAUNDRY, RoomKind.PANTRY):
-            (kitchens[0] if kitchens else lr).children.append(node)
-        elif entry.kind in (
-            RoomKind.LIVING_ROOM,
-            RoomKind.DINING_ROOM,
-            RoomKind.KITCHEN,
-            RoomKind.BATHROOM,
-        ) or entry.kind in BEDROOM_KINDS:
-            continue
-        else:
-            lr.children.append(node)
-
-    return aggregate_areas(root)
+    for node in by_size:
+        node.kind = RoomKind.MASTER_BEDROOM if node is by_size[0] else RoomKind.BEDROOM
+    if kitchens:
+        kitchens[0].children += service
+    elif service:
+        # Without a kitchen they join the rooms that have no rule, in id order.
+        rest = sorted(rest + service, key=attrgetter("room_id"))
+    for bedroom, bath in zip(by_size, bathrooms[1:]):
+        bedroom.children.append(bath)
+    if kitchen_via_dining and dining:
+        dining[0].children += kitchens
+        kitchens = []
+    # The first bathroom, and any past one per bedroom, stay under the living room.
+    lr.children += dining + kitchens + bedrooms + bathrooms[:1] + bathrooms[len(by_size) + 1:] + rest
+    return aggregate_areas(HierarchyNode(OUTSIDE_ID, RoomKind.OUTSIDE, 0.0, [lr]))
 
 
 def aggregate_areas(root: HierarchyNode) -> HierarchyNode:

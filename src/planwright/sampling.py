@@ -15,7 +15,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .geometry import GRID, MAX_COORD, MAX_EXACT, Rect, snap
 
@@ -220,8 +222,7 @@ class AreaDistribution:
         raise ConfigError(f"unknown distribution kind: {list(data)[0]!r}")
 
 
-@dataclass(frozen=True)
-class RoomEntry:
+class RoomEntry(NamedTuple):
     id: int
     kind: RoomKind
     target_area: float
@@ -244,9 +245,13 @@ class RoomProgram:
         if any(e.target_area < 0 for e in self.entries):
             raise ValueError("target areas must be non-negative")
 
-    @property
-    def total_area(self) -> float:
-        return sum(e.target_area for e in self.entries)
+    def _with_entries(self, entries: tuple[RoomEntry, ...]) -> "RoomProgram":
+        # Unchecked: the kinds passed already, a drawn area snaps to >= 0 since
+        # every distribution has low > 0, and derive_footprint keeps its
+        # residual within the host's distribution.
+        program = object.__new__(RoomProgram)
+        program.__dict__.update(self.__dict__, entries=entries)
+        return program
 
 
 _DEFAULT_PRIORITY = (
@@ -431,6 +436,8 @@ def sample_counts(rng: RandomStream, table: JointCountTable) -> tuple[int, int]:
     return table.draw(rng)
 
 
+# Programs are immutable, so attempts drawing the same counts share one; errors are not cached.
+@lru_cache(maxsize=128)
 def assign_functions(bedrooms: int, rooms: int, priority: tuple[RoomKind, ...]) -> RoomProgram:
     """Pick the N highest-priority feasible room functions.
 
@@ -487,12 +494,12 @@ def assign_functions(bedrooms: int, rooms: int, priority: tuple[RoomKind, ...]) 
 def sample_areas(program: RoomProgram, rng: RandomStream, cfg: GenConfig) -> RoomProgram:
     """Draw a target area for every entry from its kind's distribution."""
     entries = []
-    for entry in program.entries:
-        dist = cfg.areas.get(entry.kind)
+    for room_id, kind, _ in program.entries:
+        dist = cfg.areas.get(kind)
         if dist is None:
-            raise ConfigError(f"no area distribution for {entry.kind.value}")
-        entries.append(RoomEntry(entry.id, entry.kind, snap(dist.sample(rng))))
-    return RoomProgram(program.bedrooms, program.rooms, tuple(entries))
+            raise ConfigError(f"no area distribution for {kind.value}")
+        entries.append(RoomEntry(room_id, kind, snap(dist.sample(rng))))
+    return program._with_entries(tuple(entries))
 
 
 def derive_footprint(program: RoomProgram, rng: RandomStream, cfg: GenConfig) -> tuple[Rect, RoomProgram]:
@@ -504,7 +511,8 @@ def derive_footprint(program: RoomProgram, rng: RandomStream, cfg: GenConfig) ->
     with the most slack to its distribution bounds; the returned program sums
     exactly to the footprint area.
     """
-    total = program.total_area
+    entries = program.entries
+    total = sum(e.target_area for e in entries)
     for _ in range(4096):
         ratio = cfg.footprint_aspect.sample(rng)
         if ratio <= cfg.max_footprint_aspect:
@@ -531,11 +539,11 @@ def derive_footprint(program: RoomProgram, rng: RandomStream, cfg: GenConfig) ->
         raise SamplingError("could not realize footprint aspect ratio on the grid")
     footprint = Rect(0.0, 0.0, width, height)
     delta = footprint.area - total
-    host = max(program.entries, key=lambda e: cfg.areas[e.kind].margin(e.target_area))
-    adjusted_area = host.target_area + delta
-    if cfg.areas[host.kind].margin(adjusted_area) < 0:
+    margins = [cfg.areas[kind].margin(area) for _, kind, area in entries]
+    i = margins.index(max(margins))
+    room_id, kind, area = entries[i]
+    adjusted_area = area + delta
+    if cfg.areas[kind].margin(adjusted_area) < 0:
         raise SamplingError("footprint rounding residual does not fit any room's distribution")
-    entries = tuple(
-        RoomEntry(e.id, e.kind, adjusted_area) if e.id == host.id else e for e in program.entries
-    )
-    return footprint, RoomProgram(program.bedrooms, program.rooms, entries)
+    adjusted = RoomEntry(room_id, kind, adjusted_area)
+    return footprint, program._with_entries(entries[:i] + (adjusted,) + entries[i + 1:])

@@ -3,13 +3,21 @@
 Everything here is deliberately naive: row layouts are evaluated by building
 the actual rectangles, shortest paths by enumerating every simple path, area
 audits by scanline decomposition of the polygons themselves.  None of it
-imports package internals beyond plain data.
+imports package internals beyond plain data, the grid helpers and the error
+types, except the front-stage copies at the end, which are the package's own
+earlier code kept as a reference for its rewrite.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Iterator
+
+from planwright.geometry import GRID, MAX_EXACT, Rect, snap
+from planwright.sampling import BEDROOM_KINDS, ConfigError, RoomKind, SamplingError
 
 MM = 1000.0
 
@@ -392,3 +400,236 @@ def shared_walls(vertices_a, vertices_b):
                 merged.append([lo, hi])
         out.extend((horizontal, line, lo, hi) for lo, hi in merged)
     return sorted(out)
+
+
+# --- front stage as first written ------------------------------------------
+# The sampling and hierarchy functions as they were before programs were
+# memoised and the tree built in one pass, copied unchanged with their data
+# types.  The package versions must give equal programs and trees, leave the
+# stream at the same counter and raise the same errors.
+
+OUTSIDE_ID = -1
+
+
+@dataclass(frozen=True)
+class RoomEntry:
+    id: int
+    kind: RoomKind
+    target_area: float
+
+
+@dataclass(frozen=True)
+class RoomProgram:
+    bedrooms: int
+    rooms: int
+    entries: tuple[RoomEntry, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.entries) != self.rooms:
+            raise ValueError("entry count does not match room count")
+        kinds = [e.kind for e in self.entries]
+        if kinds.count(RoomKind.LIVING_ROOM) != 1:
+            raise ValueError("program must contain exactly one living room")
+        if sum(1 for k in kinds if k in BEDROOM_KINDS) != self.bedrooms:
+            raise ValueError("bedroom entries do not match bedroom count")
+        if any(e.target_area < 0 for e in self.entries):
+            raise ValueError("target areas must be non-negative")
+
+    @property
+    def total_area(self) -> float:
+        return sum(e.target_area for e in self.entries)
+
+
+def assign_functions(bedrooms: int, rooms: int, priority: tuple[RoomKind, ...]) -> RoomProgram:
+    """Pick the N highest-priority feasible room functions.
+
+    Walks the priority list reserving slots for the required bedrooms and,
+    when the house has bedrooms and capacity allows, one bathroom; entries
+    that would squeeze those out are skipped.  Extra bedroom entries are
+    appended when the list runs short of them.  The first bedroom entry is
+    the master bedroom.  Target areas come later, from ``sample_areas``.
+    """
+    if rooms < 1:
+        raise ValueError("a program needs at least one room")
+    if bedrooms < 0 or bedrooms > rooms - 1:
+        raise ValueError(f"cannot fit {bedrooms} bedrooms in {rooms} rooms")
+    slots = rooms
+    beds = bedrooms
+    bath_needed = bedrooms >= 1 and rooms >= bedrooms + 2
+    kinds: list[RoomKind] = []
+    for kind in priority:
+        if slots == 0:
+            break
+        if kind is RoomKind.OUTSIDE:
+            continue
+        if kind in BEDROOM_KINDS:
+            if beds > 0:
+                kinds.append(kind)
+                beds -= 1
+                slots -= 1
+            continue
+        reserved = beds if kind is RoomKind.BATHROOM else beds + (1 if bath_needed else 0)
+        if slots - 1 < reserved:
+            continue
+        kinds.append(kind)
+        slots -= 1
+        if kind is RoomKind.BATHROOM:
+            bath_needed = False
+    while beds > 0 and slots > 0:
+        kinds.append(RoomKind.BEDROOM)
+        beds -= 1
+        slots -= 1
+    if slots > 0:
+        # The census table carries a sliver of mass on room counts the
+        # priority list cannot staff (one cell, ~1e-4); that draw is
+        # unusable rather than a caller bug, so the attempt is retried.
+        raise SamplingError(f"priority list too short for {rooms} rooms")
+    first_bed = True
+    for i, kind in enumerate(kinds):
+        if kind in BEDROOM_KINDS:
+            kinds[i] = RoomKind.MASTER_BEDROOM if first_bed else RoomKind.BEDROOM
+            first_bed = False
+    entries = tuple(RoomEntry(i, kind, 0.0) for i, kind in enumerate(kinds))
+    return RoomProgram(bedrooms, rooms, entries)
+
+
+def sample_areas(program: RoomProgram, rng: RandomStream, cfg: GenConfig) -> RoomProgram:
+    """Draw a target area for every entry from its kind's distribution."""
+    entries = []
+    for entry in program.entries:
+        dist = cfg.areas.get(entry.kind)
+        if dist is None:
+            raise ConfigError(f"no area distribution for {entry.kind.value}")
+        entries.append(RoomEntry(entry.id, entry.kind, snap(dist.sample(rng))))
+    return RoomProgram(program.bedrooms, program.rooms, tuple(entries))
+
+
+def derive_footprint(program: RoomProgram, rng: RandomStream, cfg: GenConfig) -> tuple[Rect, RoomProgram]:
+    """Derive the footprint rect whose area is the program's total area.
+
+    width = sqrt(area * AR), height = area / width, both snapped to the grid.
+    Snapping perturbs the footprint area by a fraction of a square
+    millimetre per metre of side, so the residual is folded into the target
+    with the most slack to its distribution bounds; the returned program sums
+    exactly to the footprint area.
+    """
+    total = program.total_area
+    for _ in range(4096):
+        ratio = cfg.footprint_aspect.sample(rng)
+        if ratio <= cfg.max_footprint_aspect:
+            break
+    else:
+        raise SamplingError("footprint aspect draws all exceed the configured cap")
+    width = snap(math.sqrt(total * ratio))
+    height = snap(total / width) if width > 0 else 0.0
+    # Snapping may push the realized ratio a hair past the cap; walk it back.
+    for _ in range(16):
+        if min(width, height) <= 0 or max(width, height) > MAX_EXACT:
+            raise SamplingError(f"a footprint side snaps to 0 mm or exceeds {MAX_EXACT:g} m")
+        if max(width, height) / min(width, height) <= cfg.max_footprint_aspect:
+            break
+        if width >= height:
+            width = snap(width - GRID)
+        else:
+            height = snap(height - GRID)
+        if width >= height:
+            height = snap(total / width)
+        else:
+            width = snap(total / height)
+    else:
+        raise SamplingError("could not realize footprint aspect ratio on the grid")
+    footprint = Rect(0.0, 0.0, width, height)
+    delta = footprint.area - total
+    host = max(program.entries, key=lambda e: cfg.areas[e.kind].margin(e.target_area))
+    adjusted_area = host.target_area + delta
+    if cfg.areas[host.kind].margin(adjusted_area) < 0:
+        raise SamplingError("footprint rounding residual does not fit any room's distribution")
+    entries = tuple(
+        RoomEntry(e.id, e.kind, adjusted_area) if e.id == host.id else e for e in program.entries
+    )
+    return footprint, RoomProgram(program.bedrooms, program.rooms, entries)
+
+
+@dataclass
+class HierarchyNode:
+    room_id: int
+    kind: RoomKind
+    target_area: float
+    children: list["HierarchyNode"] = field(default_factory=list)
+    aggregate_area: float = 0.0
+
+    def walk(self) -> Iterator["HierarchyNode"]:
+        """Pre-order traversal, children in insertion order."""
+        yield self
+        for child in self.children:
+            yield from child.walk()
+
+
+def build_hierarchy(program: RoomProgram, *, kitchen_via_dining: bool = False) -> HierarchyNode:
+    """Attach every program entry under its rule-given parent.
+
+    Rules, applied in order: the living room hangs off the Outside root;
+    dining room, kitchen (unless ``kitchen_via_dining`` and a dining room
+    exists), all bedrooms, the first bathroom and any kind without a rule of
+    its own go under the living room; the largest bedroom becomes the master
+    bedroom (ties break to the lowest id); bathrooms past the first go under
+    bedrooms, largest bedroom first, spilling back to the living room if the
+    bedrooms run out; laundry and pantry go under the kitchen when there is
+    one.
+    """
+    entries = sorted(program.entries, key=lambda e: e.id)
+    living = [e for e in entries if e.kind is RoomKind.LIVING_ROOM]
+    if len(living) != 1:
+        raise ValueError("program must contain exactly one living room")
+
+    nodes = {e.id: HierarchyNode(e.id, e.kind, e.target_area) for e in entries}
+    root = HierarchyNode(OUTSIDE_ID, RoomKind.OUTSIDE, 0.0)
+    lr = nodes[living[0].id]
+    root.children.append(lr)
+
+    bedrooms = [nodes[e.id] for e in entries if e.kind in BEDROOM_KINDS]
+    if bedrooms:
+        master = max(bedrooms, key=lambda n: (n.target_area, -n.room_id))
+        for node in bedrooms:
+            node.kind = RoomKind.MASTER_BEDROOM if node is master else RoomKind.BEDROOM
+
+    dining = [nodes[e.id] for e in entries if e.kind is RoomKind.DINING_ROOM]
+    kitchens = [nodes[e.id] for e in entries if e.kind is RoomKind.KITCHEN]
+    kitchen_parent = dining[0] if (kitchen_via_dining and dining) else lr
+
+    lr.children.extend(dining)
+    kitchen_parent.children.extend(kitchens)
+    lr.children.extend(bedrooms)
+
+    bathrooms = [nodes[e.id] for e in entries if e.kind is RoomKind.BATHROOM]
+    by_size = sorted(bedrooms, key=lambda n: (-n.target_area, n.room_id))
+    for i, bath in enumerate(bathrooms):
+        if i == 0 or i - 1 >= len(by_size):
+            lr.children.append(bath)
+        else:
+            by_size[i - 1].children.append(bath)
+
+    for entry in entries:
+        node = nodes[entry.id]
+        if entry.kind in (RoomKind.LAUNDRY, RoomKind.PANTRY):
+            (kitchens[0] if kitchens else lr).children.append(node)
+        elif entry.kind in (
+            RoomKind.LIVING_ROOM,
+            RoomKind.DINING_ROOM,
+            RoomKind.KITCHEN,
+            RoomKind.BATHROOM,
+        ) or entry.kind in BEDROOM_KINDS:
+            continue
+        else:
+            lr.children.append(node)
+
+    return aggregate_areas(root)
+
+
+def aggregate_areas(root: HierarchyNode) -> HierarchyNode:
+    """Fill every node's aggregate_area with its subtree's total target area."""
+    total = root.target_area
+    for child in root.children:
+        total += aggregate_areas(child).aggregate_area
+    root.aggregate_area = total
+    return root

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planwright.geometry import aspect_ratio
+from planwright.hierarchy import build_hierarchy
 from planwright.plan import GenerationError, generate
 from planwright.sampling import (
     AreaDistribution,
@@ -25,6 +27,7 @@ from planwright.sampling import (
     sample_counts,
 )
 
+import oracles
 from oracles import assign_program_oracle
 
 PRIORITY = GenConfig().priority
@@ -140,9 +143,28 @@ def test_assign_functions_errors():
 
 def test_assign_functions_retryable_when_list_runs_short():
     # The census table puts ~1e-4 mass on (1 bedroom, 10 rooms), which the
-    # default list cannot staff; that must surface as a retryable draw.
-    with pytest.raises(SamplingError):
-        assign_functions(1, 10, PRIORITY)
+    # default list cannot staff; that must surface as a retryable draw, on
+    # every call, since the memo keeps no errors.
+    for _ in range(3):
+        with pytest.raises(SamplingError, match="priority list too short for 10 rooms"):
+            assign_functions(1, 10, PRIORITY)
+
+
+def test_assign_functions_memo_shares_frozen_programs():
+    first = assign_functions(2, 6, PRIORITY)
+    again = assign_functions(2, 6, PRIORITY)
+    assert again == first
+    with pytest.raises(FrozenInstanceError):
+        again.bedrooms = 3
+    with pytest.raises(AttributeError):
+        again.entries[0].target_area = 5.0
+    # Areas are drawn into a new program; the shared one keeps its zeros.
+    sample_areas(again, RandomStream(1), GenConfig())
+    assert all(e.target_area == 0.0 for e in assign_functions(2, 6, PRIORITY).entries)
+    dining_first = PRIORITY[:2] + (RoomKind.DINING_ROOM,) + PRIORITY[2:6] + PRIORITY[7:]
+    assert [e.kind for e in assign_functions(2, 6, dining_first).entries] != [e.kind for e in first.entries]
+    maxsize = assign_functions.cache_parameters()["maxsize"]
+    assert isinstance(maxsize, int) and maxsize > 0
 
 
 def test_sample_areas_ranges_and_point_mass():
@@ -217,6 +239,50 @@ def test_derive_footprint_aspect_within_bounds(seed):
     assert footprint.area == pytest.approx(
         sum(e.target_area for e in adjusted.entries), rel=1e-6
     )
+
+
+NEW_FRONT = SimpleNamespace(
+    assign_functions=assign_functions,
+    sample_areas=sample_areas,
+    derive_footprint=derive_footprint,
+    build_hierarchy=build_hierarchy,
+)
+
+
+def _front(stages, bedrooms, rooms, seed, cfg, via):
+    """Each front stage's output, or the error that stopped them, and the stream counter."""
+
+    def program(p):
+        return p.bedrooms, p.rooms, [(e.id, e.kind, e.target_area) for e in p.entries]
+
+    rng = RandomStream(seed)
+    out = []
+    try:
+        assigned = stages.assign_functions(bedrooms, rooms, cfg.priority)
+        sampled = stages.sample_areas(assigned, rng, cfg)
+        footprint, adjusted = stages.derive_footprint(sampled, rng, cfg)
+        out += [program(assigned), program(sampled), footprint, program(adjusted)]
+        tree = stages.build_hierarchy(adjusted, kitchen_via_dining=via)
+        out += [
+            (n.room_id, n.kind, n.target_area, n.aggregate_area, [c.room_id for c in n.children])
+            for n in tree.walk()
+        ]
+    except (ValueError, SamplingError) as exc:
+        out.append((type(exc), str(exc)))
+    return out, rng.counter
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=10),
+    st.booleans(),
+    st.sampled_from([GenConfig(), GenConfig(min_room_width=2.2)]),
+)
+def test_front_stage_matches_its_first_version(seed, bedrooms, rooms, via, cfg):
+    # Counts outside the table's support reach the error paths too.
+    assert _front(NEW_FRONT, bedrooms, rooms, seed, cfg, via) == _front(oracles, bedrooms, rooms, seed, cfg, via)
 
 
 def test_config_fingerprint_tracks_content():
