@@ -114,7 +114,7 @@ def build_connection_graph(
         edges.append(_pair(child, parent))
 
     have = set(edges)
-    # Bathrooms a mandatory edge already joins to a bedroom.
+    # Bathrooms a door already joins to a bedroom.
     bedroom_baths = {
         bath
         for a, b in edges
@@ -137,6 +137,9 @@ def build_connection_graph(
             if rng.random() < prob:
                 have.add(_pair(i, j))
                 edges.append(_pair(i, j))
+                for b, o in ((i, j), (j, i)):
+                    if kinds[b] is RoomKind.BATHROOM and kinds[o] in BEDROOM_KINDS:
+                        bedroom_baths.add(b)
             break
 
     nodes = frozenset(regions) | {OUTSIDE_ID}

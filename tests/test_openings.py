@@ -124,6 +124,11 @@ def test_bathroom_never_bridges_bedrooms():
     graph = build_connection_graph(rooms, {1: 0, 2: 1, 3: 0}, 0, RandomStream(1), cfg)
     assert (1, 2) in graph.edges
     assert (2, 3) not in graph.edges
+    # With every room under the living room, the optional door to bedroom 1
+    # is what joins the bathroom to a bedroom, so bedroom 3 gets none.
+    graph = build_connection_graph(rooms, {1: 0, 2: 0, 3: 0}, 0, RandomStream(1), cfg)
+    assert (1, 2) in graph.edges
+    assert (2, 3) not in graph.edges
 
 
 def test_graph_json_round_trip():
