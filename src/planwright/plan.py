@@ -51,7 +51,14 @@ SCHEMA_VERSION = 1
 
 
 class GenerationError(RuntimeError):
-    """The attempt budget ran out without a valid plan."""
+    """The attempt budget ran out without a valid plan.
+
+    ``rejections`` counts the failed attempts by the stage that rejected them.
+    """
+
+    def __init__(self, message: str, rejections: dict[str, int] | None = None) -> None:
+        super().__init__(message)
+        self.rejections = rejections or {}
 
 
 class PlanParseError(ValueError):
@@ -84,6 +91,10 @@ class FloorPlan:
     trace: dict | None = field(default=None, compare=False, repr=False)
 
 
+# The stage each retryable attempt failure comes from.
+_STAGE = {SamplingError: "sampling", LayoutError: "layout", CorridorError: "corridor", OpeningError: "openings"}
+
+
 def generate(seed: int, cfg: GenConfig | None = None, *, trace: bool = False) -> FloorPlan:
     """Deterministically generate one house for (seed, config).
 
@@ -93,14 +104,16 @@ def generate(seed: int, cfg: GenConfig | None = None, *, trace: bool = False) ->
     cfg = cfg if cfg is not None else GenConfig()
     root = RandomStream(seed)
     last: Exception | None = None
+    rejections = dict.fromkeys(_STAGE.values(), 0)
     for attempt in range(cfg.max_attempts):
         rng = root.substream(attempt)
         try:
             return _attempt(seed, rng, cfg, attempt + 1, trace)
-        except (SamplingError, LayoutError, CorridorError, OpeningError) as exc:
+        except tuple(_STAGE) as exc:
             last = exc
+            rejections[_STAGE[type(exc)]] += 1
     raise GenerationError(
-        f"seed {seed}: no valid plan in {cfg.max_attempts} attempts (last: {last})"
+        f"seed {seed}: no valid plan in {cfg.max_attempts} attempts (last: {last})", rejections
     ) from last
 
 

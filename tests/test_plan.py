@@ -159,6 +159,15 @@ def test_generate_raises_after_budget():
     assert str(GenConfig().max_attempts) in str(err.value)
 
 
+def test_generation_error_tallies_rejections_by_stage():
+    # Under the strict width seed 3 gives up: 30 attempts die at the room
+    # width check and 2 find no corridor; the message stays as it was.
+    with pytest.raises(GenerationError) as err:
+        generate(3, GenConfig(min_room_width=2.2))
+    assert err.value.rejections == {"sampling": 0, "layout": 30, "corridor": 2, "openings": 0}
+    assert str(err.value) == "seed 3: no valid plan in 32 attempts (last: no valid corridor candidate)"
+
+
 def test_impossible_config_always_exhausts():
     # A 4 m minimum room width is unsatisfiable for 3-11 m^2 rooms.
     cfg = GenConfig(min_room_width=4.0)
