@@ -305,6 +305,7 @@ class GenConfig:
     max_attempts: int = 32
 
     def __post_init__(self) -> None:
+        self.priority = tuple(self.priority)  # a memo key of assign_functions, so hashable
         if len(self.priority) < 2 or self.priority[0] is not RoomKind.OUTSIDE:
             raise ConfigError("priority list must start with outside")
         if self.priority[1] is not RoomKind.LIVING_ROOM:

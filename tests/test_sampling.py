@@ -165,6 +165,8 @@ def test_assign_functions_memo_shares_frozen_programs():
     assert [e.kind for e in assign_functions(2, 6, dining_first).entries] != [e.kind for e in first.entries]
     maxsize = assign_functions.cache_parameters()["maxsize"]
     assert isinstance(maxsize, int) and maxsize > 0
+    # The priority is part of the memo key, so a config given a list keeps a tuple.
+    assert GenConfig(priority=list(PRIORITY)).priority == PRIORITY
 
 
 def test_sample_areas_ranges_and_point_mass():
