@@ -260,11 +260,13 @@ def _front(stages, bedrooms, rooms, seed, cfg, via):
     rng = RandomStream(seed)
     out = []
     try:
-        assigned = stages.assign_functions(bedrooms, rooms, cfg.priority)
-        sampled = stages.sample_areas(assigned, rng, cfg)
-        footprint, adjusted = stages.derive_footprint(sampled, rng, cfg)
-        out += [program(assigned), program(sampled), footprint, program(adjusted)]
-        tree = stages.build_hierarchy(adjusted, kitchen_via_dining=via)
+        drawn = stages.assign_functions(bedrooms, rooms, cfg.priority)
+        out.append(program(drawn))
+        drawn = stages.sample_areas(drawn, rng, cfg)
+        out.append(program(drawn))
+        footprint, drawn = stages.derive_footprint(drawn, rng, cfg)
+        out += [footprint, program(drawn)]
+        tree = stages.build_hierarchy(drawn, kitchen_via_dining=via)
         out += [
             (n.room_id, n.kind, n.target_area, n.aggregate_area, [c.room_id for c in n.children])
             for n in tree.walk()
