@@ -9,33 +9,32 @@ and Lengthen variants - and extrudes the cheapest valid corridor from the
 rooms it crosses.  The corridor then counts as living-room space, and the
 rooms it serves hang off the living room in the connection graph.
 
-Each candidate corridor is a handful of strip and joint boxes, and the search
-decides as much as it can on those boxes: area, footprint containment,
-connectivity and contact with the living room need no Region.  A room's
-verdict (swallowed, split, peculiar or fine) depends only on its box and the
-boxes that cut into it, so it is computed on a grid local to the room and
-memoised for the rest of the search.  The trace is opt-in.  Traced, every
+Each candidate corridor is a handful of strip and joint boxes.  Area,
+footprint containment, connectivity and contact with the living room are
+decided on those boxes.  Everything else is decided on one breakpoint grid
+per search, built from the footprint, the rooms and every strip the search
+can produce, on which a region is one int with a bit per cell: a room's
+remainder is ``room & ~corridor``, its verdict (swallowed, split, peculiar or
+fine) is memoised per search, and shape and door-width checks are shifts and
+masks.  Only the winner becomes Regions.  The trace is opt-in.  Traced, every
 candidate is evaluated in product order and its rejection reason recorded.
 Untraced, candidates that the box checks reject are dropped before they are
 ranked, the rest are evaluated cheapest first, and the search stops at the
 first valid one, which is the same winner.
 
-The stage works in integer millimetres throughout: the footprint and the
-rooms arrive as ``(x0, y0, x1, y1)`` boxes, wall-graph vertices are ``(x, y)``
-tuples and edges ``(ax, ay, bx, by)`` tuples with the lower end first, and
-the config's lengths are converted once per call, so containment, contact
-and area tests are exact integer comparisons.  Only the trace reports
-metres.  ``plan_corridor`` builds each room's Region once; detection,
-candidate evaluation and the result all read that one dict.
+Everything is in integer millimetres: the footprint and the rooms arrive as
+``(x0, y0, x1, y1)`` boxes, wall-graph vertices are ``(x, y)`` tuples and
+edges ``(ax, ay, bx, by)`` tuples with the lower end first, and the config's
+lengths are converted once per call.  Only the trace reports metres.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import chain, product
 from math import prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .geometry import Box, RectilinearPolygon, Region, Run, _m, _mm, merge_runs
 from .sampling import GenConfig, RoomKind
@@ -119,17 +118,18 @@ class EdgeAction:
 class CorridorCandidate:
     """One evaluated corridor: ``area`` in mm², ``length`` in mm.
 
-    ``region`` is None when the candidate was rejected before it was built.
+    A valid candidate carries the corridor and the rooms it changed as masks
+    on the search's grid; only the winner's become Regions.
     """
 
     edges: tuple[Edge, ...]
     actions: tuple[EdgeAction, ...]
-    region: Region | None
     area: int
     length: int
     valid: bool
     reason: str = ""
-    rooms_after: tuple[tuple[int, Region], ...] = ()
+    corridor: int = 0
+    rooms_after: tuple[tuple[int, int], ...] = ()
 
     def sort_key(self) -> tuple:
         return _rank(self.area, self.length, self.actions)
@@ -155,18 +155,25 @@ class CorridorResult:
     trace: dict | None = None
 
 
+def _shared_wall(a: Box, b: Box) -> int:
+    """Length of the wall two disjoint boxes share, in mm: the overlap of two facing sides."""
+    if a[2] == b[0] or b[2] == a[0]:
+        return max(0, min(a[3], b[3]) - max(a[1], b[1]))
+    if a[3] == b[1] or b[3] == a[1]:
+        return max(0, min(a[2], b[2]) - max(a[0], b[0]))
+    return 0
+
+
 def identify_corridor_rooms(
-    regions: dict[int, Region], parent_of: dict[int, int], cfg: GenConfig
+    boxes: dict[int, Box], parent_of: dict[int, int], cfg: GenConfig
 ) -> set[int]:
     """Rooms lacking a door-width shared wall with their hierarchy parent."""
     door_mm = _mm(cfg.door_width)
-    stranded: set[int] = set()
-    for child_id, parent_id in parent_of.items():
-        if parent_id not in regions:
-            continue
-        if regions[child_id].shared_border_mm(regions[parent_id]) < door_mm:
-            stranded.add(child_id)
-    return stranded
+    return {
+        child_id
+        for child_id, parent_id in parent_of.items()
+        if parent_id in boxes and _shared_wall(boxes[child_id], boxes[parent_id]) < door_mm
+    }
 
 
 def _graph(edges) -> tuple[tuple[Vertex, ...], tuple[Edge, ...]]:
@@ -315,16 +322,136 @@ def route(graph: WallGraph, contact_sets: list[tuple[int, frozenset[Vertex]]]) -
     return CorridorPath(edges, anchor)
 
 
+class _Grid:
+    """The breakpoint grid of one corridor search; a region on it is one int.
+
+    Cell (i, j) spans ``xs[i]..xs[i + 1]`` by ``ys[j]..ys[j + 1]`` and is bit
+    ``j * stride + i``.  The stride is the column count plus one: the spare
+    guard column is never set, so a one-cell shift left or right lands there
+    instead of wrapping into the next row.  Each box's mask is built once.
+    """
+
+    __slots__ = ("xs", "ys", "stride", "full", "border", "_xi", "_yi", "_masks")
+
+    def __init__(self, boxes: Sequence[Box]) -> None:
+        self.xs = tuple(sorted({x for b in boxes for x in (b[0], b[2])}))
+        self.ys = tuple(sorted({y for b in boxes for y in (b[1], b[3])}))
+        self._xi = {x: i for i, x in enumerate(self.xs)}
+        self._yi = {y: j for j, y in enumerate(self.ys)}
+        self._masks: dict[Box, int] = {}
+        self.stride = len(self.xs)
+        self.full = self.mask((self.xs[0], self.ys[0], self.xs[-1], self.ys[-1]))
+        full, s = self.full, self.stride
+        self.border = full & ~(full >> 1 & full << 1 & full >> s & full << s)
+
+    def mask(self, box: Box) -> int:
+        m = self._masks.get(box)
+        if m is None:
+            x0, y0, x1, y1 = box
+            i0, j0 = self._xi[x0], self._yi[y0]
+            row = ((1 << (self._xi[x1] - i0)) - 1) << i0
+            m = 0
+            for j in range(j0, self._yi[y1]):
+                m |= row << (j * self.stride)
+            self._masks[box] = m
+        return m
+
+    def region(self, m: int) -> Region:
+        s = self.stride
+        return Region(self.xs, self.ys, frozenset((k % s, k // s) for k in _bits(m)))
+
+    def _flood(self, seen: int, within: int) -> int:
+        """The cells of ``within`` that ``seen`` reaches through shared edges."""
+        s = self.stride
+        while True:
+            grown = (seen | seen << 1 | seen >> 1 | seen << s | seen >> s) & within
+            if grown == seen:
+                return seen
+            seen = grown
+
+    def connected(self, m: int) -> bool:
+        """True when nonempty and one piece."""
+        return bool(m) and self._flood(m & -m, m) == m
+
+    def pinch(self, m: int) -> bool:
+        """True when two cells meet only at a corner."""
+        s = self.stride
+        return bool(m & ~(m >> 1) & (m >> (s + 1) & ~(m >> s) | m << (s - 1) & ~(m << s)))
+
+    def hole(self, m: int) -> bool:
+        """True when part of the complement is walled off inside the region."""
+        if m.bit_count() < 8:
+            # A hole needs a full ring of cells around a missing one.
+            return False
+        free = self.full & ~m
+        return self._flood(free & self.border, free) != free
+
+    def simple(self, m: int) -> bool:
+        return not (self.pinch(m) or self.hole(m))
+
+    def full_rect(self, m: int) -> tuple[int, int] | None:
+        """(width, height) in mm when the cells tile one solid rectangle."""
+        s = self.stride
+        cols, rest = 0, m
+        while rest:
+            cols, rest = cols | rest, rest >> s
+        cols &= (1 << s) - 1
+        i0, i1 = (cols & -cols).bit_length() - 1, cols.bit_length() - 1
+        j0, j1 = ((m & -m).bit_length() - 1) // s, (m.bit_length() - 1) // s
+        if m.bit_count() != (i1 - i0 + 1) * (j1 - j0 + 1):
+            return None
+        return self.xs[i1 + 1] - self.xs[i0], self.ys[j1 + 1] - self.ys[j0]
+
+    def row_runs(self, m: int) -> Iterator[int]:
+        """Widths in mm of the maximal runs of cells along each row."""
+        s, xs = self.stride, self.xs
+        for a, b in zip(_bits(m & ~(m << 1)), _bits(m & ~(m >> 1))):
+            yield xs[b % s + 1] - xs[a % s]
+
+    def column_runs(self, m: int) -> Iterator[int]:
+        """Heights in mm of the maximal runs of cells down each column."""
+        s, ys = self.stride, self.ys
+        opened: dict[int, list[int]] = {}
+        for k in _bits(m & ~(m << s)):
+            opened.setdefault(k % s, []).append(k // s)
+        for k in _bits(m & ~(m >> s)):
+            yield ys[k // s + 1] - ys[opened[k % s].pop(0)]
+
+    def thickness(self, m: int) -> int:
+        """Width of the narrowest limb in mm: the shortest row or column run."""
+        return min(chain(self.row_runs(m), self.column_runs(m)), default=0)
+
+    def shared_border(self, a: int, b: int) -> int:
+        """Longest straight wall run between two disjoint regions, in mm.
+
+        Walls between a cell and its right-hand neighbour run down columns,
+        walls between a cell and the one above along rows; both faces of a
+        line land in one mask, so touching runs merge.
+        """
+        s = self.stride
+        down = a & b >> 1 | b & a >> 1
+        along = a & b >> s | b & a >> s
+        return max(chain(self.column_runs(down), self.row_runs(along)), default=0)
+
+
+def _bits(m: int) -> Iterator[int]:
+    """Indices of the set bits, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
 @dataclass
 class _Workspace:
-    """Room geometry, wall lines and mm lengths shared by every candidate evaluation.
+    """Room boxes, wall lines and mm lengths shared by every candidate evaluation.
 
-    ``verdicts`` memoises room verdicts for the search; ``combinations`` is
-    set to the size of the action product once it is enumerated.
+    ``enumerate_candidates`` puts the search's ``grid`` and each room's mask
+    on it in place and sets ``combinations`` to the size of the action
+    product; ``verdicts`` memoises room verdicts for the search.
     """
 
     rooms: Rooms
-    room_regions: dict[int, Region]
     walls: tuple[Edge, ...]
     parent_of: dict[int, int]
     terminals: frozenset[int]
@@ -336,20 +463,17 @@ class _Workspace:
     max_room_aspect: float
     fp_box: Box
     trace: bool = False
-    verdicts: dict[tuple[int, tuple[Box, ...]], tuple[str, Region]] = field(default_factory=dict)
+    grid: _Grid | None = None
+    masks: dict[int, int] = field(default_factory=dict)
+    verdicts: dict[tuple[int, int], str] = field(default_factory=dict)
     combinations: int = 0
 
 
-def _strip_intervals(edge: Edge, action: EdgeAction, width: int) -> tuple[int, int, int, int]:
-    """Across-interval and along-interval of the thickened edge."""
-    _, line, lo, hi = _run(edge)
-    s = action.shift
-    return (line + s, line + s + width, lo - action.extend_lo, hi + action.extend_hi)
-
-
-def _strip_box(intervals: tuple[int, int, int, int], horizontal: bool) -> Box:
-    c0, c1, a0, a1 = intervals
-    return (a0, c0, a1, c1) if horizontal else (c0, a0, c1, a1)
+def _strip(edge: Edge, action: EdgeAction, width: int) -> Box:
+    """The box of the edge thickened by ``width`` after the action."""
+    horizontal, line, lo, hi = _run(edge)
+    c0, a0, a1 = line + action.shift, lo - action.extend_lo, hi + action.extend_hi
+    return (a0, c0, a1, c0 + width) if horizontal else (c0, a0, c0 + width, a1)
 
 
 def _nearest_align_shifts(edge: Edge, ws: _Workspace) -> list[int]:
@@ -386,11 +510,8 @@ def _lengthen_priority(edge: Edge, degrees: dict[Vertex, int], ws: _Workspace) -
     lx0, ly0, lx1, ly1 = ws.living_box
 
     def gain(which: str) -> int:
-        act = EdgeAction(extend_lo=ws.door_width) if which == "lo" else EdgeAction(
-            extend_hi=ws.door_width
-        )
-        strip = _strip_intervals(edge, act, ws.corridor_width)
-        x0, y0, x1, y1 = _strip_box(strip, edge[1] == edge[3])
+        act = EdgeAction(extend_lo=ws.door_width) if which == "lo" else EdgeAction(extend_hi=ws.door_width)
+        x0, y0, x1, y1 = _strip(edge, act, ws.corridor_width)
         return max(0, min(x1, lx1) - max(x0, lx0)) * max(0, min(y1, ly1) - max(y0, ly0))
 
     free.sort(key=lambda which: (-gain(which), which))
@@ -436,9 +557,10 @@ def enumerate_candidates(
     else:
         return []
 
-    width = ws.corridor_width
-    n_combos = 0
-    combos: list[tuple[tuple, tuple[Edge, ...], tuple[EdgeAction, ...], list[Box]]] = []
+    # Every strip box each (edge, action) pair can give goes on the grid before
+    # the product loop starts; joint boxes take their sides from the strips.
+    searches = []
+    seen = [ws.fp_box, *(box for _, _, box in ws.rooms)]
     for edges in paths:
         degrees: dict[Vertex, int] = {}
         for e in edges:
@@ -453,28 +575,25 @@ def enumerate_candidates(
             _alternatives(e, degrees, ws) if i in actionable else [EdgeAction()]
             for i, e in enumerate(edges)
         ]
-        # The product revisits each (edge, action) pair many times; intervals
-        # and joint pairs are computed once instead of per combination.
-        horiz = [e[1] == e[3] for e in edges]
-        iv_cache: list[dict[EdgeAction, tuple[int, int, int, int]]] = [{} for _ in edges]
+        strips = [{a: _strip(e, a, ws.corridor_width) for a in actions} for e, actions in zip(edges, per_edge)]
+        seen.extend(box for boxes in strips for box in boxes.values())
+        searches.append((edges, per_edge, strips))
+    ws.grid = grid = _Grid(seen)
+    ws.masks = {rid: grid.mask(box) for rid, _, box in ws.rooms}
+
+    n_combos = 0
+    combos: list[tuple[tuple, tuple[Edge, ...], tuple[EdgeAction, ...], list[Box]]] = []
+    for edges, per_edge, strips in searches:
         joints = _joint_pairs(edges)
         path_length = sum(_length(e) for e in edges)
         n_combos += prod(map(len, per_edge))
         for combo in product(*per_edge):
-            ivs = []
-            boxes = []
-            for i, action in enumerate(combo):
-                iv = iv_cache[i].get(action)
-                if iv is None:
-                    iv = _strip_intervals(edges[i], action, width)
-                    iv_cache[i][action] = iv
-                ivs.append(iv)
-                boxes.append(_strip_box(iv, horiz[i]))
+            boxes = [strips[i][action] for i, action in enumerate(combo)]
             # Perpendicular strips thickened to opposite sides meet only at
             # a point; the corner square between them restores an edge-wide
             # connection.
             for h, v in joints:
-                boxes.append((ivs[v][0], ivs[h][0], ivs[v][1], ivs[h][1]))
+                boxes.append((boxes[v][0], boxes[h][1], boxes[v][2], boxes[h][3]))
             # Untraced, a corridor the boxes already rule out is never ranked.
             if not (ws.trace or _boxes_pass(boxes, ws)):
                 continue
@@ -562,55 +681,31 @@ def _touches_any_terminal(edge: Edge, ws: _Workspace) -> bool:
     return any(_edge_on_box(edge, box) for rid, _, box in ws.rooms if rid in ws.terminals)
 
 
-def _peculiar(region: Region, ws: _Workspace) -> bool:
-    if region.has_pinch():
-        return True
-    rect = region.full_rect_mm()
-    if rect is not None:
-        w, h = rect
-        return min(w, h) < ws.min_room_width or max(w, h) > ws.max_room_aspect * min(w, h)
-    return region.thickness() < ws.min_room_width
-
-
-def _clipped(room: Box, boxes: list[Box]) -> tuple[Box, ...]:
-    """The boxes overlapping the room with positive area, clipped to it, sorted."""
-    rx0, ry0, rx1, ry1 = room
-    return tuple(sorted({
-        (max(bx0, rx0), max(by0, ry0), min(bx1, rx1), min(by1, ry1))
-        for bx0, by0, bx1, by1 in boxes
-        if bx0 < rx1 and bx1 > rx0 and by0 < ry1 and by1 > ry0
-    }))
-
-
-def _room_verdict(
-    rid: int, room: Box, boxes: list[Box], ws: _Workspace
-) -> tuple[str, Region] | None:
-    """The room's rejection reason ("" when it passes) and what is left of it.
-
-    None when no box overlaps the room with positive area.  The verdict
-    depends only on the room and the boxes clipped to it, so it is memoised
-    per search under those and computed on the room's own grid.
-    """
-    cuts = _clipped(room, boxes)
-    if not cuts:
-        return None
-    verdict = ws.verdicts.get((rid, cuts))
+def _room_verdict(rid: int, after: int, ws: _Workspace) -> str:
+    """Why what the corridor leaves of the room fails ("" when it passes); memoised per search."""
+    verdict = ws.verdicts.get((rid, after))
     if verdict is None:
-        after = ws.room_regions[rid].subtract(Region.from_boxes(list(cuts)))
-        if after.is_empty:
-            reason = f"room {rid} swallowed by the corridor"
-        elif not after.connected():
-            reason = f"room {rid} split by the corridor"
-        elif _peculiar(after, ws):
-            reason = f"room {rid} left peculiar"
+        grid = ws.grid
+        if not after:
+            verdict = f"room {rid} swallowed by the corridor"
+        elif not grid.connected(after):
+            verdict = f"room {rid} split by the corridor"
+        elif _peculiar(after, grid, ws):
+            verdict = f"room {rid} left peculiar"
         else:
-            reason = ""
-        verdict = ws.verdicts[rid, cuts] = (reason, after)
+            verdict = ""
+        ws.verdicts[rid, after] = verdict
     return verdict
 
 
-def _simple(region: Region) -> bool:
-    return not (region.has_pinch() or region.has_hole())
+def _peculiar(m: int, grid: _Grid, ws: _Workspace) -> bool:
+    if grid.pinch(m):
+        return True
+    rect = grid.full_rect(m)
+    if rect is not None:
+        w, h = rect
+        return min(w, h) < ws.min_room_width or max(w, h) > ws.max_room_aspect * min(w, h)
+    return grid.thickness(m) < ws.min_room_width
 
 
 def _evaluate(
@@ -621,57 +716,56 @@ def _evaluate(
     length: int,
     ws: _Workspace,
 ) -> CorridorCandidate:
-    region: Region | None = None
-
     def reject(reason: str) -> CorridorCandidate:
-        return CorridorCandidate(edges, actions, region, area, length, False, reason)
+        return CorridorCandidate(edges, actions, area, length, False, reason)
 
+    grid, masks = ws.grid, ws.masks
+    corridor = 0
+    for box in boxes:
+        corridor |= grid.mask(box)
     # Traced, the checks run in the order their reasons are reported in.
     # Untraced, the boxes passed _boxes_pass before ranking, and the memoised
-    # room verdicts run before the corridor Region is built.
+    # room verdicts run before the corridor's own shape is checked.
     if ws.trace:
         if not _inside(boxes, ws.fp_box):
             return reject("corridor leaves the footprint")
         if not _boxes_connected(boxes):
             return reject("corridor is disconnected")
-        region = Region.from_boxes(boxes)
-        if not _simple(region):
+        if not grid.simple(corridor):
             return reject("corridor is not a simple region")
 
-    changed: dict[int, Region] = {}
-    for rid, _, room in ws.rooms:
-        verdict = None if rid == ws.living_id else _room_verdict(rid, room, boxes, ws)
-        if verdict is None:
+    changed: dict[int, int] = {}
+    for rid, _, _ in ws.rooms:
+        room = masks[rid]
+        after = room & ~corridor
+        if rid == ws.living_id or after == room:
             continue
-        reason, after = verdict
+        reason = _room_verdict(rid, after, ws)
         if reason:
             return reject(reason)
         changed[rid] = after
 
-    if ws.trace and not _boxes_connected([ws.living_box, *boxes]):
-        return reject("corridor does not reach the living room")
-    if region is None:
-        region = Region.from_boxes(boxes)
-        if not _simple(region):
-            return reject("corridor is not a simple region")
-    living_after = ws.room_regions[ws.living_id].union(region)
-    if not _simple(living_after):
+    if ws.trace:
+        if not _boxes_connected([ws.living_box, *boxes]):
+            return reject("corridor does not reach the living room")
+    elif not grid.simple(corridor):
+        return reject("corridor is not a simple region")
+    living = masks[ws.living_id] | corridor
+    if not grid.simple(living):
         return reject("living space is not a simple region")
-    changed[ws.living_id] = living_after
-
-    def region_of(room_id: int) -> Region:
-        return changed.get(room_id) or ws.room_regions[room_id]
+    changed[ws.living_id] = living
 
     for child, parent in sorted(ws.parent_of.items()):
         if child in ws.terminals:
             parent = ws.living_id
         if child not in changed and parent not in changed:
             continue
-        if region_of(child).shared_border_mm(region_of(parent)) < ws.door_width:
+        shared = grid.shared_border(changed.get(child, masks[child]), changed.get(parent, masks[parent]))
+        if shared < ws.door_width:
             return reject(f"no door-width wall between rooms {child} and {parent}")
 
     return CorridorCandidate(
-        edges, actions, region, area, length, True, rooms_after=tuple(sorted(changed.items()))
+        edges, actions, area, length, True, corridor=corridor, rooms_after=tuple(sorted(changed.items()))
     )
 
 
@@ -697,17 +791,16 @@ def plan_corridor(
     With ``trace`` the result carries the trace: the routing instance and
     every candidate with its area, length and rejection reason.
     """
-    regions = {rid: Region.from_boxes([box]) for rid, _, box in rooms}
-    terminals = frozenset(identify_corridor_rooms(regions, parent_of, cfg))
+    boxes = {rid: box for rid, _, box in rooms}
+    terminals = frozenset(identify_corridor_rooms(boxes, parent_of, cfg))
     if not terminals:
-        plain = tuple((rid, kind, regions[rid]) for rid, kind, _ in rooms)
+        plain = tuple((rid, kind, Region.from_boxes([box])) for rid, kind, box in rooms)
         return CorridorResult(
             None, plain, (), trace={"corridor_rooms": 0, "candidates": []} if trace else None
         )
 
     graph = build_wall_graph(footprint, rooms)
     pruned = prune(graph)
-    boxes = {rid: box for rid, _, box in rooms}
 
     # Route on the pruned graph when it still touches every room involved;
     # tilings whose rooms all reach the boundary peel away completely, and
@@ -728,7 +821,6 @@ def plan_corridor(
 
     ws = _Workspace(
         rooms=rooms,
-        room_regions=regions,
         walls=graph.edges,
         parent_of=parent_of,
         terminals=terminals,
@@ -744,10 +836,13 @@ def plan_corridor(
     candidates = enumerate_candidates(path, ws, routing_graph)
     winner = filter_and_select(candidates)
     # Carve the corridor out of the rooms it crosses; the living room gains it.
-    regions.update(winner.rooms_after)
+    grid = ws.grid
+    changed = {rid: grid.region(m) for rid, m in winner.rooms_after}  # type: ignore[union-attr]
     result = CorridorResult(
-        corridor=winner.region.to_polygon(),  # type: ignore[union-attr]
-        rooms=tuple((rid, kind, regions[rid]) for rid, kind, _ in rooms),
+        corridor=grid.region(winner.corridor).to_polygon(),  # type: ignore[union-attr]
+        rooms=tuple(
+            (rid, kind, changed.get(rid) or Region.from_boxes([box])) for rid, kind, box in rooms
+        ),
         reparented=tuple(sorted(terminals)),
         candidates=ws.combinations,
     )

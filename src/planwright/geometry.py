@@ -223,10 +223,8 @@ def merge_runs(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
 class Region:
     """Set of axis-aligned cells over an integer-millimetre breakpoint grid.
 
-    Backs the boolean operations: every op realigns both operands onto the
-    union of their breakpoints and manipulates plain cell sets, so areas,
-    unions and differences are exact.  Areas are in square millimetres.
-    Regions are immutable; each computes its boundary runs once, on first use.
+    Areas are in square millimetres and exact.  Regions are immutable; each
+    computes its boundary runs once, on first use.
     """
 
     __slots__ = ("xs", "ys", "cells", "_borders")
@@ -282,10 +280,6 @@ class Region:
         return cls(xs, ys, frozenset(cells))
 
     @property
-    def is_empty(self) -> bool:
-        return not self.cells
-
-    @property
     def area(self) -> int:
         total = 0
         for i, j in self.cells:
@@ -305,23 +299,6 @@ class Region:
                     out.add((ii, jj))
         return frozenset(out)
 
-    def _common(self, other: "Region") -> tuple[tuple[int, ...], tuple[int, ...], frozenset, frozenset]:
-        xs = tuple(sorted(set(self.xs) | set(other.xs)))
-        ys = tuple(sorted(set(self.ys) | set(other.ys)))
-        return xs, ys, self.realign(xs, ys), other.realign(xs, ys)
-
-    def union(self, other: "Region") -> "Region":
-        xs, ys, a, b = self._common(other)
-        return Region(xs, ys, a | b)
-
-    def subtract(self, other: "Region") -> "Region":
-        xs, ys, a, b = self._common(other)
-        return Region(xs, ys, a - b)
-
-    def intersect(self, other: "Region") -> "Region":
-        xs, ys, a, b = self._common(other)
-        return Region(xs, ys, a & b)
-
     def connected(self) -> bool:
         """True when nonempty and all cells are reachable via shared edges."""
         if not self.cells:
@@ -339,54 +316,6 @@ class Region:
                 if nb in self.cells and nb not in seen:
                     stack.append(nb)
         return len(seen) == len(self.cells)
-
-    def full_rect_mm(self) -> tuple[int, int] | None:
-        """(width, height) in mm when the cells tile one solid rectangle."""
-        if not self.cells:
-            return None
-        imin = imax = next(iter(self.cells))[0]
-        jmin = jmax = next(iter(self.cells))[1]
-        for i, j in self.cells:
-            imin, imax = min(imin, i), max(imax, i)
-            jmin, jmax = min(jmin, j), max(jmax, j)
-        if len(self.cells) != (imax - imin + 1) * (jmax - jmin + 1):
-            return None
-        return (self.xs[imax + 1] - self.xs[imin], self.ys[jmax + 1] - self.ys[jmin])
-
-    def has_pinch(self) -> bool:
-        """True when two cells meet only at a corner (a checkerboard vertex)."""
-        cells = self.cells
-        for i, j in cells:
-            if (i + 1, j + 1) in cells and (i + 1, j) not in cells and (i, j + 1) not in cells:
-                return True
-            if (i + 1, j - 1) in cells and (i + 1, j) not in cells and (i, j - 1) not in cells:
-                return True
-        return False
-
-    def has_hole(self) -> bool:
-        """True when part of the complement is walled off inside the region."""
-        if len(self.cells) < 8:
-            # A hole needs a full ring of cells around a missing one.
-            return False
-        imin = min(i for i, _ in self.cells) - 1
-        imax = max(i for i, _ in self.cells) + 1
-        jmin = min(j for _, j in self.cells) - 1
-        jmax = max(j for _, j in self.cells) + 1
-        seen = {(imin, jmin)}
-        stack = [(imin, jmin)]
-        while stack:
-            i, j = stack.pop()
-            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if (
-                    imin <= nb[0] <= imax
-                    and jmin <= nb[1] <= jmax
-                    and nb not in self.cells
-                    and nb not in seen
-                ):
-                    seen.add(nb)
-                    stack.append(nb)
-        box = (imax - imin + 1) * (jmax - jmin + 1)
-        return len(seen) + len(self.cells) != box
 
     def _facing_borders(self) -> dict[tuple[str, int, int], list[tuple[int, int]]]:
         """Merged boundary runs keyed by (axis, line mm, facing sign); do not mutate."""
@@ -477,34 +406,3 @@ class Region:
         if any(edges.values()):
             raise ValueError("region has a hole or multiple boundary loops")
         return RectilinearPolygon(tuple(Point(_m(x), _m(y)) for x, y in loop))
-
-    def thickness(self) -> int:
-        """Width of the narrowest limb, in mm.
-
-        Every maximal contiguous run of cells in a row contributes its width
-        and every column run its height; the minimum over both passes is the
-        narrowest limb.  For a plain rectangle this is min(width, height).
-        """
-        if not self.cells:
-            return 0
-        best: int | None = None
-        for transpose in (False, True):
-            axis = self.ys if transpose else self.xs
-            rows: dict[int, set[int]] = {}
-            for i, j in self.cells:
-                if transpose:
-                    i, j = j, i
-                rows.setdefault(j, set()).add(i)
-            for filled in rows.values():
-                runs: list[list[int]] = []
-                for i in sorted(filled):
-                    if runs and runs[-1][1] == i:
-                        runs[-1][1] = i + 1
-                    else:
-                        runs.append([i, i + 1])
-                for a, b in runs:
-                    width = axis[b] - axis[a]
-                    if best is None or width < best:
-                        best = width
-        return best if best is not None else 0
-

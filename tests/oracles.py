@@ -4,8 +4,10 @@ Everything here is deliberately naive: row layouts are evaluated by building
 the actual rectangles, shortest paths by enumerating every simple path, area
 audits by scanline decomposition of the polygons themselves.  None of it
 imports package internals beyond plain data, the grid helpers and the error
-types, except the front-stage copies at the end, which are the package's own
-earlier code kept as a reference for its rewrite.
+types, except the two sections of copies at the end, which are the package's
+own earlier code kept as a reference for its rewrite: the front stage, and the
+cell-set Region operations and corridor checks that the corridor search used
+before it moved to integer masks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
 
-from planwright.geometry import GRID, MAX_EXACT, Rect, snap
+from planwright.geometry import GRID, MAX_EXACT, Rect, Region, _mm, snap
 from planwright.sampling import BEDROOM_KINDS, ConfigError, RoomKind, SamplingError
 
 MM = 1000.0
@@ -633,3 +635,154 @@ def aggregate_areas(root: HierarchyNode) -> HierarchyNode:
         total += aggregate_areas(child).aggregate_area
     root.aggregate_area = total
     return root
+
+
+# --- cell-set regions and the corridor checks on them ----------------------
+# The Region operations and shape tests the corridor search ran before it
+# decided candidates on one integer grid per search, copied unchanged except
+# that they build CellRegion.  CellRegion is a Region, so the package's own
+# methods (connected, shared_walls, to_polygon, ...) work on it as well.
+
+
+class CellRegion(Region):
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, region: Region) -> "CellRegion":
+        return cls(region.xs, region.ys, region.cells)
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.cells
+
+    def _common(self, other: "Region") -> tuple[tuple[int, ...], tuple[int, ...], frozenset, frozenset]:
+        xs = tuple(sorted(set(self.xs) | set(other.xs)))
+        ys = tuple(sorted(set(self.ys) | set(other.ys)))
+        return xs, ys, self.realign(xs, ys), other.realign(xs, ys)
+
+    def union(self, other: "Region") -> "CellRegion":
+        xs, ys, a, b = self._common(other)
+        return CellRegion(xs, ys, a | b)
+
+    def subtract(self, other: "Region") -> "CellRegion":
+        xs, ys, a, b = self._common(other)
+        return CellRegion(xs, ys, a - b)
+
+    def intersect(self, other: "Region") -> "CellRegion":
+        xs, ys, a, b = self._common(other)
+        return CellRegion(xs, ys, a & b)
+
+    def full_rect_mm(self) -> tuple[int, int] | None:
+        """(width, height) in mm when the cells tile one solid rectangle."""
+        if not self.cells:
+            return None
+        imin = imax = next(iter(self.cells))[0]
+        jmin = jmax = next(iter(self.cells))[1]
+        for i, j in self.cells:
+            imin, imax = min(imin, i), max(imax, i)
+            jmin, jmax = min(jmin, j), max(jmax, j)
+        if len(self.cells) != (imax - imin + 1) * (jmax - jmin + 1):
+            return None
+        return (self.xs[imax + 1] - self.xs[imin], self.ys[jmax + 1] - self.ys[jmin])
+
+    def has_pinch(self) -> bool:
+        """True when two cells meet only at a corner (a checkerboard vertex)."""
+        cells = self.cells
+        for i, j in cells:
+            if (i + 1, j + 1) in cells and (i + 1, j) not in cells and (i, j + 1) not in cells:
+                return True
+            if (i + 1, j - 1) in cells and (i + 1, j) not in cells and (i, j - 1) not in cells:
+                return True
+        return False
+
+    def has_hole(self) -> bool:
+        """True when part of the complement is walled off inside the region."""
+        if len(self.cells) < 8:
+            # A hole needs a full ring of cells around a missing one.
+            return False
+        imin = min(i for i, _ in self.cells) - 1
+        imax = max(i for i, _ in self.cells) + 1
+        jmin = min(j for _, j in self.cells) - 1
+        jmax = max(j for _, j in self.cells) + 1
+        seen = {(imin, jmin)}
+        stack = [(imin, jmin)]
+        while stack:
+            i, j = stack.pop()
+            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if (
+                    imin <= nb[0] <= imax
+                    and jmin <= nb[1] <= jmax
+                    and nb not in self.cells
+                    and nb not in seen
+                ):
+                    seen.add(nb)
+                    stack.append(nb)
+        box = (imax - imin + 1) * (jmax - jmin + 1)
+        return len(seen) + len(self.cells) != box
+
+    def thickness(self) -> int:
+        """Width of the narrowest limb, in mm.
+
+        Every maximal contiguous run of cells in a row contributes its width
+        and every column run its height; the minimum over both passes is the
+        narrowest limb.  For a plain rectangle this is min(width, height).
+        """
+        if not self.cells:
+            return 0
+        best: int | None = None
+        for transpose in (False, True):
+            axis = self.ys if transpose else self.xs
+            rows: dict[int, set[int]] = {}
+            for i, j in self.cells:
+                if transpose:
+                    i, j = j, i
+                rows.setdefault(j, set()).add(i)
+            for filled in rows.values():
+                runs: list[list[int]] = []
+                for i in sorted(filled):
+                    if runs and runs[-1][1] == i:
+                        runs[-1][1] = i + 1
+                    else:
+                        runs.append([i, i + 1])
+                for a, b in runs:
+                    width = axis[b] - axis[a]
+                    if best is None or width < best:
+                        best = width
+        return best if best is not None else 0
+
+
+def peculiar(region: CellRegion, min_room_width: int, max_room_aspect: float) -> bool:
+    if region.has_pinch():
+        return True
+    rect = region.full_rect_mm()
+    if rect is not None:
+        w, h = rect
+        return min(w, h) < min_room_width or max(w, h) > max_room_aspect * min(w, h)
+    return region.thickness() < min_room_width
+
+
+def simple(region: CellRegion) -> bool:
+    return not (region.has_pinch() or region.has_hole())
+
+
+def room_verdict(rid: int, after: CellRegion, min_room_width: int, max_room_aspect: float) -> str:
+    """The rejection reason for what the corridor leaves of room ``rid``; "" when it passes."""
+    if after.is_empty:
+        return f"room {rid} swallowed by the corridor"
+    if not after.connected():
+        return f"room {rid} split by the corridor"
+    if peculiar(after, min_room_width, max_room_aspect):
+        return f"room {rid} left peculiar"
+    return ""
+
+
+def identify_corridor_rooms(regions: dict[int, Region], parent_of: dict[int, int], cfg) -> set[int]:
+    """Rooms lacking a door-width shared wall with their hierarchy parent."""
+    door_mm = _mm(cfg.door_width)
+    stranded: set[int] = set()
+    for child_id, parent_id in parent_of.items():
+        if parent_id not in regions:
+            continue
+        if regions[child_id].shared_border_mm(regions[parent_id]) < door_mm:
+            stranded.add(child_id)
+    return stranded

