@@ -44,6 +44,17 @@ def _seed_range(text: str) -> list[int]:
     return list(range(first, last + 1))
 
 
+def _positive(text: str) -> int:
+    """Parse an integer count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1, got {value}")
+    return value
+
+
 def _load_config(path: str | None) -> GenConfig:
     path = path or os.environ.get("PLANWRIGHT_CONFIG")
     if not path:
@@ -108,7 +119,8 @@ def validate_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
 def bench_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
     """Time seeds 0..n-1; --trace adds attempt and corridor stats, and its cost to the times."""
     times_ms: list[float] = []
-    failures = pruned = 0
+    failed_ms: list[float] = []
+    pruned = 0
     attempts: list[int] = []
     candidates: list[int] = []
     areas: list[float] = []
@@ -118,7 +130,7 @@ def bench_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
         try:
             plan = generate(seed, cfg, trace=args.trace)
         except GenerationError:
-            failures += 1
+            failed_ms.append((time.perf_counter() - t0) * 1000.0)
             continue
         times_ms.append((time.perf_counter() - t0) * 1000.0)
         if args.trace:
@@ -130,9 +142,10 @@ def bench_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
                 areas.append(plan.trace["winner_area"])
     report = {
         "plans": len(times_ms),
-        "failures": failures,
+        "failures": len(failed_ms),
         "median_ms": round(statistics.median(times_ms), 3) if times_ms else None,
         "p95_ms": round(_percentile(times_ms, 0.95), 3) if times_ms else None,
+        "failure_median_ms": round(statistics.median(failed_ms), 3) if failed_ms else None,
     }
     if args.trace:
         spread = (min(areas), statistics.median(areas), max(areas)) if areas else None
@@ -197,13 +210,13 @@ def _build_parser() -> argparse.ArgumentParser:
     val.set_defaults(func=validate_cmd)
 
     ben = sub.add_parser("bench", help="time plan generation")
-    ben.add_argument("-n", type=int, default=100, help="number of seeds, from 0")
+    ben.add_argument("-n", type=_positive, default=100, help="number of seeds, from 0")
     ben.add_argument("--trace", action="store_true", help="trace plans; add attempt and corridor stats")
     ben.set_defaults(func=bench_cmd)
 
     gal = sub.add_parser("gallery", help="draw a contact sheet of many seeds")
     gal.add_argument("--seeds", type=_seed_range, default=list(range(1, 16)))
-    gal.add_argument("--columns", type=int, default=5)
+    gal.add_argument("--columns", type=_positive, default=5)
     gal.add_argument("--out", default="gallery.svg")
     gal.set_defaults(func=gallery_cmd)
     return parser

@@ -109,6 +109,26 @@ def test_generate_trace_sidecar(tmp_path, capsys):
     assert doc["corridor"]["winner_area"] > 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gallery", "--seeds", "1..2", "--columns", "0"],
+        ["bench", "-n", "-3"],
+        ["bench", "-n", "0"],
+        ["bench", "-n", "two"],
+    ],
+)
+def test_non_positive_counts_are_refused_at_parse_time(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected" in captured.err
+    assert not (tmp_path / "gallery.svg").exists()
+
+
 def test_generate_requires_exactly_one_seed_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["generate", "--seed", "1", "--seeds", "1..2"])
@@ -163,9 +183,20 @@ def test_bench_reports_json(capsys):
     rc, out, _ = run(capsys, "bench", "-n", "3")
     assert rc == 0
     report = json.loads(out)
-    assert set(report) == {"plans", "failures", "median_ms", "p95_ms"}
+    assert set(report) == {"plans", "failures", "median_ms", "p95_ms", "failure_median_ms"}
     assert report["plans"] + report["failures"] == 3
     assert report["median_ms"] > 0
+
+
+def test_bench_times_seeds_that_give_up(tmp_path, capsys):
+    cfg = tmp_path / "one-try.json"
+    cfg.write_text(json.dumps({"max_attempts": 1}))  # seed 0 gives up on its first attempt
+    rc, out, _ = run(capsys, "--config", str(cfg), "bench", "-n", "1")
+    assert rc == 0
+    report = json.loads(out)
+    assert (report["plans"], report["failures"]) == (0, 1)
+    assert report["failure_median_ms"] > 0
+    assert report["median_ms"] is None and report["p95_ms"] is None
 
 
 def test_bench_single_seed_p95_equals_median(capsys):
