@@ -303,8 +303,9 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
     the graph's node set, one-door-per-edge correspondence, door-graph
     connectivity (Outside included), the entry door, and the connection
     prohibitions.
-    Passing the config adds its window-ban check; everything else is
-    self-contained in the plan document.
+    Passing the config adds its window-ban check and requires every door to
+    be ``door_width`` and every window ``window_width`` wide; everything else
+    is self-contained in the plan document.
     """
     failures: list[str] = []
     # One per listed room, so a room listed twice counts twice in the partition.
@@ -420,9 +421,17 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
             failures.append(f"bathroom {rid} bridges bedrooms {sorted(bed_neighbours)}")
 
     if cfg is not None:
+        door_mm = _mm(cfg.door_width)
+        widths = {DOOR: door_mm, ENTRY_DOOR: door_mm, WINDOW: _mm(cfg.window_width)}
         for opening in plan.openings:
             if opening.kind == WINDOW and kinds.get(opening.rooms[0]) in cfg.window_banned:
                 failures.append(f"window in banned kind: room {opening.rooms[0]}")
+            _, lo, hi = opening.mm()
+            if opening.kind in widths and hi - lo != widths[opening.kind]:
+                failures.append(
+                    f"opening width: {opening.kind} {opening.rooms} is {hi - lo} mm, "
+                    f"not {widths[opening.kind]} mm"
+                )
 
     return ValidationReport(tuple(failures))
 

@@ -480,6 +480,16 @@ def _split_kitchen(doc: dict) -> None:
             "door names unknown room 99",
             id="unknown-room",
         ),
+        pytest.param(
+            lambda d: d["openings"][1].update(width=0.3),
+            "opening width: door (0, 1) is 300 mm, not 900 mm",
+            id="narrow-door",
+        ),
+        pytest.param(
+            lambda d: d["openings"][2].update(width=0.05),
+            "opening width: window (0, -1) is 50 mm, not 1200 mm",
+            id="narrow-window",
+        ),
     ],
 )
 def test_validate_rejects_mutated_golden_plan(mutate, failure):
