@@ -510,7 +510,9 @@ def _lengthen_priority(edge: Edge, degrees: dict[Vertex, int], ws: _Workspace) -
     lx0, ly0, lx1, ly1 = ws.living_box
 
     def gain(which: str) -> int:
-        act = EdgeAction(extend_lo=ws.door_width) if which == "lo" else EdgeAction(extend_hi=ws.door_width)
+        act = EdgeAction(extend_lo=ws.door_width) if which == "lo" else EdgeAction(
+            extend_hi=ws.door_width
+        )
         x0, y0, x1, y1 = _strip(edge, act, ws.corridor_width)
         return max(0, min(x1, lx1) - max(x0, lx0)) * max(0, min(y1, ly1) - max(y0, ly0))
 
@@ -575,7 +577,9 @@ def enumerate_candidates(
             _alternatives(e, degrees, ws) if i in actionable else [EdgeAction()]
             for i, e in enumerate(edges)
         ]
-        strips = [{a: _strip(e, a, ws.corridor_width) for a in actions} for e, actions in zip(edges, per_edge)]
+        strips = [
+            {a: _strip(e, a, ws.corridor_width) for a in actions} for e, actions in zip(edges, per_edge)
+        ]
         seen.extend(box for boxes in strips for box in boxes.values())
         searches.append((edges, per_edge, strips))
     ws.grid = grid = _Grid(seen)
@@ -760,12 +764,13 @@ def _evaluate(
             parent = ws.living_id
         if child not in changed and parent not in changed:
             continue
-        shared = grid.shared_border(changed.get(child, masks[child]), changed.get(parent, masks[parent]))
-        if shared < ws.door_width:
+        a, b = (changed.get(r, masks[r]) for r in (child, parent))
+        if grid.shared_border(a, b) < ws.door_width:
             return reject(f"no door-width wall between rooms {child} and {parent}")
 
     return CorridorCandidate(
-        edges, actions, area, length, True, corridor=corridor, rooms_after=tuple(sorted(changed.items()))
+        edges, actions, area, length, True,
+        corridor=corridor, rooms_after=tuple(sorted(changed.items())),
     )
 
 

@@ -532,7 +532,8 @@ def test_grid_masks_match_the_cell_set_oracle(a_boxes, b_boxes, spare, min_width
     # The oracle on the very same cells, and on its own breakpoints.
     same = CellRegion.of(grid.region(a))
     own = CellRegion.from_boxes(a_boxes)
-    assert same.cells == {(k % grid.stride, k // grid.stride) for k in range(a.bit_length()) if a >> k & 1}
+    bits = [k for k in range(a.bit_length()) if a >> k & 1]
+    assert same.cells == {(k % grid.stride, k // grid.stride) for k in bits}
     assert own.subtract(same).is_empty and same.subtract(own).is_empty
     for oracle in (same, own):
         assert grid.connected(a) == oracle.connected()
@@ -545,7 +546,9 @@ def test_grid_masks_match_the_cell_set_oracle(a_boxes, b_boxes, spare, min_width
     assert grid.hole(a) == same.has_hole()
     if not grid.pinch(a):
         assert grid.hole(a) == own.has_hole()
-    ws = SimpleNamespace(grid=grid, verdicts={}, min_room_width=min_width, max_room_aspect=max_aspect)
+    ws = SimpleNamespace(
+        grid=grid, verdicts={}, min_room_width=min_width, max_room_aspect=max_aspect
+    )
     assert _room_verdict(7, a, ws) == oracles.room_verdict(7, same, min_width, max_aspect)
     assert ws.verdicts == {(7, a): _room_verdict(7, a, ws)}
     # The door-width check: the longest wall run the two regions share.
