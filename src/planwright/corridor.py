@@ -446,9 +446,8 @@ def _bits(m: int) -> Iterator[int]:
 class _Workspace:
     """Room boxes, wall lines and mm lengths shared by every candidate evaluation.
 
-    ``enumerate_candidates`` puts the search's ``grid`` and each room's mask
-    on it in place and sets ``combinations`` to the size of the action
-    product; ``verdicts`` memoises room verdicts for the search.
+    ``enumerate_candidates`` sets the search's ``grid``, the room ``masks`` on it and
+    ``combinations``, the size of the action product; ``verdicts`` memoises room verdicts.
     """
 
     rooms: Rooms
@@ -545,8 +544,9 @@ def enumerate_candidates(
 
     A zero-length path (vertex-only contact) borrows each graph edge incident
     to the anchor vertex as a one-edge path of its own.  Traced, every
-    combination is evaluated in product order.  Untraced, those that fail
-    ``_boxes_pass`` are dropped before ranking, the rest are evaluated in
+    combination is evaluated in product order.  Untraced, strips that leave
+    the footprint are dropped before the product is taken and combinations
+    that fail ``_boxes_pass`` before ranking, the rest are evaluated in
     ``sort_key`` order and the search stops at the first valid one, so the
     list holds only the candidates evaluated; ``ws.combinations`` counts all.
     """
@@ -563,6 +563,7 @@ def enumerate_candidates(
     # the product loop starts; joint boxes take their sides from the strips.
     searches = []
     seen = [ws.fp_box, *(box for _, _, box in ws.rooms)]
+    n_combos = 0
     for edges in paths:
         degrees: dict[Vertex, int] = {}
         for e in edges:
@@ -577,22 +578,26 @@ def enumerate_candidates(
             _alternatives(e, degrees, ws) if i in actionable else [EdgeAction()]
             for i, e in enumerate(edges)
         ]
-        strips = [
-            {a: _strip(e, a, ws.corridor_width) for a in actions} for e, actions in zip(edges, per_edge)
+        options = [
+            [(a, _strip(e, a, ws.corridor_width)) for a in actions] for e, actions in zip(edges, per_edge)
         ]
-        seen.extend(box for boxes in strips for box in boxes.values())
-        searches.append((edges, per_edge, strips))
+        seen.extend(box for pairs in options for _, box in pairs)
+        n_combos += prod(map(len, options))
+        if not ws.trace:
+            # A joint box spans the across intervals of its two strips, so a
+            # corridor stays in the footprint exactly when its strips do.
+            options = [[(a, box) for a, box in pairs if _inside([box], ws.fp_box)] for pairs in options]
+        searches.append((edges, options))
     ws.grid = grid = _Grid(seen)
     ws.masks = {rid: grid.mask(box) for rid, _, box in ws.rooms}
 
-    n_combos = 0
     combos: list[tuple[tuple, tuple[Edge, ...], tuple[EdgeAction, ...], list[Box]]] = []
-    for edges, per_edge, strips in searches:
+    for edges, options in searches:
         joints = _joint_pairs(edges)
         path_length = sum(_length(e) for e in edges)
-        n_combos += prod(map(len, per_edge))
-        for combo in product(*per_edge):
-            boxes = [strips[i][action] for i, action in enumerate(combo)]
+        for picks in product(*options):
+            combo, strips = zip(*picks)
+            boxes = list(strips)
             # Perpendicular strips thickened to opposite sides meet only at
             # a point; the corner square between them restores an edge-wide
             # connection.
@@ -632,12 +637,8 @@ def _inside(boxes: list[Box], footprint: Box) -> bool:
 
 
 def _boxes_pass(boxes: list[Box], ws: _Workspace) -> bool:
-    """In the footprint, one piece, and (so) touching the living room with a box."""
-    return (
-        _inside(boxes, ws.fp_box)
-        and _boxes_connected(boxes)
-        and _boxes_connected([ws.living_box, *boxes])
-    )
+    """In one piece, and joined by the living room at one box (so to all of them)."""
+    return _boxes_connected(boxes) and any(_boxes_connected([ws.living_box, b]) for b in boxes)
 
 
 def _boxes_connected(boxes: list[Box]) -> bool:
@@ -750,7 +751,7 @@ def _evaluate(
         changed[rid] = after
 
     if ws.trace:
-        if not _boxes_connected([ws.living_box, *boxes]):
+        if not _boxes_pass(boxes, ws):  # the boxes are one piece by now
             return reject("corridor does not reach the living room")
     elif not grid.simple(corridor):
         return reject("corridor is not a simple region")
