@@ -341,6 +341,11 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
                 failures.append(f"overlap: rooms {a} and {b}")
 
     nodes = set(regions) | {OUTSIDE_ID}
+    # With a config, each opening is as wide as the config makes its kind.
+    widths: dict[str, int] = {}
+    if cfg is not None:
+        door_mm = _mm(cfg.door_width)
+        widths = {DOOR: door_mm, ENTRY_DOOR: door_mm, WINDOW: _mm(cfg.window_width)}
     door_edges: set[tuple[int, int]] = set()
     entry_count = 0
     # Keyed (vertical, line), so horizontal walls are reported first.
@@ -357,6 +362,11 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
         horizontal, line, slo, shi = wall
         if lo < slo or hi > shi:
             failures.append(f"opening outside its wall: {opening.kind} {opening.rooms}")
+        if widths and hi - lo != widths[opening.kind]:
+            failures.append(
+                f"opening width: {opening.kind} {opening.rooms} is {hi - lo} mm, "
+                f"not {widths[opening.kind]} mm"
+            )
         by_line.setdefault((not horizontal, line), []).append((lo, hi, opening.kind))
         on_boundary = line in (fp_region.ys if horizontal else fp_region.xs)
         a, b = opening.rooms
@@ -421,17 +431,9 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
             failures.append(f"bathroom {rid} bridges bedrooms {sorted(bed_neighbours)}")
 
     if cfg is not None:
-        door_mm = _mm(cfg.door_width)
-        widths = {DOOR: door_mm, ENTRY_DOOR: door_mm, WINDOW: _mm(cfg.window_width)}
         for opening in plan.openings:
             if opening.kind == WINDOW and kinds.get(opening.rooms[0]) in cfg.window_banned:
                 failures.append(f"window in banned kind: room {opening.rooms[0]}")
-            _, lo, hi = opening.mm()
-            if opening.kind in widths and hi - lo != widths[opening.kind]:
-                failures.append(
-                    f"opening width: {opening.kind} {opening.rooms} is {hi - lo} mm, "
-                    f"not {widths[opening.kind]} mm"
-                )
 
     return ValidationReport(tuple(failures))
 
