@@ -120,7 +120,6 @@ def bench_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
     """Time seeds 0..n-1; --trace adds attempt and corridor stats, and its cost to the times."""
     times_ms: list[float] = []
     failed_ms: list[float] = []
-    pruned = 0
     attempts: list[int] = []
     candidates: list[int] = []
     areas: list[float] = []
@@ -138,7 +137,6 @@ def bench_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
             candidates.append(plan.corridor_candidates)
             rejections.update(c["reason"] for c in plan.trace["candidates"] if not c["valid"])
             if plan.corridor is not None:
-                pruned += plan.trace["routed_on_pruned"]
                 areas.append(plan.trace["winner_area"])
     report = {
         "plans": len(times_ms),
@@ -154,7 +152,6 @@ def bench_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
             mean_candidates=round(statistics.mean(candidates), 2) if candidates else None,
             max_candidates=max(candidates, default=None),
             mean_attempts=round(statistics.mean(attempts), 2) if attempts else None,
-            routed_on_pruned=pruned,
             winner_area=spread and dict(zip(("min", "median", "max"), (round(a, 2) for a in spread))),
             rejections=dict(sorted(rejections.items(), key=lambda kv: (-kv[1], kv[0]))),
         )

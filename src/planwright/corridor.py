@@ -2,12 +2,12 @@
 
 A room whose hierarchy parent it does not touch (with enough shared wall for
 a door) cannot be entered.  This module fixes that: it builds a graph from
-the interior walls of the placed rooms, prunes it to its 2-core, routes the
-shortest tree connecting the stranded rooms to the living room, widens the
-routed walls into corridor strips - trying a bounded set of per-edge Shift
-and Lengthen variants - and extrudes the cheapest valid corridor from the
-rooms it crosses.  The corridor then counts as living-room space, and the
-rooms it serves hang off the living room in the connection graph.
+the interior walls of the placed rooms, routes on it the shortest tree
+connecting the stranded rooms to the living room, widens the routed walls
+into corridor strips - trying a bounded set of per-edge Shift and Lengthen
+variants - and extrudes the cheapest valid corridor from the rooms it
+crosses.  The corridor then counts as living-room space, and the rooms it
+serves hang off the living room in the connection graph.
 
 Each candidate corridor is a handful of strip and joint boxes.  Area,
 footprint containment, connectivity and contact with the living room are
@@ -176,12 +176,6 @@ def identify_corridor_rooms(
     }
 
 
-def _graph(edges) -> tuple[tuple[Vertex, ...], tuple[Edge, ...]]:
-    """Sorted vertices and edges of an edge set."""
-    edges = tuple(sorted(edges))
-    return tuple(sorted({v for e in edges for v in _ends(e)})), edges
-
-
 def build_wall_graph(footprint: Box, rooms: Rooms) -> WallGraph:
     """Graph of all interior wall segments, split at every coincident vertex.
 
@@ -213,27 +207,8 @@ def build_wall_graph(footprint: Box, rooms: Rooms) -> WallGraph:
                 inner = sorted(c for c in cuts if lo <= c <= hi)
                 for a, b in zip(inner, inner[1:]):
                     edges.append((line, a, line, b) if flip else (a, line, b, line))
-    return WallGraph(*_graph(edges))
-
-
-def prune(graph: WallGraph) -> WallGraph:
-    """Iteratively drop edges at degree-1 vertices; returns the 2-core."""
-    adj = {v: {e for _, e in nbrs} for v, nbrs in graph.adjacency().items()}
-    stack = [v for v, es in adj.items() if len(es) == 1]
-    alive = set(graph.edges)
-    while stack:
-        v = stack.pop()
-        if len(adj[v]) != 1:
-            continue
-        edge = next(iter(adj[v]))
-        alive.discard(edge)
-        adj[v].clear()
-        a, b = _ends(edge)
-        other = b if a == v else a
-        adj[other].discard(edge)
-        if len(adj[other]) == 1:
-            stack.append(other)
-    return WallGraph(*_graph(alive))
+    edges.sort()
+    return WallGraph(tuple(sorted({v for e in edges for v in _ends(e)})), tuple(edges))
 
 
 def _contact_vertices(graph: WallGraph, box: Box) -> frozenset[Vertex]:
@@ -537,9 +512,7 @@ def _alternatives(edge: Edge, degrees: dict[Vertex, int], ws: _Workspace) -> lis
     return unique[:MAX_ALTERNATIVES]
 
 
-def enumerate_candidates(
-    path: CorridorPath, ws: _Workspace, graph: WallGraph
-) -> list[CorridorCandidate]:
+def enumerate_candidates(path: CorridorPath, ws: _Workspace) -> list[CorridorCandidate]:
     """Evaluate the bounded Cartesian product of per-edge actions.
 
     A zero-length path (vertex-only contact) borrows each graph edge incident
@@ -554,7 +527,7 @@ def enumerate_candidates(
     if path.edges:
         paths = [path.edges]
     elif path.anchor is not None:
-        incident = sorted(e for e in graph.edges if path.anchor in _ends(e))
+        incident = sorted(e for e in ws.walls if path.anchor in _ends(e))
         paths = [(e,) for e in incident[:MAX_ALTERNATIVES]]
     else:
         return []
@@ -806,24 +779,10 @@ def plan_corridor(
         )
 
     graph = build_wall_graph(footprint, rooms)
-    pruned = prune(graph)
-
-    # Route on the pruned graph when it still touches every room involved;
-    # tilings whose rooms all reach the boundary peel away completely, and
-    # then the full wall graph is the only routable one (the area objective
-    # already punishes corridors that end blind, which is all pruning trims).
-    for routing_graph in (pruned, graph):
-        contact_sets = [
-            (rid, _contact_vertices(routing_graph, boxes[rid]))
-            for rid in (living_id, *sorted(terminals))
-        ]
-        try:
-            path = route(routing_graph, contact_sets)
-            break
-        except CorridorError as exc:
-            last_error = exc
-    else:
-        raise last_error
+    contact_sets = [
+        (rid, _contact_vertices(graph, boxes[rid])) for rid in (living_id, *sorted(terminals))
+    ]
+    path = route(graph, contact_sets)
 
     ws = _Workspace(
         rooms=rooms,
@@ -839,7 +798,7 @@ def plan_corridor(
         fp_box=footprint,
         trace=trace,
     )
-    candidates = enumerate_candidates(path, ws, routing_graph)
+    candidates = enumerate_candidates(path, ws)
     winner = filter_and_select(candidates)
     # Carve the corridor out of the rooms it crosses; the living room gains it.
     grid = ws.grid
@@ -859,13 +818,11 @@ def plan_corridor(
     doc = {
         "corridor_rooms": len(terminals),
         "graph_edges": len(graph.edges),
-        "pruned_edges": len(pruned.edges),
-        "routed_on_pruned": routing_graph is pruned,
         "path_edges": len(path.edges),
         "path_length": _m(path_mm),
         # The routing instance in mm, replayable by an external checker.
         "routing": {
-            "edges": [list(e) for e in routing_graph.edges],
+            "edges": [list(e) for e in graph.edges],
             "contacts": [[rid, sorted(map(list, verts))] for rid, verts in contact_sets],
             "path_mm": path_mm,
         },

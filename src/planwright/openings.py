@@ -299,10 +299,10 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
     """Re-check a finished plan from scratch.
 
     Verifies unique room ids, the area partition, pairwise disjointness,
-    containment, opening kinds and the rooms they name, opening geometry,
-    the graph's node set, one-door-per-edge correspondence, door-graph
-    connectivity (Outside included), the entry door, and the connection
-    prohibitions.
+    containment, that the corridor lies in the living room, opening kinds and
+    the rooms they name, opening geometry, the graph's node set,
+    one-door-per-edge correspondence, door-graph connectivity (Outside
+    included), the entry door, and the connection prohibitions.
     Passing the config adds its window-ban check and requires every door to
     be ``door_width`` and every window ``window_width`` wide; everything else
     is self-contained in the plan document.
@@ -323,15 +323,27 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
         failures.append(
             f"partition: room areas sum to {total} mm², footprint is {fp_region.area} mm²"
         )
-    # Every room and the footprint on one breakpoint grid: containment is a
-    # subset test and overlap a shared cell.
-    xs = tuple(sorted({*fp_region.xs, *(x for r in regions.values() for x in r.xs)}))
-    ys = tuple(sorted({*fp_region.ys, *(y for r in regions.values() for y in r.ys)}))
+    # Every room, the footprint and the corridor on one breakpoint grid:
+    # containment is a subset test and overlap a shared cell.
+    laid = [fp_region, *regions.values()]
+    corridor = None
+    if plan.corridor is not None:
+        corridor = Region.from_polygon(plan.corridor)
+        laid.append(corridor)
+    xs = tuple(sorted({x for r in laid for x in r.xs}))
+    ys = tuple(sorted({y for r in laid for y in r.ys}))
     fp_cells = fp_region.realign(xs, ys)
     cells = {rid: region.realign(xs, ys) for rid, region in sorted(regions.items())}
     for rid, room_cells in cells.items():
         if not room_cells <= fp_cells:
             failures.append(f"containment: room {rid} leaves the footprint")
+    # The corridor is living-room space.
+    if corridor is not None:
+        living = frozenset().union(
+            *(cells[rid] for rid, kind in kinds.items() if kind is RoomKind.LIVING_ROOM)
+        )
+        if not corridor.realign(xs, ys) <= living:
+            failures.append("corridor not inside the living room")
     overlapping: set[tuple[int, int]] = set()
     ids = list(cells)
     for i, a in enumerate(ids):

@@ -1,8 +1,9 @@
 """Reference implementations the suite checks the package against.
 
 Everything here is deliberately naive: row layouts are evaluated by building
-the actual rectangles, shortest paths by enumerating every simple path, area
-audits by scanline decomposition of the polygons themselves.  None of it
+the actual rectangles, shortest paths by enumerating every simple path,
+Steiner trees by the textbook Dreyfus-Wagner program, area audits by
+scanline decomposition of the polygons themselves.  None of it
 imports package internals beyond plain data, the grid helpers and the error
 types, except the two sections of copies at the end, which are the package's
 own earlier code kept as a reference for its rewrite: the front stage, and the
@@ -12,10 +13,11 @@ before it moved to integer masks.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, count
 from typing import Iterator
 
 from planwright.geometry import GRID, MAX_EXACT, Rect, Region, _mm, snap
@@ -152,6 +154,70 @@ def shortest_path_bruteforce(edges, sources, targets):
     for s in sources:
         walk(s, {s}, 0)
     return best
+
+
+def steiner_optimum(edges, contact_sets):
+    """Least total weight of a tree touching every contact set (Dreyfus-Wagner, 1971).
+
+    ``edges`` is [(u, v, weight)] with hashable vertices and ``contact_sets``
+    a list of vertex collections.  Each set gets a virtual terminal joined to
+    its vertices by a weight larger than all the edges together, so a
+    cheapest tree reaches each terminal by exactly one such edge whenever the
+    sets can be joined at all; the optimum is the Steiner tree's weight less
+    those k joins.  Returns None when the sets cannot be joined.
+    """
+    big = sum(w for _, _, w in edges) + 1
+    adjacency = {}
+    for u, v, weight in edges:
+        adjacency.setdefault(u, []).append((v, weight))
+        adjacency.setdefault(v, []).append((u, weight))
+    terminals = [("terminal", i) for i in range(len(contact_sets))]
+    for t, verts in zip(terminals, contact_sets):
+        adjacency[t] = [(v, big) for v in verts]
+        for v in verts:
+            adjacency.setdefault(v, []).append((t, big))
+
+    def relax(cost):
+        """Cheapest ``cost[u] + dist(u, v)`` for every v: Dijkstra from all u at once."""
+        tie = count()
+        heap = [(c, next(tie), v) for v, c in cost.items() if c < math.inf]
+        heapq.heapify(heap)
+        done = {}
+        while heap:
+            c, _, v = heapq.heappop(heap)
+            if v in done:
+                continue
+            done[v] = c
+            for u, weight in adjacency[v]:
+                if u not in done:
+                    heapq.heappush(heap, (c + weight, next(tie), u))
+        return {v: done.get(v, math.inf) for v in adjacency}
+
+    k = len(terminals)
+    # tree[S][v]: least weight of a tree holding v and the terminals in bit set S.
+    tree = [None] * (1 << k)
+    for i, t in enumerate(terminals):
+        tree[1 << i] = relax({t: 0})
+    for s in range(1, 1 << k):
+        if s & (s - 1) == 0:
+            continue
+        low = s & -s
+        merged = {}
+        for v in adjacency:
+            best = math.inf
+            a = (s - 1) & s
+            while a:
+                # Each split once: the part holding the lowest terminal.
+                if a & low:
+                    best = min(best, tree[a][v] + tree[s ^ a][v])
+                a = (a - 1) & s
+            merged[v] = best
+        tree[s] = relax(merged)
+    full = tree[(1 << k) - 1]
+    optimum = min((c for v, c in full.items() if v not in terminals), default=math.inf) - k * big
+    # A tree that needs one more join passes through a virtual terminal: the
+    # sets lie in different pieces of the graph.
+    return None if optimum >= big else optimum
 
 
 # --- room program ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Corridor stage: wall graph, pruning, routing, candidate selection.
+"""Corridor stage: wall graph, routing, candidate selection.
 
 Two hand-built tilings anchor the exact assertions.  In the "pin" layout the
 stranded bathroom meets the living room at a single corner, so routing
@@ -22,7 +22,6 @@ from planwright.corridor import (
     build_wall_graph,
     identify_corridor_rooms,
     plan_corridor,
-    prune,
     route,
 )
 from planwright.corridor import (
@@ -178,34 +177,6 @@ def test_wall_graph_grid_lattice():
     assert sorted(degrees.values()) == [1] * 8 + [4] * 4
 
 
-# ------------------------------------------------------------------ pruning
-
-
-def test_prune_peels_tree_to_nothing():
-    graph = build_wall_graph(PIN_FOOTPRINT, PIN_ROOMS)
-    pruned = prune(graph)
-    assert pruned.edges == ()
-    assert pruned.vertices == ()
-
-
-def test_prune_keeps_interior_ring():
-    fp, rooms = grid_layout(3)
-    pruned = prune(build_wall_graph(fp, rooms))
-    # The boundary stubs peel away; the walls of the centre room survive.
-    assert set(pruned.edges) == {
-        seg(3, 3, 6, 3),
-        seg(3, 6, 6, 6),
-        seg(3, 3, 3, 6),
-        seg(6, 3, 6, 6),
-    }
-
-
-def test_prune_idempotent_on_fixtures():
-    for fp, rooms in [(PIN_FOOTPRINT, PIN_ROOMS), grid_layout(3), grid_layout(4)]:
-        pruned = prune(build_wall_graph(fp, rooms))
-        assert prune(pruned).edges == pruned.edges
-
-
 @st.composite
 def random_layouts(draw):
     n = draw(st.integers(min_value=2, max_value=9))
@@ -217,19 +188,6 @@ def random_layouts(draw):
     rects = squarify(LayoutRequest(fp, tuple(enumerate(areas))))
     rooms = [(i, K.BEDROOM, mm_box(r)) for i, r in enumerate(rects)]
     return mm_box(fp), rooms
-
-
-@settings(max_examples=150, deadline=None)
-@given(random_layouts())
-def test_prune_two_core_property(layout):
-    fp, rooms = layout
-    graph = build_wall_graph(fp, rooms)
-    pruned = prune(graph)
-    assert set(pruned.edges) <= set(graph.edges)
-    degrees = degrees_of(pruned.edges)
-    assert all(d >= 2 for d in degrees.values())
-    again = prune(pruned)
-    assert again.edges == pruned.edges and again.vertices == pruned.vertices
 
 
 # ------------------------------------------------------------------ routing
@@ -364,7 +322,9 @@ def test_plan_corridor_strip_layout_winner():
     areas = {rid: region.area for rid, _, region in result.rooms}
     assert areas == {0: 21_000_000, 1: 9_000_000, 2: 6_000_000, 3: 18_000_000}
     trace = result.trace
-    assert trace["routed_on_pruned"] is False
+    # Routing runs on the full wall graph.
+    graph = build_wall_graph(STRIP_FOOTPRINT, STRIP_ROOMS)
+    assert trace["routing"]["edges"] == [list(e) for e in graph.edges]
     assert trace["path_edges"] == 1
     assert trace["winner_area"] == pytest.approx(3.0)
     # One edge, four variants: keep, lengthen, flip+lengthen, plain flip.
@@ -383,7 +343,8 @@ def test_plan_corridor_pin_layout_borrows_incident_walls():
     assert result.reparented == (3,)
     assert result.trace["path_edges"] == 0
     assert result.trace["graph_edges"] == 4
-    assert result.trace["pruned_edges"] == 0
+    graph = build_wall_graph(PIN_FOOTPRINT, PIN_ROOMS)
+    assert result.trace["routing"]["edges"] == [list(e) for e in graph.edges]
     assert result.corridor is not None
     # Each borrowed wall yields a 3 m strip; no cheaper corridor exists.
     assert result.trace["winner_area"] == pytest.approx(3.0)

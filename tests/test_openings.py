@@ -490,6 +490,19 @@ def _split_kitchen(doc: dict) -> None:
             "opening width: window (0, -1) is 50 mm, not 1200 mm",
             id="narrow-window",
         ),
+        pytest.param(
+            lambda d: d.update(corridor=[[3.5, 0.5], [4.5, 0.5], [4.5, 1.5], [3.5, 1.5]]),
+            "corridor not inside the living room",
+            id="corridor-in-kitchen",
+        ),
+        pytest.param(
+            lambda d: (
+                d.update(corridor=[[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 1.5]]),
+                d["rooms"][0].update(kind="dining_room"),
+            ),
+            "corridor not inside the living room",
+            id="corridor-without-living-room",
+        ),
     ],
 )
 def test_validate_rejects_mutated_golden_plan(mutate, failure):
