@@ -117,19 +117,26 @@ def validate_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
 
 
 def bench_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
-    """Time seeds 0..n-1; --trace adds attempt and corridor stats, and its cost to the times."""
+    """Time seeds 0..n-1; --trace adds attempt and corridor stats, and its cost to the times.
+
+    The traced ``attempts_histogram`` counts the plans delivered by the
+    attempt that won; ``give_up_rejections`` sums, by stage, the rejected
+    attempts of the seeds that gave up.
+    """
     times_ms: list[float] = []
     failed_ms: list[float] = []
     attempts: list[int] = []
     candidates: list[int] = []
     areas: list[float] = []
     rejections: Counter[str] = Counter()
+    give_up_rejections: Counter[str] = Counter()
     for seed in range(args.n):
         t0 = time.perf_counter()
         try:
             plan = generate(seed, cfg, trace=args.trace)
-        except GenerationError:
+        except GenerationError as exc:
             failed_ms.append((time.perf_counter() - t0) * 1000.0)
+            give_up_rejections.update(exc.rejections)
             continue
         times_ms.append((time.perf_counter() - t0) * 1000.0)
         if args.trace:
@@ -152,8 +159,10 @@ def bench_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
             mean_candidates=round(statistics.mean(candidates), 2) if candidates else None,
             max_candidates=max(candidates, default=None),
             mean_attempts=round(statistics.mean(attempts), 2) if attempts else None,
+            attempts_histogram=dict(sorted(Counter(attempts).items())),
             winner_area=spread and dict(zip(("min", "median", "max"), (round(a, 2) for a in spread))),
             rejections=dict(sorted(rejections.items(), key=lambda kv: (-kv[1], kv[0]))),
+            give_up_rejections=dict(give_up_rejections),
         )
     print(json.dumps(report))
     return 0

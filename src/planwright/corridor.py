@@ -332,8 +332,26 @@ class _Grid:
         return m
 
     def region(self, m: int) -> Region:
+        """The cells of ``m`` as a Region on only the breakpoints where ``m`` changes.
+
+        A column line is kept where some cell of ``m`` differs from its left
+        neighbour, a row line where one differs from the cell below; the
+        cells between two kept lines are all alike, so one stands for them.
+        """
         s = self.stride
-        return Region(self.xs, self.ys, frozenset((k % s, k // s) for k in _bits(m)))
+        across, cols = m ^ m << 1, 0
+        while across:
+            cols, across = cols | across, across >> s
+        up, row = m ^ m << s, (1 << s) - 1
+        ki = [i for i in range(s) if cols >> i & 1]
+        kj = [j for j in range(len(self.ys)) if up >> j * s & row]
+        cells = frozenset(
+            (a, b)
+            for b, j in enumerate(kj[:-1])
+            for a, i in enumerate(ki[:-1])
+            if m >> j * s + i & 1
+        )
+        return Region(tuple(self.xs[i] for i in ki), tuple(self.ys[j] for j in kj), cells)
 
     def _flood(self, seen: int, within: int) -> int:
         """The cells of ``within`` that ``seen`` reaches through shared edges."""

@@ -8,6 +8,13 @@ aggregate area, then each subtree's allotment is split among the parent room
 itself and its children, recursively.  A per-room check passed in sees each
 room as it is placed, so a failing layout stops at its first failing room.
 
+Both share one pass per level, ``_cuts``: it decides each row from the row's
+running sum, smallest and largest area, so a level costs time linear in its
+items, and returns the cuts as plain floats.  ``layout_rooms`` builds a
+room's Rect only when its walk reaches the room, and lays out a child level
+only when it reaches that child, so a layout rejected at its living room
+builds one Rect.
+
 All arithmetic here stays at full float precision; the pipeline's check
 snaps each rect onto the millimetre grid as it is placed.  Every cut
 coordinate is computed once and shared by the rects on both sides, so the
@@ -68,29 +75,20 @@ def squarify(req: LayoutRequest, *, keep_order: bool = False) -> list[Rect]:
     order = list(range(len(req.items)))
     if not keep_order:
         order.sort(key=lambda i: (-req.items[i][1], i))
-    areas = [req.items[i][1] for i in order]
-    cells = _fill(req.container, areas)
+    cuts = _cuts(req.container, [req.items[i][1] for i in order])
     out: list[Rect | None] = [None] * len(order)
-    for pos, idx in enumerate(order):
-        out[idx] = cells[pos]
+    for idx, cut in zip(order, cuts):
+        out[idx] = Rect(*cut)
     return out  # type: ignore[return-value]
 
 
-def _worst(areas: list[float], start: int, end: int, side: float) -> float:
-    """Worst aspect ratio in the row areas[start:end] against a side of the container."""
-    thickness = sum(areas[start:end]) / side
-    t2 = thickness * thickness
-    worst = 1.0
-    for a in areas[start:end]:
-        worst = max(worst, t2 / a, a / t2)
-    return worst
-
-
-def _fill(container: Rect, areas: list[float]) -> list[Rect]:
-    rects: list[Rect] = []
+def _cuts(container: Rect, areas: list[float]) -> list[tuple[float, float, float, float]]:
+    """One ``(x, y, width, height)`` per area, in order, cut row by row in one pass."""
+    cuts = []
     x0, y0, x1, y1 = container.x, container.y, container.x1, container.y1
+    n = len(areas)
     start = 0
-    while start < len(areas):
+    while start < n:
         # A row is laid along the shorter side (v) and grows across it (u):
         # a column at the left of a wide container, a row at the bottom of a
         # tall one.
@@ -99,13 +97,30 @@ def _fill(container: Rect, areas: list[float]) -> list[Rect]:
         side = v1 - v0
         if side <= 0:
             raise LayoutError("container side rounds to zero")
+        # A row's worst aspect ratio comes from its running sum, smallest and
+        # largest area: t2 / a and a / t2 peak at the extremes of the row.
+        # It is worked out only once a longer row is weighed, so a row that
+        # cannot grow never divides by a t2 that underflowed to zero.
+        total = lo = hi = areas[start]
+        worst = None
         end = start + 1
-        while end < len(areas) and _worst(areas, start, end + 1, side) <= _worst(
-            areas, start, end, side
-        ):
+        while end < n:
+            if worst is None:
+                t = total / side
+                t2 = t * t
+                worst = max(1.0, t2 / lo, hi / t2)
+            a = areas[end]
+            grown = total + a
+            t = grown / side
+            t2 = t * t
+            glo, ghi = min(lo, a), max(hi, a)
+            grown_worst = max(1.0, t2 / glo, ghi / t2)
+            if not grown_worst <= worst:
+                break
+            total, lo, hi, worst = grown, glo, ghi, grown_worst
             end += 1
-        thickness = sum(areas[start:end]) / side
-        usplit = u1 if end == len(areas) else u0 + thickness
+        thickness = total / side
+        usplit = u1 if end == n else u0 + thickness
         v = v0
         for k in range(start, end):
             vnext = v1 if k == end - 1 else v + areas[k] / thickness
@@ -113,14 +128,14 @@ def _fill(container: Rect, areas: list[float]) -> list[Rect]:
             if du <= 0 or dv <= 0:
                 # An area too small beside the others to move a float coordinate.
                 raise LayoutError("rect side rounds to zero")
-            rects.append(Rect(u0, v, du, dv) if vertical else Rect(v, u0, dv, du))
+            cuts.append((u0, v, du, dv) if vertical else (v, u0, dv, du))
             v = vnext
         if vertical:
             x0 = usplit
         else:
             y0 = usplit
         start = end
-    return rects
+    return cuts
 
 
 def layout_rooms(footprint: Rect, tree: HierarchyNode, check: Callable | None = None) -> list:
@@ -145,9 +160,12 @@ def _place(node: HierarchyNode, rect: Rect, rooms: list, check: Callable) -> Non
         rooms.append(check(PlacedRoom(node.room_id, node.kind, rect)))
         return
     children = sorted(node.children, key=lambda c: (-c.aggregate_area, c.room_id))
-    items = [(node.room_id, node.target_area)]
-    items += [(child.room_id, child.aggregate_area) for child in children]
-    cells = squarify(LayoutRequest(rect, tuple(items)), keep_order=True)
-    rooms.append(check(PlacedRoom(node.room_id, node.kind, cells[0])))
-    for child, cell in zip(children, cells[1:]):
-        _place(child, cell, rooms, check)
+    items = ((node.room_id, node.target_area), *((c.room_id, c.aggregate_area) for c in children))
+    req = LayoutRequest(rect, items)
+    # The level's cuts are all made before its first room is checked, so a
+    # side lost to float precision anywhere in the level fails the layout
+    # first; a Rect is built only for the cell the walk has reached.
+    cuts = _cuts(rect, [area for _, area in req.items])
+    rooms.append(check(PlacedRoom(node.room_id, node.kind, Rect(*cuts[0]))))
+    for child, cut in zip(children, cuts[1:]):
+        _place(child, Rect(*cut), rooms, check)

@@ -5,10 +5,11 @@ the actual rectangles, shortest paths by enumerating every simple path,
 Steiner trees by the textbook Dreyfus-Wagner program, area audits by
 scanline decomposition of the polygons themselves.  None of it
 imports package internals beyond plain data, the grid helpers and the error
-types, except the two sections of copies at the end, which are the package's
-own earlier code kept as a reference for its rewrite: the front stage, and the
+types, except the three sections of copies at the end, which are the package's
+own earlier code kept as a reference for its rewrite: the front stage, the
 cell-set Region operations and corridor checks that the corridor search used
-before it moved to integer masks.
+before it moved to integer masks, and the treemap's row filling before it
+became one pass per level.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Iterator
 
 from planwright.geometry import GRID, MAX_EXACT, Rect, Region, _mm, snap
 from planwright.sampling import BEDROOM_KINDS, ConfigError, RoomKind, SamplingError
+from planwright.treemap import LayoutError
 
 MM = 1000.0
 
@@ -852,3 +854,57 @@ def identify_corridor_rooms(regions: dict[int, Region], parent_of: dict[int, int
         if regions[child_id].shared_border_mm(regions[parent_id]) < door_mm:
             stranded.add(child_id)
     return stranded
+
+
+# --- treemap rows as first written ----------------------------------------
+# The row filling the treemap used before each level became one pass with a
+# running sum, smallest and largest area, copied unchanged.  ``_worst``
+# re-sums and re-scans the row for every candidate, so a row costs O(n**2).
+# The package must cut the same floats and raise the same errors.
+
+
+def _worst(areas: list[float], start: int, end: int, side: float) -> float:
+    """Worst aspect ratio in the row areas[start:end] against a side of the container."""
+    thickness = sum(areas[start:end]) / side
+    t2 = thickness * thickness
+    worst = 1.0
+    for a in areas[start:end]:
+        worst = max(worst, t2 / a, a / t2)
+    return worst
+
+
+def _fill(container: Rect, areas: list[float]) -> list[Rect]:
+    rects: list[Rect] = []
+    x0, y0, x1, y1 = container.x, container.y, container.x1, container.y1
+    start = 0
+    while start < len(areas):
+        # A row is laid along the shorter side (v) and grows across it (u):
+        # a column at the left of a wide container, a row at the bottom of a
+        # tall one.
+        vertical = x1 - x0 >= y1 - y0
+        u0, u1, v0, v1 = (x0, x1, y0, y1) if vertical else (y0, y1, x0, x1)
+        side = v1 - v0
+        if side <= 0:
+            raise LayoutError("container side rounds to zero")
+        end = start + 1
+        while end < len(areas) and _worst(areas, start, end + 1, side) <= _worst(
+            areas, start, end, side
+        ):
+            end += 1
+        thickness = sum(areas[start:end]) / side
+        usplit = u1 if end == len(areas) else u0 + thickness
+        v = v0
+        for k in range(start, end):
+            vnext = v1 if k == end - 1 else v + areas[k] / thickness
+            du, dv = usplit - u0, vnext - v
+            if du <= 0 or dv <= 0:
+                # An area too small beside the others to move a float coordinate.
+                raise LayoutError("rect side rounds to zero")
+            rects.append(Rect(u0, v, du, dv) if vertical else Rect(v, u0, dv, du))
+            v = vnext
+        if vertical:
+            x0 = usplit
+        else:
+            y0 = usplit
+        start = end
+    return rects

@@ -236,6 +236,25 @@ def test_bench_trace_counts_attempts_under_config(tmp_path, capsys):
     assert report["mean_attempts"] >= 1
 
 
+def test_bench_trace_reports_attempts_histogram_and_give_up_rejections(tmp_path, capsys):
+    cfg = tmp_path / "strict.json"
+    cfg.write_text(json.dumps({"min_room_width": 2.2}))
+    rc, out, _ = run(capsys, "--config", str(cfg), "bench", "-n", "5", "--trace")
+    assert rc == 0
+    report = json.loads(out)
+    assert report["plans"] and report["failures"]  # seeds 0-4 both deliver and give up here
+    histogram = {int(k): n for k, n in report["attempts_histogram"].items()}
+    assert list(histogram) == sorted(histogram)
+    assert sum(histogram.values()) == report["plans"]
+    mean = sum(k * n for k, n in histogram.items()) / report["plans"]
+    assert round(mean, 2) == report["mean_attempts"]
+    # Every seed that gives up spends the whole budget, each attempt rejected by one stage.
+    give_up = report["give_up_rejections"]
+    assert set(give_up) == {"sampling", "layout", "corridor", "openings"}
+    assert sum(give_up.values()) == report["failures"] * GenConfig().max_attempts
+    assert give_up["layout"] > 0
+
+
 def test_bench_trace_with_no_plans_reports_nulls(tmp_path, capsys):
     cfg = tmp_path / "one-try.json"
     cfg.write_text(json.dumps({"max_attempts": 1}))  # seed 0 gives up on its first attempt
@@ -245,6 +264,8 @@ def test_bench_trace_with_no_plans_reports_nulls(tmp_path, capsys):
     assert (report["plans"], report["failures"], report["corridor_plans"]) == (0, 1, 0)
     assert report["winner_area"] is None and report["mean_attempts"] is None
     assert report["max_candidates"] is None and report["rejections"] == {}
+    assert report["attempts_histogram"] == {}
+    assert sum(report["give_up_rejections"].values()) == 1
 
 
 # ------------------------------------------------------------------ gallery

@@ -470,6 +470,17 @@ def test_room_remainder_matches_full_subtract(room, boxes, min_width, max_aspect
     assert _outcome(local.to_polygon) == _outcome(full.to_polygon)
 
 
+def every_line_separates(region) -> bool:
+    """True when each breakpoint line has a cell of the region on one side only."""
+    cols, rows = len(region.xs) - 1, len(region.ys) - 1
+    cells = region.cells
+    return all(
+        any(((i - 1, j) in cells) != ((i, j) in cells) for j in range(rows)) for i in range(cols + 1)
+    ) and all(
+        any(((i, j - 1) in cells) != ((i, j) in cells) for i in range(cols)) for j in range(rows + 1)
+    )
+
+
 def union_mask(grid: _Grid, boxes) -> int:
     mask = 0
     for b in boxes:
@@ -491,11 +502,15 @@ def test_grid_masks_match_the_cell_set_oracle(a_boxes, b_boxes, spare, min_width
     a = union_mask(grid, a_boxes)
     b = union_mask(grid, b_boxes) & ~a
     # The oracle on the very same cells, and on its own breakpoints.
-    same = CellRegion.of(grid.region(a))
-    own = CellRegion.from_boxes(a_boxes)
     bits = [k for k in range(a.bit_length()) if a >> k & 1]
-    assert same.cells == {(k % grid.stride, k // grid.stride) for k in bits}
+    same = CellRegion(grid.xs, grid.ys, frozenset((k % grid.stride, k // grid.stride) for k in bits))
+    own = CellRegion.from_boxes(a_boxes)
     assert own.subtract(same).is_empty and same.subtract(own).is_empty
+    # The winner's Region: the same cells on only the lines where they change.
+    kept = CellRegion.of(grid.region(a))
+    assert kept.subtract(same).is_empty and same.subtract(kept).is_empty
+    assert every_line_separates(kept)
+    assert _outcome(kept.to_polygon) == _outcome(same.to_polygon)
     for oracle in (same, own):
         assert grid.connected(a) == oracle.connected()
         assert grid.pinch(a) == oracle.has_pinch()

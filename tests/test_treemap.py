@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import planwright.plan
+import planwright.treemap
 from planwright.geometry import Rect, Region
 from planwright.hierarchy import build_hierarchy
 from planwright.plan import GenerationError, generate
@@ -14,6 +15,7 @@ from planwright.sampling import GenConfig, RandomStream, RoomEntry, RoomKind, Ro
 from planwright.treemap import LayoutError, LayoutRequest, layout_rooms, squarify
 
 from oracles import CellRegion, eager_room_check, rect_mm, row_rects, squarify_sorted, worst_aspect
+from oracles import _fill as fill_as_first_written
 
 K = RoomKind
 
@@ -86,6 +88,50 @@ def test_request_validation():
 def test_sides_lost_to_float_precision_are_a_layout_error(container, areas):
     with pytest.raises(LayoutError, match="rounds to zero"):
         squarify(request(areas, container), keep_order=True)
+
+
+# Tiny areas beside large ones, in containers far from the origin, lose a
+# side to float precision ("rect side rounds to zero"); a far offset can also
+# lose the container's own side.
+mixed_areas = st.lists(
+    st.one_of(
+        st.floats(min_value=0.5, max_value=40.0),
+        st.floats(min_value=1e-13, max_value=1e-9),
+        st.floats(min_value=1e3, max_value=1e6),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    mixed_areas,
+    st.floats(min_value=0.25, max_value=4.0),
+    st.sampled_from([0.0, 3.5, 1e6, 1e17]),
+    st.booleans(),
+)
+@example([2.0, 2.0], 1.0, 0.0, False)  # the grown row ties the row: it grows
+@example([1e-12, 100 - 1e-12], 1.0, 1e6, True)
+@example([2.0, 2.0], 0.25, 1e17, False)
+def test_one_pass_cuts_the_floats_of_the_row_filling_it_replaced(areas, aspect, offset, keep_order):
+    """Rect for rect float-equal to the earlier O(n**2) rows, or the same LayoutError."""
+    total = sum(areas)
+    width = (total * aspect) ** 0.5
+    container = Rect(offset, offset, width, total / width)
+    req = request(areas, container)
+    order = list(range(len(areas)))
+    if not keep_order:
+        order.sort(key=lambda i: (-areas[i], i))
+    try:
+        want = fill_as_first_written(container, [areas[i] for i in order])
+    except LayoutError as exc:
+        with pytest.raises(LayoutError) as got:
+            squarify(req, keep_order=keep_order)
+        assert str(got.value) == str(exc)
+        return
+    got = squarify(req, keep_order=keep_order)
+    assert [got[i] for i in order] == want
 
 
 areas_lists = st.lists(
@@ -262,6 +308,48 @@ def test_every_leaf_gets_its_target_area(extras, aspect):
     assert sorted(r.id for r in rooms) == sorted(targets)
     for room in rooms:
         assert room.rect.area == pytest.approx(targets[room.id], rel=1e-6)
+
+
+def test_layout_builds_a_rect_only_for_the_rooms_its_check_reaches(monkeypatch):
+    """A layout rejected at its living room builds one Rect and lays out one level."""
+    tree = build_hierarchy(
+        program_of(
+            (K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4),
+            (K.MASTER_BEDROOM, 16), (K.BATHROOM, 5), (K.BEDROOM, 10),
+        )
+    )
+    footprint = Rect(0, 0, 8, 7)
+    built, levels = [], []
+
+    class CountingRect(Rect):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+    cuts = planwright.treemap._cuts
+
+    def counting_cuts(container, areas):
+        levels.append(len(areas))
+        return cuts(container, areas)
+
+    monkeypatch.setattr(planwright.treemap, "Rect", CountingRect)
+    monkeypatch.setattr(planwright.treemap, "_cuts", counting_cuts)
+
+    # Living room and its four subtrees at the top, the kitchen's level below:
+    # a full layout builds one Rect per room and one for the kitchen's allotment.
+    rooms = layout_rooms(footprint, tree)
+    assert (len(built), levels) == (len(rooms) + 1, [5, 2])
+
+    built.clear()
+    levels.clear()
+
+    def reject(room):
+        raise LayoutError(f"room {room.id} rejected")
+
+    with pytest.raises(LayoutError, match="room 0 rejected"):
+        layout_rooms(footprint, tree, reject)
+    assert len(built) == 1 and levels == [5]
+    assert built[0] == rooms[0].rect
 
 
 def test_layout_requires_outside_root():
