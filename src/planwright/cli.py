@@ -117,12 +117,7 @@ def validate_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
 
 
 def bench_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
-    """Time seeds 0..n-1; --trace adds attempt and corridor stats, and its cost to the times.
-
-    The traced ``attempts_histogram`` counts the plans delivered by the
-    attempt that won; ``give_up_rejections`` sums, by stage, the rejected
-    attempts of the seeds that gave up.
-    """
+    """Time seeds 0..n-1; --trace adds attempt and corridor stats, and its cost to the times."""
     times_ms: list[float] = []
     failed_ms: list[float] = []
     attempts: list[int] = []

@@ -332,11 +332,9 @@ class _Grid:
         return m
 
     def region(self, m: int) -> Region:
-        """The cells of ``m`` as a Region on only the breakpoints where ``m`` changes.
+        """The cells of ``m`` on only the grid lines with a cell of ``m`` on one side alone.
 
-        A column line is kept where some cell of ``m`` differs from its left
-        neighbour, a row line where one differs from the cell below; the
-        cells between two kept lines are all alike, so one stands for them.
+        Between two kept lines every cell is alike, so one stands for them.
         """
         s = self.stride
         across, cols = m ^ m << 1, 0
@@ -346,10 +344,7 @@ class _Grid:
         ki = [i for i in range(s) if cols >> i & 1]
         kj = [j for j in range(len(self.ys)) if up >> j * s & row]
         cells = frozenset(
-            (a, b)
-            for b, j in enumerate(kj[:-1])
-            for a, i in enumerate(ki[:-1])
-            if m >> j * s + i & 1
+            (a, b) for b, j in enumerate(kj[:-1]) for a, i in enumerate(ki[:-1]) if m >> j * s + i & 1
         )
         return Region(tuple(self.xs[i] for i in ki), tuple(self.ys[j] for j in kj), cells)
 
