@@ -17,10 +17,12 @@ can produce, on which a region is one int with a bit per cell: a room's
 remainder is ``room & ~corridor``, its verdict (swallowed, split, peculiar or
 fine) is memoised per search, and shape and door-width checks are shifts and
 masks.  Only the winner becomes Regions.  The trace is opt-in.  Traced, every
-candidate is evaluated in product order and its rejection reason recorded.
-Untraced, candidates that the box checks reject are dropped before they are
-ranked, the rest are evaluated cheapest first, and the search stops at the
-first valid one, which is the same winner.
+candidate is evaluated in product order with its area, and its rejection
+reason recorded.  Untraced, candidates that the box checks reject are never
+evaluated, and the rest are evaluated in product order with the area of the
+valid ones alone, so a search that finds no valid corridor ranks nothing;
+the least valid candidate, first in product order on ties, is the same
+winner.
 
 Everything is in integer millimetres: the footprint and the rooms arrive as
 ``(x0, y0, x1, y1)`` boxes, wall-graph vertices are ``(x, y)`` tuples and
@@ -118,6 +120,7 @@ class EdgeAction:
 class CorridorCandidate:
     """One evaluated corridor: ``area`` in mm², ``length`` in mm.
 
+    An untraced search leaves a rejected candidate's area uncomputed, at 0.
     A valid candidate carries the corridor and the rooms it changed as masks
     on the search's grid; only the winner's become Regions.
     """
@@ -532,9 +535,12 @@ def enumerate_candidates(path: CorridorPath, ws: _Workspace) -> list[CorridorCan
     to the anchor vertex as a one-edge path of its own.  Traced, every
     combination is evaluated in product order.  Untraced, strips that leave
     the footprint are dropped before the product is taken and combinations
-    that fail ``_boxes_pass`` before ranking, the rest are evaluated in
-    ``sort_key`` order and the search stops at the first valid one, so the
-    list holds only the candidates evaluated; ``ws.combinations`` counts all.
+    that fail ``_boxes_pass`` are never evaluated; the rest are evaluated in
+    product order, and only a valid one's area is computed (a rejected one
+    reads area 0), so the list holds every candidate evaluated and a search
+    that finds none computes no area.  ``filter_and_select`` then takes the
+    first valid candidate of least ``sort_key``, the one ranking the full
+    product would give.  ``ws.combinations`` counts the whole product.
     """
     paths: list[tuple[Edge, ...]]
     if path.edges:
@@ -545,8 +551,10 @@ def enumerate_candidates(path: CorridorPath, ws: _Workspace) -> list[CorridorCan
     else:
         return []
 
-    # Every strip box each (edge, action) pair can give goes on the grid before
-    # the product loop starts; joint boxes take their sides from the strips.
+    # Every strip box each (edge, action) pair can give goes on the grid; joint
+    # boxes take their sides from the strips.  The grid and the room masks are
+    # built only once a combination needs them, so a search whose every
+    # combination fails the box checks builds neither.
     searches = []
     seen = [ws.fp_box, *(box for _, _, box in ws.rooms)]
     n_combos = 0
@@ -574,10 +582,10 @@ def enumerate_candidates(path: CorridorPath, ws: _Workspace) -> list[CorridorCan
             # corridor stays in the footprint exactly when its strips do.
             options = [[(a, box) for a, box in pairs if _inside([box], ws.fp_box)] for pairs in options]
         searches.append((edges, options))
-    ws.grid = grid = _Grid(seen)
-    ws.masks = {rid: grid.mask(box) for rid, _, box in ws.rooms}
+    ws.combinations = n_combos
 
-    combos: list[tuple[tuple, tuple[Edge, ...], tuple[EdgeAction, ...], list[Box]]] = []
+    grid = None
+    candidates: list[CorridorCandidate] = []
     for edges, options in searches:
         joints = _joint_pairs(edges)
         path_length = sum(_length(e) for e in edges)
@@ -589,21 +597,15 @@ def enumerate_candidates(path: CorridorPath, ws: _Workspace) -> list[CorridorCan
             # connection.
             for h, v in joints:
                 boxes.append((boxes[v][0], boxes[h][1], boxes[v][2], boxes[h][3]))
-            # Untraced, a corridor the boxes already rule out is never ranked.
+            # Untraced, a corridor the boxes already rule out is never evaluated.
             if not (ws.trace or _boxes_pass(boxes, ws)):
                 continue
+            if grid is None:
+                ws.grid = grid = _Grid(seen)
+                ws.masks = {rid: grid.mask(box) for rid, _, box in ws.rooms}
             length = path_length + sum(a.extend_lo + a.extend_hi for a in combo)
-            combos.append((_rank(_union_area(boxes), length, combo), edges, combo, boxes))
-    ws.combinations = n_combos
-    if not ws.trace:
-        # Stable, so equal keys keep product order: the first valid candidate
-        # is the one filter_and_select's min would pick from the full list.
-        combos.sort(key=lambda c: c[0])
-    candidates: list[CorridorCandidate] = []
-    for (area, length, _), edges, actions, boxes in combos:
-        candidates.append(_evaluate(edges, actions, boxes, area, length, ws))
-        if candidates[-1].valid and not ws.trace:
-            break
+            area = _union_area(boxes) if ws.trace else None
+            candidates.append(_evaluate(edges, combo, boxes, area, length, ws))
     return candidates
 
 
@@ -703,19 +705,21 @@ def _evaluate(
     edges: tuple[Edge, ...],
     actions: tuple[EdgeAction, ...],
     boxes: list[Box],
-    area: int,
+    area: int | None,
     length: int,
     ws: _Workspace,
 ) -> CorridorCandidate:
+    """The candidate's verdict; an ``area`` of None is computed only if it is valid."""
+
     def reject(reason: str) -> CorridorCandidate:
-        return CorridorCandidate(edges, actions, area, length, False, reason)
+        return CorridorCandidate(edges, actions, area or 0, length, False, reason)
 
     grid, masks = ws.grid, ws.masks
     corridor = 0
     for box in boxes:
         corridor |= grid.mask(box)
     # Traced, the checks run in the order their reasons are reported in.
-    # Untraced, the boxes passed _boxes_pass before ranking, and the memoised
+    # Untraced, the boxes passed _boxes_pass before evaluation, and the memoised
     # room verdicts run before the corridor's own shape is checked.
     if ws.trace:
         if not _inside(boxes, ws.fp_box):
@@ -756,7 +760,7 @@ def _evaluate(
             return reject(f"no door-width wall between rooms {child} and {parent}")
 
     return CorridorCandidate(
-        edges, actions, area, length, True,
+        edges, actions, _union_area(boxes) if area is None else area, length, True,
         corridor=corridor, rooms_after=tuple(sorted(changed.items())),
     )
 

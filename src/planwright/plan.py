@@ -45,7 +45,7 @@ from .sampling import (
     sample_areas,
     sample_counts,
 )
-from .treemap import LayoutError, PlacedRoom, layout_rooms
+from .treemap import Cut, LayoutError, layout_rooms
 
 SCHEMA_VERSION = 1
 
@@ -129,16 +129,21 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int, trace: 
     fp_box = mm_box(footprint)
     min_mm = _mm(cfg.min_room_width)
 
-    def check(room: PlacedRoom) -> tuple[int, RoomKind, Box]:
-        """The room as an mm box, checked as the treemap places it."""
-        box = x0, y0, x1, y1 = mm_box(room.rect)
+    def check(rid: int, kind: RoomKind, cut: Cut) -> tuple[int, RoomKind, Box]:
+        """The room as an mm box, checked as the treemap places it.
+
+        The cut's floats are snapped as ``mm_box`` snaps a Rect.
+        """
+        x, y, w, h = cut
+        x0, y0 = round(round(x, 3) * 1000), round(round(y, 3) * 1000)
+        x1, y1 = round(round(x + w, 3) * 1000), round(round(y + h, 3) * 1000)
         if min(x1 - x0, y1 - y0) < min_mm:
-            raise LayoutError(f"room {room.id} narrower than {cfg.min_room_width} m")
+            raise LayoutError(f"room {rid} narrower than {cfg.min_room_width} m")
         # Sides in metres, so a ratio right on the bound compares as it did
         # on the snapped treemap rect.
         if aspect_ratio(_m(x1) - _m(x0), _m(y1) - _m(y0)) > cfg.max_room_aspect:
-            raise LayoutError(f"room {room.id} too elongated")
-        return room.id, room.kind, box
+            raise LayoutError(f"room {rid} too elongated")
+        return rid, kind, (x0, y0, x1, y1)
 
     placed = layout_rooms(footprint, tree, check)
 

@@ -60,12 +60,23 @@ class RandomStream:
         self.counter += 1
         return _mix64(self.seed + self.counter * _GAMMA)
 
+    # random and uniform are the hottest draws, so they spell out next_u64
+    # and _mix64 rather than call them; the tests pin them to that formula.
+
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        self.counter += 1
+        z = (self.seed + self.counter * _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return ((z ^ (z >> 31)) >> 11) * 2.0**-53
 
     def uniform(self, low: float, high: float) -> float:
-        return low + (high - low) * self.random()
+        self.counter += 1
+        z = (self.seed + self.counter * _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return low + (high - low) * (((z ^ (z >> 31)) >> 11) * 2.0**-53)
 
     def randrange(self, n: int) -> int:
         if n <= 0:

@@ -10,13 +10,14 @@ room as it is placed, so a failing layout stops at its first failing room.
 
 Both share one pass per level, ``_cuts``: it decides each row from the row's
 running sum, smallest and largest area, so a level costs time linear in its
-items, and returns the cuts as plain floats.  ``layout_rooms`` builds a
-room's Rect only when its walk reaches the room, and lays out a child level
-only when it reaches that child, so a layout rejected at its living room
-builds one Rect.
+items, and returns the cuts as plain ``(x, y, width, height)`` floats.
+``layout_rooms`` hands those floats straight to its check and lays out a
+child level only when its walk reaches that child.  It builds no Rect and no
+LayoutRequest: each level's area list is checked as a request would check
+it, in the same order, so a layout fails where and how it did with one.
 
 All arithmetic here stays at full float precision; the pipeline's check
-snaps each rect onto the millimetre grid as it is placed.  Every cut
+snaps each cut onto the millimetre grid as it is placed.  Every cut
 coordinate is computed once and shared by the rects on both sides, so the
 partition is exact by construction (the last rect of each row is pinned to
 the container edge rather than accumulated).
@@ -32,6 +33,9 @@ from .hierarchy import HierarchyNode
 from .sampling import RoomKind
 
 AREA_TOLERANCE = 1e-6
+
+# A cell of a level as plain ``(x, y, width, height)`` floats.
+Cut = tuple[float, float, float, float]
 
 
 class LayoutError(RuntimeError):
@@ -49,11 +53,12 @@ class LayoutRequest:
         for item_id, area in self.items:
             if area <= 0:
                 raise LayoutError(f"item {item_id} has non-positive area {area!r}")
-        total = sum(area for _, area in self.items)
-        if abs(total - self.container.area) > AREA_TOLERANCE * self.container.area:
-            raise LayoutError(
-                f"item areas sum to {total!r}, container holds {self.container.area!r}"
-            )
+        _check_total(sum(area for _, area in self.items), self.container.area)
+
+
+def _check_total(total: float, area: float) -> None:
+    if abs(total - area) > AREA_TOLERANCE * area:
+        raise LayoutError(f"item areas sum to {total!r}, container holds {area!r}")
 
 
 @dataclass(frozen=True)
@@ -75,17 +80,19 @@ def squarify(req: LayoutRequest, *, keep_order: bool = False) -> list[Rect]:
     order = list(range(len(req.items)))
     if not keep_order:
         order.sort(key=lambda i: (-req.items[i][1], i))
-    cuts = _cuts(req.container, [req.items[i][1] for i in order])
+    c = req.container
+    cuts = _cuts((c.x, c.y, c.width, c.height), [req.items[i][1] for i in order])
     out: list[Rect | None] = [None] * len(order)
     for idx, cut in zip(order, cuts):
         out[idx] = Rect(*cut)
     return out  # type: ignore[return-value]
 
 
-def _cuts(container: Rect, areas: list[float]) -> list[tuple[float, float, float, float]]:
+def _cuts(container: Cut, areas: list[float]) -> list[Cut]:
     """One ``(x, y, width, height)`` per area, in order, cut row by row in one pass."""
     cuts = []
-    x0, y0, x1, y1 = container.x, container.y, container.x1, container.y1
+    x0, y0, width, height = container
+    x1, y1 = x0 + width, y0 + height
     n = len(areas)
     start = 0
     while start < n:
@@ -99,8 +106,8 @@ def _cuts(container: Rect, areas: list[float]) -> list[tuple[float, float, float
             raise LayoutError("container side rounds to zero")
         # A row's worst aspect ratio comes from its running sum, smallest and
         # largest area: t2 / a and a / t2 peak at the extremes of the row.
-        # It is worked out only once a longer row is weighed, so a row that
-        # cannot grow never divides by a t2 that underflowed to zero.
+        # It is worked out only once a longer row is weighed, so a lone last
+        # item is never weighed; a row whose t2 underflows to zero cannot be.
         total = lo = hi = areas[start]
         worst = None
         end = start + 1
@@ -108,6 +115,8 @@ def _cuts(container: Rect, areas: list[float]) -> list[tuple[float, float, float
             if worst is None:
                 t = total / side
                 t2 = t * t
+                if not t2:
+                    raise LayoutError("row thickness rounds to zero")
                 worst = max(1.0, t2 / lo, hi / t2)
             a = areas[end]
             grown = total + a
@@ -145,27 +154,36 @@ def layout_rooms(footprint: Rect, tree: HierarchyNode, check: Callable | None = 
     stays adjacent to the edge it shares with the level above; child subtrees
     follow in decreasing aggregate area.
 
-    The result lists each PlacedRoom in placement order, or what ``check``
-    returns for it; ``check`` sees each room as it is placed and may raise.
+    ``check(room_id, kind, cut)`` sees each room as it is placed, with its
+    ``(x, y, width, height)`` floats, and may raise.  The result lists what it
+    returns, in placement order; without a check, each room's PlacedRoom.
     """
     if tree.kind is not RoomKind.OUTSIDE or len(tree.children) != 1:
         raise LayoutError("layout expects the Outside root with its living-room child")
     rooms: list = []
-    _place(tree.children[0], footprint, rooms, check or (lambda room: room))
+    _place(
+        tree.children[0],
+        (footprint.x, footprint.y, footprint.width, footprint.height),
+        rooms,
+        check or (lambda rid, kind, cut: PlacedRoom(rid, kind, Rect(*cut))),
+    )
     return rooms
 
 
-def _place(node: HierarchyNode, rect: Rect, rooms: list, check: Callable) -> None:
+def _place(node: HierarchyNode, cut: Cut, rooms: list, check: Callable) -> None:
     if not node.children:
-        rooms.append(check(PlacedRoom(node.room_id, node.kind, rect)))
+        rooms.append(check(node.room_id, node.kind, cut))
         return
     children = sorted(node.children, key=lambda c: (-c.aggregate_area, c.room_id))
-    items = ((node.room_id, node.target_area), *((c.room_id, c.aggregate_area) for c in children))
-    req = LayoutRequest(rect, items)
+    areas = [node.target_area, *[c.aggregate_area for c in children]]
+    if min(areas) <= 0:
+        k = next(k for k, area in enumerate(areas) if area <= 0)
+        item_id = children[k - 1].room_id if k else node.room_id
+        raise LayoutError(f"item {item_id} has non-positive area {areas[k]!r}")
+    _check_total(sum(areas), cut[2] * cut[3])
     # The level's cuts are all made before its first room is checked, so a
-    # side lost to float precision anywhere in the level fails the layout
-    # first; a Rect is built only for the cell the walk has reached.
-    cuts = _cuts(rect, [area for _, area in req.items])
-    rooms.append(check(PlacedRoom(node.room_id, node.kind, Rect(*cuts[0]))))
-    for child, cut in zip(children, cuts[1:]):
-        _place(child, Rect(*cut), rooms, check)
+    # side lost to float precision anywhere in the level fails the layout first.
+    cuts = _cuts(cut, areas)
+    rooms.append(check(node.room_id, node.kind, cuts[0]))
+    for child, child_cut in zip(children, cuts[1:]):
+        _place(child, child_cut, rooms, check)

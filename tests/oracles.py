@@ -5,11 +5,12 @@ the actual rectangles, shortest paths by enumerating every simple path,
 Steiner trees by the textbook Dreyfus-Wagner program, area audits by
 scanline decomposition of the polygons themselves.  None of it
 imports package internals beyond plain data, the grid helpers and the error
-types, except the three sections of copies at the end, which are the package's
+types, except the four sections of copies at the end, which are the package's
 own earlier code kept as a reference for its rewrite: the front stage, the
 cell-set Region operations and corridor checks that the corridor search used
-before it moved to integer masks, and the treemap's row filling before it
-became one pass per level.
+before it moved to integer masks, the treemap's row filling before it
+became one pass per level, and the room layout's level walk before its check
+read the cut floats.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterator
 
 from planwright.geometry import GRID, MAX_EXACT, Rect, Region, _mm, snap
 from planwright.sampling import BEDROOM_KINDS, ConfigError, RoomKind, SamplingError
-from planwright.treemap import LayoutError
+from planwright.treemap import LayoutError, LayoutRequest, PlacedRoom
 
 MM = 1000.0
 
@@ -908,3 +909,32 @@ def _fill(container: Rect, areas: list[float]) -> list[Rect]:
             y0 = usplit
         start = end
     return rects
+
+
+# --- room layout as first written -----------------------------------------
+# The level walk of ``layout_rooms`` before its check read the cut floats,
+# copied unchanged except that each level is cut by ``_fill`` above.  Every
+# level builds and validates a LayoutRequest, and each room reaches the check
+# as a PlacedRoom with its Rect.  The package must pass the same rooms to its
+# check in the same order and fail at the same room with the same message.
+
+
+def layout_rooms_per_level(footprint: Rect, tree, check=None) -> list:
+    if tree.kind is not RoomKind.OUTSIDE or len(tree.children) != 1:
+        raise LayoutError("layout expects the Outside root with its living-room child")
+    rooms: list = []
+    _place(tree.children[0], footprint, rooms, check or (lambda room: room))
+    return rooms
+
+
+def _place(node, rect: Rect, rooms: list, check) -> None:
+    if not node.children:
+        rooms.append(check(PlacedRoom(node.room_id, node.kind, rect)))
+        return
+    children = sorted(node.children, key=lambda c: (-c.aggregate_area, c.room_id))
+    items = ((node.room_id, node.target_area), *((c.room_id, c.aggregate_area) for c in children))
+    req = LayoutRequest(rect, items)
+    rects = _fill(rect, [area for _, area in req.items])
+    rooms.append(check(PlacedRoom(node.room_id, node.kind, rects[0])))
+    for child, child_rect in zip(children, rects[1:]):
+        _place(child, child_rect, rooms, check)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planwright.corridor
 from planwright.corridor import (
     CorridorError,
     EdgeAction,
@@ -575,3 +576,57 @@ def test_plan_corridor_same_with_and_without_trace(instance):
     assert [(rid, kind) for rid, kind, _ in plain.rooms] == [(rid, kind) for rid, kind, _ in traced.rooms]
     for (_, _, a), (_, _, b) in zip(plain.rooms, traced.rooms):
         assert region_equal(a, b)
+
+
+
+@settings(max_examples=120, deadline=None)
+@given(corridor_instances())
+def test_untraced_search_ranks_only_valid_candidates(instance):
+    """Untraced, the valid candidates are the traced search's, in product order.
+
+    Only they get an area, and a search none of whose combinations passes
+    the box checks builds no grid.
+    """
+    fp, rooms, parent_of = instance
+    enumerate_candidates = planwright.corridor.enumerate_candidates
+    union_area = planwright.corridor._union_area
+    runs = {}
+
+    def run(trace: bool):
+        seen = runs[trace] = {"lists": [], "areas": 0, "grids": 0}
+
+        class CountingGrid(_Grid):
+            def __init__(self, boxes):
+                super().__init__(boxes)
+                seen["grids"] += 1
+
+        def counting_area(boxes):
+            seen["areas"] += 1
+            return union_area(boxes)
+
+        def recording(path, ws):
+            seen["lists"].append(enumerate_candidates(path, ws))
+            return seen["lists"][-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(planwright.corridor, "enumerate_candidates", recording)
+            mp.setattr(planwright.corridor, "_union_area", counting_area)
+            mp.setattr(planwright.corridor, "_Grid", CountingGrid)
+            try:
+                plan_corridor(fp, rooms, parent_of, 0, CFG, trace=trace)
+            except CorridorError:
+                pass
+
+    run(True)
+    run(False)
+    traced, plain = runs[True], runs[False]
+    assert len(traced["lists"]) == len(plain["lists"]) <= 1
+    if not plain["lists"]:  # no room needed a corridor, or no route joined them
+        assert plain["areas"] == plain["grids"] == 0
+        return
+    (traced_list,), (plain_list,) = traced["lists"], plain["lists"]
+    valid = [c for c in plain_list if c.valid]
+    assert valid == [c for c in traced_list if c.valid]
+    assert all(c.area == 0 for c in plain_list if not c.valid)
+    assert plain["areas"] == len(valid)
+    assert plain["grids"] == (1 if plain_list else 0)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planwright import sampling
 from planwright.geometry import aspect_ratio
 from planwright.hierarchy import build_hierarchy
 from planwright.plan import GenerationError, generate
@@ -46,6 +47,40 @@ def test_stream_is_platform_stable():
         2949826092126892291,
         5139283748462763858,
     ]
+
+
+def splitmix64(seed: int, k: int) -> int:
+    """Draw ``k`` of a stream: the SplitMix64 finalizer of ``seed + k * gamma``."""
+    mask = (1 << 64) - 1
+    z = (seed + k * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 + 7, 2**63 + 5, 2**64 - 1, -3])
+def test_draws_are_the_splitmix64_formula(seed):
+    """random, uniform and randrange spell out next_u64; each must equal the formula."""
+    for index in (None, 0, 1, 27, 2**20):
+        root = RandomStream(seed)
+        for start in (0, 1, 1000, 2**40, 2**64 - 3):
+            rng = root if index is None else root.substream(index)
+            assert rng.seed == (seed & (2**64 - 1) if index is None else sampling._mix64(
+                root.seed + (index + 1) * sampling._SUBSTREAM_GAMMA
+            ))
+            rng.counter = start
+            for k in range(start + 1, start + 31):
+                u = splitmix64(rng.seed, k)
+                assert u == sampling._mix64(rng.seed + k * sampling._GAMMA)
+                unit = (u >> 11) * 2.0**-53
+                if k % 3 == 0:
+                    assert rng.random() == unit
+                elif k % 3 == 1:
+                    assert rng.uniform(-2.5, 7.25) == -2.5 + 9.75 * unit
+                else:
+                    n = 1 + k % 1000
+                    assert rng.randrange(n) == (u * n) >> 64
+                assert rng.counter == k
 
 
 def test_stream_reproducible_and_counter_based():

@@ -14,7 +14,15 @@ from planwright.plan import GenerationError, generate
 from planwright.sampling import GenConfig, RandomStream, RoomEntry, RoomKind, RoomProgram
 from planwright.treemap import LayoutError, LayoutRequest, layout_rooms, squarify
 
-from oracles import CellRegion, eager_room_check, rect_mm, row_rects, squarify_sorted, worst_aspect
+from oracles import (
+    CellRegion,
+    eager_room_check,
+    layout_rooms_per_level,
+    rect_mm,
+    row_rects,
+    squarify_sorted,
+    worst_aspect,
+)
 from oracles import _fill as fill_as_first_written
 
 K = RoomKind
@@ -88,6 +96,16 @@ def test_request_validation():
 def test_sides_lost_to_float_precision_are_a_layout_error(container, areas):
     with pytest.raises(LayoutError, match="rounds to zero"):
         squarify(request(areas, container), keep_order=True)
+
+
+def test_a_row_too_thin_to_weigh_is_a_layout_error():
+    """A row whose thickness squared underflows to zero cannot be weighed."""
+    req = LayoutRequest(Rect(0, 0, 1e-100, 1e100), ((0, 1e-300), (1, 1.0 - 1e-300)))
+    with pytest.raises(LayoutError, match="row thickness rounds to zero"):
+        squarify(req, keep_order=True)
+    # The row filling as first written divided by the zero.
+    with pytest.raises(ZeroDivisionError):
+        fill_as_first_written(req.container, [1e-300, 1.0 - 1e-300])
 
 
 # Tiny areas beside large ones, in containers far from the origin, lose a
@@ -311,7 +329,11 @@ def test_every_leaf_gets_its_target_area(extras, aspect):
 
 
 def test_layout_builds_a_rect_only_for_the_rooms_its_check_reaches(monkeypatch):
-    """A layout rejected at its living room builds one Rect and lays out one level."""
+    """The check gets each cut's floats: the layout itself builds no Rect.
+
+    Without a check each room's PlacedRoom holds one Rect, and no allotment
+    gets one.  A layout rejected at its living room lays out one level.
+    """
     tree = build_hierarchy(
         program_of(
             (K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4),
@@ -335,21 +357,132 @@ def test_layout_builds_a_rect_only_for_the_rooms_its_check_reaches(monkeypatch):
     monkeypatch.setattr(planwright.treemap, "Rect", CountingRect)
     monkeypatch.setattr(planwright.treemap, "_cuts", counting_cuts)
 
-    # Living room and its four subtrees at the top, the kitchen's level below:
-    # a full layout builds one Rect per room and one for the kitchen's allotment.
+    # Living room and its four subtrees at the top, the kitchen's level below.
     rooms = layout_rooms(footprint, tree)
-    assert (len(built), levels) == (len(rooms) + 1, [5, 2])
+    assert (len(built), levels) == (len(rooms), [5, 2])
+    assert built == [room.rect for room in rooms]
 
     built.clear()
     levels.clear()
+    cells = layout_rooms(footprint, tree, lambda rid, kind, cut: cut)
+    assert built == [] and levels == [5, 2]
+    assert cells == [(r.rect.x, r.rect.y, r.rect.width, r.rect.height) for r in rooms]
 
-    def reject(room):
-        raise LayoutError(f"room {room.id} rejected")
+    levels.clear()
+
+    def reject(rid, kind, cut):
+        raise LayoutError(f"room {rid} rejected")
 
     with pytest.raises(LayoutError, match="room 0 rejected"):
         layout_rooms(footprint, tree, reject)
-    assert len(built) == 1 and levels == [5]
-    assert built[0] == rooms[0].rect
+    assert built == [] and levels == [5]
+
+
+def test_layout_checks_the_tree_total_against_the_footprint():
+    """A tree whose aggregate does not fill the footprint fails before any room is checked."""
+    tree = build_hierarchy(program_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4)))
+    seen = []
+    for footprint in (Rect(0, 0, 5, 6), Rect(0, 0, 5, 4.9)):
+        with pytest.raises(LayoutError, match="item areas sum to 25.0, container holds"):
+            layout_rooms(footprint, tree, lambda rid, kind, cut: seen.append(rid))
+        with pytest.raises(LayoutError, match="item areas sum to 25.0, container holds"):
+            layout_rooms_per_level(footprint, tree)
+    assert seen == []
+    # A mismatch within the tolerance passes on both paths.
+    footprint = Rect(0, 0, 5, 5 * (1 + 1e-9))
+    assert [r.id for r in layout_rooms(footprint, tree)] == [0, 1, 2]
+    assert [r.id for r in layout_rooms_per_level(footprint, tree)] == [0, 1, 2]
+
+
+def test_a_non_positive_area_fails_when_its_level_is_reached():
+    """As with a request per level: a room placed before that level is checked first."""
+    tree = build_hierarchy(
+        program_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 0), (K.MASTER_BEDROOM, 16))
+    )
+    footprint = Rect(0, 0, 5, 7.4)
+    for layout in (layout_rooms, layout_rooms_per_level):
+        with pytest.raises(LayoutError, match=r"^item 2 has non-positive area 0\.0$"):
+            layout(footprint, tree)
+
+    def reject_bedroom(*room):
+        rid = room[0] if len(room) == 3 else room[0].id
+        if rid == 3:
+            raise LayoutError("bedroom rejected")
+        return rid
+
+    # The bedroom's subtree outweighs the kitchen's, so it is placed first.
+    for layout in (layout_rooms, layout_rooms_per_level):
+        with pytest.raises(LayoutError, match="bedroom rejected"):
+            layout(footprint, tree, reject_bedroom)
+
+
+def mm_check(min_mm, max_aspect, veto):
+    """One room rule as a check on cut floats and as one on PlacedRooms."""
+
+    def decide(rid, kind, x, y, w, h):
+        x0, y0 = round(round(x, 3) * 1000), round(round(y, 3) * 1000)
+        x1, y1 = round(round(x + w, 3) * 1000), round(round(y + h, 3) * 1000)
+        if rid in veto:
+            raise LayoutError(f"room {rid} vetoed")
+        if min(x1 - x0, y1 - y0) < min_mm:
+            raise LayoutError(f"room {rid} narrower than {min_mm} mm")
+        if max(x1 - x0, y1 - y0) > max_aspect * min(x1 - x0, y1 - y0):
+            raise LayoutError(f"room {rid} too elongated")
+        return rid, kind, (x0, y0, x1, y1)
+
+    def on_cut(rid, kind, cut):
+        return decide(rid, kind, *cut)
+
+    def on_room(room):
+        r = room.rect
+        return decide(room.id, room.kind, r.x, r.y, r.width, r.height)
+
+    return on_cut, on_room
+
+
+room_areas = st.one_of(
+    st.floats(min_value=0.5, max_value=40.0),
+    st.floats(min_value=1e-9, max_value=1e-3),
+    st.floats(min_value=1e3, max_value=1e5),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.floats(min_value=0.5, max_value=40.0),
+    st.lists(st.tuples(st.sampled_from(KINDS), room_areas), max_size=9),
+    st.booleans(),
+    st.floats(min_value=0.3, max_value=3.0),
+    st.sampled_from([0.0, 3.5, 1e6]),
+    st.sampled_from([0, 500, 1500, 2200]),
+    st.sampled_from([2.0, 3.0, 1e9]),
+    st.sets(st.integers(min_value=0, max_value=9), max_size=2),
+)
+# An inner level whose cut lost more than the tolerance of a 1e-9 m² laundry's
+# area: the level's sum check fails before the kitchen's aspect check can.
+@example(2.509765625, [(K.KITCHEN, 1e-9), (K.KITCHEN, 14.0), (K.LAUNDRY, 1e-9)], False, 1.0, 0.0, 0, 1e9, set())
+def test_layout_on_cut_floats_matches_the_request_per_level(
+    living, extras, via_dining, aspect, offset, min_mm, max_aspect, veto
+):
+    """Same rooms to the check in the same order, or the same failure at the same room."""
+    tree = build_hierarchy(program_of((K.LIVING_ROOM, living), *extras), kitchen_via_dining=via_dining)
+    total = tree.children[0].aggregate_area
+    width = (total * aspect) ** 0.5
+    footprint = Rect(offset, offset, width, total / width)
+    on_cut, on_room = mm_check(min_mm, max_aspect, veto)
+    outcomes = []
+    for layout, check in ((layout_rooms, on_cut), (layout_rooms_per_level, on_room)):
+        seen = []
+
+        def recording(*room, check=check, seen=seen):
+            seen.append(check(*room))
+            return seen[-1]
+
+        try:
+            outcomes.append((layout(footprint, tree, recording), seen, None))
+        except LayoutError as exc:
+            outcomes.append((None, seen, str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_layout_requires_outside_root():
@@ -362,7 +495,7 @@ def test_layout_lists_what_its_check_returns_in_placement_order():
     tree = build_hierarchy(program_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4)))
     rooms = layout_rooms(Rect(0, 0, 5, 5), tree)
     assert [r.id for r in rooms] == [0, 1, 2]
-    assert layout_rooms(Rect(0, 0, 5, 5), tree, lambda room: room.rect) == [r.rect for r in rooms]
+    assert layout_rooms(Rect(0, 0, 5, 5), tree, lambda rid, kind, cut: Rect(*cut)) == [r.rect for r in rooms]
 
 
 def test_layout_stops_at_the_first_room_its_check_rejects():
@@ -370,11 +503,11 @@ def test_layout_stops_at_the_first_room_its_check_rejects():
     order = [room.id for room in layout_rooms(Rect(0, 0, 5, 5), tree)]
     seen = []
 
-    def check(room):
-        seen.append(room.id)
+    def check(rid, kind, cut):
+        seen.append(rid)
         if len(seen) == 2:
-            raise LayoutError(f"room {room.id} rejected")
-        return room
+            raise LayoutError(f"room {rid} rejected")
+        return rid
 
     with pytest.raises(LayoutError, match=f"room {order[1]} rejected"):
         layout_rooms(Rect(0, 0, 5, 5), tree, check)
@@ -402,8 +535,8 @@ def test_room_check_during_layout_matches_eager_check(knobs, monkeypatch):
         boxes, failure = eager_room_check(rects, cfg.min_room_width, cfg.max_room_aspect)
         placed = []
 
-        def recording(room):
-            result = check(room)
+        def recording(rid, kind, cut):
+            result = check(rid, kind, cut)
             placed.append((result[0], result[2]))
             return result
 
