@@ -135,12 +135,8 @@ class CorridorCandidate:
     rooms_after: tuple[tuple[int, int], ...] = ()
 
     def sort_key(self) -> tuple:
-        return _rank(self.area, self.length, self.actions)
-
-
-def _rank(area: int, length: int, actions: tuple[EdgeAction, ...]) -> tuple:
-    """Selection order: least area, then shortest, then the action vector."""
-    return (area, length, tuple(a.sort_key() for a in actions))
+        """Selection order: least area, then shortest, then the action vector."""
+        return (self.area, self.length, tuple(a.sort_key() for a in self.actions))
 
 
 @dataclass(frozen=True)

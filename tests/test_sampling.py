@@ -60,14 +60,12 @@ def splitmix64(seed: int, k: int) -> int:
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 + 7, 2**63 + 5, 2**64 - 1, -3])
 def test_draws_are_the_splitmix64_formula(seed):
-    """random, uniform and randrange spell out next_u64; each must equal the formula."""
+    """random and uniform spell out next_u64; they and randrange must equal the formula."""
     for index in (None, 0, 1, 27, 2**20):
-        root = RandomStream(seed)
         for start in (0, 1, 1000, 2**40, 2**64 - 3):
-            rng = root if index is None else root.substream(index)
-            assert rng.seed == (seed & (2**64 - 1) if index is None else sampling._mix64(
-                root.seed + (index + 1) * sampling._SUBSTREAM_GAMMA
-            ))
+            rng = RandomStream(seed)
+            if index is not None:
+                rng = rng.substream(index)
             rng.counter = start
             for k in range(start + 1, start + 31):
                 u = splitmix64(rng.seed, k)
