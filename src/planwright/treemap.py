@@ -176,10 +176,11 @@ def _place(node: HierarchyNode, cut: Cut, rooms: list, check: Callable) -> None:
         return
     children = sorted(node.children, key=lambda c: (-c.aggregate_area, c.room_id))
     areas = [node.target_area, *[c.aggregate_area for c in children]]
-    if min(areas) <= 0:
-        k = next(k for k, area in enumerate(areas) if area <= 0)
-        item_id = children[k - 1].room_id if k else node.room_id
-        raise LayoutError(f"item {item_id} has non-positive area {areas[k]!r}")
+    if not min(areas) > 0:  # also true when a NaN comes first
+        for k, area in enumerate(areas):
+            if area <= 0:
+                item_id = children[k - 1].room_id if k else node.room_id
+                raise LayoutError(f"item {item_id} has non-positive area {area!r}")
     _check_total(sum(areas), cut[2] * cut[3])
     # The level's cuts are all made before its first room is checked, so a
     # side lost to float precision anywhere in the level fails the layout first.

@@ -415,6 +415,12 @@ def test_a_non_positive_area_fails_when_its_level_is_reached():
         with pytest.raises(LayoutError, match="bedroom rejected"):
             layout(footprint, tree, reject_bedroom)
 
+    # A NaN ahead of the zero hides it from a plain min().
+    tree = build_hierarchy(program_of((K.LIVING_ROOM, float("nan")), (K.KITCHEN, 0)))
+    for layout in (layout_rooms, layout_rooms_per_level):
+        with pytest.raises(LayoutError, match=r"^item 1 has non-positive area 0\.0$"):
+            layout(footprint, tree)
+
 
 def mm_check(min_mm, max_aspect, veto):
     """One room rule as a check on cut floats and as one on PlacedRooms."""
