@@ -11,18 +11,20 @@ serves hang off the living room in the connection graph.
 
 Each candidate corridor is a handful of strip and joint boxes.  Area,
 footprint containment, connectivity and contact with the living room are
-decided on those boxes.  Everything else is decided on one breakpoint grid
-per search, built from the footprint, the rooms and every strip the search
-can produce, on which a region is one int with a bit per cell: a room's
-remainder is ``room & ~corridor``, its verdict (swallowed, split, peculiar or
-fine) is memoised per search, and shape and door-width checks are shifts and
-masks.  Only the winner becomes Regions.  The trace is opt-in.  Traced, every
-candidate is evaluated in product order with its area, and its rejection
-reason recorded.  Untraced, candidates that the box checks reject are never
-evaluated, and the rest are evaluated in product order with the area of the
-valid ones alone, so a search that finds no valid corridor ranks nothing;
-the least valid candidate, first in product order on ties, is the same
-winner.
+decided on those boxes.  Everything else is decided on one breakpoint
+``Grid`` per search, built from the footprint, the rooms and every strip the
+search can produce, on which a region is one int with a bit per cell: a
+room's remainder is ``room & ~corridor``, its verdict (swallowed, split,
+peculiar or fine) is memoised per search, and shape and door-width checks are
+shifts and masks.  That grid and the winner's masks are the plan's geometry
+from here on: doors, windows and the room polygons are read off them, and a
+plan that needs no corridor gets the grid of its footprint and room boxes.
+The trace is opt-in.  Traced, every candidate is evaluated in product order
+with its area, and its rejection reason recorded.  Untraced, candidates that
+the box checks reject are never evaluated, and the rest are evaluated in
+product order with the area of the valid ones alone, so a search that finds
+no valid corridor ranks nothing; the least valid candidate, first in product
+order on ties, is the same winner.
 
 Everything is in integer millimetres: the footprint and the rooms arrive as
 ``(x0, y0, x1, y1)`` boxes, wall-graph vertices are ``(x, y)`` tuples and
@@ -34,11 +36,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from itertools import chain, product
+from itertools import product
 from math import prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .geometry import Box, RectilinearPolygon, Region, Run, _m, _mm, merge_runs
+from .geometry import Box, Grid, RectilinearPolygon, Run, _m, _mm, merge_runs
 from .sampling import GenConfig, RoomKind
 
 Vertex = tuple[int, int]
@@ -122,7 +124,7 @@ class CorridorCandidate:
 
     An untraced search leaves a rejected candidate's area uncomputed, at 0.
     A valid candidate carries the corridor and the rooms it changed as masks
-    on the search's grid; only the winner's become Regions.
+    on the search's grid; the winner's are the plan's.
     """
 
     edges: tuple[Edge, ...]
@@ -143,12 +145,15 @@ class CorridorCandidate:
 class CorridorResult:
     """What the pipeline needs downstream, plus the trace when one was asked for.
 
-    ``candidates`` is the number of corridors the search weighed (the size of
-    the action product), traced or not.
+    ``rooms`` holds each room's mask on ``grid``: the search's grid when the
+    plan has a corridor, the grid of the footprint and the room boxes when it
+    has none.  ``candidates`` is the number of corridors the search weighed
+    (the size of the action product), traced or not.
     """
 
     corridor: RectilinearPolygon | None
-    rooms: tuple[tuple[int, RoomKind, Region], ...]
+    grid: Grid
+    rooms: tuple[tuple[int, RoomKind, int], ...]
     reparented: tuple[int, ...]
     candidates: int = 0
     trace: dict | None = None
@@ -296,139 +301,6 @@ def route(graph: WallGraph, contact_sets: list[tuple[int, frozenset[Vertex]]]) -
     return CorridorPath(edges, anchor)
 
 
-class _Grid:
-    """The breakpoint grid of one corridor search; a region on it is one int.
-
-    Cell (i, j) spans ``xs[i]..xs[i + 1]`` by ``ys[j]..ys[j + 1]`` and is bit
-    ``j * stride + i``.  The stride is the column count plus one: the spare
-    guard column is never set, so a one-cell shift left or right lands there
-    instead of wrapping into the next row.  Each box's mask is built once.
-    """
-
-    __slots__ = ("xs", "ys", "stride", "full", "border", "_xi", "_yi", "_masks")
-
-    def __init__(self, boxes: Sequence[Box]) -> None:
-        self.xs = tuple(sorted({x for b in boxes for x in (b[0], b[2])}))
-        self.ys = tuple(sorted({y for b in boxes for y in (b[1], b[3])}))
-        self._xi = {x: i for i, x in enumerate(self.xs)}
-        self._yi = {y: j for j, y in enumerate(self.ys)}
-        self._masks: dict[Box, int] = {}
-        self.stride = len(self.xs)
-        self.full = self.mask((self.xs[0], self.ys[0], self.xs[-1], self.ys[-1]))
-        full, s = self.full, self.stride
-        self.border = full & ~(full >> 1 & full << 1 & full >> s & full << s)
-
-    def mask(self, box: Box) -> int:
-        m = self._masks.get(box)
-        if m is None:
-            x0, y0, x1, y1 = box
-            i0, j0 = self._xi[x0], self._yi[y0]
-            row = ((1 << (self._xi[x1] - i0)) - 1) << i0
-            m = 0
-            for j in range(j0, self._yi[y1]):
-                m |= row << (j * self.stride)
-            self._masks[box] = m
-        return m
-
-    def region(self, m: int) -> Region:
-        """The cells of ``m`` on only the grid lines with a cell of ``m`` on one side alone.
-
-        Between two kept lines every cell is alike, so one stands for them.
-        """
-        s = self.stride
-        across, cols = m ^ m << 1, 0
-        while across:
-            cols, across = cols | across, across >> s
-        up, row = m ^ m << s, (1 << s) - 1
-        ki = [i for i in range(s) if cols >> i & 1]
-        kj = [j for j in range(len(self.ys)) if up >> j * s & row]
-        cells = frozenset(
-            (a, b) for b, j in enumerate(kj[:-1]) for a, i in enumerate(ki[:-1]) if m >> j * s + i & 1
-        )
-        return Region(tuple(self.xs[i] for i in ki), tuple(self.ys[j] for j in kj), cells)
-
-    def _flood(self, seen: int, within: int) -> int:
-        """The cells of ``within`` that ``seen`` reaches through shared edges."""
-        s = self.stride
-        while True:
-            grown = (seen | seen << 1 | seen >> 1 | seen << s | seen >> s) & within
-            if grown == seen:
-                return seen
-            seen = grown
-
-    def connected(self, m: int) -> bool:
-        """True when nonempty and one piece."""
-        return bool(m) and self._flood(m & -m, m) == m
-
-    def pinch(self, m: int) -> bool:
-        """True when two cells meet only at a corner."""
-        s = self.stride
-        return bool(m & ~(m >> 1) & (m >> (s + 1) & ~(m >> s) | m << (s - 1) & ~(m << s)))
-
-    def hole(self, m: int) -> bool:
-        """True when part of the complement is walled off inside the region."""
-        if m.bit_count() < 8:
-            # A hole needs a full ring of cells around a missing one.
-            return False
-        free = self.full & ~m
-        return self._flood(free & self.border, free) != free
-
-    def simple(self, m: int) -> bool:
-        return not (self.pinch(m) or self.hole(m))
-
-    def full_rect(self, m: int) -> tuple[int, int] | None:
-        """(width, height) in mm when the cells tile one solid rectangle."""
-        s = self.stride
-        cols, rest = 0, m
-        while rest:
-            cols, rest = cols | rest, rest >> s
-        cols &= (1 << s) - 1
-        i0, i1 = (cols & -cols).bit_length() - 1, cols.bit_length() - 1
-        j0, j1 = ((m & -m).bit_length() - 1) // s, (m.bit_length() - 1) // s
-        if m.bit_count() != (i1 - i0 + 1) * (j1 - j0 + 1):
-            return None
-        return self.xs[i1 + 1] - self.xs[i0], self.ys[j1 + 1] - self.ys[j0]
-
-    def row_runs(self, m: int) -> Iterator[int]:
-        """Widths in mm of the maximal runs of cells along each row."""
-        s, xs = self.stride, self.xs
-        for a, b in zip(_bits(m & ~(m << 1)), _bits(m & ~(m >> 1))):
-            yield xs[b % s + 1] - xs[a % s]
-
-    def column_runs(self, m: int) -> Iterator[int]:
-        """Heights in mm of the maximal runs of cells down each column."""
-        s, ys = self.stride, self.ys
-        opened: dict[int, list[int]] = {}
-        for k in _bits(m & ~(m << s)):
-            opened.setdefault(k % s, []).append(k // s)
-        for k in _bits(m & ~(m >> s)):
-            yield ys[k // s + 1] - ys[opened[k % s].pop(0)]
-
-    def thickness(self, m: int) -> int:
-        """Width of the narrowest limb in mm: the shortest row or column run."""
-        return min(chain(self.row_runs(m), self.column_runs(m)), default=0)
-
-    def shared_border(self, a: int, b: int) -> int:
-        """Longest straight wall run between two disjoint regions, in mm.
-
-        Walls between a cell and its right-hand neighbour run down columns,
-        walls between a cell and the one above along rows; both faces of a
-        line land in one mask, so touching runs merge.
-        """
-        s = self.stride
-        down = a & b >> 1 | b & a >> 1
-        along = a & b >> s | b & a >> s
-        return max(chain(self.column_runs(down), self.row_runs(along)), default=0)
-
-
-def _bits(m: int) -> Iterator[int]:
-    """Indices of the set bits, lowest first."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
-
-
 @dataclass
 class _Workspace:
     """Room boxes, wall lines and mm lengths shared by every candidate evaluation.
@@ -449,7 +321,7 @@ class _Workspace:
     max_room_aspect: float
     fp_box: Box
     trace: bool = False
-    grid: _Grid | None = None
+    grid: Grid | None = None
     masks: dict[int, int] = field(default_factory=dict)
     verdicts: dict[tuple[int, int], str] = field(default_factory=dict)
     combinations: int = 0
@@ -597,7 +469,7 @@ def enumerate_candidates(path: CorridorPath, ws: _Workspace) -> list[CorridorCan
             if not (ws.trace or _boxes_pass(boxes, ws)):
                 continue
             if grid is None:
-                ws.grid = grid = _Grid(seen)
+                ws.grid = grid = Grid(seen)
                 ws.masks = {rid: grid.mask(box) for rid, _, box in ws.rooms}
             length = path_length + sum(a.extend_lo + a.extend_hi for a in combo)
             area = _union_area(boxes) if ws.trace else None
@@ -687,7 +559,7 @@ def _room_verdict(rid: int, after: int, ws: _Workspace) -> str:
     return verdict
 
 
-def _peculiar(m: int, grid: _Grid, ws: _Workspace) -> bool:
+def _peculiar(m: int, grid: Grid, ws: _Workspace) -> bool:
     if grid.pinch(m):
         return True
     rect = grid.full_rect(m)
@@ -786,9 +658,13 @@ def plan_corridor(
     boxes = {rid: box for rid, _, box in rooms}
     terminals = frozenset(identify_corridor_rooms(boxes, parent_of, cfg))
     if not terminals:
-        plain = tuple((rid, kind, Region.from_boxes([box])) for rid, kind, box in rooms)
+        grid = Grid([footprint, *boxes.values()])
         return CorridorResult(
-            None, plain, (), trace={"corridor_rooms": 0, "candidates": []} if trace else None
+            None,
+            grid,
+            tuple((rid, kind, grid.mask(box)) for rid, kind, box in rooms),
+            (),
+            trace={"corridor_rooms": 0, "candidates": []} if trace else None,
         )
 
     graph = build_wall_graph(footprint, rooms)
@@ -815,12 +691,11 @@ def plan_corridor(
     winner = filter_and_select(candidates)
     # Carve the corridor out of the rooms it crosses; the living room gains it.
     grid = ws.grid
-    changed = {rid: grid.region(m) for rid, m in winner.rooms_after}  # type: ignore[union-attr]
+    masks = ws.masks | dict(winner.rooms_after)
     result = CorridorResult(
-        corridor=grid.region(winner.corridor).to_polygon(),  # type: ignore[union-attr]
-        rooms=tuple(
-            (rid, kind, changed.get(rid) or Region.from_boxes([box])) for rid, kind, box in rooms
-        ),
+        corridor=grid.outline(winner.corridor),  # type: ignore[union-attr]
+        grid=grid,  # type: ignore[arg-type]
+        rooms=tuple((rid, kind, masks[rid]) for rid, kind, _ in rooms),
         reparented=tuple(sorted(terminals)),
         candidates=ws.combinations,
     )

@@ -7,16 +7,19 @@ constructors snap their inputs to the grid, and Rect keeps full float
 precision because the treemap subdivides with it.  Everything the generator
 computes on runs in integer millimetres: ``mm_box`` turns a treemap rect into
 an ``(x0, y0, x1, y1)`` box once, polygons keep their vertices in mm as
-``mm``, wall runs are ``(horizontal, line, lo, hi)`` tuples, and Region is a
-cell set over an integer breakpoint grid whose areas are in square
-millimetres.  Coordinate equality is exact ``==`` everywhere: adjacency,
-vertex coincidence and boolean ops never need an epsilon.
+``mm`` and their area in mm² as ``area_mm2``, and wall runs are
+``(horizontal, line, lo, hi)`` tuples.  An area is a mask on a Grid, the
+breakpoint grid of a plan's boxes or polygons, with a bit per cell: the
+corridor search, door and window placement, ``validate`` and the SVG label
+all work on such masks, and ``Grid.outline`` turns one into a polygon.
+Coordinate equality is exact ``==`` everywhere: adjacency, vertex
+coincidence and boolean ops never need an epsilon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 GRID = 0.001
 # Plan coordinates, config lengths and area bounds beyond this many metres
@@ -143,10 +146,11 @@ class RectilinearPolygon:
     orientation is forced counter-clockwise and the cycle is rotated to start
     at the lexicographically smallest vertex, so equal polygons compare equal
     and serialise identically.  ``mm`` holds the same vertices in integer
-    millimetres; every check runs on it, and ``area`` is computed once.
+    millimetres; every check runs on it.  The area is computed once, exactly
+    in mm² as ``area_mm2`` and in m² as ``area``.
     """
 
-    __slots__ = ("vertices", "mm", "area")
+    __slots__ = ("vertices", "mm", "area", "area_mm2")
 
     def __init__(self, vertices: Sequence[Point]) -> None:
         pts = list(vertices)  # Points sit on the grid already
@@ -194,6 +198,7 @@ class RectilinearPolygon:
         self.vertices: tuple[Point, ...] = tuple(pts[start:] + pts[:start])
         self.mm: tuple[tuple[int, int], ...] = tuple(mm[start:] + mm[:start])
         self.area: float = twice_area / 2 / 1e6
+        self.area_mm2: int = twice_area // 2
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RectilinearPolygon) and self.vertices == other.vertices
@@ -220,189 +225,224 @@ def merge_runs(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return merged
 
 
-class Region:
-    """Set of axis-aligned cells over an integer-millimetre breakpoint grid.
 
-    Areas are in square millimetres and exact.  Regions are immutable; each
-    computes its boundary runs once, on first use.
+
+# The sides of a cell, in the order ``Grid._faces`` gives them: (horizontal,
+# far), far being 0 for the bottom or left side and 1 for the top or right.
+_SIDES = ((True, 0), (True, 1), (False, 0), (False, 1))
+
+
+class Grid:
+    """An integer breakpoint grid on which a region is one int with a bit per cell.
+
+    The grid lines are the sides of the boxes and the vertex coordinates of
+    the polygons it is built from.  Cell (i, j) spans ``xs[i]..xs[i + 1]`` by
+    ``ys[j]..ys[j + 1]`` and is bit ``j * stride + i``.  The stride is the
+    column count plus one: the spare guard column is never set, so a one-cell
+    shift left or right lands there instead of wrapping into the next row.
+    Each box's mask is built once.
     """
 
-    __slots__ = ("xs", "ys", "cells", "_borders")
+    __slots__ = ("xs", "ys", "stride", "full", "border", "_xi", "_yi", "_masks")
 
-    def __init__(self, xs: tuple[int, ...], ys: tuple[int, ...], cells: frozenset[tuple[int, int]]):
-        self.xs = xs
-        self.ys = ys
-        self.cells = cells
-        self._borders: dict[tuple[str, int, int], list[tuple[int, int]]] | None = None
-
-    @classmethod
-    def empty(cls) -> "Region":
-        return cls((), (), frozenset())
-
-    @classmethod
-    def from_rect(cls, rect: Rect) -> "Region":
-        xs = (_mm(rect.x), _mm(rect.x1))
-        ys = (_mm(rect.y), _mm(rect.y1))
-        return cls(xs, ys, frozenset({(0, 0)}))
-
-    @classmethod
-    def from_boxes(cls, boxes: list[Box]) -> "Region":
-        """Union of (x0, y0, x1, y1) millimetre boxes, built in one pass."""
-        boxes = [b for b in boxes if b[0] < b[2] and b[1] < b[3]]
-        if not boxes:
-            return cls.empty()
-        xs = tuple(sorted({v for b in boxes for v in (b[0], b[2])}))
-        ys = tuple(sorted({v for b in boxes for v in (b[1], b[3])}))
-        xi = {x: i for i, x in enumerate(xs)}
-        yi = {y: j for j, y in enumerate(ys)}
-        cells = set()
+    def __init__(self, boxes: Iterable[Box], polygons: Iterable[RectilinearPolygon] = ()) -> None:
+        xs: set[int] = set()
+        ys: set[int] = set()
         for x0, y0, x1, y1 in boxes:
-            for i in range(xi[x0], xi[x1]):
-                for j in range(yi[y0], yi[y1]):
-                    cells.add((i, j))
-        return cls(xs, ys, frozenset(cells))
+            xs.update((x0, x1))
+            ys.update((y0, y1))
+        for polygon in polygons:
+            for x, y in polygon.mm:
+                xs.add(x)
+                ys.add(y)
+        self.xs = tuple(sorted(xs))
+        self.ys = tuple(sorted(ys))
+        self._xi = {x: i for i, x in enumerate(self.xs)}
+        self._yi = {y: j for j, y in enumerate(self.ys)}
+        self._masks: dict[Box, int] = {}
+        self.stride = len(self.xs)
+        self.full = self.mask((self.xs[0], self.ys[0], self.xs[-1], self.ys[-1]))
+        full, s = self.full, self.stride
+        self.border = full & ~(full >> 1 & full << 1 & full >> s & full << s)
 
-    @classmethod
-    def from_polygon(cls, polygon: RectilinearPolygon) -> "Region":
-        xs = tuple(sorted({x for x, _ in polygon.mm}))
-        ys = tuple(sorted({y for _, y in polygon.mm}))
-        xi = {x: i for i, x in enumerate(xs)}
-        # Vertical polygon edges, for midline crossing parity per row slab.
-        vedges = [
-            (ax, min(ay, by), max(ay, by)) for (ax, ay), (bx, by) in polygon.edges_mm() if ax == bx
-        ]
-        cells = set()
-        for j in range(len(ys) - 1):
-            ymid2 = ys[j] + ys[j + 1]  # 2 * midpoint, keeps everything integral
-            crossings = sorted(x for x, ylo, yhi in vedges if 2 * ylo < ymid2 < 2 * yhi)
-            for k in range(0, len(crossings) - 1, 2):
-                cells.update((i, j) for i in range(xi[crossings[k]], xi[crossings[k + 1]]))
-        return cls(xs, ys, frozenset(cells))
+    def mask(self, box: Box) -> int:
+        m = self._masks.get(box)
+        if m is None:
+            x0, y0, x1, y1 = box
+            i0, j0, s = self._xi[x0], self._yi[y0], self.stride
+            row = ((1 << (self._xi[x1] - i0)) - 1) << i0
+            # The row times 1 + 2**s + 2**(2s) + ...: one copy per row of the box.
+            m = row * (((1 << (s * (self._yi[y1] - j0))) - 1) // ((1 << s) - 1)) << (j0 * s)
+            self._masks[box] = m
+        return m
 
-    @property
-    def area(self) -> int:
-        total = 0
-        for i, j in self.cells:
-            total += (self.xs[i + 1] - self.xs[i]) * (self.ys[j + 1] - self.ys[j])
-        return total
+    def fill(self, polygon: RectilinearPolygon) -> int:
+        """The cells inside a polygon whose vertices lie on the grid lines.
 
-    def realign(self, xs: tuple[int, ...], ys: tuple[int, ...]) -> frozenset[tuple[int, int]]:
-        """Re-express this region's cells on a finer breakpoint grid."""
-        if not self.cells:
-            return frozenset()
-        xi = {x: i for i, x in enumerate(xs)}
-        yi = {y: j for j, y in enumerate(ys)}
-        out = set()
-        for i, j in self.cells:
-            for ii in range(xi[self.xs[i]], xi[self.xs[i + 1]]):
-                for jj in range(yi[self.ys[j]], yi[self.ys[j + 1]]):
-                    out.add((ii, jj))
-        return frozenset(out)
-
-    def connected(self) -> bool:
-        """True when nonempty and all cells are reachable via shared edges."""
-        if not self.cells:
-            return False
-        if len(self.cells) == 1:
-            return True
-        seen = set()
-        stack = [next(iter(self.cells))]
-        while stack:
-            i, j = stack.pop()
-            if (i, j) in seen:
-                continue
-            seen.add((i, j))
-            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if nb in self.cells and nb not in seen:
-                    stack.append(nb)
-        return len(seen) == len(self.cells)
-
-    def _facing_borders(self) -> dict[tuple[str, int, int], list[tuple[int, int]]]:
-        """Merged boundary runs keyed by (axis, line mm, facing sign); do not mutate."""
-        if self._borders is not None:
-            return self._borders
-        raw: dict[tuple[str, int, int], list[tuple[int, int]]] = {}
-        for i, j in self.cells:
-            x0, x1 = self.xs[i], self.xs[i + 1]
-            y0, y1 = self.ys[j], self.ys[j + 1]
-            if (i + 1, j) not in self.cells:
-                raw.setdefault(("v", x1, 1), []).append((y0, y1))
-            if (i - 1, j) not in self.cells:
-                raw.setdefault(("v", x0, -1), []).append((y0, y1))
-            if (i, j + 1) not in self.cells:
-                raw.setdefault(("h", y1, 1), []).append((x0, x1))
-            if (i, j - 1) not in self.cells:
-                raw.setdefault(("h", y0, -1), []).append((x0, x1))
-        self._borders = {key: merge_runs(runs) for key, runs in raw.items()}
-        return self._borders
-
-    def shared_walls(self, other: "Region") -> list[Run]:
-        """Maximal wall runs shared with a disjoint neighbour.
-
-        Each run is ``(horizontal, line, lo, hi)`` in mm: a stretch of this
-        region's boundary that the other region's boundary covers from the
-        opposite side.  Runs on one line merge where they touch, and the list
-        comes back sorted for deterministic downstream iteration.
+        A cell is inside when the vertical edges spanning its row at or left
+        of it are odd in number, so each such edge flips the cells from its
+        column rightward.
         """
-        theirs = other._facing_borders()
-        by_line: dict[tuple[bool, int], list[tuple[int, int]]] = {}
-        for (axis, line, face), runs in self._facing_borders().items():
-            opposite = theirs.get((axis, line, -face))
-            if not opposite:
-                continue
-            k = 0
-            for lo, hi in runs:
-                while k < len(opposite) and opposite[k][1] <= lo:
-                    k += 1
-                m = k
-                while m < len(opposite) and opposite[m][0] < hi:
-                    by_line.setdefault((axis == "h", line), []).append(
-                        (max(lo, opposite[m][0]), min(hi, opposite[m][1]))
-                    )
-                    m += 1
-        out = []
-        for (horizontal, line), spans in by_line.items():
-            out.extend((horizontal, line, lo, hi) for lo, hi in merge_runs(spans))
-        return sorted(out)
+        right, m = self.xs[-1], 0
+        for (ax, ay), (bx, by) in polygon.edges_mm():
+            if ax == bx:
+                m ^= self.mask((ax, min(ay, by), right, max(ay, by)))
+        return m
 
-    def shared_border_mm(self, other: "Region") -> int:
-        """Longest straight wall run shared with a disjoint neighbour, in mm."""
-        return max((hi - lo for _, _, lo, hi in self.shared_walls(other)), default=0)
+    def _flood(self, seen: int, within: int) -> int:
+        """The cells of ``within`` that ``seen`` reaches through shared edges."""
+        s = self.stride
+        while True:
+            grown = (seen | seen << 1 | seen >> 1 | seen << s | seen >> s) & within
+            if grown == seen:
+                return seen
+            seen = grown
 
-    def to_polygon(self) -> RectilinearPolygon:
-        """Trace the boundary into a single simple polygon.
+    def connected(self, m: int) -> bool:
+        """True when nonempty and one piece."""
+        return bool(m) and self._flood(m & -m, m) == m
+
+    def pinch(self, m: int) -> bool:
+        """True when two cells meet only at a corner."""
+        s = self.stride
+        return bool(m & ~(m >> 1) & (m >> (s + 1) & ~(m >> s) | m << (s - 1) & ~(m << s)))
+
+    def hole(self, m: int) -> bool:
+        """True when part of the complement is walled off inside the region."""
+        if m.bit_count() < 8:
+            # A hole needs a full ring of cells around a missing one.
+            return False
+        free = self.full & ~m
+        return self._flood(free & self.border, free) != free
+
+    def simple(self, m: int) -> bool:
+        return not (self.pinch(m) or self.hole(m))
+
+    def full_rect(self, m: int) -> tuple[int, int] | None:
+        """(width, height) in mm when the cells tile one solid rectangle."""
+        s = self.stride
+        cols, rest = 0, m
+        while rest:
+            cols, rest = cols | rest, rest >> s
+        cols &= (1 << s) - 1
+        i0, i1 = (cols & -cols).bit_length() - 1, cols.bit_length() - 1
+        j0, j1 = ((m & -m).bit_length() - 1) // s, (m.bit_length() - 1) // s
+        if m.bit_count() != (i1 - i0 + 1) * (j1 - j0 + 1):
+            return None
+        return self.xs[i1 + 1] - self.xs[i0], self.ys[j1 + 1] - self.ys[j0]
+
+    def thickness(self, m: int) -> int:
+        """Width of the narrowest limb in mm: the shortest row or column run."""
+        return min((hi - lo for _, _, lo, hi in self._sides(m, True, 0) + self._sides(m, False, 0)), default=0)
+
+    def shared_border(self, a: int, b: int) -> int:
+        """Longest straight wall run between two disjoint regions, in mm."""
+        return max((hi - lo for _, _, lo, hi in self.shared_walls(a, b)), default=0)
+
+    def _faces(self, m: int) -> tuple[int, int, int, int]:
+        """The cells of ``m`` with no cell of ``m`` below, above, left and right of them."""
+        s = self.stride
+        return m & ~(m << s), m & ~(m >> s), m & ~(m << 1), m & ~(m >> 1)
+
+    def _sides(self, f: int, horizontal: bool, far: int) -> list[Run]:
+        """Wall runs along one side of the cells of ``f``, merged where they touch.
+
+        Horizontal runs follow the rows, on the cells' bottom (``far`` 0) or
+        top side; vertical runs follow the columns, on their left or right side.
+        """
+        s, xs, ys = self.stride, self.xs, self.ys
+        runs: list[Run] = []
+        if horizontal:
+            # Row runs never cross the guard column, so their ends pair up in order.
+            starts, ends = f & ~(f << 1), f & ~(f >> 1)
+            while starts:
+                a, b = (starts & -starts).bit_length() - 1, (ends & -ends).bit_length() - 1
+                starts &= starts - 1
+                ends &= ends - 1
+                runs.append((True, ys[a // s + far], xs[a % s], xs[b % s + 1]))
+            return runs
+        # Column runs interleave in bit order, so each column's open run is kept.
+        starts, ends = f & ~(f << s), f & ~(f >> s)
+        opened: dict[int, list[int]] = {}
+        while starts:
+            k = (starts & -starts).bit_length() - 1
+            starts &= starts - 1
+            opened.setdefault(k % s, []).append(k // s)
+        while ends:
+            k = (ends & -ends).bit_length() - 1
+            ends &= ends - 1
+            runs.append((False, xs[k % s + far], ys[opened[k % s].pop(0)], ys[k // s + 1]))
+        return runs
+
+    def shared_walls(self, a: int, b: int) -> list[Run]:
+        """Maximal wall runs where a cell of ``a`` alone meets a cell of ``b`` alone.
+
+        Runs on one line merge where they touch, and the list comes back
+        sorted for deterministic downstream iteration.
+        """
+        s = self.stride
+        a, b = a & ~b, b & ~a
+        return sorted(self._sides(a & b >> 1 | b & a >> 1, False, 1) + self._sides(a & b >> s | b & a >> s, True, 1))
+
+    def exterior_walls(self, m: int, box: Box) -> list[Run]:
+        """The boundary runs of ``m`` on the box's sides, facing out of the box.
+
+        Bottom runs come first, then top, left and right ones.
+        """
+        runs: list[Run] = []
+        for f, g, (horizontal, far) in zip(self._faces(m), self._faces(self.mask(box)), _SIDES):
+            if f & g:
+                runs += self._sides(f & g, horizontal, far)
+        return runs
+
+    def outline(self, m: int) -> RectilinearPolygon:
+        """Trace the boundary of ``m`` into a single simple polygon.
 
         Raises ValueError when the region is empty, disconnected, has a hole,
         or pinches down to a corner contact.
         """
-        if not self.cells:
-            raise ValueError("empty region has no boundary")
-        if not self.connected():
-            raise ValueError("region is disconnected")
-        # Each merged boundary run, directed with the interior on its left.
+        # Each boundary run, directed with the interior on its left: bottom
+        # and right sides run up the axis, top and left ones down it.
         edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for (axis, line, face), runs in self._facing_borders().items():
-            for lo, hi in runs:
-                a, b = ((lo, line), (hi, line)) if axis == "h" else ((line, lo), (line, hi))
-                if (axis == "h") == (face == 1):
+        for f, (horizontal, far) in zip(self._faces(m), _SIDES):
+            for _, line, lo, hi in self._sides(f, horizontal, far):
+                a, b = ((lo, line), (hi, line)) if horizontal else ((line, lo), (line, hi))
+                if horizontal == far:
                     a, b = b, a
                 edges.setdefault(a, []).append(b)
-        start = min(edges)
-        loop = [start]
-        cur = start
-        total = sum(len(v) for v in edges.values())
-        for _ in range(total):
-            nxts = edges.get(cur)
-            if not nxts:
-                raise ValueError("region boundary is not a closed loop")
-            if len(nxts) > 1:
-                raise ValueError("region pinches to a corner contact")
-            cur = nxts.pop()
-            if cur == start:
-                break
-            loop.append(cur)
-        else:
-            raise ValueError("region boundary does not close")
-        if any(edges.values()):
-            raise ValueError("region has a hole or multiple boundary loops")
+        try:
+            start = min(edges)
+            loop = [start]
+            cur = start
+            total = sum(len(v) for v in edges.values())
+            for _ in range(total):
+                nxts = edges.get(cur)
+                if not nxts:
+                    raise ValueError("region boundary is not a closed loop")
+                if len(nxts) > 1:
+                    raise ValueError("region pinches to a corner contact")
+                cur = nxts.pop()
+                if cur == start:
+                    break
+                loop.append(cur)
+            else:
+                raise ValueError("region boundary does not close")
+            if any(edges.values()):
+                raise ValueError("region has a hole or multiple boundary loops")
+        except ValueError:
+            # One loop through every run encloses one piece, so only a walk
+            # that fails needs the pieces counted.
+            if not m:
+                raise ValueError("empty region has no boundary") from None
+            if not self.connected(m):
+                raise ValueError("region is disconnected") from None
+            raise
         return RectilinearPolygon(tuple(Point(_m(x), _m(y)) for x, y in loop))
+
+
+def _bits(m: int) -> Iterator[int]:
+    """Indices of the set bits, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low

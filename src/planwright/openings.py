@@ -5,8 +5,10 @@ dictates the mandatory door set; configured optional pairs are added by coin
 flip when the rooms actually share enough wall.  Every edge then gets one
 door at a uniformly random feasible position, the house gets an entry door
 on the living room's longest exterior wall, and eligible exterior rooms get
-a window.  ``validate`` re-checks the finished plan from scratch; it is what
-the CLI's validate subcommand and the batch audits run.
+a window.  Rooms arrive as masks on the plan's ``Grid``, so shared and
+exterior walls are runs read off those masks.  ``validate`` re-checks the
+finished plan from scratch, with every polygon filled onto one common grid;
+it is what the CLI's validate subcommand and the batch audits run.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .geometry import Box, Point, Region, Run, Segment, _m, _mm
+from .geometry import Box, Grid, Point, Run, Segment, _m, _mm
 from .hierarchy import OUTSIDE_ID
 from .sampling import BEDROOM_KINDS, GenConfig, RandomStream, RoomKind
 
@@ -65,17 +67,6 @@ def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-def _exterior_walls(region: Region, footprint: Box) -> list[Run]:
-    """Boundary runs of the room lying on the footprint boundary."""
-    fx0, fy0, fx1, fy1 = footprint
-    return [
-        (axis == "h", line, lo, hi)
-        for (axis, line, _), runs in region._facing_borders().items()
-        if line in ((fy0, fy1) if axis == "h" else (fx0, fx1))
-        for lo, hi in runs
-    ]
-
-
 def _run_order(run: Run) -> tuple[int, int, int, int]:
     """The run's end points (ax, ay, bx, by): the order walls are tried in."""
     horizontal, line, lo, hi = run
@@ -92,7 +83,8 @@ def _prohibited(kind_a: RoomKind, kind_b: RoomKind) -> bool:
 
 
 def build_connection_graph(
-    rooms: tuple[tuple[int, RoomKind, Region], ...],
+    grid: Grid,
+    rooms: tuple[tuple[int, RoomKind, int], ...],
     parent_of: dict[int, int],
     living_id: int,
     rng: RandomStream,
@@ -103,13 +95,13 @@ def build_connection_graph(
     Raises when a mandatory edge has no door-width shared wall left; the
     corridor stage is supposed to have guaranteed them all.
     """
-    regions = {rid: region for rid, _, region in rooms}
+    masks = {rid: m for rid, _, m in rooms}
     kinds = {rid: kind for rid, kind, _ in rooms}
     door_mm = _mm(cfg.door_width)
 
     edges: list[tuple[int, int]] = [(OUTSIDE_ID, living_id)]
     for child, parent in sorted(parent_of.items()):
-        if regions[child].shared_border_mm(regions[parent]) < door_mm:
+        if grid.shared_border(masks[child], masks[parent]) < door_mm:
             raise OpeningError(f"rooms {child} and {parent} share no door-width wall")
         edges.append(_pair(child, parent))
 
@@ -123,7 +115,7 @@ def build_connection_graph(
         if kinds[bath] is RoomKind.BATHROOM and kinds[other] in BEDROOM_KINDS
     }
 
-    for i, j in combinations(sorted(regions), 2):
+    for i, j in combinations(sorted(masks), 2):
         for kind_a, kind_b, prob in cfg.optional_doors:
             if {kinds[i], kinds[j]} != {kind_a, kind_b}:
                 continue
@@ -132,7 +124,7 @@ def build_connection_graph(
             # Such a bathroom gets no door to a second bedroom.
             if any(b in bedroom_baths and kinds[o] in BEDROOM_KINDS for b, o in ((i, j), (j, i))):
                 continue
-            if regions[i].shared_border_mm(regions[j]) < door_mm:
+            if grid.shared_border(masks[i], masks[j]) < door_mm:
                 continue
             if rng.random() < prob:
                 have.add(_pair(i, j))
@@ -142,7 +134,7 @@ def build_connection_graph(
                         bedroom_baths.add(b)
             break
 
-    nodes = frozenset(regions) | {OUTSIDE_ID}
+    nodes = frozenset(masks) | {OUTSIDE_ID}
     return ConnectionGraph(nodes, tuple(sorted(edges)))
 
 
@@ -229,19 +221,20 @@ def _place(
 
 
 def place_doors(
-    rooms: tuple[tuple[int, RoomKind, Region], ...],
+    grid: Grid,
+    rooms: tuple[tuple[int, RoomKind, int], ...],
     graph: ConnectionGraph,
     footprint: Box,
     rng: RandomStream,
     cfg: GenConfig,
 ) -> tuple[list[Opening], _WallLedger]:
     """One door per graph edge, entry door first, uniform over feasible spots."""
-    regions = {rid: region for rid, _, region in rooms}
+    masks = {rid: m for rid, _, m in rooms}
     door_mm = _mm(cfg.door_width)
     ledger = _WallLedger()
 
     living_id = next(rid for rid, kind, _ in rooms if kind is RoomKind.LIVING_ROOM)
-    exterior = [w for w in _exterior_walls(regions[living_id], footprint) if w[3] - w[2] >= door_mm]
+    exterior = [w for w in grid.exterior_walls(masks[living_id], footprint) if w[3] - w[2] >= door_mm]
     if not exterior:
         raise OpeningError("living room has no exterior wall wide enough for the entry")
     host = min(exterior, key=lambda w: (w[2] - w[3], _run_order(w)))
@@ -254,7 +247,7 @@ def place_doors(
     for a, b in graph.edges:
         if a == OUTSIDE_ID or b == OUTSIDE_ID:
             continue
-        walls = regions[a].shared_walls(regions[b])
+        walls = grid.shared_walls(masks[a], masks[b])
         placed = _place(DOOR, walls, *door, (a, b), ledger, rng)
         if placed is None:
             raise OpeningError(f"no room left for a door between {a} and {b}")
@@ -264,7 +257,8 @@ def place_doors(
 
 
 def place_windows(
-    rooms: tuple[tuple[int, RoomKind, Region], ...],
+    grid: Grid,
+    rooms: tuple[tuple[int, RoomKind, int], ...],
     footprint: Box,
     ledger: _WallLedger,
     rng: RandomStream,
@@ -273,10 +267,10 @@ def place_windows(
     """One window per exterior room of an allowed kind, on a free exterior span."""
     width = (cfg.window_width, _mm(cfg.window_width))
     openings: list[Opening] = []
-    for rid, kind, region in sorted(rooms, key=lambda r: r[0]):
+    for rid, kind, m in sorted(rooms, key=lambda r: r[0]):
         if kind in cfg.window_banned:
             continue
-        walls = _exterior_walls(region, footprint)
+        walls = grid.exterior_walls(m, footprint)
         window = _place(WINDOW, walls, *width, (rid, OUTSIDE_ID), ledger, rng)
         if window is not None:
             openings.append(window)
@@ -300,59 +294,56 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
 
     Verifies unique room ids, the area partition, pairwise disjointness,
     containment, that the corridor lies in the living room, opening kinds and
-    the rooms they name, opening geometry, the graph's node set,
-    one-door-per-edge correspondence, door-graph connectivity (Outside
-    included), the entry door, and the connection prohibitions.
+    the rooms they name, opening geometry (a door on its rooms' shared wall,
+    a window and the entry door on an exterior wall of their room), the
+    graph's node set, one-door-per-edge correspondence, door-graph
+    connectivity (Outside included), the entry door, and the connection
+    prohibitions.  Areas are the polygons' exact mm² areas; containment,
+    overlap and walls are mask operations on one grid of every polygon.
     Passing the config adds its window-ban check and requires every door to
     be ``door_width`` and every window ``window_width`` wide; everything else
     is self-contained in the plan document.
     """
     failures: list[str] = []
-    # One per listed room, so a room listed twice counts twice in the partition.
-    room_regions = [Region.from_polygon(room.polygon) for room in plan.rooms]
-    regions = {room.id: region for room, region in zip(plan.rooms, room_regions)}
+    fp = plan.footprint
+    fp_box = (_mm(fp.x), _mm(fp.y), _mm(fp.x1), _mm(fp.y1))
+    # Every room, the footprint and the corridor on one breakpoint grid:
+    # containment is a subset test and overlap a shared cell.
+    corridor = [] if plan.corridor is None else [plan.corridor]
+    grid = Grid([fp_box], [*(room.polygon for room in plan.rooms), *corridor])
+    fp_mask = grid.mask(fp_box)
+    masks = {room.id: grid.fill(room.polygon) for room in plan.rooms}
     kinds = {room.id: room.kind for room in plan.rooms}
-    fp_region = Region.from_rect(plan.footprint)
 
     # Every check below names rooms by id, so a repeated id hides a room.
     listed = [room.id for room in plan.rooms]
     for rid in sorted({rid for rid in listed if listed.count(rid) > 1}):
         failures.append(f"room id {rid} is listed {listed.count(rid)} times")
-    total = sum(region.area for region in room_regions)
-    if total != fp_region.area:
-        failures.append(
-            f"partition: room areas sum to {total} mm², footprint is {fp_region.area} mm²"
-        )
-    # Every room, the footprint and the corridor on one breakpoint grid:
-    # containment is a subset test and overlap a shared cell.
-    laid = [fp_region, *regions.values()]
-    corridor = None
-    if plan.corridor is not None:
-        corridor = Region.from_polygon(plan.corridor)
-        laid.append(corridor)
-    xs = tuple(sorted({x for r in laid for x in r.xs}))
-    ys = tuple(sorted({y for r in laid for y in r.ys}))
-    fp_cells = fp_region.realign(xs, ys)
-    cells = {rid: region.realign(xs, ys) for rid, region in sorted(regions.items())}
-    for rid, room_cells in cells.items():
-        if not room_cells <= fp_cells:
+    # One area per listed room, so a room listed twice counts twice.
+    total = sum(room.polygon.area_mm2 for room in plan.rooms)
+    fp_area = (fp_box[2] - fp_box[0]) * (fp_box[3] - fp_box[1])
+    if total != fp_area:
+        failures.append(f"partition: room areas sum to {total} mm², footprint is {fp_area} mm²")
+    for rid in sorted(masks):
+        if masks[rid] & ~fp_mask:
             failures.append(f"containment: room {rid} leaves the footprint")
     # The corridor is living-room space.
-    if corridor is not None:
-        living = frozenset().union(
-            *(cells[rid] for rid, kind in kinds.items() if kind is RoomKind.LIVING_ROOM)
-        )
-        if not corridor.realign(xs, ys) <= living:
+    if corridor:
+        living = 0
+        for rid, kind in kinds.items():
+            if kind is RoomKind.LIVING_ROOM:
+                living |= masks[rid]
+        if grid.fill(plan.corridor) & ~living:
             failures.append("corridor not inside the living room")
     overlapping: set[tuple[int, int]] = set()
-    ids = list(cells)
+    ids = sorted(masks)
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
-            if not cells[a].isdisjoint(cells[b]):
+            if masks[a] & masks[b]:
                 overlapping.add((a, b))
                 failures.append(f"overlap: rooms {a} and {b}")
 
-    nodes = set(regions) | {OUTSIDE_ID}
+    nodes = set(masks) | {OUTSIDE_ID}
     # With a config, each opening is as wide as the config makes its kind.
     widths: dict[str, int] = {}
     if cfg is not None:
@@ -380,20 +371,29 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
                 f"not {widths[opening.kind]} mm"
             )
         by_line.setdefault((not horizontal, line), []).append((lo, hi, opening.kind))
-        on_boundary = line in (fp_region.ys if horizontal else fp_region.xs)
+        on_boundary = line in ((fp_box[1], fp_box[3]) if horizontal else (fp_box[0], fp_box[2]))
         a, b = opening.rooms
         if opening.kind == WINDOW:
             if b != OUTSIDE_ID or not on_boundary:
                 failures.append(f"window not on the footprint boundary: room {a}")
+            elif not _on_wall(wall, grid.exterior_walls(masks.get(a, 0), fp_box)):
+                failures.append(f"window not on an exterior wall of room {a}")
             continue
         if opening.kind == ENTRY_DOOR:
             entry_count += 1
             if not on_boundary:
                 failures.append("entry door not on the footprint boundary")
+            for rid in (a, b):
+                if rid != OUTSIDE_ID and not _on_wall(wall, grid.exterior_walls(masks[rid], fp_box)):
+                    failures.append(f"entry door not on an exterior wall of room {rid}")
             door_edges.add(_pair(a, b))
             continue
         door_edges.add(_pair(a, b))
-        if _pair(a, b) in overlapping or not _wall_is_shared(wall, regions.get(a), regions.get(b)):
+        if (
+            _pair(a, b) in overlapping
+            or OUTSIDE_ID in (a, b)
+            or not _on_wall(wall, grid.shared_walls(masks[a], masks[b]))
+        ):
             failures.append(f"door between {a} and {b} is not on their shared wall")
 
     for line, intervals in sorted(by_line.items()):
@@ -450,12 +450,10 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
     return ValidationReport(tuple(failures))
 
 
-def _wall_is_shared(wall: Run, region_a: Region | None, region_b: Region | None) -> bool:
-    """The wall lies on the common boundary of two rooms that do not overlap."""
-    if region_a is None or region_b is None:
-        return False
-    horizontal, line, wlo, whi = wall
+def _on_wall(wall: Run, runs: list[Run]) -> bool:
+    """The wall lies within one of the runs."""
+    horizontal, line, lo, hi = wall
     return any(
-        (h, run_line) == (horizontal, line) and lo <= wlo and whi <= hi
-        for h, run_line, lo, hi in region_a.shared_walls(region_b)
+        (h, run_line) == (horizontal, line) and run_lo <= lo and hi <= run_hi
+        for h, run_line, run_lo, run_hi in runs
     )

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 from .corridor import CorridorError, plan_corridor
 from .geometry import (
-    MAX_COORD, Box, Point, Rect, RectilinearPolygon, Region, Segment, _m, _mm, aspect_ratio, mm_box, snap
+    MAX_COORD, Box, Grid, Point, Rect, RectilinearPolygon, Segment, _bits, _m, _mm, aspect_ratio, mm_box,
+    snap,
 )
 from .hierarchy import OUTSIDE_ID, build_hierarchy
 from .openings import (
@@ -158,14 +159,14 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int, trace: 
     for t in corridor.reparented:
         parent_of[t] = living_id
 
-    graph = build_connection_graph(corridor.rooms, parent_of, living_id, rng, cfg)
-    doors, ledger = place_doors(corridor.rooms, graph, fp_box, rng, cfg)
-    windows = place_windows(corridor.rooms, fp_box, ledger, rng, cfg)
+    grid = corridor.grid
+    graph = build_connection_graph(grid, corridor.rooms, parent_of, living_id, rng, cfg)
+    doors, ledger = place_doors(grid, corridor.rooms, graph, fp_box, rng, cfg)
+    windows = place_windows(grid, corridor.rooms, fp_box, ledger, rng, cfg)
 
     targets = {e.id: round(e.target_area, 6) for e in program.entries}
     rooms = tuple(
-        Room(rid, kind, region.to_polygon(), targets[rid])
-        for rid, kind, region in corridor.rooms
+        Room(rid, kind, grid.outline(m), targets[rid]) for rid, kind, m in corridor.rooms
     )
     plan = FloorPlan(
         seed=seed,
@@ -453,15 +454,16 @@ def _fmt(v: float) -> str:
 
 
 def _label_point(poly: RectilinearPolygon) -> Point:
-    """A point inside the polygon: the centre of its largest axis cell."""
-    region = Region.from_polygon(poly)
+    """A point inside the polygon: the centre of its largest cell on its own grid lines."""
+    grid = Grid((), [poly])
+    xs, ys, s = grid.xs, grid.ys, grid.stride
     best = None
-    for i, j in sorted(region.cells):
-        w = region.xs[i + 1] - region.xs[i]
-        h = region.ys[j + 1] - region.ys[j]
-        key = (w * h, -region.xs[i], -region.ys[j])
+    for k in _bits(grid.fill(poly)):
+        i, j = k % s, k // s
+        w, h = xs[i + 1] - xs[i], ys[j + 1] - ys[j]
+        key = (w * h, -xs[i], -ys[j])
         if best is None or key > best[0]:
-            best = (key, (region.xs[i] + w / 2, region.ys[j] + h / 2))
+            best = (key, (xs[i] + w / 2, ys[j] + h / 2))
     assert best is not None
     return Point(_m(round(best[1][0])), _m(round(best[1][1])))
 

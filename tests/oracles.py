@@ -7,10 +7,10 @@ scanline decomposition of the polygons themselves.  None of it
 imports package internals beyond plain data, the grid helpers and the error
 types, except the four sections of copies at the end, which are the package's
 own earlier code kept as a reference for its rewrite: the front stage, the
-cell-set Region operations and corridor checks that the corridor search used
-before it moved to integer masks, the treemap's row filling before it
-became one pass per level, and the room layout's level walk before its check
-read the cut floats.
+cell-set Region (as CellRegion) that held every area before one grid per plan
+replaced it, with the corridor checks and wall queries made on it, the
+treemap's row filling before it became one pass per level, and the room
+layout's level walk before its check read the cut floats.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 from itertools import combinations, count
 from typing import Iterator
 
-from planwright.geometry import GRID, MAX_EXACT, Rect, Region, _mm, snap
+from planwright.geometry import (
+    GRID, MAX_EXACT, Box, Grid, Point, Rect, RectilinearPolygon, Run, _m, _mm, merge_runs, snap
+)
 from planwright.sampling import BEDROOM_KINDS, ConfigError, RoomKind, SamplingError
 from planwright.treemap import LayoutError, LayoutRequest, PlacedRoom
 
@@ -706,38 +708,225 @@ def aggregate_areas(root: HierarchyNode) -> HierarchyNode:
     return root
 
 
-# --- cell-set regions and the corridor checks on them ----------------------
-# The Region operations and shape tests the corridor search ran before it
-# decided candidates on one integer grid per search, copied unchanged except
-# that they build CellRegion.  CellRegion is a Region, so the package's own
-# methods (connected, shared_walls, to_polygon, ...) work on it as well.
+# --- cell-set regions and the checks on them --------------------------------
+# The cell-set Region the package used for every area before one grid per
+# plan replaced it, with the set algebra and shape tests the corridor search
+# ran before it decided candidates on integer masks, and the exterior-wall
+# query door and window placement made on it.  Copied unchanged except that
+# everything builds CellRegion.
 
 
-class CellRegion(Region):
-    __slots__ = ()
+class CellRegion:
+    """Set of axis-aligned cells over an integer-millimetre breakpoint grid.
+
+    Areas are in square millimetres and exact.  Regions are immutable; each
+    computes its boundary runs once, on first use.
+    """
+
+    __slots__ = ("xs", "ys", "cells", "_borders")
+
+    def __init__(self, xs: tuple[int, ...], ys: tuple[int, ...], cells: frozenset[tuple[int, int]]):
+        self.xs = xs
+        self.ys = ys
+        self.cells = cells
+        self._borders: dict[tuple[str, int, int], list[tuple[int, int]]] | None = None
 
     @classmethod
-    def of(cls, region: Region) -> "CellRegion":
-        return cls(region.xs, region.ys, region.cells)
+    def empty(cls) -> "CellRegion":
+        return cls((), (), frozenset())
+
+    @classmethod
+    def from_rect(cls, rect: Rect) -> "CellRegion":
+        xs = (_mm(rect.x), _mm(rect.x1))
+        ys = (_mm(rect.y), _mm(rect.y1))
+        return cls(xs, ys, frozenset({(0, 0)}))
+
+    @classmethod
+    def from_boxes(cls, boxes: list[Box]) -> "CellRegion":
+        """Union of (x0, y0, x1, y1) millimetre boxes, built in one pass."""
+        boxes = [b for b in boxes if b[0] < b[2] and b[1] < b[3]]
+        if not boxes:
+            return cls.empty()
+        xs = tuple(sorted({v for b in boxes for v in (b[0], b[2])}))
+        ys = tuple(sorted({v for b in boxes for v in (b[1], b[3])}))
+        xi = {x: i for i, x in enumerate(xs)}
+        yi = {y: j for j, y in enumerate(ys)}
+        cells = set()
+        for x0, y0, x1, y1 in boxes:
+            for i in range(xi[x0], xi[x1]):
+                for j in range(yi[y0], yi[y1]):
+                    cells.add((i, j))
+        return cls(xs, ys, frozenset(cells))
+
+    @classmethod
+    def from_polygon(cls, polygon: RectilinearPolygon) -> "CellRegion":
+        xs = tuple(sorted({x for x, _ in polygon.mm}))
+        ys = tuple(sorted({y for _, y in polygon.mm}))
+        xi = {x: i for i, x in enumerate(xs)}
+        # Vertical polygon edges, for midline crossing parity per row slab.
+        vedges = [
+            (ax, min(ay, by), max(ay, by)) for (ax, ay), (bx, by) in polygon.edges_mm() if ax == bx
+        ]
+        cells = set()
+        for j in range(len(ys) - 1):
+            ymid2 = ys[j] + ys[j + 1]  # 2 * midpoint, keeps everything integral
+            crossings = sorted(x for x, ylo, yhi in vedges if 2 * ylo < ymid2 < 2 * yhi)
+            for k in range(0, len(crossings) - 1, 2):
+                cells.update((i, j) for i in range(xi[crossings[k]], xi[crossings[k + 1]]))
+        return cls(xs, ys, frozenset(cells))
+
+    @classmethod
+    def from_mask(cls, grid: Grid, m: int) -> "CellRegion":
+        """The cells of a grid mask, on all the grid's lines."""
+        s = grid.stride
+        return cls(grid.xs, grid.ys, frozenset((k % s, k // s) for k in range(m.bit_length()) if m >> k & 1))
+
+    @property
+    def area(self) -> int:
+        total = 0
+        for i, j in self.cells:
+            total += (self.xs[i + 1] - self.xs[i]) * (self.ys[j + 1] - self.ys[j])
+        return total
+
+    def realign(self, xs: tuple[int, ...], ys: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+        """Re-express this region's cells on a finer breakpoint grid."""
+        if not self.cells:
+            return frozenset()
+        xi = {x: i for i, x in enumerate(xs)}
+        yi = {y: j for j, y in enumerate(ys)}
+        out = set()
+        for i, j in self.cells:
+            for ii in range(xi[self.xs[i]], xi[self.xs[i + 1]]):
+                for jj in range(yi[self.ys[j]], yi[self.ys[j + 1]]):
+                    out.add((ii, jj))
+        return frozenset(out)
+
+    def connected(self) -> bool:
+        """True when nonempty and all cells are reachable via shared edges."""
+        if not self.cells:
+            return False
+        if len(self.cells) == 1:
+            return True
+        seen = set()
+        stack = [next(iter(self.cells))]
+        while stack:
+            i, j = stack.pop()
+            if (i, j) in seen:
+                continue
+            seen.add((i, j))
+            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if nb in self.cells and nb not in seen:
+                    stack.append(nb)
+        return len(seen) == len(self.cells)
+
+    def _facing_borders(self) -> dict[tuple[str, int, int], list[tuple[int, int]]]:
+        """Merged boundary runs keyed by (axis, line mm, facing sign); do not mutate."""
+        if self._borders is not None:
+            return self._borders
+        raw: dict[tuple[str, int, int], list[tuple[int, int]]] = {}
+        for i, j in self.cells:
+            x0, x1 = self.xs[i], self.xs[i + 1]
+            y0, y1 = self.ys[j], self.ys[j + 1]
+            if (i + 1, j) not in self.cells:
+                raw.setdefault(("v", x1, 1), []).append((y0, y1))
+            if (i - 1, j) not in self.cells:
+                raw.setdefault(("v", x0, -1), []).append((y0, y1))
+            if (i, j + 1) not in self.cells:
+                raw.setdefault(("h", y1, 1), []).append((x0, x1))
+            if (i, j - 1) not in self.cells:
+                raw.setdefault(("h", y0, -1), []).append((x0, x1))
+        self._borders = {key: merge_runs(runs) for key, runs in raw.items()}
+        return self._borders
+
+    def shared_walls(self, other: "CellRegion") -> list[Run]:
+        """Maximal wall runs shared with a disjoint neighbour.
+
+        Each run is ``(horizontal, line, lo, hi)`` in mm: a stretch of this
+        region's boundary that the other region's boundary covers from the
+        opposite side.  Runs on one line merge where they touch, and the list
+        comes back sorted for deterministic downstream iteration.
+        """
+        theirs = other._facing_borders()
+        by_line: dict[tuple[bool, int], list[tuple[int, int]]] = {}
+        for (axis, line, face), runs in self._facing_borders().items():
+            opposite = theirs.get((axis, line, -face))
+            if not opposite:
+                continue
+            k = 0
+            for lo, hi in runs:
+                while k < len(opposite) and opposite[k][1] <= lo:
+                    k += 1
+                m = k
+                while m < len(opposite) and opposite[m][0] < hi:
+                    by_line.setdefault((axis == "h", line), []).append(
+                        (max(lo, opposite[m][0]), min(hi, opposite[m][1]))
+                    )
+                    m += 1
+        out = []
+        for (horizontal, line), spans in by_line.items():
+            out.extend((horizontal, line, lo, hi) for lo, hi in merge_runs(spans))
+        return sorted(out)
+
+    def shared_border_mm(self, other: "CellRegion") -> int:
+        """Longest straight wall run shared with a disjoint neighbour, in mm."""
+        return max((hi - lo for _, _, lo, hi in self.shared_walls(other)), default=0)
+
+    def to_polygon(self) -> RectilinearPolygon:
+        """Trace the boundary into a single simple polygon.
+
+        Raises ValueError when the region is empty, disconnected, has a hole,
+        or pinches down to a corner contact.
+        """
+        if not self.cells:
+            raise ValueError("empty region has no boundary")
+        if not self.connected():
+            raise ValueError("region is disconnected")
+        # Each merged boundary run, directed with the interior on its left.
+        edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for (axis, line, face), runs in self._facing_borders().items():
+            for lo, hi in runs:
+                a, b = ((lo, line), (hi, line)) if axis == "h" else ((line, lo), (line, hi))
+                if (axis == "h") == (face == 1):
+                    a, b = b, a
+                edges.setdefault(a, []).append(b)
+        start = min(edges)
+        loop = [start]
+        cur = start
+        total = sum(len(v) for v in edges.values())
+        for _ in range(total):
+            nxts = edges.get(cur)
+            if not nxts:
+                raise ValueError("region boundary is not a closed loop")
+            if len(nxts) > 1:
+                raise ValueError("region pinches to a corner contact")
+            cur = nxts.pop()
+            if cur == start:
+                break
+            loop.append(cur)
+        else:
+            raise ValueError("region boundary does not close")
+        if any(edges.values()):
+            raise ValueError("region has a hole or multiple boundary loops")
+        return RectilinearPolygon(tuple(Point(_m(x), _m(y)) for x, y in loop))
 
     @property
     def is_empty(self) -> bool:
         return not self.cells
 
-    def _common(self, other: "Region") -> tuple[tuple[int, ...], tuple[int, ...], frozenset, frozenset]:
+    def _common(self, other: "CellRegion") -> tuple[tuple[int, ...], tuple[int, ...], frozenset, frozenset]:
         xs = tuple(sorted(set(self.xs) | set(other.xs)))
         ys = tuple(sorted(set(self.ys) | set(other.ys)))
         return xs, ys, self.realign(xs, ys), other.realign(xs, ys)
 
-    def union(self, other: "Region") -> "CellRegion":
+    def union(self, other: "CellRegion") -> "CellRegion":
         xs, ys, a, b = self._common(other)
         return CellRegion(xs, ys, a | b)
 
-    def subtract(self, other: "Region") -> "CellRegion":
+    def subtract(self, other: "CellRegion") -> "CellRegion":
         xs, ys, a, b = self._common(other)
         return CellRegion(xs, ys, a - b)
 
-    def intersect(self, other: "Region") -> "CellRegion":
+    def intersect(self, other: "CellRegion") -> "CellRegion":
         xs, ys, a, b = self._common(other)
         return CellRegion(xs, ys, a & b)
 
@@ -845,7 +1034,7 @@ def room_verdict(rid: int, after: CellRegion, min_room_width: int, max_room_aspe
     return ""
 
 
-def identify_corridor_rooms(regions: dict[int, Region], parent_of: dict[int, int], cfg) -> set[int]:
+def identify_corridor_rooms(regions: dict[int, CellRegion], parent_of: dict[int, int], cfg) -> set[int]:
     """Rooms lacking a door-width shared wall with their hierarchy parent."""
     door_mm = _mm(cfg.door_width)
     stranded: set[int] = set()
@@ -855,6 +1044,17 @@ def identify_corridor_rooms(regions: dict[int, Region], parent_of: dict[int, int
         if regions[child_id].shared_border_mm(regions[parent_id]) < door_mm:
             stranded.add(child_id)
     return stranded
+
+
+def exterior_walls(region: CellRegion, footprint: Box) -> list[Run]:
+    """Boundary runs of the room lying on the footprint boundary."""
+    fx0, fy0, fx1, fy1 = footprint
+    return [
+        (axis == "h", line, lo, hi)
+        for (axis, line, _), runs in region._facing_borders().items()
+        if line in ((fy0, fy1) if axis == "h" else (fx0, fx1))
+        for lo, hi in runs
+    ]
 
 
 # --- treemap rows as first written ----------------------------------------

@@ -29,12 +29,11 @@ from planwright.corridor import (
     _boxes_connected,
     _boxes_pass,
     _contact_vertices,
-    _Grid,
     _peculiar,
     _room_verdict,
     _union_area,
 )
-from planwright.geometry import Rect, Region, mm_box
+from planwright.geometry import Grid, Rect, mm_box
 from planwright.sampling import GenConfig, RandomStream, RoomKind
 from planwright.treemap import LayoutRequest, squarify
 
@@ -303,13 +302,15 @@ def test_plan_corridor_identity_when_all_adjacent():
     assert result.reparented == ()
     assert result.trace["corridor_rooms"] == 0
     assert [rid for rid, _, _ in result.rooms] == [0, 1, 2]
-    for (_, placed_kind, (x0, y0, x1, y1)), (_, kind, region) in zip(rooms, result.rooms):
+    # The plan's grid is the footprint's and the rooms', one mask per room box.
+    assert result.grid.xs == (0, 3000, 6000) and result.grid.ys == (0, 3000, 6000)
+    for (_, placed_kind, placed), (_, kind, m) in zip(rooms, result.rooms):
         assert kind is placed_kind
-        assert region.area == (x1 - x0) * (y1 - y0)
+        assert m == result.grid.mask(placed)
 
 
-def region_equal(a: Region, b: Region) -> bool:
-    return CellRegion.of(a).subtract(b).is_empty and CellRegion.of(b).subtract(a).is_empty
+def area(grid: Grid, m: int) -> int:
+    return CellRegion.from_mask(grid, m).area
 
 
 def test_plan_corridor_strip_layout_winner():
@@ -318,9 +319,9 @@ def test_plan_corridor_strip_layout_winner():
     # The cheapest corridor thickens the routed wall in place: 1 m x 3 m.
     assert result.corridor is not None
     assert result.corridor.area == pytest.approx(3.0)
-    assert region_equal(Region.from_polygon(result.corridor), Region.from_rect(Rect(3, 3, 3, 1)))
+    assert result.corridor.mm == ((3000, 3000), (6000, 3000), (6000, 4000), (3000, 4000))
     # The dining room lost the strip to the living room, nobody else changed.
-    areas = {rid: region.area for rid, _, region in result.rooms}
+    areas = {rid: area(result.grid, m) for rid, _, m in result.rooms}
     assert areas == {0: 21_000_000, 1: 9_000_000, 2: 6_000_000, 3: 18_000_000}
     trace = result.trace
     # Routing runs on the full wall graph.
@@ -370,16 +371,18 @@ def test_plan_corridor_conserves_area():
         (STRIP_FOOTPRINT, STRIP_ROOMS, STRIP_PARENTS, 0),
     ]:
         result = plan_corridor(fp, rooms, parents, living, CFG)
-        total = sum(region.area for _, _, region in result.rooms)
+        grid = result.grid
+        total = sum(area(grid, m) for _, _, m in result.rooms)
         x0, y0, x1, y1 = fp
         assert total == (x1 - x0) * (y1 - y0)
-        regions = {rid: region for rid, _, region in result.rooms}
-        ids = sorted(regions)
+        masks = {rid: m for rid, _, m in result.rooms}
+        ids = sorted(masks)
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
-                assert CellRegion.of(regions[a]).intersect(regions[b]).is_empty
+                assert masks[a] & masks[b] == 0
         corridor = CellRegion.from_polygon(result.corridor)
-        assert corridor.subtract(regions[living]).is_empty
+        assert corridor.subtract(CellRegion.from_mask(grid, masks[living])).is_empty
+        assert grid.fill(result.corridor) & ~masks[living] == 0
 
 
 def test_plan_corridor_raises_on_disconnected_walls():
@@ -398,8 +401,8 @@ def test_plan_corridor_deterministic():
     second = plan_corridor(STRIP_FOOTPRINT, STRIP_ROOMS, STRIP_PARENTS, 0, CFG, trace=True)
     assert first.trace == second.trace
     assert first.corridor.vertices == second.corridor.vertices
-    assert [(rid, region.to_polygon()) for rid, _, region in first.rooms] == [
-        (rid, region.to_polygon()) for rid, _, region in second.rooms
+    assert [(rid, first.grid.outline(m)) for rid, _, m in first.rooms] == [
+        (rid, second.grid.outline(m)) for rid, _, m in second.rooms
     ]
 
 
@@ -437,7 +440,7 @@ def test_boxes_pass_requires_living_room_contact():
 @settings(max_examples=300, deadline=None)
 @given(st.lists(small_boxes(), min_size=1, max_size=7))
 def test_box_connectivity_and_area_match_region(boxes):
-    region = Region.from_boxes(boxes)
+    region = CellRegion.from_boxes(boxes)
     assert _boxes_connected(boxes) == region.connected()
     assert _union_area(boxes) == region.area
 
@@ -454,10 +457,10 @@ def test_room_remainder_matches_full_subtract(room, boxes, min_width, max_aspect
     # grid; every check it runs must read the same as on the full subtract.
     ws = SimpleNamespace(min_room_width=min_width, max_room_aspect=max_aspect)
     full = CellRegion.from_boxes([room]).subtract(CellRegion.from_boxes(boxes))
-    grid = _Grid([room, *boxes])
+    grid = Grid([room, *boxes])
     corridor = union_mask(grid, boxes)
     after = grid.mask(room) & ~corridor
-    local = CellRegion.of(grid.region(after))
+    local = CellRegion.from_mask(grid, after)
     # What the corridor takes from the room is the boxes clipped to it.
     clipped = [
         (max(b[0], room[0]), max(b[1], room[1]), min(b[2], room[2]), min(b[3], room[3]))
@@ -468,21 +471,10 @@ def test_room_remainder_matches_full_subtract(room, boxes, min_width, max_aspect
     assert local.area == full.area
     assert local.connected() == full.connected() == grid.connected(after)
     assert _peculiar(after, grid, ws) == oracles.peculiar(full, min_width, max_aspect)
-    assert _outcome(local.to_polygon) == _outcome(full.to_polygon)
+    assert _outcome(lambda: grid.outline(after)) == _outcome(full.to_polygon)
 
 
-def every_line_separates(region) -> bool:
-    """True when each breakpoint line has a cell of the region on one side only."""
-    cols, rows = len(region.xs) - 1, len(region.ys) - 1
-    cells = region.cells
-    return all(
-        any(((i - 1, j) in cells) != ((i, j) in cells) for j in range(rows)) for i in range(cols + 1)
-    ) and all(
-        any(((i, j - 1) in cells) != ((i, j) in cells) for i in range(cols)) for j in range(rows + 1)
-    )
-
-
-def union_mask(grid: _Grid, boxes) -> int:
+def union_mask(grid: Grid, boxes) -> int:
     mask = 0
     for b in boxes:
         mask |= grid.mask(b)
@@ -499,19 +491,16 @@ def union_mask(grid: _Grid, boxes) -> int:
 )
 def test_grid_masks_match_the_cell_set_oracle(a_boxes, b_boxes, spare, min_width, max_aspect):
     """Every shape test on the search grid reads as the cell-set Region does."""
-    grid = _Grid(a_boxes + b_boxes + spare)
+    grid = Grid(a_boxes + b_boxes + spare)
     a = union_mask(grid, a_boxes)
     b = union_mask(grid, b_boxes) & ~a
     # The oracle on the very same cells, and on its own breakpoints.
-    bits = [k for k in range(a.bit_length()) if a >> k & 1]
-    same = CellRegion(grid.xs, grid.ys, frozenset((k % grid.stride, k // grid.stride) for k in bits))
+    same = CellRegion.from_mask(grid, a)
     own = CellRegion.from_boxes(a_boxes)
     assert own.subtract(same).is_empty and same.subtract(own).is_empty
-    # The winner's Region: the same cells on only the lines where they change.
-    kept = CellRegion.of(grid.region(a))
-    assert kept.subtract(same).is_empty and same.subtract(kept).is_empty
-    assert every_line_separates(kept)
-    assert _outcome(kept.to_polygon) == _outcome(same.to_polygon)
+    # The winner's polygon: traced off the mask as off the cells.
+    assert _outcome(lambda: grid.outline(a)) == _outcome(same.to_polygon)
+    assert _outcome(lambda: grid.outline(a)) == _outcome(own.to_polygon)
     for oracle in (same, own):
         assert grid.connected(a) == oracle.connected()
         assert grid.pinch(a) == oracle.has_pinch()
@@ -532,7 +521,7 @@ def test_grid_masks_match_the_cell_set_oracle(a_boxes, b_boxes, spare, min_width
     b_own = CellRegion.from_boxes(b_boxes).subtract(own)
     expected = own.shared_border_mm(b_own)
     assert grid.shared_border(a, b) == grid.shared_border(b, a) == expected
-    assert expected == same.shared_border_mm(grid.region(b))
+    assert expected == same.shared_border_mm(CellRegion.from_mask(grid, b))
 
 
 @settings(max_examples=150, deadline=None)
@@ -542,7 +531,7 @@ def test_identify_on_boxes_matches_regions(data):
     parent_of = {i: data.draw(st.integers(0, len(rooms))) for i in range(1, len(rooms))}
     door = data.draw(st.sampled_from([0.5, 0.9, 2.0]))
     cfg = GenConfig(door_width=door)
-    regions = {rid: Region.from_boxes([b]) for rid, _, b in rooms}
+    regions = {rid: CellRegion.from_boxes([b]) for rid, _, b in rooms}
     expected = oracles.identify_corridor_rooms(regions, parent_of, cfg)
     assert identify_corridor_rooms(boxes_of(rooms), parent_of, cfg) == expected
 
@@ -574,8 +563,9 @@ def test_plan_corridor_same_with_and_without_trace(instance):
     assert plain.reparented == traced.reparented
     assert plain.candidates == traced.candidates == len(traced.trace["candidates"])
     assert [(rid, kind) for rid, kind, _ in plain.rooms] == [(rid, kind) for rid, kind, _ in traced.rooms]
-    for (_, _, a), (_, _, b) in zip(plain.rooms, traced.rooms):
-        assert region_equal(a, b)
+    # Both searches lay every strip they can produce on the grid, so it is one grid.
+    assert (plain.grid.xs, plain.grid.ys) == (traced.grid.xs, traced.grid.ys)
+    assert plain.rooms == traced.rooms
 
 
 
@@ -585,7 +575,8 @@ def test_untraced_search_ranks_only_valid_candidates(instance):
     """Untraced, the valid candidates are the traced search's, in product order.
 
     Only they get an area, and a search none of whose combinations passes
-    the box checks builds no grid.
+    the box checks builds no grid.  A plan that needs no corridor gets the
+    one grid of its room boxes.
     """
     fp, rooms, parent_of = instance
     enumerate_candidates = planwright.corridor.enumerate_candidates
@@ -593,9 +584,9 @@ def test_untraced_search_ranks_only_valid_candidates(instance):
     runs = {}
 
     def run(trace: bool):
-        seen = runs[trace] = {"lists": [], "areas": 0, "grids": 0}
+        seen = runs[trace] = {"lists": [], "areas": 0, "grids": 0, "result": None}
 
-        class CountingGrid(_Grid):
+        class CountingGrid(Grid):
             def __init__(self, boxes):
                 super().__init__(boxes)
                 seen["grids"] += 1
@@ -611,9 +602,9 @@ def test_untraced_search_ranks_only_valid_candidates(instance):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(planwright.corridor, "enumerate_candidates", recording)
             mp.setattr(planwright.corridor, "_union_area", counting_area)
-            mp.setattr(planwright.corridor, "_Grid", CountingGrid)
+            mp.setattr(planwright.corridor, "Grid", CountingGrid)
             try:
-                plan_corridor(fp, rooms, parent_of, 0, CFG, trace=trace)
+                seen["result"] = plan_corridor(fp, rooms, parent_of, 0, CFG, trace=trace)
             except CorridorError:
                 pass
 
@@ -622,7 +613,8 @@ def test_untraced_search_ranks_only_valid_candidates(instance):
     traced, plain = runs[True], runs[False]
     assert len(traced["lists"]) == len(plain["lists"]) <= 1
     if not plain["lists"]:  # no room needed a corridor, or no route joined them
-        assert plain["areas"] == plain["grids"] == 0
+        assert plain["areas"] == 0
+        assert plain["grids"] == (0 if plain["result"] is None else 1)
         return
     (traced_list,), (plain_list,) = traced["lists"], plain["lists"]
     valid = [c for c in plain_list if c.valid]

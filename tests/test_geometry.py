@@ -1,4 +1,4 @@
-"""Geometry layer: snapping, rects, polygons, and the millimetre region grid."""
+"""Geometry layer: snapping, rects, polygons, and the millimetre breakpoint grid."""
 
 from __future__ import annotations
 
@@ -9,16 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planwright.geometry import (
+    Grid,
     Point,
     Rect,
     RectilinearPolygon,
-    Region,
     Segment,
     aspect_ratio,
     mm_box,
     snap,
 )
 
+import oracles
 from oracles import (
     CellRegion,
     normalise_polygon,
@@ -65,9 +66,13 @@ def test_aspect_ratio_orientation_free():
 
 
 def test_rect_polygon_round_trip():
-    poly = Region.from_rect(Rect(1, 2, 3, 4)).to_polygon()
+    box = mm_box(Rect(1, 2, 3, 4))
+    grid = Grid([box])
+    poly = grid.outline(grid.mask(box))
     assert poly.mm == ((1000, 2000), (4000, 2000), (4000, 6000), (1000, 6000))
     assert poly.area == pytest.approx(12.0)
+    assert poly.area_mm2 == 12_000_000
+    assert grid.fill(poly) == grid.mask(box)
 
 
 def test_polygon_l_shape():
@@ -76,10 +81,12 @@ def test_polygon_l_shape():
     )
     assert len(poly.vertices) == 6
     assert poly.area == pytest.approx(12.0)
-    region = Region.from_polygon(poly)
+    inside, outside = (500, 2500, 1500, 3500), (2500, 2500, 3500, 3500)
+    grid = Grid([inside, outside], [poly])
+    filled = grid.fill(poly)
     # A square around (1, 3) lies inside; one around (3, 3) lies outside.
-    assert CellRegion.from_boxes([(500, 2500, 1500, 3500)]).subtract(region).is_empty
-    assert CellRegion.from_boxes([(2500, 2500, 3500, 3500)]).intersect(region).is_empty
+    assert grid.mask(inside) & ~filled == 0
+    assert grid.mask(outside) & filled == 0
 
 
 def test_polygon_rejects_self_intersection():
@@ -90,11 +97,14 @@ def test_polygon_rejects_self_intersection():
 
 
 def test_shared_walls_of_adjacent_rects():
-    a = Region.from_rect(Rect(0, 0, 2, 2))
-    b = Region.from_rect(Rect(2, 0.5, 2, 1))
-    assert a.shared_walls(b) == [(False, 2000, 500, 1500)]
-    assert b.shared_walls(a) == [(False, 2000, 500, 1500)]
-    assert a.shared_walls(Region.from_rect(Rect(3, 0, 1, 1))) == []
+    a_box, b_box, c_box = (0, 0, 2000, 2000), (2000, 500, 4000, 1500), (3000, 0, 4000, 1000)
+    grid = Grid([a_box, b_box, c_box])
+    a, b, c = grid.mask(a_box), grid.mask(b_box), grid.mask(c_box)
+    assert grid.shared_walls(a, b) == [(False, 2000, 500, 1500)]
+    assert grid.shared_walls(b, a) == [(False, 2000, 500, 1500)]
+    assert grid.shared_walls(a, c) == []
+    # A region shares no wall with itself.
+    assert grid.shared_walls(a, a) == []
 
 
 # --- regions ----------------------------------------------------------------
@@ -118,9 +128,23 @@ def region_of(box_list):
     return CellRegion.from_boxes(list(box_list))
 
 
+def masked(box_list, grid=None):
+    """The union of the boxes as a mask, on their own grid unless one is given."""
+    grid = grid or Grid(box_list)
+    m = 0
+    for box in box_list:
+        m |= grid.mask(box)
+    return grid, m
+
+
+def outline_of(box_list):
+    grid, m = masked(box_list)
+    return grid.outline(m)
+
+
 def test_region_constructors_agree():
     r = Rect(1, 1, 2, 3)
-    assert Region.from_rect(r).area == Region.from_boxes([(1000, 1000, 3000, 4000)]).area
+    assert CellRegion.from_rect(r).area == CellRegion.from_boxes([(1000, 1000, 3000, 4000)]).area
 
 
 @settings(max_examples=150, deadline=None)
@@ -152,7 +176,11 @@ def test_from_boxes_matches_union_chain(box_list):
 def test_region_connectivity():
     assert region_of([(0, 0, 1000, 1000), (1000, 0, 2000, 1000)]).connected()
     assert not region_of([(0, 0, 1000, 1000), (2000, 0, 3000, 1000)]).connected()
-    assert not Region.empty().connected()
+    assert not CellRegion.empty().connected()
+    grid = Grid([(0, 0, 1000, 1000), (1000, 0, 2000, 1000), (2000, 0, 3000, 1000)])
+    assert grid.connected(grid.mask((0, 0, 2000, 1000)))
+    assert not grid.connected(grid.mask((0, 0, 1000, 1000)) | grid.mask((2000, 0, 3000, 1000)))
+    assert not grid.connected(0)
 
 
 def test_region_full_rect():
@@ -175,18 +203,18 @@ def test_region_pinch_and_hole():
 
 
 def test_region_to_polygon_l_shape():
-    poly = region_of([(0, 0, 2000, 1000), (0, 1000, 1000, 2000)]).to_polygon()
+    poly = outline_of([(0, 0, 2000, 1000), (0, 1000, 1000, 2000)])
     assert poly.area == pytest.approx(3.0)
     assert len(poly.vertices) == 6
 
 
 def test_region_to_polygon_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        Region.empty().to_polygon()
-    with pytest.raises(ValueError):
-        region_of([(0, 0, 1000, 1000), (2000, 0, 3000, 1000)]).to_polygon()
-    with pytest.raises(ValueError):
-        region_of([(0, 0, 1000, 1000), (1000, 1000, 2000, 2000)]).to_polygon()
+    with pytest.raises(ValueError, match="empty region"):
+        Grid([(0, 0, 1000, 1000)]).outline(0)
+    with pytest.raises(ValueError, match="disconnected"):
+        outline_of([(0, 0, 1000, 1000), (2000, 0, 3000, 1000)])
+    with pytest.raises(ValueError, match="disconnected"):
+        outline_of([(0, 0, 1000, 1000), (1000, 1000, 2000, 2000)])
     # Connected, but the walled-off middle cell touches the outside at one corner.
     pinched = [
         (0, 0, 3000, 1000),
@@ -195,7 +223,7 @@ def test_region_to_polygon_rejects_bad_shapes():
         (1000, 2000, 2000, 3000),
     ]
     with pytest.raises(ValueError, match="pinches to a corner contact"):
-        region_of(pinched).to_polygon()
+        outline_of(pinched)
     ring = [
         (0, 0, 3000, 1000),
         (0, 2000, 3000, 3000),
@@ -203,21 +231,20 @@ def test_region_to_polygon_rejects_bad_shapes():
         (2000, 1000, 3000, 2000),
     ]
     with pytest.raises(ValueError, match="has a hole"):
-        region_of(ring).to_polygon()
+        outline_of(ring)
 
 
 @settings(max_examples=120, deadline=None)
 @given(boxes())
 def test_region_polygon_round_trip_preserves_area(box_list):
-    region = region_of(box_list)
+    grid, m = masked(box_list)
     try:
-        poly = region.to_polygon()
+        poly = grid.outline(m)
     except ValueError:
         return
-    assert math.isclose(poly.area, region.area / 1e6, rel_tol=0, abs_tol=1e-9)
-    back = CellRegion.from_polygon(poly)
-    assert back.subtract(region).is_empty
-    assert region.subtract(back).is_empty
+    assert poly.area_mm2 == region_of(box_list).area
+    assert math.isclose(poly.area, poly.area_mm2 / 1e6, rel_tol=0, abs_tol=1e-9)
+    assert grid.fill(poly) == m
 
 
 def test_region_thickness():
@@ -227,38 +254,89 @@ def test_region_thickness():
 
 
 def test_shared_border_mm():
-    a = region_of([(0, 0, 2000, 2000)])
-    b = region_of([(2000, 500, 4000, 1500)])
-    assert a.shared_border_mm(b) == 1000
-    c = region_of([(5000, 0, 6000, 1000)])
-    assert a.shared_border_mm(c) == 0
+    a, b, c = (0, 0, 2000, 2000), (2000, 500, 4000, 1500), (5000, 0, 6000, 1000)
+    grid = Grid([a, b, c])
+    assert grid.shared_border(grid.mask(a), grid.mask(b)) == 1000
+    assert grid.shared_border(grid.mask(a), grid.mask(c)) == 0
 
 
 @settings(max_examples=120, deadline=None)
 @given(boxes(), boxes())
 def test_shared_border_agrees_with_polygon_walls(a_boxes, b_boxes):
-    """The region border and the polygon-edge oracle agree run for run."""
-    a = region_of(a_boxes)
-    b = region_of(b_boxes).subtract(a)
+    """The grid's shared walls and the polygon-edge oracle agree run for run."""
+    grid = Grid(a_boxes + b_boxes)
+    a = masked(a_boxes, grid)[1]
+    b = masked(b_boxes, grid)[1] & ~a
     try:
-        pa, pb = a.to_polygon(), b.to_polygon()
+        pa, pb = grid.outline(a), grid.outline(b)
     except ValueError:
         return
     expected = shared_walls([(p.x, p.y) for p in pa.vertices], [(p.x, p.y) for p in pb.vertices])
-    assert a.shared_walls(b) == expected
-    assert b.shared_walls(a) == expected
-    assert a.shared_border_mm(b) == max((hi - lo for _, _, lo, hi in expected), default=0)
+    assert grid.shared_walls(a, b) == expected
+    assert grid.shared_walls(b, a) == expected
+    assert grid.shared_border(a, b) == max((hi - lo for _, _, lo, hi in expected), default=0)
+
+
+@st.composite
+def lattice_boxes(draw):
+    """An mm box on a coarse 0.5 m lattice, so edges and corners coincide often."""
+    x0, y0 = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return (x0 * 500, y0 * 500, (x0 + w) * 500, (y0 + h) * 500)
+
+
+def _traced(outline, m):
+    """The polygon's vertices in metres and mm, or the ValueError's text."""
+    try:
+        poly = outline(m)
+    except ValueError as exc:
+        return str(exc)
+    return poly.vertices, poly.mm
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(lattice_boxes(), min_size=1, max_size=6),
+    st.lists(lattice_boxes(), min_size=1, max_size=4),
+    st.lists(lattice_boxes(), max_size=2),
+)
+def test_grid_walls_outline_and_fill_match_the_cell_set_oracle(a_boxes, b_boxes, spare):
+    """On one grid, walls, outlines and fills read as CellRegion does on the same cells."""
+    grid = Grid(a_boxes + b_boxes + spare)
+    a, b = masked(a_boxes, grid)[1], masked(b_boxes, grid)[1]
+    for m, other in ((a, b), (a, b & ~a), (a & ~b, b)):
+        r, o = CellRegion.from_mask(grid, m), CellRegion.from_mask(grid, other)
+        # The same runs in the same sorted order, overlapping masks included.
+        assert grid.shared_walls(m, other) == r.shared_walls(o)
+        assert grid.shared_walls(other, m) == o.shared_walls(r)
+        # The same start vertex and orientation, or the same ValueError.
+        assert _traced(grid.outline, m) == _traced(lambda _: r.to_polygon(), m)
+        if isinstance(_traced(grid.outline, m), str):
+            continue
+        poly = grid.outline(m)
+        assert grid.fill(poly) == m
+        assert CellRegion.from_polygon(poly).realign(grid.xs, grid.ys) == r.cells
+        own = Grid((), [poly])
+        assert CellRegion.from_mask(own, own.fill(poly)).cells == CellRegion.from_polygon(poly).cells
+    # Exterior walls of a room inside a footprint: the whole grid, or one box.
+    for fp in ((grid.xs[0], grid.ys[0], grid.xs[-1], grid.ys[-1]), b_boxes[0]):
+        room = a & grid.mask(fp)
+        runs = grid.exterior_walls(room, fp)
+        assert sorted(runs) == sorted(oracles.exterior_walls(CellRegion.from_mask(grid, room), fp))
+        # Bottom, top, left and right runs, in that order.
+        sides = [(h, line == (fp[1] if h else fp[0])) for h, line, _, _ in runs]
+        assert sides == sorted(sides, key=lambda side: (not side[0], not side[1]))
 
 
 def fresh_borders(region):
-    """The region's borders computed on a new Region with nothing cached."""
-    return Region(region.xs, region.ys, region.cells)._facing_borders()
+    """The region's borders computed on a new CellRegion with nothing cached."""
+    return CellRegion(region.xs, region.ys, region.cells)._facing_borders()
 
 
 @settings(max_examples=150, deadline=None)
 @given(boxes(), boxes())
 def test_cached_borders_match_a_fresh_computation(a_boxes, b_boxes):
-    """Borders are computed once per Region and never go stale."""
+    """The oracle computes borders once per CellRegion, and they never go stale."""
     a, b = region_of(a_boxes), region_of(b_boxes)
     warm = {id(r): r._facing_borders() for r in (a, b)}
     derived = [a.union(b), a.subtract(b), b.subtract(a), a.intersect(b), region_of(a_boxes + b_boxes)]
@@ -268,7 +346,7 @@ def test_cached_borders_match_a_fresh_computation(a_boxes, b_boxes):
         assert region._facing_borders() is borders
     assert a._facing_borders() is warm[id(a)] and b._facing_borders() is warm[id(b)]
     rest = derived[2]
-    assert a.shared_walls(rest) == Region(a.xs, a.ys, a.cells).shared_walls(rest)
+    assert a.shared_walls(rest) == CellRegion(a.xs, a.ys, a.cells).shared_walls(rest)
     try:
         first = a.to_polygon()
     except ValueError:
@@ -310,7 +388,7 @@ def reshaped_polygons(draw):
     """A valid polygon's vertices, then reversed, rotated or padded."""
     poly = draw(boxes(n=st.integers(min_value=1, max_value=3)))
     try:
-        verts = [(p.x, p.y) for p in Region.from_boxes(poly).to_polygon().vertices]
+        verts = [(p.x, p.y) for p in outline_of(poly).vertices]
     except ValueError:
         verts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
     if draw(st.booleans()):
@@ -342,9 +420,8 @@ def test_polygon_normalisation_matches_oracle(verts):
 @settings(max_examples=100, deadline=None)
 @given(boxes())
 def test_polygon_area_against_shoelace(box_list):
-    region = region_of(box_list)
     try:
-        poly = region.to_polygon()
+        poly = outline_of(box_list)
     except ValueError:
         return
     verts = [(p.x, p.y) for p in poly.vertices]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from planwright.geometry import Point, Rect, RectilinearPolygon, Region, Segment, mm_box
+from planwright.geometry import Grid, Point, Rect, RectilinearPolygon, Segment, mm_box
 from planwright.hierarchy import OUTSIDE_ID
 from planwright.openings import (
     DOOR,
@@ -36,16 +36,17 @@ K = RoomKind
 CFG = GenConfig()
 
 
-def region_rooms(*specs):
-    return tuple(
-        (rid, kind, Region.from_rect(Rect(x, y, w, h))) for rid, kind, x, y, w, h in specs
-    )
+def grid_rooms(*specs):
+    """The plan's grid of the room boxes, and each room as a mask on it."""
+    boxes = [(rid, kind, mm_box(Rect(x, y, w, h))) for rid, kind, x, y, w, h in specs]
+    grid = Grid([box for _, _, box in boxes])
+    return grid, tuple((rid, kind, grid.mask(box)) for rid, kind, box in boxes)
 
 
 # Living room column plus a kitchen/dining stack; everything is adjacent.
 TRIO_FP = Rect(0, 0, 6, 6)
 TRIO_BOX = mm_box(TRIO_FP)  # the footprint as placement sees it, in mm
-TRIO = region_rooms(
+TRIO = grid_rooms(
     (0, K.LIVING_ROOM, 0, 0, 3, 6),
     (1, K.KITCHEN, 3, 0, 3, 3),
     (2, K.DINING_ROOM, 3, 3, 3, 3),
@@ -62,7 +63,7 @@ def cfg_with_doors(*rules) -> GenConfig:
 
 def test_mandatory_edges_and_outside():
     cfg = cfg_with_doors()
-    graph = build_connection_graph(TRIO, TRIO_PARENTS, 0, RandomStream(1), cfg)
+    graph = build_connection_graph(*TRIO, TRIO_PARENTS, 0, RandomStream(1), cfg)
     assert graph.nodes == frozenset({OUTSIDE_ID, 0, 1, 2})
     assert graph.edges == ((OUTSIDE_ID, 0), (0, 1), (0, 2))
 
@@ -70,8 +71,8 @@ def test_mandatory_edges_and_outside():
 def test_optional_edge_follows_coin():
     always = cfg_with_doors((K.KITCHEN, K.DINING_ROOM, 1.0))
     never = cfg_with_doors((K.KITCHEN, K.DINING_ROOM, 0.0))
-    with_door = build_connection_graph(TRIO, TRIO_PARENTS, 0, RandomStream(1), always)
-    without = build_connection_graph(TRIO, TRIO_PARENTS, 0, RandomStream(1), never)
+    with_door = build_connection_graph(*TRIO, TRIO_PARENTS, 0, RandomStream(1), always)
+    without = build_connection_graph(*TRIO, TRIO_PARENTS, 0, RandomStream(1), never)
     assert (1, 2) in with_door.edges
     assert (1, 2) not in without.edges
 
@@ -79,60 +80,60 @@ def test_optional_edge_follows_coin():
 def test_optional_edge_skipped_when_already_mandatory():
     # Dining's parent is the living room, so the optional rule is moot.
     cfg = cfg_with_doors((K.LIVING_ROOM, K.DINING_ROOM, 1.0))
-    graph = build_connection_graph(TRIO, TRIO_PARENTS, 0, RandomStream(1), cfg)
+    graph = build_connection_graph(*TRIO, TRIO_PARENTS, 0, RandomStream(1), cfg)
     assert graph.edges.count((0, 2)) == 1
 
 
 def test_mandatory_edge_without_shared_wall_raises():
-    rooms = region_rooms(
+    rooms = grid_rooms(
         (0, K.LIVING_ROOM, 0, 0, 3, 3),
         (1, K.BEDROOM, 3, 3, 3, 3),
     )
     with pytest.raises(OpeningError):
-        build_connection_graph(rooms, {1: 0}, 0, RandomStream(1), CFG)
+        build_connection_graph(*rooms, {1: 0}, 0, RandomStream(1), CFG)
 
 
 def test_prohibited_pairs_never_added():
-    rooms = region_rooms(
+    rooms = grid_rooms(
         (0, K.LIVING_ROOM, 0, 0, 3, 6),
         (1, K.BEDROOM, 3, 0, 3, 3),
         (2, K.MASTER_BEDROOM, 3, 3, 3, 3),
     )
     cfg = cfg_with_doors((K.BEDROOM, K.MASTER_BEDROOM, 1.0))
-    graph = build_connection_graph(rooms, {1: 0, 2: 0}, 0, RandomStream(1), cfg)
+    graph = build_connection_graph(*rooms, {1: 0, 2: 0}, 0, RandomStream(1), cfg)
     assert (1, 2) not in graph.edges
-    kitchen = region_rooms(
+    kitchen = grid_rooms(
         (0, K.LIVING_ROOM, 0, 0, 3, 6),
         (1, K.KITCHEN, 3, 0, 3, 3),
         (2, K.BEDROOM, 3, 3, 3, 3),
     )
     cfg = cfg_with_doors((K.KITCHEN, K.BEDROOM, 1.0))
-    graph = build_connection_graph(kitchen, {1: 0, 2: 0}, 0, RandomStream(1), cfg)
+    graph = build_connection_graph(*kitchen, {1: 0, 2: 0}, 0, RandomStream(1), cfg)
     assert (1, 2) not in graph.edges
 
 
 def test_bathroom_never_bridges_bedrooms():
     # The bathroom already serves bedroom 1 (its parent); the optional door
     # to bedroom 3 would turn it into a pass-through and must be skipped.
-    rooms = region_rooms(
+    rooms = grid_rooms(
         (0, K.LIVING_ROOM, 0, 0, 3, 9),
         (1, K.BEDROOM, 3, 6, 3, 3),
         (2, K.BATHROOM, 3, 3, 3, 3),
         (3, K.BEDROOM, 3, 0, 3, 3),
     )
     cfg = cfg_with_doors((K.BATHROOM, K.BEDROOM, 1.0))
-    graph = build_connection_graph(rooms, {1: 0, 2: 1, 3: 0}, 0, RandomStream(1), cfg)
+    graph = build_connection_graph(*rooms, {1: 0, 2: 1, 3: 0}, 0, RandomStream(1), cfg)
     assert (1, 2) in graph.edges
     assert (2, 3) not in graph.edges
     # With every room under the living room, the optional door to bedroom 1
     # is what joins the bathroom to a bedroom, so bedroom 3 gets none.
-    graph = build_connection_graph(rooms, {1: 0, 2: 0, 3: 0}, 0, RandomStream(1), cfg)
+    graph = build_connection_graph(*rooms, {1: 0, 2: 0, 3: 0}, 0, RandomStream(1), cfg)
     assert (1, 2) in graph.edges
     assert (2, 3) not in graph.edges
 
 
 def test_graph_json_round_trip():
-    graph = build_connection_graph(TRIO, TRIO_PARENTS, 0, RandomStream(1), CFG)
+    graph = build_connection_graph(*TRIO, TRIO_PARENTS, 0, RandomStream(1), CFG)
     doc = {"nodes": sorted(graph.nodes), "edges": [list(e) for e in graph.edges]}
     assert ConnectionGraph.from_json(doc) == graph
 
@@ -156,8 +157,8 @@ def test_ledger_splits_free_spans():
 
 def trio_doors(seed: int = 1):
     cfg = cfg_with_doors()
-    graph = build_connection_graph(TRIO, TRIO_PARENTS, 0, RandomStream(seed), cfg)
-    return place_doors(TRIO, graph, TRIO_BOX, RandomStream(seed), cfg), graph
+    graph = build_connection_graph(*TRIO, TRIO_PARENTS, 0, RandomStream(seed), cfg)
+    return place_doors(*TRIO, graph, TRIO_BOX, RandomStream(seed), cfg), graph
 
 
 def test_entry_door_on_longest_exterior_living_wall():
@@ -196,15 +197,15 @@ def test_door_positions_vary_with_stream():
 
 
 def test_windows_skip_banned_kinds():
-    rooms = region_rooms(
+    rooms = grid_rooms(
         (0, K.LIVING_ROOM, 0, 0, 3, 6),
         (1, K.KITCHEN, 3, 0, 3, 3),
         (2, K.BATHROOM, 3, 3, 3, 3),
     )
     cfg = cfg_with_doors()
-    graph = build_connection_graph(rooms, {1: 0, 2: 0}, 0, RandomStream(3), cfg)
-    _, ledger = place_doors(rooms, graph, TRIO_BOX, RandomStream(3), cfg)
-    windows = place_windows(rooms, TRIO_BOX, ledger, RandomStream(3), cfg)
+    graph = build_connection_graph(*rooms, {1: 0, 2: 0}, 0, RandomStream(3), cfg)
+    _, ledger = place_doors(*rooms, graph, TRIO_BOX, RandomStream(3), cfg)
+    windows = place_windows(*rooms, TRIO_BOX, ledger, RandomStream(3), cfg)
     assert {o.rooms[0] for o in windows} == {0, 1}
     for window in windows:
         assert window.kind == WINDOW
@@ -214,9 +215,9 @@ def test_windows_skip_banned_kinds():
 
 def test_windows_do_not_collide_with_doors():
     cfg = cfg_with_doors()
-    graph = build_connection_graph(TRIO, TRIO_PARENTS, 0, RandomStream(5), cfg)
-    doors, ledger = place_doors(TRIO, graph, TRIO_BOX, RandomStream(5), cfg)
-    windows = place_windows(TRIO, TRIO_BOX, ledger, RandomStream(5), cfg)
+    graph = build_connection_graph(*TRIO, TRIO_PARENTS, 0, RandomStream(5), cfg)
+    doors, ledger = place_doors(*TRIO, graph, TRIO_BOX, RandomStream(5), cfg)
+    windows = place_windows(*TRIO, TRIO_BOX, ledger, RandomStream(5), cfg)
     assert len(windows) == 3
     by_line: dict[tuple, list[tuple[int, int]]] = {}
     for opening in doors + windows:
@@ -502,6 +503,22 @@ def _split_kitchen(doc: dict) -> None:
             ),
             "corridor not inside the living room",
             id="corridor-without-living-room",
+        ),
+        # A window or entry door on a footprint line, but off its room's exterior walls.
+        pytest.param(
+            lambda d: d["openings"][2].update(wall=[[10.0, 3.126], [20.0, 3.126]]),
+            "window not on an exterior wall of room 0",
+            id="window-beyond-footprint",
+        ),
+        pytest.param(
+            lambda d: (d["openings"][2].update(rooms=[1, -1]), d["openings"][3].update(rooms=[0, -1])),
+            "window not on an exterior wall of room 1",
+            id="windows-swapped",
+        ),
+        pytest.param(
+            lambda d: d["openings"][0].update(wall=[[5.568, 0.0], [5.568, 3.126]], offset=2.2),
+            "entry door not on an exterior wall of room 0",
+            id="entry-on-kitchen-wall",
         ),
     ],
 )

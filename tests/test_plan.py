@@ -69,7 +69,7 @@ def test_package_root_exports_only_the_documented_api():
     for name in ROOT_API:
         assert getattr(planwright, name) is not None
     assert isinstance(planwright.__version__, str)
-    for name in ("route", "WallGraph", "squarify", "Region", "RandomStream", "Opening", "layout_rooms"):
+    for name in ("route", "WallGraph", "squarify", "Grid", "RandomStream", "Opening", "layout_rooms"):
         assert not hasattr(planwright, name), name
     # The README's library example.
     from planwright import GenConfig, generate, to_json, to_svg  # noqa: F401

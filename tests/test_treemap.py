@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import planwright.plan
 import planwright.treemap
-from planwright.geometry import Rect, Region
+from planwright.geometry import Rect
 from planwright.hierarchy import build_hierarchy
 from planwright.plan import GenerationError, generate
 from planwright.sampling import GenConfig, RandomStream, RoomEntry, RoomKind, RoomProgram
@@ -300,7 +300,7 @@ def test_parent_room_sits_inside_its_allotment_corner():
     footprint = Rect(0, 0, 6, 5)
     rooms = layout_rooms(footprint, tree)
     by_id = {r.id: r.rect for r in rooms}
-    assert CellRegion.from_rect(by_id[0]).subtract(Region.from_rect(footprint)).is_empty
+    assert CellRegion.from_rect(by_id[0]).subtract(CellRegion.from_rect(footprint)).is_empty
     assert by_id[0].x == 0 and by_id[0].y == 0
     assert sum(r.rect.area for r in rooms) == pytest.approx(footprint.area, rel=1e-9)
 
