@@ -333,7 +333,8 @@ class Grid:
 
     def thickness(self, m: int) -> int:
         """Width of the narrowest limb in mm: the shortest row or column run."""
-        return min((hi - lo for _, _, lo, hi in self._sides(m, True, 0) + self._sides(m, False, 0)), default=0)
+        runs = self._sides(m, True, 0) + self._sides(m, False, 0)
+        return min((hi - lo for _, _, lo, hi in runs), default=0)
 
     def shared_border(self, a: int, b: int) -> int:
         """Longest straight wall run between two disjoint regions, in mm."""
@@ -382,7 +383,9 @@ class Grid:
         """
         s = self.stride
         a, b = a & ~b, b & ~a
-        return sorted(self._sides(a & b >> 1 | b & a >> 1, False, 1) + self._sides(a & b >> s | b & a >> s, True, 1))
+        down = self._sides(a & b >> 1 | b & a >> 1, False, 1)
+        along = self._sides(a & b >> s | b & a >> s, True, 1)
+        return sorted(down + along)
 
     def exterior_walls(self, m: int, box: Box) -> list[Run]:
         """The boundary runs of ``m`` on the box's sides, facing out of the box.

@@ -779,7 +779,8 @@ class CellRegion:
     def from_mask(cls, grid: Grid, m: int) -> "CellRegion":
         """The cells of a grid mask, on all the grid's lines."""
         s = grid.stride
-        return cls(grid.xs, grid.ys, frozenset((k % s, k // s) for k in range(m.bit_length()) if m >> k & 1))
+        cells = frozenset((k % s, k // s) for k in range(m.bit_length()) if m >> k & 1)
+        return cls(grid.xs, grid.ys, cells)
 
     @property
     def area(self) -> int:
