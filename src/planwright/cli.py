@@ -168,8 +168,9 @@ def _room_mix(plan: FloorPlan) -> str:
     mix = Counter(room.kind.value for room in plan.rooms)
     rooms = ", ".join(f"{kind} x{n}" if n > 1 else kind for kind, n in sorted(mix.items()))
     corridor = "corridor" if plan.corridor is not None else "open"
-    fp = plan.footprint
-    return f"seed {plan.seed:>6}  {fp.width:.1f}x{fp.height:.1f} m  {corridor:<8}  {rooms}"
+    x0, y0, x1, y1 = plan.footprint
+    size = f"{(x1 - x0) / 1000:.1f}x{(y1 - y0) / 1000:.1f} m"
+    return f"seed {plan.seed:>6}  {size}  {corridor:<8}  {rooms}"
 
 
 def gallery_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:

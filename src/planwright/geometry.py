@@ -1,19 +1,17 @@
-"""Axis-aligned geometry primitives on a 1 mm grid.
+"""Axis-aligned geometry on a 1 mm grid.
 
-Two units, each in its own place.  The plan document's types - Point,
-Segment, Rect and RectilinearPolygon's ``vertices`` - carry metres, as the
-JSON, the SVG and the config give them; Point, Segment and polygon
-constructors snap their inputs to the grid, and Rect keeps full float
-precision because the treemap subdivides with it.  Everything the generator
-computes on runs in integer millimetres: ``mm_box`` turns a treemap rect into
-an ``(x0, y0, x1, y1)`` box once, polygons keep their vertices in mm as
-``mm`` and their area in mm² as ``area_mm2``, and wall runs are
-``(horizontal, line, lo, hi)`` tuples.  An area is a mask on a Grid, the
-breakpoint grid of a plan's boxes or polygons, with a bit per cell: the
-corridor search, door and window placement, ``validate`` and the SVG label
-all work on such masks, and ``Grid.outline`` turns one into a polygon.
-Coordinate equality is exact ``==`` everywhere: adjacency, vertex
-coincidence and boolean ops never need an epsilon.
+One unit from the treemap's snap onwards: integer millimetres.  Only the
+treemap works in metres, on unsnapped float ``Rect``s, and ``mm_box`` snaps
+each of its cuts to an ``(x0, y0, x1, y1)`` box once.  Polygons hold their
+vertices as int pairs in ``mm`` and their area in mm² as ``area_mm2``, and
+wall runs are ``(horizontal, line, lo, hi)`` tuples.  Metres return only at
+the plan's edges - its JSON, its SVG, the CLI report and the config - where
+``_m`` writes a length exactly as the snapped float it stands for.  An area
+is a mask on a Grid, the breakpoint grid of a plan's boxes or polygons, with
+a bit per cell: the corridor search, door and window placement,
+``validate`` and the SVG label all work on such masks, and ``Grid.outline``
+turns one into a polygon.  Coordinate equality is exact ``==`` everywhere:
+adjacency, vertex coincidence and boolean ops never need an epsilon.
 """
 
 from __future__ import annotations
@@ -22,12 +20,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 GRID = 0.001
-# Plan coordinates, config lengths and area bounds beyond this many metres
-# (square metres for areas) are refused: it keeps their millimetre values, and
-# the square-millimetre areas built from them, within float range.
+# Config lengths and area bounds beyond this many metres (square metres for
+# areas) are refused: it keeps their millimetre values, and the
+# square-millimetre areas built from them, within float range.
 MAX_COORD = 1e150
 # Millimetre coordinates up to this many metres go to float metres and back
-# exactly; the generator keeps its footprint within it.
+# exactly: for an int k with |k| <= MAX_EXACT * 1000, k / 1000 is the float
+# round(k / 1000, 3) gives, and its repr reads back as itself.  The generator
+# keeps its footprint within it, and a plan document's lengths must lie within it.
 MAX_EXACT = 1e12
 
 # An (x0, y0, x1, y1) rectangle in mm.
@@ -50,66 +50,23 @@ def _m(value: int) -> float:
     return value / 1000
 
 
-def mm_box(rect: "Rect") -> Box:
-    """The rect snapped to the grid as an (x0, y0, x1, y1) millimetre box."""
+def mm_box(cut: tuple[float, float, float, float]) -> Box:
+    """An (x, y, width, height) cut in metres snapped to an (x0, y0, x1, y1) mm box."""
+    x, y, w, h = cut
     return (
-        round(round(rect.x, 3) * 1000),
-        round(round(rect.y, 3) * 1000),
-        round(round(rect.x + rect.width, 3) * 1000),
-        round(round(rect.y + rect.height, 3) * 1000),
+        round(round(x, 3) * 1000),
+        round(round(y, 3) * 1000),
+        round(round(x + w, 3) * 1000),
+        round(round(y + h, 3) * 1000),
     )
-
-
-@dataclass(frozen=True, order=True)
-class Point:
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", snap(self.x))
-        object.__setattr__(self, "y", snap(self.y))
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Axis-aligned segment with nonzero length, endpoints in sorted order."""
-
-    a: Point
-    b: Point
-
-    def __post_init__(self) -> None:
-        if self.a.x != self.b.x and self.a.y != self.b.y:
-            raise ValueError(f"segment not axis-aligned: {self.a} -> {self.b}")
-        if self.a == self.b:
-            raise ValueError(f"zero-length segment at {self.a}")
-        if self.b < self.a:
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
-
-    @property
-    def horizontal(self) -> bool:
-        return self.a.y == self.b.y
-
-    @property
-    def line(self) -> float:
-        """The fixed coordinate (y for horizontal segments, x for vertical)."""
-        return self.a.y if self.horizontal else self.a.x
-
-    @property
-    def span(self) -> tuple[float, float]:
-        """(lo, hi) of the varying coordinate."""
-        if self.horizontal:
-            return self.a.x, self.b.x
-        return self.a.y, self.b.y
 
 
 @dataclass(frozen=True)
 class Rect:
-    """Axis-aligned rectangle in metres.
+    """The treemap's axis-aligned rectangle in metres, kept unsnapped.
 
-    Unlike Point, a Rect keeps its floats unsnapped: the treemap subdivides at
-    full precision and the pipeline turns each rect into an ``mm_box`` once.
+    The treemap subdivides at full precision; the pipeline snaps each cut to
+    an ``mm_box`` once.
     """
 
     x: float
@@ -140,44 +97,39 @@ def aspect_ratio(width: float, height: float) -> float:
 
 
 class RectilinearPolygon:
-    """Simple axis-aligned polygon, stored counter-clockwise.
+    """Simple axis-aligned polygon on integer millimetre vertices, stored counter-clockwise.
 
     The vertex list is normalised on construction: collinear runs are merged,
     orientation is forced counter-clockwise and the cycle is rotated to start
     at the lexicographically smallest vertex, so equal polygons compare equal
-    and serialise identically.  ``mm`` holds the same vertices in integer
-    millimetres; every check runs on it.  The area is computed once, exactly
-    in mm² as ``area_mm2`` and in m² as ``area``.
+    and serialise identically.  The area is computed once, exactly, in mm².
     """
 
-    __slots__ = ("vertices", "mm", "area", "area_mm2")
+    __slots__ = ("mm", "area_mm2")
 
-    def __init__(self, vertices: Sequence[Point]) -> None:
-        pts = list(vertices)  # Points sit on the grid already
-        if len(pts) < 4:
+    def __init__(self, vertices: Sequence[tuple[int, int]]) -> None:
+        mm = list(vertices)
+        if len(mm) < 4:
             raise ValueError("rectilinear polygon needs at least 4 vertices")
-        mm = [(round(p.x * 1000), round(p.y * 1000)) for p in pts]
         n = len(mm)
         # Drop each vertex that lies on a straight line with both neighbours.
         keep = []
         for i, (x, y) in enumerate(mm):
             (px, py), (nx, ny) = mm[i - 1], mm[(i + 1) % n]
             if not (px == x == nx or py == y == ny):
-                keep.append(i)
+                keep.append(mm[i])
         if len(keep) < 4:
             raise ValueError("degenerate polygon after merging collinear vertices")
-        pts = [pts[i] for i in keep]
-        mm = [mm[i] for i in keep]
+        mm = keep
         n = len(mm)
         twice_area = 0
-        for i, ((x0, y0), (x1, y1)) in enumerate(zip(mm, mm[1:] + mm[:1])):
+        for (x0, y0), (x1, y1) in zip(mm, mm[1:] + mm[:1]):
             if x0 != x1 and y0 != y1:
-                raise ValueError(f"edge not axis-aligned: {pts[i]} -> {pts[(i + 1) % n]}")
+                raise ValueError(f"edge not axis-aligned: ({x0}, {y0}) -> ({x1}, {y1}) mm")
             if x0 == x1 and y0 == y1:
-                raise ValueError(f"repeated vertex {pts[i]}")
+                raise ValueError(f"repeated vertex ({x0}, {y0}) mm")
             twice_area += x0 * y1 - x1 * y0
         if twice_area < 0:
-            pts.reverse()
             mm.reverse()
             twice_area = -twice_area
         if twice_area == 0:
@@ -195,19 +147,17 @@ class RectilinearPolygon:
                 if ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1:
                     raise ValueError("polygon boundary self-intersects")
         start = mm.index(min(mm))
-        self.vertices: tuple[Point, ...] = tuple(pts[start:] + pts[:start])
         self.mm: tuple[tuple[int, int], ...] = tuple(mm[start:] + mm[:start])
-        self.area: float = twice_area / 2 / 1e6
         self.area_mm2: int = twice_area // 2
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, RectilinearPolygon) and self.vertices == other.vertices
+        return isinstance(other, RectilinearPolygon) and self.mm == other.mm
 
     def __hash__(self) -> int:
-        return hash(self.vertices)
+        return hash(self.mm)
 
     def __repr__(self) -> str:
-        return f"RectilinearPolygon({list(self.vertices)!r})"
+        return f"RectilinearPolygon({list(self.mm)!r})"
 
     def edges_mm(self) -> Iterable[tuple[tuple[int, int], tuple[int, int]]]:
         """Consecutive vertex pairs in mm, closing edge included."""
@@ -440,7 +390,7 @@ class Grid:
             if not self.connected(m):
                 raise ValueError("region is disconnected") from None
             raise
-        return RectilinearPolygon(tuple(Point(_m(x), _m(y)) for x, y in loop))
+        return RectilinearPolygon(loop)
 
 
 def _bits(m: int) -> Iterator[int]:

@@ -6,9 +6,12 @@ flip when the rooms actually share enough wall.  Every edge then gets one
 door at a uniformly random feasible position, the house gets an entry door
 on the living room's longest exterior wall, and eligible exterior rooms get
 a window.  Rooms arrive as masks on the plan's ``Grid``, so shared and
-exterior walls are runs read off those masks.  ``validate`` re-checks the
-finished plan from scratch, with every polygon filled onto one common grid;
-it is what the CLI's validate subcommand and the batch audits run.
+exterior walls are runs read off those masks.  An opening is its host wall
+run and the (lo, hi) it takes along it, all in integer millimetres; the plan
+writer turns them into the document's metre wall, offset and width.
+``validate`` re-checks the finished plan from scratch, with every polygon
+filled onto one common grid; it is what the CLI's validate subcommand and
+the batch audits run.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .geometry import Box, Grid, Point, Run, Segment, _m, _mm
+from .geometry import Box, Grid, Run, _mm
 from .hierarchy import OUTSIDE_ID
 from .sampling import BEDROOM_KINDS, GenConfig, RandomStream, RoomKind
 
@@ -31,23 +34,13 @@ class OpeningError(RuntimeError):
 
 @dataclass(frozen=True)
 class Opening:
-    """A door or window as the plan document holds it, in metres.
-
-    ``offset`` runs from the low end of the host ``wall``.
-    """
+    """A door or window: its host ``wall`` run and the (``lo``, ``hi``) it takes along it, in mm."""
 
     kind: str
-    wall: Segment
-    offset: float
-    width: float
+    wall: Run
+    lo: int
+    hi: int
     rooms: tuple[int, int]
-
-    def mm(self) -> tuple[Run, int, int]:
-        """The host wall as a run and the occupied (lo, hi) along it, in mm."""
-        lo, hi = self.wall.span
-        wall = (self.wall.horizontal, _mm(self.wall.line), _mm(lo), _mm(hi))
-        start = wall[2] + _mm(self.offset)
-        return wall, start, start + _mm(self.width)
 
 
 @dataclass(frozen=True)
@@ -192,7 +185,6 @@ def _choose_position(
 def _place(
     kind: str,
     walls: list[Run],
-    width: float,
     width_mm: int,
     rooms: tuple[int, int],
     ledger: _WallLedger,
@@ -200,8 +192,7 @@ def _place(
 ) -> Opening | None:
     """Place one opening uniformly over the free spans of ``walls``.
 
-    Occupies its interval in the ledger and builds its Segment and Opening;
-    None when no free span is wide enough.
+    Occupies its interval in the ledger; None when no free span is wide enough.
     """
     spans = sorted(
         ((span, wall) for wall in walls for span in ledger.free_spans(wall)),
@@ -213,11 +204,7 @@ def _place(
     idx, lo, hi = choice
     wall = spans[idx][1]
     ledger.occupy(wall, lo, hi)
-    horizontal, line, wlo, whi = wall
-    a, b = (_m(wlo), _m(line)), (_m(whi), _m(line))
-    if not horizontal:
-        a, b = a[::-1], b[::-1]
-    return Opening(kind, Segment(Point(*a), Point(*b)), _m(lo - wlo), width, rooms)
+    return Opening(kind, wall, lo, hi, rooms)
 
 
 def place_doors(
@@ -238,8 +225,7 @@ def place_doors(
     if not exterior:
         raise OpeningError("living room has no exterior wall wide enough for the entry")
     host = min(exterior, key=lambda w: (w[2] - w[3], _run_order(w)))
-    door = (cfg.door_width, door_mm)
-    entry = _place(ENTRY_DOOR, [host], *door, (OUTSIDE_ID, living_id), ledger, rng)
+    entry = _place(ENTRY_DOOR, [host], door_mm, (OUTSIDE_ID, living_id), ledger, rng)
     if entry is None:
         raise OpeningError("entry door does not fit")
     openings = [entry]
@@ -248,7 +234,7 @@ def place_doors(
         if a == OUTSIDE_ID or b == OUTSIDE_ID:
             continue
         walls = grid.shared_walls(masks[a], masks[b])
-        placed = _place(DOOR, walls, *door, (a, b), ledger, rng)
+        placed = _place(DOOR, walls, door_mm, (a, b), ledger, rng)
         if placed is None:
             raise OpeningError(f"no room left for a door between {a} and {b}")
         openings.append(placed)
@@ -265,13 +251,13 @@ def place_windows(
     cfg: GenConfig,
 ) -> list[Opening]:
     """One window per exterior room of an allowed kind, on a free exterior span."""
-    width = (cfg.window_width, _mm(cfg.window_width))
+    width_mm = _mm(cfg.window_width)
     openings: list[Opening] = []
     for rid, kind, m in sorted(rooms, key=lambda r: r[0]):
         if kind in cfg.window_banned:
             continue
         walls = grid.exterior_walls(m, footprint)
-        window = _place(WINDOW, walls, *width, (rid, OUTSIDE_ID), ledger, rng)
+        window = _place(WINDOW, walls, width_mm, (rid, OUTSIDE_ID), ledger, rng)
         if window is not None:
             openings.append(window)
     return openings
@@ -297,16 +283,17 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
     the rooms they name, opening geometry (a door on its rooms' shared wall,
     a window and the entry door on an exterior wall of their room), the
     graph's node set, one-door-per-edge correspondence, door-graph
-    connectivity (Outside included), the entry door, and the connection
-    prohibitions.  Areas are the polygons' exact mm² areas; containment,
-    overlap and walls are mask operations on one grid of every polygon.
-    Passing the config adds its window-ban check and requires every door to
-    be ``door_width`` and every window ``window_width`` wide; everything else
-    is self-contained in the plan document.
+    connectivity (Outside included), the entry door, the connection
+    prohibitions, at least one attempt, and corridor candidates counted
+    exactly when there is a corridor.  Areas are the polygons' exact mm²
+    areas; containment, overlap and walls are mask operations on one grid of
+    every polygon.  Passing the config adds its window-ban check, caps the
+    attempts at ``max_attempts`` and requires every door to be ``door_width``
+    and every window ``window_width`` wide; everything else is
+    self-contained in the plan document.
     """
     failures: list[str] = []
-    fp = plan.footprint
-    fp_box = (_mm(fp.x), _mm(fp.y), _mm(fp.x1), _mm(fp.y1))
+    fp_box = plan.footprint
     # Every room, the footprint and the corridor on one breakpoint grid:
     # containment is a subset test and overlap a shared cell.
     corridor = [] if plan.corridor is None else [plan.corridor]
@@ -361,7 +348,7 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
         if unknown:
             failures.append(f"{opening.kind} names unknown room {unknown[0]}: {opening.rooms}")
             continue
-        wall, lo, hi = opening.mm()
+        wall, lo, hi = opening.wall, opening.lo, opening.hi
         horizontal, line, slo, shi = wall
         if lo < slo or hi > shi:
             failures.append(f"opening outside its wall: {opening.kind} {opening.rooms}")
@@ -442,10 +429,18 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
         if len(bed_neighbours) > 1:
             failures.append(f"bathroom {rid} bridges bedrooms {sorted(bed_neighbours)}")
 
+    if plan.attempts < 1:
+        failures.append(f"attempts: {plan.attempts} is below 1")
+    if (plan.corridor_candidates == 0) != (plan.corridor is None):
+        having = "no corridor" if plan.corridor is None else "a corridor"
+        failures.append(f"corridor_candidates: {plan.corridor_candidates} with {having}")
+
     if cfg is not None:
         for opening in plan.openings:
             if opening.kind == WINDOW and kinds.get(opening.rooms[0]) in cfg.window_banned:
                 failures.append(f"window in banned kind: room {opening.rooms[0]}")
+        if plan.attempts > cfg.max_attempts:
+            failures.append(f"attempts: {plan.attempts} exceeds max_attempts {cfg.max_attempts}")
 
     return ValidationReport(tuple(failures))
 

@@ -6,10 +6,12 @@ room squeezed too thin, a door that cannot fit) restart the whole house on
 the next substream, bounded by the config's attempt budget, so the result is
 a pure function of (seed, config).
 
-Serialized coordinates all sit on the millimetre grid, so JSON round-trips
-reproduce the in-memory plan exactly; room target areas live on the
-micro-square-metre grid (a product of two millimetre lengths) and survive
-round-tripping for the same reason.
+A finished plan holds every length in integer millimetres.  The JSON and the
+SVG are the only places it is written in metres: ``_m`` gives each length as
+the float the millimetre grid stands for, and ``from_json`` accepts only
+lengths that are whole millimetres, so JSON round-trips reproduce the plan
+exactly; room target areas live on the micro-square-metre grid (a product of
+two millimetre lengths) and survive round-tripping for the same reason.
 """
 
 from __future__ import annotations
@@ -19,10 +21,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .corridor import CorridorError, plan_corridor
-from .geometry import (
-    MAX_COORD, Box, Grid, Point, Rect, RectilinearPolygon, Segment, _bits, _m, _mm, aspect_ratio, mm_box,
-    snap,
-)
+from .geometry import MAX_EXACT, Box, Grid, RectilinearPolygon, _bits, _m, _mm, aspect_ratio, mm_box
 from .hierarchy import OUTSIDE_ID, build_hierarchy
 from .openings import (
     ENTRY_DOOR,
@@ -75,14 +74,15 @@ class Room:
 
     @property
     def area(self) -> float:
-        return self.polygon.area
+        """The polygon's area in m²."""
+        return self.polygon.area_mm2 / 1e6
 
 
 @dataclass(frozen=True)
 class FloorPlan:
     seed: int
     config_fingerprint: str
-    footprint: Rect
+    footprint: Box
     rooms: tuple[Room, ...]
     corridor: RectilinearPolygon | None
     openings: tuple[Opening, ...]
@@ -126,25 +126,20 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int, trace: 
     via_dining = rng.random() < cfg.kitchen_via_dining_prob
     tree = build_hierarchy(program, kitchen_via_dining=via_dining)
 
-    # From here to the finished rooms, geometry is in integer millimetres.
-    fp_box = mm_box(footprint)
+    # From here to the finished plan, geometry is in integer millimetres.
+    fp_box = mm_box((footprint.x, footprint.y, footprint.width, footprint.height))
     min_mm = _mm(cfg.min_room_width)
 
     def check(rid: int, kind: RoomKind, cut: Cut) -> tuple[int, RoomKind, Box]:
-        """The room as an mm box, checked as the treemap places it.
-
-        The cut's floats are snapped as ``mm_box`` snaps a Rect.
-        """
-        x, y, w, h = cut
-        x0, y0 = round(round(x, 3) * 1000), round(round(y, 3) * 1000)
-        x1, y1 = round(round(x + w, 3) * 1000), round(round(y + h, 3) * 1000)
+        """The room as an mm box, checked as the treemap places it."""
+        x0, y0, x1, y1 = box = mm_box(cut)
         if min(x1 - x0, y1 - y0) < min_mm:
             raise LayoutError(f"room {rid} narrower than {cfg.min_room_width} m")
         # Sides in metres, so a ratio right on the bound compares as it did
         # on the snapped treemap rect.
         if aspect_ratio(_m(x1) - _m(x0), _m(y1) - _m(y0)) > cfg.max_room_aspect:
             raise LayoutError(f"room {rid} too elongated")
-        return rid, kind, (x0, y0, x1, y1)
+        return rid, kind, box
 
     placed = layout_rooms(footprint, tree, check)
 
@@ -171,7 +166,7 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int, trace: 
     plan = FloorPlan(
         seed=seed,
         config_fingerprint=cfg.fingerprint(),
-        footprint=footprint,
+        footprint=fp_box,
         rooms=rooms,
         corridor=corridor.corridor,
         openings=tuple(doors + windows),
@@ -189,9 +184,9 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int, trace: 
 def _poly_from_json(doc, path: str) -> RectilinearPolygon:
     if not isinstance(doc, list) or len(doc) < 4:
         raise PlanParseError(f"{path}: expected a vertex list")
-    points = [Point(*_point(v, f"{path}[{k}]")) for k, v in enumerate(doc)]
+    vertices = [_point(v, f"{path}[{k}]") for k, v in enumerate(doc)]
     try:
-        return RectilinearPolygon(points)
+        return RectilinearPolygon(vertices)
     except ValueError as exc:
         raise PlanParseError(f"{path}: {exc}") from exc
 
@@ -210,12 +205,15 @@ def _number(value, path: str) -> float:
     return value
 
 
-def _coord(value, path: str) -> float:
-    """A length or coordinate in metres."""
-    if type(value) in (int, float) and abs(value) <= MAX_COORD:
-        return value
+def _length(value, path: str) -> int:
+    """A length or coordinate given in metres, as whole millimetres."""
+    if type(value) in (int, float) and abs(value) <= MAX_EXACT:
+        mm = round(value * 1000)
+        if _m(mm) == value:
+            return mm
+        raise PlanParseError(f"{path}: {value!r} m is not a whole number of millimetres")
     _number(value, path)  # a value that is not a finite number fails here
-    raise PlanParseError(f"{path}: coordinate beyond {MAX_COORD:g} m")
+    raise PlanParseError(f"{path}: coordinate beyond {MAX_EXACT:g} m")
 
 
 def _str(value, path: str) -> str:
@@ -237,8 +235,8 @@ def _pair(value, path: str, item) -> tuple:
     return (item(value[0], f"{path}[0]"), item(value[1], f"{path}[1]"))
 
 
-def _point(value, path: str) -> tuple[float, float]:
-    return _pair(value, path, _coord)
+def _point(value, path: str) -> tuple[int, int]:
+    return _pair(value, path, _length)
 
 
 # The plan writer.  Each helper returns one JSON value laid out exactly as
@@ -270,7 +268,7 @@ def _pairs_json(pairs, pad: str) -> str:
 
 
 def _poly_json(poly: RectilinearPolygon, pad: str) -> str:
-    return _pairs_json([(p.x, p.y) for p in poly.vertices], pad)
+    return _pairs_json([(_m(x), _m(y)) for x, y in poly.mm], pad)
 
 
 def _room_json(room: Room) -> str:
@@ -284,12 +282,13 @@ def _room_json(room: Room) -> str:
 
 
 def _opening_json(opening: Opening) -> str:
-    a, b = opening.wall.a, opening.wall.b
+    horizontal, line, lo, hi = opening.wall
+    ends = ((lo, line), (hi, line)) if horizontal else ((line, lo), (line, hi))
     fields = (
         ("kind", json.dumps(opening.kind)),
-        ("wall", _pairs_json(((a.x, a.y), (b.x, b.y)), "      ")),
-        ("offset", repr(opening.offset)),
-        ("width", repr(opening.width)),
+        ("wall", _pairs_json([(_m(x), _m(y)) for x, y in ends], "      ")),
+        ("offset", repr(_m(opening.lo - lo))),
+        ("width", repr(_m(opening.hi - opening.lo))),
         ("rooms", _list_json([repr(r) for r in opening.rooms], "      ")),
     )
     return _object_json(fields, "    ")
@@ -301,13 +300,7 @@ def to_json(plan: FloorPlan) -> str:
     The text equals ``json.dumps(doc, indent=2) + "\\n"`` for the document
     dict with its keys in the order written here.
     """
-    fp = plan.footprint
-    footprint = (
-        ("x", repr(fp.x)),
-        ("y", repr(fp.y)),
-        ("x1", repr(snap(fp.x1))),
-        ("y1", repr(snap(fp.y1))),
-    )
+    footprint = tuple((key, repr(_m(v))) for key, v in zip(("x", "y", "x1", "y1"), plan.footprint))
     graph = (
         ("nodes", _list_json([repr(n) for n in sorted(plan.graph.nodes)], "    ")),
         ("edges", _pairs_json(plan.graph.edges, "    ")),
@@ -366,10 +359,10 @@ def from_json(text: str) -> FloorPlan:
     fp = doc["footprint"]
     if not isinstance(fp, dict) or set(fp) != {"x", "y", "x1", "y1"}:
         raise PlanParseError("$.footprint: expected x, y, x1, y1")
-    x, y, x1, y1 = (_coord(fp[k], f"$.footprint.{k}") for k in ("x", "y", "x1", "y1"))
+    footprint = tuple(_length(fp[k], f"$.footprint.{k}") for k in ("x", "y", "x1", "y1"))
+    x, y, x1, y1 = footprint
     if x1 <= x or y1 <= y:
         raise PlanParseError("$.footprint: x1 and y1 must exceed x and y")
-    footprint = Rect(x, y, x1 - x, y1 - y)
 
     rooms = []
     for i, rdoc in enumerate(_list(doc["rooms"], "$.rooms")):
@@ -398,13 +391,16 @@ def from_json(text: str) -> FloorPlan:
             raise PlanParseError(f"$.openings[{i}]: expected fields {sorted(_OPENING_FIELDS)}")
         kind = _str(odoc["kind"], f"$.openings[{i}].kind")
         ids = _pair(odoc["rooms"], f"$.openings[{i}].rooms", _int)
-        a, b = _pair(odoc["wall"], f"$.openings[{i}].wall", _point)
-        offset, width = (_coord(odoc[key], f"$.openings[{i}].{key}") for key in ("offset", "width"))
-        try:
-            wall = Segment(Point(*a), Point(*b))
-        except ValueError as exc:
-            raise PlanParseError(f"$.openings[{i}]: {exc}") from exc
-        openings.append(Opening(kind, wall, offset, width, ids))
+        (ax, ay), (bx, by) = a, b = _pair(odoc["wall"], f"$.openings[{i}].wall", _point)
+        offset, width = (_length(odoc[k], f"$.openings[{i}].{k}") for k in ("offset", "width"))
+        if ax != bx and ay != by:
+            raise PlanParseError(f"$.openings[{i}]: segment not axis-aligned: {a} -> {b} mm")
+        if a == b:
+            raise PlanParseError(f"$.openings[{i}]: zero-length segment at {a} mm")
+        # The wall runs from its low end, whichever end the document names first.
+        wall = (True, ay, *sorted((ax, bx))) if ay == by else (False, ax, *sorted((ay, by)))
+        lo = wall[2] + offset
+        openings.append(Opening(kind, wall, lo, lo + width, ids))
 
     gdoc = doc["connection_graph"]
     if not isinstance(gdoc, dict) or set(gdoc) != {"nodes", "edges"}:
@@ -453,8 +449,8 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _label_point(poly: RectilinearPolygon) -> Point:
-    """A point inside the polygon: the centre of its largest cell on its own grid lines."""
+def _label_point(poly: RectilinearPolygon) -> tuple[int, int]:
+    """A point inside the polygon in mm: the centre of its largest cell on its own grid lines."""
     grid = Grid((), [poly])
     xs, ys, s = grid.xs, grid.ys, grid.stride
     best = None
@@ -465,22 +461,28 @@ def _label_point(poly: RectilinearPolygon) -> Point:
         if best is None or key > best[0]:
             best = (key, (xs[i] + w / 2, ys[j] + h / 2))
     assert best is not None
-    return Point(_m(round(best[1][0])), _m(round(best[1][1])))
+    return round(best[1][0]), round(best[1][1])
+
+
+def _footprint_m(plan: FloorPlan) -> tuple[float, float, float, float]:
+    """The footprint's (x, y, width, height) in metres, as the drawing scales it."""
+    x0, y0, x1, y1 = map(_m, plan.footprint)
+    return x0, y0, x1 - x0, y1 - y0
 
 
 def _render_plan(plan: FloorPlan, style: SvgStyle, ox: float, oy: float) -> list[str]:
     """SVG fragments for one plan with its footprint origin at (ox, oy) px."""
     s = style.scale
-    fp = plan.footprint
+    fx, fy, fw, fh = _footprint_m(plan)
 
-    def px(p: Point | tuple[float, float]) -> tuple[float, float]:
-        x, y = (p.x, p.y) if isinstance(p, Point) else p
-        return (ox + (x - fp.x) * s, oy + (fp.y + fp.height - y) * s)
+    def px(x: int, y: int) -> tuple[float, float]:
+        """The page position of a point given in mm."""
+        return (ox + (_m(x) - fx) * s, oy + (fy + fh - _m(y)) * s)
 
     def path_of(poly: RectilinearPolygon) -> str:
         parts = []
-        for i, p in enumerate(poly.vertices):
-            x, y = px(p)
+        for i, p in enumerate(poly.mm):
+            x, y = px(*p)
             parts.append(f"{'M' if i == 0 else 'L'} {_fmt(x)} {_fmt(y)}")
         return " ".join(parts) + " Z"
 
@@ -498,30 +500,26 @@ def _render_plan(plan: FloorPlan, style: SvgStyle, ox: float, oy: float) -> list
             f'<path d="{path_of(room.polygon)}" fill="none" stroke="{style.wall}" '
             f'stroke-width="{_fmt(style.wall_width)}" stroke-linejoin="miter"/>'
         )
-    x0, y0 = px((fp.x, fp.y + fp.height))
     out.append(
-        f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(fp.width * s)}" '
-        f'height="{_fmt(fp.height * s)}" fill="none" stroke="{style.wall}" '
+        f'<rect x="{_fmt(ox)}" y="{_fmt(oy)}" width="{_fmt(fw * s)}" '
+        f'height="{_fmt(fh * s)}" fill="none" stroke="{style.wall}" '
         f'stroke-width="{_fmt(style.outline_width)}"/>'
     )
 
     for opening in plan.openings:
-        wall = opening.wall
-        _, lo_mm, hi_mm = opening.mm()
-        if wall.horizontal:
-            a = Point(_m(lo_mm), wall.a.y)
-            b = Point(_m(hi_mm), wall.a.y)
+        horizontal, line, _, _ = opening.wall
+        lo, hi = opening.lo, opening.hi
+        if horizontal:
+            (ax, ay), (bx, by) = px(lo, line), px(hi, line)
         else:
-            a = Point(wall.a.x, _m(lo_mm))
-            b = Point(wall.a.x, _m(hi_mm))
-        (ax, ay), (bx, by) = px(a), px(b)
+            (ax, ay), (bx, by) = px(line, lo), px(line, hi)
         gap = max(style.wall_width, style.outline_width) + 2
         out.append(
             f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}" '
             f'stroke="{style.background}" stroke-width="{_fmt(gap)}"/>'
         )
         if opening.kind == WINDOW:
-            dx, dy = (0.0, 2.0) if wall.horizontal else (2.0, 0.0)
+            dx, dy = (0.0, 2.0) if horizontal else (2.0, 0.0)
             for sign in (-1, 1):
                 out.append(
                     f'<line x1="{_fmt(ax + sign * dx)}" y1="{_fmt(ay + sign * dy)}" '
@@ -530,8 +528,8 @@ def _render_plan(plan: FloorPlan, style: SvgStyle, ox: float, oy: float) -> list
                 )
             continue
         color = style.entry_color if opening.kind == ENTRY_DOOR else style.door_color
-        r = opening.width * s
-        leaf = (ax, ay - r) if wall.horizontal else (ax + r, ay)
+        r = _m(hi - lo) * s
+        leaf = (ax, ay - r) if horizontal else (ax + r, ay)
         out.append(
             f'<path d="M {_fmt(ax)} {_fmt(ay)} L {_fmt(leaf[0])} {_fmt(leaf[1])} '
             f'A {_fmt(r)} {_fmt(r)} 0 0 1 {_fmt(bx)} {_fmt(by)}" '
@@ -540,7 +538,7 @@ def _render_plan(plan: FloorPlan, style: SvgStyle, ox: float, oy: float) -> list
 
     if style.labels:
         for room in plan.rooms:
-            cx, cy = px(_label_point(room.polygon))
+            cx, cy = px(*_label_point(room.polygon))
             name = room.kind.value.replace("_", " ").capitalize()
             out.append(
                 f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
@@ -566,8 +564,9 @@ def _svg_document(width: float, height: float, background: str, body: list[str])
 def to_svg(plan: FloorPlan, style: SvgStyle | None = None) -> str:
     """Deterministic standalone SVG drawing of one plan."""
     style = style if style is not None else SvgStyle()
-    width = plan.footprint.width * style.scale + 2 * style.margin
-    height = plan.footprint.height * style.scale + 2 * style.margin
+    _, _, fw, fh = _footprint_m(plan)
+    width = fw * style.scale + 2 * style.margin
+    height = fh * style.scale + 2 * style.margin
     body = _render_plan(plan, style, style.margin, style.margin)
     return _svg_document(width, height, style.background, body)
 
@@ -587,9 +586,10 @@ def gallery_svg(plans: list[FloorPlan], columns: int = 5) -> str:
     for i, plan in enumerate(plans):
         col, row = i % columns, i // columns
         avail = cell - 2 * pad
-        scale = min(avail / plan.footprint.width, avail / plan.footprint.height)
-        pw = plan.footprint.width * scale
-        ph = plan.footprint.height * scale
+        _, _, fw, fh = _footprint_m(plan)
+        scale = min(avail / fw, avail / fh)
+        pw = fw * scale
+        ph = fh * scale
         ox = col * cell + (cell - pw) / 2
         oy = row * (cell + caption) + (cell - ph) / 2
         cell_style = SvgStyle(scale=scale, labels=False, wall_width=1.5, outline_width=2.5)

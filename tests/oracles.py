@@ -23,7 +23,7 @@ from itertools import combinations, count
 from typing import Iterator
 
 from planwright.geometry import (
-    GRID, MAX_EXACT, Box, Grid, Point, Rect, RectilinearPolygon, Run, _m, _mm, merge_runs, snap
+    GRID, MAX_EXACT, Box, Grid, Rect, RectilinearPolygon, Run, _mm, merge_runs, snap
 )
 from planwright.sampling import BEDROOM_KINDS, ConfigError, RoomKind, SamplingError
 from planwright.treemap import LayoutError, LayoutRequest, PlacedRoom
@@ -270,23 +270,23 @@ def assign_program_oracle(bedrooms, rooms, priority):
 
 
 def shoelace_area(vertices):
-    """Polygon area from the classic cross-product sum."""
-    total = 0.0
+    """Polygon area in mm² from the classic cross-product sum over mm vertices."""
+    total = 0
     n = len(vertices)
     for i in range(n):
         x0, y0 = vertices[i]
         x1, y1 = vertices[(i + 1) % n]
         total += x0 * y1 - x1 * y0
-    return abs(total) / 2.0
+    return abs(total) // 2
 
 
 def polygon_slabs(vertices):
     """Decompose a rectilinear polygon into disjoint mm boxes by scanline.
 
-    Vertices are (x, y) in metres; boxes come back as (x0, y0, x1, y1) mm.
+    Vertices are (x, y) in mm; boxes come back as (x0, y0, x1, y1) mm.
     Even-odd crossing counts per horizontal slab decide what is inside.
     """
-    pts = [(round(x * MM), round(y * MM)) for x, y in vertices]
+    pts = list(vertices)
     vlines = []
     n = len(pts)
     for i in range(n):
@@ -324,22 +324,18 @@ def pairwise_overlap_mm2(polygons):
     return worst
 
 
-def _point_text(x, y):
-    return f"Point(x={x!r}, y={y!r})"
-
-
 def normalise_polygon(vertices):
-    """Vertex normalisation of a rectilinear polygon, done on the snapped floats.
+    """Vertex normalisation of a rectilinear polygon, one rule at a time.
 
-    ``vertices`` is a list of (x, y) in metres.  Every vertex is rounded to
-    the millimetre grid; then, in this order: vertices collinear with both
-    neighbours in the input cycle are dropped, each edge must be axis-aligned
-    and of nonzero length, clockwise input is reversed, the area must be
-    positive, no vertex may repeat, no two non-adjacent edges may touch, and
-    the cycle is rotated to start at the smallest (x, y).  Returns the
-    vertex list, or raises ValueError with the message the package gives.
+    ``vertices`` is a list of (x, y) in integer millimetres.  In this order:
+    vertices collinear with both neighbours in the input cycle are dropped,
+    each edge must be axis-aligned and of nonzero length, clockwise input is
+    reversed, the area must be positive, no vertex may repeat, no two
+    non-adjacent edges may touch, and the cycle is rotated to start at the
+    smallest (x, y).  Returns the vertex list, or raises ValueError with the
+    message the package gives.
     """
-    verts = [(round(x, 3), round(y, 3)) for x, y in vertices]
+    verts = [(x, y) for x, y in vertices]
     if len(verts) < 4:
         raise ValueError("rectilinear polygon needs at least 4 vertices")
     n = len(verts)
@@ -356,13 +352,12 @@ def normalise_polygon(vertices):
     edges = list(zip(verts, verts[1:] + verts[:1]))
     for p, q in edges:
         if p[0] != q[0] and p[1] != q[1]:
-            raise ValueError(f"edge not axis-aligned: {_point_text(*p)} -> {_point_text(*q)}")
+            raise ValueError(f"edge not axis-aligned: {p} -> {q} mm")
         if p == q:
-            raise ValueError(f"repeated vertex {_point_text(*p)}")
+            raise ValueError(f"repeated vertex {p} mm")
 
     def signed_area(vs):
-        pts = [(round(x * MM), round(y * MM)) for x, y in vs]
-        return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
+        return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]))
 
     if signed_area(verts) < 0:
         verts.reverse()
@@ -393,11 +388,18 @@ def plan_json(plan):
     """The plan document as the standard library writes it.
 
     Builds the document dict in schema order and dumps it with indent=2.
+    Each millimetre length is written as the metre float it snaps to.
     """
-    fp = plan.footprint
 
-    def points(poly):
-        return [[p.x, p.y] for p in poly.vertices]
+    def metres(v):
+        return round(v / MM, 3)
+
+    def points(vertices):
+        return [[metres(x), metres(y)] for x, y in vertices]
+
+    def wall(run):
+        horizontal, line, lo, hi = run
+        return points([(lo, line), (hi, line)] if horizontal else [(line, lo), (line, hi)])
 
     doc = {
         "schema_version": 1,
@@ -405,28 +407,23 @@ def plan_json(plan):
         "config_fingerprint": plan.config_fingerprint,
         "attempts": plan.attempts,
         "corridor_candidates": plan.corridor_candidates,
-        "footprint": {
-            "x": fp.x,
-            "y": fp.y,
-            "x1": round(fp.x1, 3),
-            "y1": round(fp.y1, 3),
-        },
+        "footprint": dict(zip(("x", "y", "x1", "y1"), map(metres, plan.footprint))),
         "rooms": [
             {
                 "id": room.id,
                 "kind": room.kind.value,
                 "target_area": room.target_area,
-                "polygon": points(room.polygon),
+                "polygon": points(room.polygon.mm),
             }
             for room in plan.rooms
         ],
-        "corridor": points(plan.corridor) if plan.corridor is not None else None,
+        "corridor": points(plan.corridor.mm) if plan.corridor is not None else None,
         "openings": [
             {
                 "kind": o.kind,
-                "wall": [[o.wall.a.x, o.wall.a.y], [o.wall.b.x, o.wall.b.y]],
-                "offset": o.offset,
-                "width": o.width,
+                "wall": wall(o.wall),
+                "offset": metres(o.lo - o.wall[2]),
+                "width": metres(o.hi - o.lo),
                 "rooms": list(o.rooms),
             }
             for o in plan.openings
@@ -439,9 +436,8 @@ def plan_json(plan):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _edges_mm(vertices):
-    """Polygon edges as (horizontal, line, lo, hi) in mm."""
-    pts = [(round(x * MM), round(y * MM)) for x, y in vertices]
+def _edges_mm(pts):
+    """Polygon edges over mm vertices as (horizontal, line, lo, hi)."""
     for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
         if y0 == y1:
             yield (True, y0, min(x0, x1), max(x0, x1))
@@ -908,7 +904,7 @@ class CellRegion:
             raise ValueError("region boundary does not close")
         if any(edges.values()):
             raise ValueError("region has a hole or multiple boundary loops")
-        return RectilinearPolygon(tuple(Point(_m(x), _m(y)) for x, y in loop))
+        return RectilinearPolygon(loop)
 
     @property
     def is_empty(self) -> bool:

@@ -56,7 +56,7 @@ def report(capsys, line: str) -> None:
 
 @dataclass
 class Pool:
-    records: list = field(default_factory=list)  # (seed, (w, h), [(kind, target)])
+    records: list = field(default_factory=list)  # (seed, (w, h) mm, [(kind, target)])
     plans: list = field(default_factory=list)
     traces: list = field(default_factory=list)
     failures: int = 0
@@ -78,7 +78,7 @@ def pool() -> Pool:
         out.records.append(
             (
                 seed,
-                (plan.footprint.width, plan.footprint.height),
+                (plan.footprint[2] - plan.footprint[0], plan.footprint[3] - plan.footprint[1]),
                 [(room.kind, room.target_area) for room in plan.rooms],
             )
         )
@@ -145,8 +145,9 @@ def test_ac3_partition_and_disjointness(capsys, pool):
     worst_rel = 0.0
     worst_overlap = 0.0
     for plan in pool.plans:
-        fp_area = plan.footprint.area
-        total = sum(room.polygon.area for room in plan.rooms)
+        x0, y0, x1, y1 = plan.footprint
+        fp_area = (x1 - x0) * (y1 - y0)
+        total = sum(room.polygon.area_mm2 for room in plan.rooms)
         rel = abs(total - fp_area) / fp_area
         worst_rel = max(worst_rel, rel)
         if rel > 1e-6:

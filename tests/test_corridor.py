@@ -51,7 +51,7 @@ def seg(ax: float, ay: float, bx: float, by: float) -> tuple[int, int, int, int]
 
 
 def box(x: float, y: float, w: float, h: float) -> tuple[int, int, int, int]:
-    return mm_box(Rect(x, y, w, h))
+    return mm_box((x, y, w, h))
 
 
 def room(rid: int, kind: RoomKind, x: float, y: float, w: float, h: float):
@@ -186,8 +186,8 @@ def random_layouts(draw):
     h = (total / aspect) ** 0.5
     fp = Rect(0, 0, aspect * h, h)
     rects = squarify(LayoutRequest(fp, tuple(enumerate(areas))))
-    rooms = [(i, K.BEDROOM, mm_box(r)) for i, r in enumerate(rects)]
-    return mm_box(fp), rooms
+    rooms = [(i, K.BEDROOM, mm_box((r.x, r.y, r.width, r.height))) for i, r in enumerate(rects)]
+    return mm_box((fp.x, fp.y, fp.width, fp.height)), rooms
 
 
 # ------------------------------------------------------------------ routing
@@ -318,7 +318,7 @@ def test_plan_corridor_strip_layout_winner():
     assert result.reparented == (3,)
     # The cheapest corridor thickens the routed wall in place: 1 m x 3 m.
     assert result.corridor is not None
-    assert result.corridor.area == pytest.approx(3.0)
+    assert result.corridor.area_mm2 == 3_000_000
     assert result.corridor.mm == ((3000, 3000), (6000, 3000), (6000, 4000), (3000, 4000))
     # The dining room lost the strip to the living room, nobody else changed.
     areas = {rid: area(result.grid, m) for rid, _, m in result.rooms}
@@ -400,7 +400,7 @@ def test_plan_corridor_deterministic():
     first = plan_corridor(STRIP_FOOTPRINT, STRIP_ROOMS, STRIP_PARENTS, 0, CFG, trace=True)
     second = plan_corridor(STRIP_FOOTPRINT, STRIP_ROOMS, STRIP_PARENTS, 0, CFG, trace=True)
     assert first.trace == second.trace
-    assert first.corridor.vertices == second.corridor.vertices
+    assert first.corridor.mm == second.corridor.mm
     assert [(rid, first.grid.outline(m)) for rid, _, m in first.rooms] == [
         (rid, second.grid.outline(m)) for rid, _, m in second.rooms
     ]

@@ -1,19 +1,18 @@
-"""Geometry layer: snapping, rects, polygons, and the millimetre breakpoint grid."""
+"""Geometry layer: snapping, the mm/m unit edge, rects, polygons and the breakpoint grid."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planwright.geometry import (
+    MAX_EXACT,
     Grid,
-    Point,
     Rect,
     RectilinearPolygon,
-    Segment,
+    _m,
+    _mm,
     aspect_ratio,
     mm_box,
     snap,
@@ -37,24 +36,19 @@ def test_snap_is_millimetre_rounding():
     assert snap(2.0) == 2.0
 
 
-def test_point_repairs_arithmetic_noise():
-    p = Point(0.1 + 0.2, 1.0)
-    assert p.x == 0.3
-
-
-def test_segment_basics():
-    s = Segment(Point(1, 2), Point(4, 2))
-    assert s.horizontal
-    assert s.line == 2.0
-    assert s.span == (1.0, 4.0)
-    with pytest.raises(ValueError):
-        Segment(Point(0, 0), Point(1, 1))
+@settings(max_examples=2000, deadline=None)
+@given(st.integers(min_value=-int(MAX_EXACT * 1000), max_value=int(MAX_EXACT * 1000)))
+def test_millimetres_go_to_metres_and_back_exactly(k):
+    """Within MAX_EXACT, a length's metre float is its snapped value and reads back as itself."""
+    assert _mm(_m(k)) == k
+    assert round(_m(k), 3) == _m(k)
+    assert float(repr(_m(k))) == _m(k)
 
 
 def test_rect_keeps_full_precision():
     r = Rect(0, 0, 12 / 7, 7 / 3)
     assert r.width == 12 / 7
-    assert mm_box(r) == (0, 0, 1714, 2333)
+    assert mm_box((r.x, r.y, r.width, r.height)) == (0, 0, 1714, 2333)
     with pytest.raises(ValueError):
         Rect(0, 0, -1, 1)
 
@@ -66,21 +60,20 @@ def test_aspect_ratio_orientation_free():
 
 
 def test_rect_polygon_round_trip():
-    box = mm_box(Rect(1, 2, 3, 4))
+    box = mm_box((1, 2, 3, 4))
     grid = Grid([box])
     poly = grid.outline(grid.mask(box))
     assert poly.mm == ((1000, 2000), (4000, 2000), (4000, 6000), (1000, 6000))
-    assert poly.area == pytest.approx(12.0)
     assert poly.area_mm2 == 12_000_000
     assert grid.fill(poly) == grid.mask(box)
 
 
 def test_polygon_l_shape():
     poly = RectilinearPolygon(
-        (Point(0, 0), Point(4, 0), Point(4, 2), Point(2, 2), Point(2, 4), Point(0, 4))
+        ((0, 0), (4000, 0), (4000, 2000), (2000, 2000), (2000, 4000), (0, 4000))
     )
-    assert len(poly.vertices) == 6
-    assert poly.area == pytest.approx(12.0)
+    assert len(poly.mm) == 6
+    assert poly.area_mm2 == 12_000_000
     inside, outside = (500, 2500, 1500, 3500), (2500, 2500, 3500, 3500)
     grid = Grid([inside, outside], [poly])
     filled = grid.fill(poly)
@@ -92,7 +85,7 @@ def test_polygon_l_shape():
 def test_polygon_rejects_self_intersection():
     with pytest.raises(ValueError):
         RectilinearPolygon(
-            (Point(0, 0), Point(4, 0), Point(4, 4), Point(2, 4), Point(2, -1), Point(0, -1))
+            ((0, 0), (4000, 0), (4000, 4000), (2000, 4000), (2000, -1000), (0, -1000))
         )
 
 
@@ -204,8 +197,8 @@ def test_region_pinch_and_hole():
 
 def test_region_to_polygon_l_shape():
     poly = outline_of([(0, 0, 2000, 1000), (0, 1000, 1000, 2000)])
-    assert poly.area == pytest.approx(3.0)
-    assert len(poly.vertices) == 6
+    assert poly.area_mm2 == 3_000_000
+    assert len(poly.mm) == 6
 
 
 def test_region_to_polygon_rejects_bad_shapes():
@@ -243,7 +236,6 @@ def test_region_polygon_round_trip_preserves_area(box_list):
     except ValueError:
         return
     assert poly.area_mm2 == region_of(box_list).area
-    assert math.isclose(poly.area, poly.area_mm2 / 1e6, rel_tol=0, abs_tol=1e-9)
     assert grid.fill(poly) == m
 
 
@@ -271,7 +263,7 @@ def test_shared_border_agrees_with_polygon_walls(a_boxes, b_boxes):
         pa, pb = grid.outline(a), grid.outline(b)
     except ValueError:
         return
-    expected = shared_walls([(p.x, p.y) for p in pa.vertices], [(p.x, p.y) for p in pb.vertices])
+    expected = shared_walls(pa.mm, pb.mm)
     assert grid.shared_walls(a, b) == expected
     assert grid.shared_walls(b, a) == expected
     assert grid.shared_border(a, b) == max((hi - lo for _, _, lo, hi in expected), default=0)
@@ -286,12 +278,12 @@ def lattice_boxes(draw):
 
 
 def _traced(outline, m):
-    """The polygon's vertices in metres and mm, or the ValueError's text."""
+    """The polygon's vertices, or the ValueError's text."""
     try:
         poly = outline(m)
     except ValueError as exc:
         return str(exc)
-    return poly.vertices, poly.mm
+    return poly.mm
 
 
 @settings(max_examples=400, deadline=None)
@@ -355,9 +347,9 @@ def test_cached_borders_match_a_fresh_computation(a_boxes, b_boxes):
     assert a._facing_borders() == fresh_borders(a)
 
 
-# Coordinates that collide often: integers and their float twins, half
-# steps, off-grid values that snap onto a neighbour, and a negative zero.
-coord = st.sampled_from([0, 1, 2, 3, 0.0, 1.0, 2.0, 0.5, 1.5, 2.0004, 0.9996, -0.0, -1.0])
+# Millimetre coordinates that collide often: whole metres, half steps, their
+# one-millimetre neighbours and a negative one.
+coord = st.sampled_from([0, 1000, 2000, 3000, 500, 1500, 1999, 2001, -1000])
 
 
 @st.composite
@@ -388,9 +380,9 @@ def reshaped_polygons(draw):
     """A valid polygon's vertices, then reversed, rotated or padded."""
     poly = draw(boxes(n=st.integers(min_value=1, max_value=3)))
     try:
-        verts = [(p.x, p.y) for p in outline_of(poly).vertices]
+        verts = list(outline_of(poly).mm)
     except ValueError:
-        verts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        verts = [(0, 0), (1000, 0), (1000, 1000), (0, 1000)]
     if draw(st.booleans()):
         verts.reverse()
     k = draw(st.integers(min_value=0, max_value=len(verts) - 1))
@@ -398,23 +390,22 @@ def reshaped_polygons(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         i = draw(st.integers(min_value=0, max_value=len(verts) - 1))
         (x0, y0), (x1, y1) = verts[i], verts[(i + 1) % len(verts)]
-        verts.insert(i + 1, draw(st.sampled_from([(x0, y0), ((x0 + x1) / 2, (y0 + y1) / 2)])))
+        verts.insert(i + 1, draw(st.sampled_from([(x0, y0), ((x0 + x1) // 2, (y0 + y1) // 2)])))
     return verts
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(walks(), reshaped_polygons(), st.lists(st.tuples(coord, coord), min_size=3, max_size=8)))
 def test_polygon_normalisation_matches_oracle(verts):
-    """Same vertices (same int/float types) or the same ValueError message."""
+    """Same vertices or the same ValueError message."""
     try:
         expected = normalise_polygon(verts)
     except ValueError as exc:
         with pytest.raises(ValueError) as err:
-            RectilinearPolygon(tuple(Point(x, y) for x, y in verts))
+            RectilinearPolygon(verts)
         assert str(err.value) == str(exc)
         return
-    poly = RectilinearPolygon(tuple(Point(x, y) for x, y in verts))
-    assert repr([(p.x, p.y) for p in poly.vertices]) == repr(expected)
+    assert list(RectilinearPolygon(verts).mm) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -424,13 +415,11 @@ def test_polygon_area_against_shoelace(box_list):
         poly = outline_of(box_list)
     except ValueError:
         return
-    verts = [(p.x, p.y) for p in poly.vertices]
-    assert math.isclose(poly.area, shoelace_area(verts), rel_tol=0, abs_tol=1e-9)
-    slab_mm2 = sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in polygon_slabs(verts))
-    assert math.isclose(poly.area, slab_mm2 / 1e6, rel_tol=0, abs_tol=1e-9)
+    assert poly.area_mm2 == shoelace_area(poly.mm)
+    assert poly.area_mm2 == sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in polygon_slabs(poly.mm))
 
 
 def test_overlap_oracle_is_sane():
-    a = [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]
-    b = [(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)]
+    a = [(0, 0), (2000, 0), (2000, 2000), (0, 2000)]
+    b = [(1000, 1000), (3000, 1000), (3000, 3000), (1000, 3000)]
     assert pairwise_overlap_mm2([a, b]) == 1000 * 1000

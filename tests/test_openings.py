@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from planwright.geometry import Grid, Point, Rect, RectilinearPolygon, Segment, mm_box
+from planwright.geometry import Grid, RectilinearPolygon, Run, mm_box
 from planwright.hierarchy import OUTSIDE_ID
 from planwright.openings import (
     DOOR,
@@ -38,14 +38,13 @@ CFG = GenConfig()
 
 def grid_rooms(*specs):
     """The plan's grid of the room boxes, and each room as a mask on it."""
-    boxes = [(rid, kind, mm_box(Rect(x, y, w, h))) for rid, kind, x, y, w, h in specs]
+    boxes = [(rid, kind, mm_box((x, y, w, h))) for rid, kind, x, y, w, h in specs]
     grid = Grid([box for _, _, box in boxes])
     return grid, tuple((rid, kind, grid.mask(box)) for rid, kind, box in boxes)
 
 
 # Living room column plus a kitchen/dining stack; everything is adjacent.
-TRIO_FP = Rect(0, 0, 6, 6)
-TRIO_BOX = mm_box(TRIO_FP)  # the footprint as placement sees it, in mm
+TRIO_BOX = (0, 0, 6000, 6000)  # the footprint in mm
 TRIO = grid_rooms(
     (0, K.LIVING_ROOM, 0, 0, 3, 6),
     (1, K.KITCHEN, 3, 0, 3, 3),
@@ -167,16 +166,16 @@ def test_entry_door_on_longest_exterior_living_wall():
     assert entry.kind == ENTRY_DOOR
     assert entry.rooms == (OUTSIDE_ID, 0)
     # The living room's west wall is its longest exterior run (6 m).
-    assert not entry.wall.horizontal and entry.wall.a.x == 0
-    _, lo, hi = entry.mm()
-    assert 0 <= lo and hi <= 6000 and hi - lo == 900
+    horizontal, line, _, _ = entry.wall
+    assert not horizontal and line == 0
+    assert 0 <= entry.lo and entry.hi <= 6000 and entry.hi - entry.lo == 900
 
 
 def test_one_door_per_interior_edge():
     (openings, _), graph = trio_doors()
     interior = [o for o in openings if o.kind == DOOR]
     assert {o.rooms for o in interior} == {(0, 1), (0, 2)}
-    assert all(o.width == CFG.door_width for o in openings)
+    assert all(o.hi - o.lo == 900 for o in openings)
 
 
 def test_doors_deterministic():
@@ -189,7 +188,7 @@ def test_door_positions_vary_with_stream():
     positions = set()
     for seed in range(8):
         (openings, _), _ = trio_doors(seed=seed)
-        positions.add(openings[0].mm())
+        positions.add((openings[0].wall, openings[0].lo))
     assert len(positions) > 1
 
 
@@ -210,7 +209,7 @@ def test_windows_skip_banned_kinds():
     for window in windows:
         assert window.kind == WINDOW
         assert window.rooms[1] == OUTSIDE_ID
-        assert window.width == cfg.window_width
+        assert window.hi - window.lo == 1200
 
 
 def test_windows_do_not_collide_with_doors():
@@ -221,8 +220,7 @@ def test_windows_do_not_collide_with_doors():
     assert len(windows) == 3
     by_line: dict[tuple, list[tuple[int, int]]] = {}
     for opening in doors + windows:
-        wall, lo, hi = opening.mm()
-        by_line.setdefault(wall[:2], []).append((lo, hi))
+        by_line.setdefault(opening.wall[:2], []).append((opening.lo, opening.hi))
     for intervals in by_line.values():
         intervals.sort()
         for (alo, ahi), (blo, bhi) in zip(intervals, intervals[1:]):
@@ -248,27 +246,30 @@ def hand_plan(rooms, openings, edges, footprint) -> FloorPlan:
     )
 
 
-def make_room(rid: int, kind: RoomKind, x, y, w, h) -> Room:
-    corners = (Point(x, y), Point(x + w, y), Point(x + w, y + h), Point(x, y + h))
-    return Room(rid, kind, RectilinearPolygon(corners), float(w * h))
+def make_room(rid: int, kind: RoomKind, x: int, y: int, w: int, h: int) -> Room:
+    """A rectangular room from its corner and sides in mm."""
+    corners = ((x, y), (x + w, y), (x + w, y + h), (x, y + h))
+    return Room(rid, kind, RectilinearPolygon(corners), w * h / 1e6)
 
 
-def door(wall: Segment, offset: float, rooms: tuple[int, int], kind: str = DOOR) -> Opening:
-    return Opening(kind, wall, offset, 0.9, rooms)
+def door(wall: Run, offset: int, rooms: tuple[int, int], kind: str = DOOR) -> Opening:
+    """A 900 mm door ``offset`` mm from the low end of ``wall``."""
+    lo = wall[2] + offset
+    return Opening(kind, wall, lo, lo + 900, rooms)
 
 
 def test_validate_accepts_clean_hand_plan():
     rooms = [
-        make_room(0, K.LIVING_ROOM, 0, 0, 3, 6),
-        make_room(1, K.KITCHEN, 3, 0, 3, 3),
-        make_room(2, K.DINING_ROOM, 3, 3, 3, 3),
+        make_room(0, K.LIVING_ROOM, 0, 0, 3000, 6000),
+        make_room(1, K.KITCHEN, 3000, 0, 3000, 3000),
+        make_room(2, K.DINING_ROOM, 3000, 3000, 3000, 3000),
     ]
     openings = [
-        door(Segment(Point(0, 0), Point(0, 6)), 1.0, (OUTSIDE_ID, 0), ENTRY_DOOR),
-        door(Segment(Point(3, 0), Point(3, 3)), 1.0, (0, 1)),
-        door(Segment(Point(3, 3), Point(3, 6)), 1.0, (0, 2)),
+        door((False, 0, 0, 6000), 1000, (OUTSIDE_ID, 0), ENTRY_DOOR),
+        door((False, 3000, 0, 3000), 1000, (0, 1)),
+        door((False, 3000, 3000, 6000), 1000, (0, 2)),
     ]
-    plan = hand_plan(rooms, openings, [(OUTSIDE_ID, 0), (0, 1), (0, 2)], TRIO_FP)
+    plan = hand_plan(rooms, openings, [(OUTSIDE_ID, 0), (0, 1), (0, 2)], TRIO_BOX)
     report = validate(plan, CFG)
     assert report.ok and report.failures == ()
     assert report.to_json() == {"ok": True, "failures": []}
@@ -276,66 +277,66 @@ def test_validate_accepts_clean_hand_plan():
 
 def test_validate_rejects_prohibited_bedroom_door():
     rooms = [
-        make_room(0, K.LIVING_ROOM, 0, 0, 3, 6),
-        make_room(1, K.BEDROOM, 3, 0, 3, 3),
-        make_room(2, K.BEDROOM, 3, 3, 3, 3),
+        make_room(0, K.LIVING_ROOM, 0, 0, 3000, 6000),
+        make_room(1, K.BEDROOM, 3000, 0, 3000, 3000),
+        make_room(2, K.BEDROOM, 3000, 3000, 3000, 3000),
     ]
     openings = [
-        door(Segment(Point(0, 0), Point(0, 6)), 1.0, (OUTSIDE_ID, 0), ENTRY_DOOR),
-        door(Segment(Point(3, 0), Point(3, 3)), 1.0, (0, 1)),
-        door(Segment(Point(3, 3), Point(6, 3)), 1.0, (1, 2)),
+        door((False, 0, 0, 6000), 1000, (OUTSIDE_ID, 0), ENTRY_DOOR),
+        door((False, 3000, 0, 3000), 1000, (0, 1)),
+        door((True, 3000, 3000, 6000), 1000, (1, 2)),
     ]
-    plan = hand_plan(rooms, openings, [(OUTSIDE_ID, 0), (0, 1), (1, 2)], TRIO_FP)
+    plan = hand_plan(rooms, openings, [(OUTSIDE_ID, 0), (0, 1), (1, 2)], TRIO_BOX)
     report = validate(plan)
     assert list(report.failures) == ["prohibited door between 1 (bedroom) and 2 (bedroom)"]
 
 
 def test_validate_rejects_bridging_bathroom():
-    fp = Rect(0, 0, 6, 9)
+    fp = (0, 0, 6000, 9000)
     rooms = [
-        make_room(0, K.LIVING_ROOM, 0, 0, 3, 9),
-        make_room(1, K.BEDROOM, 3, 6, 3, 3),
-        make_room(2, K.BATHROOM, 3, 3, 3, 3),
-        make_room(3, K.BEDROOM, 3, 0, 3, 3),
+        make_room(0, K.LIVING_ROOM, 0, 0, 3000, 9000),
+        make_room(1, K.BEDROOM, 3000, 6000, 3000, 3000),
+        make_room(2, K.BATHROOM, 3000, 3000, 3000, 3000),
+        make_room(3, K.BEDROOM, 3000, 0, 3000, 3000),
     ]
     openings = [
-        door(Segment(Point(0, 0), Point(0, 9)), 1.0, (OUTSIDE_ID, 0), ENTRY_DOOR),
-        door(Segment(Point(3, 6), Point(3, 9)), 1.0, (0, 1)),
-        door(Segment(Point(3, 0), Point(3, 3)), 1.0, (0, 3)),
-        door(Segment(Point(3, 6), Point(6, 6)), 1.0, (1, 2)),
-        door(Segment(Point(3, 3), Point(6, 3)), 1.0, (2, 3)),
+        door((False, 0, 0, 9000), 1000, (OUTSIDE_ID, 0), ENTRY_DOOR),
+        door((False, 3000, 6000, 9000), 1000, (0, 1)),
+        door((False, 3000, 0, 3000), 1000, (0, 3)),
+        door((True, 6000, 3000, 6000), 1000, (1, 2)),
+        door((True, 3000, 3000, 6000), 1000, (2, 3)),
     ]
     edges = [(OUTSIDE_ID, 0), (0, 1), (0, 3), (1, 2), (2, 3)]
     report = validate(hand_plan(rooms, openings, edges, fp))
     assert any("bathroom 2 bridges bedrooms [1, 3]" in f for f in report.failures)
 
 
-def trio_with_dining_at(x: float) -> FloorPlan:
-    """TRIO with the dining room moved to ``x``, doors where they were."""
+def trio_with_dining_at(x: int) -> FloorPlan:
+    """TRIO with the dining room moved to ``x`` mm, doors where they were."""
     rooms = [
-        make_room(0, K.LIVING_ROOM, 0, 0, 3, 6),
-        make_room(1, K.KITCHEN, 3, 0, 3, 3),
-        make_room(2, K.DINING_ROOM, x, 3, 3, 3),
+        make_room(0, K.LIVING_ROOM, 0, 0, 3000, 6000),
+        make_room(1, K.KITCHEN, 3000, 0, 3000, 3000),
+        make_room(2, K.DINING_ROOM, x, 3000, 3000, 3000),
     ]
     openings = [
-        door(Segment(Point(0, 0), Point(0, 6)), 1.0, (OUTSIDE_ID, 0), ENTRY_DOOR),
-        door(Segment(Point(3, 0), Point(3, 3)), 1.0, (0, 1)),
-        door(Segment(Point(3, 3), Point(3, 6)), 1.0, (0, 2)),
+        door((False, 0, 0, 6000), 1000, (OUTSIDE_ID, 0), ENTRY_DOOR),
+        door((False, 3000, 0, 3000), 1000, (0, 1)),
+        door((False, 3000, 3000, 6000), 1000, (0, 2)),
     ]
-    return hand_plan(rooms, openings, [(OUTSIDE_ID, 0), (0, 1), (0, 2)], TRIO_FP)
+    return hand_plan(rooms, openings, [(OUTSIDE_ID, 0), (0, 1), (0, 2)], TRIO_BOX)
 
 
 def test_validate_names_overlapping_rooms_and_their_door():
     # The dining room slides into the living room; the areas still sum to
     # the footprint, and the door's wall is no longer a shared wall.
-    assert list(validate(trio_with_dining_at(2.0), CFG).failures) == [
+    assert list(validate(trio_with_dining_at(2000), CFG).failures) == [
         "overlap: rooms 0 and 2",
         "door between 0 and 2 is not on their shared wall",
     ]
 
 
 def test_validate_names_the_room_leaving_the_footprint():
-    assert list(validate(trio_with_dining_at(3.5), CFG).failures) == [
+    assert list(validate(trio_with_dining_at(3500), CFG).failures) == [
         "containment: room 2 leaves the footprint",
         "door between 0 and 2 is not on their shared wall",
     ]
@@ -382,9 +383,7 @@ def test_validate_catches_shifted_room(sample_plan):
     victim = sample_plan.rooms[-1]
     moved = dataclasses.replace(
         victim,
-        polygon=type(victim.polygon)(
-            tuple(Point(p.x + 0.4, p.y) for p in victim.polygon.vertices)
-        ),
+        polygon=RectilinearPolygon([(x + 400, y) for x, y in victim.polygon.mm]),
     )
     broken = dataclasses.replace(
         sample_plan, rooms=sample_plan.rooms[:-1] + (moved,)
@@ -395,17 +394,8 @@ def test_validate_catches_shifted_room(sample_plan):
 
 def test_validate_catches_interior_entry(sample_plan):
     entry = next(o for o in sample_plan.openings if o.kind == ENTRY_DOOR)
-    if entry.wall.horizontal:
-        inner = Segment(
-            Point(entry.wall.a.x, entry.wall.a.y + 0.5),
-            Point(entry.wall.b.x, entry.wall.b.y + 0.5),
-        )
-    else:
-        inner = Segment(
-            Point(entry.wall.a.x + 0.5, entry.wall.a.y),
-            Point(entry.wall.b.x + 0.5, entry.wall.b.y),
-        )
-    moved = dataclasses.replace(entry, wall=inner)
+    horizontal, line, lo, hi = entry.wall
+    moved = dataclasses.replace(entry, wall=(horizontal, line + 500, lo, hi))
     broken = dataclasses.replace(
         sample_plan,
         openings=tuple(moved if o is entry else o for o in sample_plan.openings),
@@ -519,6 +509,24 @@ def _split_kitchen(doc: dict) -> None:
             lambda d: d["openings"][0].update(wall=[[5.568, 0.0], [5.568, 3.126]], offset=2.2),
             "entry door not on an exterior wall of room 0",
             id="entry-on-kitchen-wall",
+        ),
+        # The counters: attempts within the config's budget, and candidates
+        # counted exactly when the search ran and left a corridor.
+        pytest.param(
+            lambda d: d.update(attempts=999),
+            "attempts: 999 exceeds max_attempts 32",
+            id="attempts-beyond-budget",
+        ),
+        pytest.param(lambda d: d.update(attempts=0), "attempts: 0 is below 1", id="no-attempts"),
+        pytest.param(
+            lambda d: d.update(corridor_candidates=5),
+            "corridor_candidates: 5 with no corridor",
+            id="candidates-without-corridor",
+        ),
+        pytest.param(
+            lambda d: d.update(corridor=[[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 1.5]]),
+            "corridor_candidates: 0 with a corridor",
+            id="corridor-without-candidates",
         ),
     ],
 )

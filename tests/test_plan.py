@@ -8,6 +8,7 @@ paths, since the CLI surfaces those messages verbatim.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -15,9 +16,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import planwright
-from planwright.openings import validate
+from planwright.geometry import MAX_EXACT, RectilinearPolygon
+from planwright.openings import Opening, validate
 from planwright.plan import (
     SCHEMA_VERSION,
     FloorPlan,
@@ -226,19 +230,19 @@ def test_writer_matches_stdlib_layout(knobs):
         assert to_json(plan) == plan_json(plan), seed
 
 
-def test_writer_keeps_integer_valued_numbers():
-    # A parsed document may spell numbers as integers; they are written back
-    # as integers, exactly as the standard library would.
-    doc = json.loads((DATA / "plan-seed1.json").read_text())
+def test_writer_spells_integer_valued_lengths_as_floats():
+    # A parsed document may spell a length as an integer; the plan holds it in
+    # millimetres and writes it back in metres as a float.  A target area is
+    # not a length and is written back as it was read.
+    golden = (DATA / "plan-seed1.json").read_text()
+    doc = json.loads(golden)
     doc["footprint"]["x"] = 0
     doc["rooms"][0]["polygon"][0] = [0, 0.0]
     doc["rooms"][1]["polygon"][1] = [5.568, 0]
     doc["rooms"][1]["target_area"] = 8
-    doc["openings"][0]["offset"] = 1
-    text = json.dumps(doc, indent=2) + "\n"
-    plan = from_json(text)
-    assert to_json(plan) == plan_json(plan) == text
-    assert '"x": 0,' in text
+    plan = from_json(json.dumps(doc))
+    assert to_json(plan) == plan_json(plan)
+    assert to_json(plan) == golden.replace('"target_area": 7.730568', '"target_area": 8', 1)
 
 
 def test_json_numbers_sit_on_the_grid(corridor_plan):
@@ -349,6 +353,32 @@ def corrupted(plan: FloorPlan, mutate) -> str:
         pytest.param(
             lambda d: d["footprint"].update(x1=1e306), "$.footprint.x1:", id="x1-mm-overflow"
         ),
+        # Every length is a whole number of millimetres within MAX_EXACT.
+        pytest.param(
+            lambda d: d["rooms"][0]["polygon"][1].__setitem__(0, 0.1 + 0.2),
+            "$.rooms[0].polygon[1][0]: 0.30000000000000004 m is not a whole number of millimetres",
+            id="vertex-off-grid",
+        ),
+        pytest.param(
+            lambda d: d["openings"][0].update(offset=1.0004),
+            "$.openings[0].offset: 1.0004 m is not a whole number of millimetres",
+            id="offset-off-grid",
+        ),
+        pytest.param(
+            lambda d: d["openings"][0].update(width=0.9001),
+            "$.openings[0].width: 0.9001 m is not a whole number of millimetres",
+            id="width-off-grid",
+        ),
+        pytest.param(
+            lambda d: d["footprint"].update(y=-0.0005),
+            "$.footprint.y: -0.0005 m is not a whole number of millimetres",
+            id="footprint-off-grid",
+        ),
+        pytest.param(
+            lambda d: d["footprint"].update(x=-2e12),
+            "$.footprint.x: coordinate beyond 1e+12 m",
+            id="coordinate-2e12",
+        ),
     ],
 )
 def test_parse_errors_name_their_path(plain_plan, mutate, path):
@@ -356,6 +386,61 @@ def test_parse_errors_name_their_path(plain_plan, mutate, path):
     with pytest.raises(PlanParseError) as err:
         from_json(text)
     assert str(err.value).startswith(path)
+
+
+def test_parse_normalises_a_reversed_wall(corridor_plan):
+    # A wall named high end first is the same wall; offsets run from its low end.
+    doc = json.loads(to_json(corridor_plan))
+    for opening in doc["openings"]:
+        opening["wall"].reverse()
+    plan = from_json(json.dumps(doc))
+    assert plan == corridor_plan
+    assert to_json(plan) == to_json(corridor_plan)
+    entry = plan.openings[0]
+    horizontal, line, lo, hi = entry.wall
+    a, b = json.loads(to_json(corridor_plan))["openings"][0]["wall"]
+    assert (a[1] == b[1]) == horizontal and lo < hi
+    assert a == ([lo / 1000, line / 1000] if horizontal else [line / 1000, lo / 1000])
+
+
+def translated(plan: FloorPlan, dx: int, dy: int) -> FloorPlan:
+    """The plan moved by (dx, dy) mm."""
+
+    def poly(p: RectilinearPolygon) -> RectilinearPolygon:
+        return RectilinearPolygon([(x + dx, y + dy) for x, y in p.mm])
+
+    def opening(o: Opening) -> Opening:
+        horizontal, line, lo, hi = o.wall
+        along, across = (dx, dy) if horizontal else (dy, dx)
+        wall = (horizontal, line + across, lo + along, hi + along)
+        return Opening(o.kind, wall, o.lo + along, o.hi + along, o.rooms)
+
+    x0, y0, x1, y1 = plan.footprint
+    return dataclasses.replace(
+        plan,
+        footprint=(x0 + dx, y0 + dy, x1 + dx, y1 + dy),
+        rooms=tuple(dataclasses.replace(room, polygon=poly(room.polygon)) for room in plan.rooms),
+        corridor=None if plan.corridor is None else poly(plan.corridor),
+        openings=tuple(opening(o) for o in plan.openings),
+    )
+
+
+EDGE = int(MAX_EXACT * 1000)  # the farthest coordinate a plan may hold, in mm
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-EDGE, EDGE - 20_000), st.integers(-EDGE, EDGE - 20_000))
+@example(-EDGE, -EDGE)
+@example(EDGE - 20_000, EDGE - 20_000)
+def test_plan_near_max_exact_round_trips_byte_for_byte(corridor_plan, dx, dy):
+    x0, y0, x1, y1 = corridor_plan.footprint
+    assert x1 - x0 <= 20_000 and y1 - y0 <= 20_000
+    plan = translated(corridor_plan, dx - x0, dy - y0)
+    text = to_json(plan)
+    back = from_json(text)
+    assert back == plan
+    assert to_json(back) == text == plan_json(plan)
+    assert validate(back, GenConfig()).ok
 
 
 def test_parse_error_on_unparseable_text():
