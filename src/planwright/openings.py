@@ -431,7 +431,7 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
 
     if plan.attempts < 1:
         failures.append(f"attempts: {plan.attempts} is below 1")
-    if (plan.corridor_candidates == 0) != (plan.corridor is None):
+    if plan.corridor_candidates < 0 or (plan.corridor_candidates == 0) != (plan.corridor is None):
         having = "no corridor" if plan.corridor is None else "a corridor"
         failures.append(f"corridor_candidates: {plan.corridor_candidates} with {having}")
 

@@ -524,6 +524,11 @@ def _split_kitchen(doc: dict) -> None:
             id="candidates-without-corridor",
         ),
         pytest.param(
+            lambda d: d.update(corridor_candidates=-1),
+            "corridor_candidates: -1 with no corridor",
+            id="negative-candidates",
+        ),
+        pytest.param(
             lambda d: d.update(corridor=[[0.5, 0.5], [1.5, 0.5], [1.5, 1.5], [0.5, 1.5]]),
             "corridor_candidates: 0 with a corridor",
             id="corridor-without-candidates",
