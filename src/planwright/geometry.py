@@ -1,10 +1,11 @@
 """Axis-aligned geometry on a 1 mm grid.
 
 One unit from the treemap's snap onwards: integer millimetres.  Only the
-treemap works in metres, on unsnapped float ``Rect``s, and ``mm_box`` snaps
-each of its cuts to an ``(x0, y0, x1, y1)`` box once.  Polygons hold their
-vertices as int pairs in ``mm`` and their area in mm² as ``area_mm2``, and
-wall runs are ``(horizontal, line, lo, hi)`` tuples.  Metres return only at
+footprint and the treemap work in metres, on unsnapped ``(x, y, width,
+height)`` float tuples (``Cut``), and ``mm_box`` snaps each cut to an
+``(x0, y0, x1, y1)`` box once.  Polygons hold their vertices as int pairs in
+``mm`` and their area in mm² as ``area_mm2``, and wall runs are
+``(horizontal, line, lo, hi)`` tuples.  Metres return only at
 the plan's edges - its JSON, its SVG, the CLI report and the config - where
 ``_m`` writes a length exactly as the snapped float it stands for.  An area
 is a mask on a Grid, the breakpoint grid of a plan's boxes or polygons, with
@@ -16,7 +17,6 @@ adjacency, vertex coincidence and boolean ops never need an epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 GRID = 0.001
@@ -32,6 +32,9 @@ MAX_EXACT = 1e12
 
 # An (x0, y0, x1, y1) rectangle in mm.
 Box = tuple[int, int, int, int]
+# An (x, y, width, height) rectangle in metres, kept unsnapped: the footprint
+# and the treemap's cells.
+Cut = tuple[float, float, float, float]
 # A wall run (horizontal, line, lo, hi) in mm: on the line y = line (or
 # x = line when vertical), from lo to hi.
 Run = tuple[bool, int, int, int]
@@ -50,7 +53,7 @@ def _m(value: int) -> float:
     return value / 1000
 
 
-def mm_box(cut: tuple[float, float, float, float]) -> Box:
+def mm_box(cut: Cut) -> Box:
     """An (x, y, width, height) cut in metres snapped to an (x0, y0, x1, y1) mm box."""
     x, y, w, h = cut
     return (
@@ -59,36 +62,6 @@ def mm_box(cut: tuple[float, float, float, float]) -> Box:
         round(round(x + w, 3) * 1000),
         round(round(y + h, 3) * 1000),
     )
-
-
-@dataclass(frozen=True)
-class Rect:
-    """The treemap's axis-aligned rectangle in metres, kept unsnapped.
-
-    The treemap subdivides at full precision; the pipeline snaps each cut to
-    an ``mm_box`` once.
-    """
-
-    x: float
-    y: float
-    width: float
-    height: float
-
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"rect sides must be positive: {self.width} x {self.height}")
-
-    @property
-    def x1(self) -> float:
-        return self.x + self.width
-
-    @property
-    def y1(self) -> float:
-        return self.y + self.height
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
 
 
 def aspect_ratio(width: float, height: float) -> float:

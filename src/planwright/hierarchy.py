@@ -1,11 +1,13 @@
 """Room hierarchy assembly.
 
-Turns a flat room program into the tree that drives both placement grouping
-and door connectivity: Outside at the root, the living room as its only
-child, and every other room attached under the room it should be reached
-from.  The rule engine is deterministic; the one random choice in this stage
-(kitchen under dining room instead of directly under the living room) is
-drawn by the caller and passed in as a flag.
+Turns a flat room program, a tuple of ``RoomEntry``, into the tree that
+drives both placement grouping and door connectivity: Outside at the root,
+the living room as its only child, and every other room attached under the
+room it should be reached from.  A program without exactly one living room
+is the one program ``build_hierarchy`` refuses.  The rule engine is
+deterministic; the one random choice in this stage (kitchen under dining
+room instead of directly under the living room) is drawn by the caller and
+passed in as a flag.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterator
 
-from .sampling import RoomKind, RoomProgram
+from .sampling import RoomEntry, RoomKind
 
 OUTSIDE_ID = -1
 
@@ -42,7 +44,7 @@ _GROUP = {
 }
 
 
-def build_hierarchy(program: RoomProgram, *, kitchen_via_dining: bool = False) -> HierarchyNode:
+def build_hierarchy(program: tuple[RoomEntry, ...], *, kitchen_via_dining: bool = False) -> HierarchyNode:
     """Attach every program entry under its rule-given parent.
 
     Rules, applied in order: the living room hangs off the Outside root;
@@ -55,7 +57,7 @@ def build_hierarchy(program: RoomProgram, *, kitchen_via_dining: bool = False) -
     one.
     """
     groups = ([], [], [], [], [], [], [])
-    for room_id, kind, area in sorted(program.entries, key=attrgetter("id")):
+    for room_id, kind, area in sorted(program, key=attrgetter("id")):
         groups[_GROUP.get(kind, 6)].append(HierarchyNode(room_id, kind, area))
     living, dining, kitchens, bedrooms, bathrooms, service, rest = groups
     if len(living) != 1:

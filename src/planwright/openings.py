@@ -441,6 +441,11 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
                 failures.append(f"window in banned kind: room {opening.rooms[0]}")
         if plan.attempts > cfg.max_attempts:
             failures.append(f"attempts: {plan.attempts} exceeds max_attempts {cfg.max_attempts}")
+    # Without a config no width is expected, but an opening still needs one.
+    for opening in plan.openings:
+        if opening.hi <= opening.lo:
+            width = opening.hi - opening.lo
+            failures.append(f"opening width: {opening.kind} {opening.rooms} is {width} mm, not positive")
 
     return ValidationReport(tuple(failures))
 

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .corridor import CorridorError, plan_corridor
-from .geometry import MAX_EXACT, Box, Grid, RectilinearPolygon, _bits, _m, _mm, aspect_ratio, mm_box
+from .geometry import MAX_EXACT, Box, Cut, Grid, RectilinearPolygon, _bits, _m, _mm, aspect_ratio, mm_box
 from .hierarchy import OUTSIDE_ID, build_hierarchy
 from .openings import (
     ENTRY_DOOR,
@@ -45,7 +45,7 @@ from .sampling import (
     sample_areas,
     sample_counts,
 )
-from .treemap import Cut, LayoutError, layout_rooms
+from .treemap import LayoutError, layout_rooms
 
 SCHEMA_VERSION = 1
 
@@ -127,7 +127,7 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int, trace: 
     tree = build_hierarchy(program, kitchen_via_dining=via_dining)
 
     # From here to the finished plan, geometry is in integer millimetres.
-    fp_box = mm_box((footprint.x, footprint.y, footprint.width, footprint.height))
+    fp_box = mm_box(footprint)
     min_mm = _mm(cfg.min_room_width)
 
     def check(rid: int, kind: RoomKind, cut: Cut) -> tuple[int, RoomKind, Box]:
@@ -159,7 +159,7 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int, trace: 
     doors, ledger = place_doors(grid, corridor.rooms, graph, fp_box, rng, cfg)
     windows = place_windows(grid, corridor.rooms, fp_box, ledger, rng, cfg)
 
-    targets = {e.id: round(e.target_area, 6) for e in program.entries}
+    targets = {e.id: round(e.target_area, 6) for e in program}
     rooms = tuple(
         Room(rid, kind, grid.outline(m), targets[rid]) for rid, kind, m in corridor.rooms
     )

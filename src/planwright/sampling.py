@@ -1,5 +1,9 @@
 """Seeded sampling: room counts, functions, areas and the footprint.
 
+The stages hand on plain values: a room program is a tuple of ``RoomEntry``
+(id, kind, target area), one per room in id order, and the footprint is the
+float ``(0.0, 0.0, width, height)`` the treemap lays rooms out in.
+
 All randomness in the package flows through :class:`RandomStream`, a
 counter-based SplitMix64 generator.  It is fixed here rather than delegated to
 ``random`` so that a (seed, config) pair produces byte-identical plans on any
@@ -19,7 +23,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
-from .geometry import GRID, MAX_COORD, MAX_EXACT, Rect, snap
+from .geometry import GRID, MAX_COORD, MAX_EXACT, Cut, snap
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -239,32 +243,6 @@ class RoomEntry(NamedTuple):
     target_area: float
 
 
-@dataclass(frozen=True)
-class RoomProgram:
-    bedrooms: int
-    rooms: int
-    entries: tuple[RoomEntry, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rooms:
-            raise ValueError("entry count does not match room count")
-        kinds = [e.kind for e in self.entries]
-        if kinds.count(RoomKind.LIVING_ROOM) != 1:
-            raise ValueError("program must contain exactly one living room")
-        if sum(1 for k in kinds if k in BEDROOM_KINDS) != self.bedrooms:
-            raise ValueError("bedroom entries do not match bedroom count")
-        if any(e.target_area < 0 for e in self.entries):
-            raise ValueError("target areas must be non-negative")
-
-    def _with_entries(self, entries: tuple[RoomEntry, ...]) -> "RoomProgram":
-        # Unchecked: the kinds passed already, a drawn area snaps to >= 0 since
-        # every distribution has low > 0, and derive_footprint keeps its
-        # residual within the host's distribution.
-        program = object.__new__(RoomProgram)
-        program.__dict__.update(self.__dict__, entries=entries)
-        return program
-
-
 _DEFAULT_PRIORITY = (
     RoomKind.OUTSIDE,
     RoomKind.LIVING_ROOM,
@@ -448,10 +426,10 @@ def sample_counts(rng: RandomStream, table: JointCountTable) -> tuple[int, int]:
     return table.draw(rng)
 
 
-# Programs are immutable, so attempts drawing the same counts share one; errors are not cached.
+# Programs are immutable tuples, so attempts drawing the same counts share one; errors are not cached.
 @lru_cache(maxsize=128)
-def assign_functions(bedrooms: int, rooms: int, priority: tuple[RoomKind, ...]) -> RoomProgram:
-    """Pick the N highest-priority feasible room functions.
+def assign_functions(bedrooms: int, rooms: int, priority: tuple[RoomKind, ...]) -> tuple[RoomEntry, ...]:
+    """Pick the N highest-priority feasible room functions, one program entry each.
 
     Walks the priority list reserving slots for the required bedrooms and,
     when the house has bedrooms and capacity allows, one bathroom; entries
@@ -499,23 +477,24 @@ def assign_functions(bedrooms: int, rooms: int, priority: tuple[RoomKind, ...]) 
         if kind in BEDROOM_KINDS:
             kinds[i] = RoomKind.MASTER_BEDROOM if first_bed else RoomKind.BEDROOM
             first_bed = False
-    entries = tuple(RoomEntry(i, kind, 0.0) for i, kind in enumerate(kinds))
-    return RoomProgram(bedrooms, rooms, entries)
+    return tuple(RoomEntry(i, kind, 0.0) for i, kind in enumerate(kinds))
 
 
-def sample_areas(program: RoomProgram, rng: RandomStream, cfg: GenConfig) -> RoomProgram:
+def sample_areas(program: tuple[RoomEntry, ...], rng: RandomStream, cfg: GenConfig) -> tuple[RoomEntry, ...]:
     """Draw a target area for every entry from its kind's distribution."""
     entries = []
-    for room_id, kind, _ in program.entries:
+    for room_id, kind, _ in program:
         dist = cfg.areas.get(kind)
         if dist is None:
             raise ConfigError(f"no area distribution for {kind.value}")
         entries.append(RoomEntry(room_id, kind, snap(dist.sample(rng))))
-    return program._with_entries(tuple(entries))
+    return tuple(entries)
 
 
-def derive_footprint(program: RoomProgram, rng: RandomStream, cfg: GenConfig) -> tuple[Rect, RoomProgram]:
-    """Derive the footprint rect whose area is the program's total area.
+def derive_footprint(
+    program: tuple[RoomEntry, ...], rng: RandomStream, cfg: GenConfig
+) -> tuple[Cut, tuple[RoomEntry, ...]]:
+    """Derive the footprint ``(0, 0, width, height)`` whose area is the program's total area.
 
     width = sqrt(area * AR), height = area / width, both snapped to the grid.
     Snapping perturbs the footprint area by a fraction of a square
@@ -523,8 +502,7 @@ def derive_footprint(program: RoomProgram, rng: RandomStream, cfg: GenConfig) ->
     with the most slack to its distribution bounds; the returned program sums
     exactly to the footprint area.
     """
-    entries = program.entries
-    total = sum(e.target_area for e in entries)
+    total = sum(e.target_area for e in program)
     for _ in range(4096):
         ratio = cfg.footprint_aspect.sample(rng)
         if ratio <= cfg.max_footprint_aspect:
@@ -549,13 +527,12 @@ def derive_footprint(program: RoomProgram, rng: RandomStream, cfg: GenConfig) ->
             width = snap(total / height)
     else:
         raise SamplingError("could not realize footprint aspect ratio on the grid")
-    footprint = Rect(0.0, 0.0, width, height)
-    delta = footprint.area - total
-    margins = [cfg.areas[kind].margin(area) for _, kind, area in entries]
+    delta = width * height - total
+    margins = [cfg.areas[kind].margin(area) for _, kind, area in program]
     i = margins.index(max(margins))
-    room_id, kind, area = entries[i]
+    room_id, kind, area = program[i]
     adjusted_area = area + delta
     if cfg.areas[kind].margin(adjusted_area) < 0:
         raise SamplingError("footprint rounding residual does not fit any room's distribution")
     adjusted = RoomEntry(room_id, kind, adjusted_area)
-    return footprint, program._with_entries(entries[:i] + (adjusted,) + entries[i + 1:])
+    return (0.0, 0.0, width, height), program[:i] + (adjusted,) + program[i + 1:]

@@ -1,75 +1,60 @@
 """Squarified-treemap subdivision and two-phase room placement.
 
-``squarify`` partitions a rectangle into one rect per requested area with no
-gaps or overlaps, greedily keeping each rect as square as the row rule
+``squarify`` partitions a rectangle into one cell per requested area with no
+gaps or overlaps, greedily keeping each cell as square as the row rule
 allows.  ``layout_rooms`` applies it level by level to the hierarchy tree:
 the footprint is split among the living room and its child subtrees by
 aggregate area, then each subtree's allotment is split among the parent room
 itself and its children, recursively.  A per-room check passed in sees each
 room as it is placed, so a failing layout stops at its first failing room.
 
-Both share one pass per level, ``_cuts``: it decides each row from the row's
-running sum, smallest and largest area, so a level costs time linear in its
-items, and returns the cuts as plain ``(x, y, width, height)`` floats.
-``layout_rooms`` hands those floats straight to its check and lays out a
-child level only when its walk reaches that child.  It builds no Rect and no
-LayoutRequest: each level's area list is checked as a request would check
-it, in the same order, so a layout fails where and how it did with one.
+Rectangles here are plain ``(x, y, width, height)`` float tuples (``Cut``),
+in and out.  Both functions check a level with ``_check_level`` (it has
+items, every area is positive, and the areas fill the container) and cut it
+with ``_cuts``, one pass that decides each row from the row's running sum,
+smallest and largest area, so a level costs time linear in its items.
+``layout_rooms`` hands each room's cut straight to its check and lays out a
+child level only when its walk reaches that child.
 
 All arithmetic here stays at full float precision; the pipeline's check
 snaps each cut onto the millimetre grid as it is placed.  Every cut
-coordinate is computed once and shared by the rects on both sides, so the
-partition is exact by construction (the last rect of each row is pinned to
+coordinate is computed once and shared by the cells on both sides, so the
+partition is exact by construction (the last cell of each row is pinned to
 the container edge rather than accumulated).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
-from .geometry import Rect
+from .geometry import Cut
 from .hierarchy import HierarchyNode
 from .sampling import RoomKind
 
 AREA_TOLERANCE = 1e-6
-
-# A cell of a level as plain ``(x, y, width, height)`` floats.
-Cut = tuple[float, float, float, float]
 
 
 class LayoutError(RuntimeError):
     """A layout request that cannot be satisfied."""
 
 
-@dataclass(frozen=True)
-class LayoutRequest:
-    container: Rect
-    items: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        if not self.items:
-            raise LayoutError("layout request with no items")
-        for item_id, area in self.items:
+def _check_level(container: Cut, ids: Sequence[int], areas: list[float]) -> None:
+    """The rule a level meets before it is cut, naming a bad area by its item id."""
+    if not areas:
+        raise LayoutError("layout request with no items")
+    if not min(areas) > 0:  # also true when a NaN comes first
+        for item_id, area in zip(ids, areas):
             if area <= 0:
                 raise LayoutError(f"item {item_id} has non-positive area {area!r}")
-        _check_total(sum(area for _, area in self.items), self.container.area)
-
-
-def _check_total(total: float, area: float) -> None:
+    total, area = sum(areas), container[2] * container[3]
     if abs(total - area) > AREA_TOLERANCE * area:
         raise LayoutError(f"item areas sum to {total!r}, container holds {area!r}")
 
 
-@dataclass(frozen=True)
-class PlacedRoom:
-    id: int
-    kind: RoomKind
-    rect: Rect
-
-
-def squarify(req: LayoutRequest, *, keep_order: bool = False) -> list[Rect]:
-    """Partition the container; result is parallel to ``req.items``.
+def squarify(
+    container: Cut, items: Sequence[tuple[int, float]], *, keep_order: bool = False
+) -> list[Cut]:
+    """Partition the container among ``(id, area)`` items; the cells parallel ``items``.
 
     Areas are laid out largest first in greedy rows along the shorter side of
     the remaining container; a row closes when appending the next area would
@@ -77,15 +62,15 @@ def squarify(req: LayoutRequest, *, keep_order: bool = False) -> list[Rect]:
     taken in the order given instead of sorted (the room layout uses this to
     pin a parent room at its allotment's origin corner).
     """
-    order = list(range(len(req.items)))
+    areas = [area for _, area in items]
+    _check_level(container, [item_id for item_id, _ in items], areas)
+    order = list(range(len(areas)))
     if not keep_order:
-        order.sort(key=lambda i: (-req.items[i][1], i))
-    c = req.container
-    cuts = _cuts((c.x, c.y, c.width, c.height), [req.items[i][1] for i in order])
-    out: list[Rect | None] = [None] * len(order)
-    for idx, cut in zip(order, cuts):
-        out[idx] = Rect(*cut)
-    return out  # type: ignore[return-value]
+        order.sort(key=lambda i: (-areas[i], i))
+    out: list = [None] * len(order)
+    for i, cut in zip(order, _cuts(container, [areas[i] for i in order])):
+        out[i] = cut
+    return out
 
 
 def _cuts(container: Cut, areas: list[float]) -> list[Cut]:
@@ -147,7 +132,7 @@ def _cuts(container: Cut, areas: list[float]) -> list[Cut]:
     return cuts
 
 
-def layout_rooms(footprint: Rect, tree: HierarchyNode, check: Callable | None = None) -> list:
+def layout_rooms(footprint: Cut, tree: HierarchyNode, check: Callable) -> list:
     """Place every room of the (area-annotated) hierarchy inside the footprint.
 
     A parent room is the first, unsorted item of its own allotment so it
@@ -156,17 +141,12 @@ def layout_rooms(footprint: Rect, tree: HierarchyNode, check: Callable | None = 
 
     ``check(room_id, kind, cut)`` sees each room as it is placed, with its
     ``(x, y, width, height)`` floats, and may raise.  The result lists what it
-    returns, in placement order; without a check, each room's PlacedRoom.
+    returns, in placement order.
     """
     if tree.kind is not RoomKind.OUTSIDE or len(tree.children) != 1:
         raise LayoutError("layout expects the Outside root with its living-room child")
     rooms: list = []
-    _place(
-        tree.children[0],
-        (footprint.x, footprint.y, footprint.width, footprint.height),
-        rooms,
-        check or (lambda rid, kind, cut: PlacedRoom(rid, kind, Rect(*cut))),
-    )
+    _place(tree.children[0], footprint, rooms, check)
     return rooms
 
 
@@ -176,12 +156,7 @@ def _place(node: HierarchyNode, cut: Cut, rooms: list, check: Callable) -> None:
         return
     children = sorted(node.children, key=lambda c: (-c.aggregate_area, c.room_id))
     areas = [node.target_area, *[c.aggregate_area for c in children]]
-    if not min(areas) > 0:  # also true when a NaN comes first
-        for k, area in enumerate(areas):
-            if area <= 0:
-                item_id = children[k - 1].room_id if k else node.room_id
-                raise LayoutError(f"item {item_id} has non-positive area {area!r}")
-    _check_total(sum(areas), cut[2] * cut[3])
+    _check_level(cut, [node.room_id, *[c.room_id for c in children]], areas)
     # The level's cuts are all made before its first room is checked, so a
     # side lost to float precision anywhere in the level fails the layout first.
     cuts = _cuts(cut, areas)

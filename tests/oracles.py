@@ -6,11 +6,14 @@ Steiner trees by the textbook Dreyfus-Wagner program, area audits by
 scanline decomposition of the polygons themselves.  None of it
 imports package internals beyond plain data, the grid helpers and the error
 types, except the four sections of copies at the end, which are the package's
-own earlier code kept as a reference for its rewrite: the front stage, the
-cell-set Region (as CellRegion) that held every area before one grid per plan
-replaced it, with the corridor checks and wall queries made on it, the
-treemap's row filling before it became one pass per level, and the room
-layout's level walk before its check read the cut floats.
+own earlier code kept as a reference for its rewrite, each with the data
+types it used: the front stage, with its RoomProgram and the float Rect that
+held the footprint and the treemap's cells until they became plain tuples;
+the cell-set Region (as CellRegion) that held every area before one grid per
+plan replaced it, with the corridor checks and wall queries made on it; the
+treemap's row filling before it became one pass per level; and the room
+layout's level walk before its check read the cut floats, with its
+LayoutRequest and PlacedRoom.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from itertools import combinations, count
 from typing import Iterator
 
 from planwright.geometry import (
-    GRID, MAX_EXACT, Box, Grid, Rect, RectilinearPolygon, Run, _mm, merge_runs, snap
+    GRID, MAX_EXACT, Box, Grid, RectilinearPolygon, Run, _mm, merge_runs, snap
 )
 from planwright.sampling import BEDROOM_KINDS, ConfigError, RoomKind, SamplingError
-from planwright.treemap import LayoutError, LayoutRequest, PlacedRoom
+from planwright.treemap import LayoutError
 
 MM = 1000.0
 
@@ -475,9 +478,38 @@ def shared_walls(vertices_a, vertices_b):
 # The sampling and hierarchy functions as they were before programs were
 # memoised and the tree built in one pass, copied unchanged with their data
 # types.  The package versions must give equal programs and trees, leave the
-# stream at the same counter and raise the same errors.
+# stream at the same counter and raise the same errors.  The package now
+# hands on a program as a tuple of entries and the footprint as a float
+# tuple; Rect is also the rectangle of the two treemap copies and of
+# CellRegion.from_rect below.
 
 OUTSIDE_ID = -1
+
+
+@dataclass(frozen=True)
+class Rect:
+    """The treemap's axis-aligned rectangle in metres, kept unsnapped."""
+
+    x: float
+    y: float
+    width: float
+    height: float
+
+    def __post_init__(self) -> None:
+        if self.width <= 0 or self.height <= 0:
+            raise ValueError(f"rect sides must be positive: {self.width} x {self.height}")
+
+    @property
+    def x1(self) -> float:
+        return self.x + self.width
+
+    @property
+    def y1(self) -> float:
+        return self.y + self.height
+
+    @property
+    def area(self) -> float:
+        return self.width * self.height
 
 
 @dataclass(frozen=True)
@@ -1114,6 +1146,29 @@ def _fill(container: Rect, areas: list[float]) -> list[Rect]:
 # level builds and validates a LayoutRequest, and each room reaches the check
 # as a PlacedRoom with its Rect.  The package must pass the same rooms to its
 # check in the same order and fail at the same room with the same message.
+
+
+@dataclass(frozen=True)
+class LayoutRequest:
+    container: Rect
+    items: tuple[tuple[int, float], ...]
+
+    def __post_init__(self) -> None:
+        if not self.items:
+            raise LayoutError("layout request with no items")
+        for item_id, area in self.items:
+            if area <= 0:
+                raise LayoutError(f"item {item_id} has non-positive area {area!r}")
+        total, area = sum(area for _, area in self.items), self.container.area
+        if abs(total - area) > 1e-6 * area:
+            raise LayoutError(f"item areas sum to {total!r}, container holds {area!r}")
+
+
+@dataclass(frozen=True)
+class PlacedRoom:
+    id: int
+    kind: RoomKind
+    rect: Rect
 
 
 def layout_rooms_per_level(footprint: Rect, tree, check=None) -> list:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import pytest
 
 from planwright.cli import main as cli_main
-from planwright.geometry import Rect
 from planwright.hierarchy import OUTSIDE_ID
 from planwright.openings import DOOR, ENTRY_DOOR, validate
 from planwright.plan import GenerationError, generate, to_json, to_svg
@@ -29,7 +28,7 @@ from planwright.sampling import (
     RoomKind,
     sample_counts,
 )
-from planwright.treemap import LayoutRequest, squarify
+from planwright.treemap import squarify
 
 from oracles import (
     CellRegion,
@@ -273,9 +272,8 @@ CANONICAL_GOLDEN = [
 
 
 def test_ac6_treemap_oracle(capsys):
-    container = Rect(0, 0, 6, 4)
-    got = squarify(LayoutRequest(container, tuple(enumerate(CANONICAL_AREAS))))
-    got_mm = [rect_mm((r.x, r.y, r.width, r.height)) for r in got]
+    got = squarify((0, 0, 6, 4), tuple(enumerate(CANONICAL_AREAS)))
+    got_mm = [rect_mm(cut) for cut in got]
     oracle_mm = [rect_mm(r) for r in squarify_sorted(list(CANONICAL_AREAS), (0, 0, 6, 4))]
     canonical_ok = got_mm == CANONICAL_GOLDEN == oracle_mm
 
@@ -288,9 +286,10 @@ def test_ac6_treemap_oracle(capsys):
         areas = [0.5 + 39.5 * rng.random() for _ in range(count)]
         aspect = 1.0 + rng.random()
         height = (sum(areas) / aspect) ** 0.5
-        box = Rect(0, 0, aspect * height, height)
-        rects = squarify(LayoutRequest(box, tuple(enumerate(areas))))
-        rel = abs(sum(r.area for r in rects) - box.area) / box.area
+        box = (0, 0, aspect * height, height)
+        cuts = squarify(box, tuple(enumerate(areas)))
+        box_area = box[2] * box[3]
+        rel = abs(sum(w * h for _, _, w, h in cuts) - box_area) / box_area
         worst = max(worst, rel)
         if rel > 1e-9:
             partition_failures += 1

@@ -33,9 +33,9 @@ from planwright.corridor import (
     _room_verdict,
     _union_area,
 )
-from planwright.geometry import Grid, Rect, mm_box
+from planwright.geometry import Grid, mm_box
 from planwright.sampling import GenConfig, RandomStream, RoomKind
-from planwright.treemap import LayoutRequest, squarify
+from planwright.treemap import squarify
 
 import oracles
 from oracles import CellRegion, shortest_path_bruteforce
@@ -184,10 +184,10 @@ def random_layouts(draw):
     aspect = draw(st.floats(min_value=1.0, max_value=2.0))
     total = sum(areas)
     h = (total / aspect) ** 0.5
-    fp = Rect(0, 0, aspect * h, h)
-    rects = squarify(LayoutRequest(fp, tuple(enumerate(areas))))
-    rooms = [(i, K.BEDROOM, mm_box((r.x, r.y, r.width, r.height))) for i, r in enumerate(rects)]
-    return mm_box((fp.x, fp.y, fp.width, fp.height)), rooms
+    fp = (0, 0, aspect * h, h)
+    cuts = squarify(fp, tuple(enumerate(areas)))
+    rooms = [(i, K.BEDROOM, mm_box(cut)) for i, cut in enumerate(cuts)]
+    return mm_box(fp), rooms
 
 
 # ------------------------------------------------------------------ routing

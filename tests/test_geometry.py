@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from planwright.geometry import (
     MAX_EXACT,
     Grid,
-    Rect,
     RectilinearPolygon,
     _m,
     _mm,
@@ -17,10 +16,12 @@ from planwright.geometry import (
     mm_box,
     snap,
 )
+from planwright.treemap import LayoutError, squarify
 
 import oracles
 from oracles import (
     CellRegion,
+    Rect,
     normalise_polygon,
     pairwise_overlap_mm2,
     polygon_slabs,
@@ -46,11 +47,13 @@ def test_millimetres_go_to_metres_and_back_exactly(k):
 
 
 def test_rect_keeps_full_precision():
-    r = Rect(0, 0, 12 / 7, 7 / 3)
-    assert r.width == 12 / 7
-    assert mm_box((r.x, r.y, r.width, r.height)) == (0, 0, 1714, 2333)
-    with pytest.raises(ValueError):
-        Rect(0, 0, -1, 1)
+    """A treemap cell stays unsnapped until ``mm_box`` snaps it once."""
+    cut = (0, 0, 12 / 7, 7 / 3)
+    assert squarify(cut, ((0, 12 / 7 * 7 / 3),)) == [cut]
+    assert mm_box(cut) == (0, 0, 1714, 2333)
+    # A side that is not positive leaves no area for the cell.
+    with pytest.raises(LayoutError, match="container holds -1"):
+        squarify((0, 0, -1, 1), ((0, 1.0),))
 
 
 def test_aspect_ratio_orientation_free():

@@ -7,17 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planwright.hierarchy import OUTSIDE_ID, aggregate_areas, build_hierarchy
-from planwright.sampling import RoomEntry, RoomKind, RoomProgram
+from planwright.sampling import RoomEntry, RoomKind
 
 K = RoomKind
 
 
 def program_of(*kinds_areas):
-    entries = tuple(
-        RoomEntry(i, kind, float(area)) for i, (kind, area) in enumerate(kinds_areas)
-    )
-    bedrooms = sum(1 for k, _ in kinds_areas if k in (K.MASTER_BEDROOM, K.BEDROOM))
-    return RoomProgram(bedrooms, len(entries), entries)
+    return tuple(RoomEntry(i, kind, float(area)) for i, (kind, area) in enumerate(kinds_areas))
 
 
 def children_of(node, kind):
@@ -54,6 +50,11 @@ def test_minimal_house():
 def test_missing_living_room_rejected():
     with pytest.raises(ValueError):
         build_hierarchy(program_of((K.KITCHEN, 8)))
+
+
+def test_second_living_room_rejected():
+    with pytest.raises(ValueError, match="^program must contain exactly one living room$"):
+        build_hierarchy(program_of((K.LIVING_ROOM, 10), (K.KITCHEN, 8), (K.LIVING_ROOM, 12)))
 
 
 def test_second_bathroom_under_largest_bedroom():
@@ -159,9 +160,9 @@ def test_every_entry_appears_once_with_correct_aggregates(extras, via):
     prog = program_of((K.LIVING_ROOM, 9.0), *extras)
     root = build_hierarchy(prog, kitchen_via_dining=via)
     nodes = list(root.walk())
-    assert sorted(n.room_id for n in nodes) == sorted([OUTSIDE_ID] + [e.id for e in prog.entries])
+    assert sorted(n.room_id for n in nodes) == sorted([OUTSIDE_ID] + [e.id for e in prog])
     assert root.children[0].kind is K.LIVING_ROOM and len(root.children) == 1
-    total = sum(e.target_area for e in prog.entries)
+    total = sum(e.target_area for e in prog)
     assert root.aggregate_area == pytest.approx(total)
     for node in nodes:
         assert node.aggregate_area == pytest.approx(

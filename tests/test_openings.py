@@ -481,6 +481,17 @@ def _split_kitchen(doc: dict) -> None:
             "opening width: window (0, -1) is 50 mm, not 1200 mm",
             id="narrow-window",
         ),
+        # The generator never writes these; the negative width keeps the door's place.
+        pytest.param(
+            lambda d: d["openings"][1].update(offset=2.18, width=-0.9),
+            "opening width: door (0, 1) is -900 mm, not positive",
+            id="negative-width",
+        ),
+        pytest.param(
+            lambda d: d["openings"][1].update(width=0.0),
+            "opening width: door (0, 1) is 0 mm, not positive",
+            id="zero-width",
+        ),
         pytest.param(
             lambda d: d.update(corridor=[[3.5, 0.5], [4.5, 0.5], [4.5, 1.5], [3.5, 1.5]]),
             "corridor not inside the living room",
@@ -541,3 +552,11 @@ def test_validate_rejects_mutated_golden_plan(mutate, failure):
     mutate(doc)
     failures = validate(from_json(json.dumps(doc)), CFG).failures
     assert any(f.startswith(failure) for f in failures), failures
+
+
+def test_validate_without_config_rejects_a_non_positive_width():
+    """Without a config no width is expected, yet an opening still needs a positive one."""
+    doc = json.loads((Path(__file__).parent / "data" / "plan-seed1.json").read_text())
+    doc["openings"][1].update(offset=2.18, width=-0.9)
+    failures = validate(from_json(json.dumps(doc))).failures
+    assert failures == ("opening width: door (0, 1) is -900 mm, not positive",)

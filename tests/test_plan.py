@@ -8,6 +8,7 @@ paths, since the CLI surfaces those messages verbatim.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import json
@@ -77,6 +78,58 @@ def test_package_root_exports_only_the_documented_api():
         assert not hasattr(planwright, name), name
     # The README's library example.
     from planwright import GenConfig, generate, to_json, to_svg  # noqa: F401
+
+
+# Defined under src/planwright but called only by the tests: entry points
+# kept for callers of the stage modules.
+TEST_ONLY_ENTRY_POINTS = [
+    "sampling.JointCountTable.probability",
+    "sampling.RandomStream.randrange",
+    "treemap.squarify",
+]
+
+
+def _unreferenced_definitions(package: Path) -> list[str]:
+    """Functions and classes that no code in the package names and no ``__all__`` exports.
+
+    A name counts as used where it is read as a name or an attribute outside
+    its own body, so a helper that only calls itself is still unused.  Dunder
+    methods are called by the language and never count.
+    """
+    defined, named, exported = [], set(), set()
+
+    def visit(node, enclosing: tuple[str, ...], qualname: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((child.name, f"{qualname}.{child.name}"))
+                visit(child, (*enclosing, child.name), f"{qualname}.{child.name}")
+                continue
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            else:
+                name = None
+            if name is not None and name not in enclosing:
+                named.add(name)
+            visit(child, enclosing, qualname)
+
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
+                exported.update(ast.literal_eval(node.value))
+        visit(tree, (), path.stem)
+    return sorted(
+        qualname
+        for name, qualname in defined
+        if name not in named | exported and not (name.startswith("__") and name.endswith("__"))
+    )
+
+
+def test_every_helper_is_called_by_the_package():
+    """A helper nothing in the package calls is deleted, unless the tests use it as an entry point."""
+    assert _unreferenced_definitions(Path(planwright.__file__).parent) == TEST_ONLY_ENTRY_POINTS
 
 
 def test_generate_deterministic(plain_plan):

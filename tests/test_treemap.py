@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 import planwright.plan
 import planwright.treemap
-from planwright.geometry import Rect
 from planwright.hierarchy import build_hierarchy
 from planwright.plan import GenerationError, generate
-from planwright.sampling import GenConfig, RandomStream, RoomEntry, RoomKind, RoomProgram
-from planwright.treemap import LayoutError, LayoutRequest, layout_rooms, squarify
+from planwright.sampling import GenConfig, RandomStream, RoomEntry, RoomKind
+from planwright.treemap import LayoutError, layout_rooms, squarify
 
 from oracles import (
     CellRegion,
+    Rect,
     eager_room_check,
     layout_rooms_per_level,
     rect_mm,
@@ -42,70 +42,82 @@ CANONICAL_GOLDEN = [
 ]
 
 
-def mm_boxes(rects):
-    return [rect_mm((r.x, r.y, r.width, r.height)) for r in rects]
+def mm_boxes(cuts):
+    return [rect_mm(cut) for cut in cuts]
 
 
-def request(areas, container):
-    return LayoutRequest(container, tuple(enumerate(areas)))
+def area(cut):
+    return cut[2] * cut[3]
+
+
+def squarify_areas(areas, container, *, keep_order=False):
+    """Squarify with the item ids 0, 1, 2, ... in the order given."""
+    return squarify(container, tuple(enumerate(areas)), keep_order=keep_order)
 
 
 def test_canonical_case_matches_frozen_oracle():
     oracle = [rect_mm(r) for r in squarify_sorted(CANONICAL_AREAS, (0, 0, 6, 4))]
     assert oracle == CANONICAL_GOLDEN
-    got = squarify(request(CANONICAL_AREAS, Rect(0, 0, 6, 4)))
+    got = squarify_areas(CANONICAL_AREAS, (0, 0, 6, 4))
     assert mm_boxes(got) == CANONICAL_GOLDEN
 
 
 def test_single_item_fills_container():
-    got = squarify(request([12], Rect(1, 2, 3, 4)))
-    assert got == [Rect(1, 2, 3, 4)]
+    got = squarify_areas([12], (1, 2, 3, 4))
+    assert got == [(1, 2, 3, 4)]
 
 
 def test_two_equal_areas_make_squares():
-    got = squarify(request([1, 1], Rect(0, 0, 2, 1)))
+    got = squarify_areas([1, 1], (0, 0, 2, 1))
     assert mm_boxes(got) == [(0, 0, 1000, 1000), (1000, 0, 2000, 1000)]
 
 
 def test_result_parallels_input_order():
     areas = [1, 6, 2, 3]
-    got = squarify(request(areas, Rect(0, 0, 4, 3)))
-    for area, rect in zip(areas, got):
-        assert rect.area == pytest.approx(area, rel=1e-9)
+    got = squarify_areas(areas, (0, 0, 4, 3))
+    for want, cut in zip(areas, got):
+        assert area(cut) == pytest.approx(want, rel=1e-9)
 
 
 def test_request_validation():
-    with pytest.raises(LayoutError):
-        request([], Rect(0, 0, 1, 1))
-    with pytest.raises(LayoutError):
-        request([1, -1], Rect(0, 0, 1, 1))
-    with pytest.raises(LayoutError):
-        request([1, 1], Rect(0, 0, 1, 1))
+    """A level needs items, positive areas named by item id, and a total that fills the container."""
+    with pytest.raises(LayoutError, match="^layout request with no items$"):
+        squarify((0, 0, 1, 1), ())
+    with pytest.raises(LayoutError, match=r"^item 7 has non-positive area -1$"):
+        squarify((0, 0, 1, 1), ((3, 2), (7, -1), (8, 0)))
+    # A NaN ahead of the zero hides it from a plain min().
+    with pytest.raises(LayoutError, match=r"^item 8 has non-positive area 0$"):
+        squarify((0, 0, 1, 1), ((3, float("nan")), (8, 0)))
+    with pytest.raises(LayoutError, match="^item areas sum to 2, container holds 1$"):
+        squarify((0, 0, 1, 1), ((0, 1), (1, 1)))
+    # A container with a side that is not positive holds no area to fill.
+    for container in ((0, 0, -1, 1), (0, 0, 0, 1)):
+        with pytest.raises(LayoutError, match="^item areas sum to 1, container holds"):
+            squarify(container, ((0, 1),))
 
 
 @pytest.mark.parametrize(
     "container, areas",
     [
         # Far from the origin, x1 - x0 rounds to 0 although the width is 1.
-        (Rect(1e20, 0, 1, 4), [2, 2]),
+        ((1e20, 0, 1, 4), [2, 2]),
         # The first row's height, 1e-13, does not move y off 1e6.
-        (Rect(0, 1e6, 10, 10), [1e-12, 100 - 1e-12]),
+        ((0, 1e6, 10, 10), [1e-12, 100 - 1e-12]),
     ],
     ids=["container-side", "rect-side"],
 )
 def test_sides_lost_to_float_precision_are_a_layout_error(container, areas):
     with pytest.raises(LayoutError, match="rounds to zero"):
-        squarify(request(areas, container), keep_order=True)
+        squarify_areas(areas, container, keep_order=True)
 
 
 def test_a_row_too_thin_to_weigh_is_a_layout_error():
     """A row whose thickness squared underflows to zero cannot be weighed."""
-    req = LayoutRequest(Rect(0, 0, 1e-100, 1e100), ((0, 1e-300), (1, 1.0 - 1e-300)))
     with pytest.raises(LayoutError, match="row thickness rounds to zero"):
-        squarify(req, keep_order=True)
+        squarify((0, 0, 1e-100, 1e100), ((0, 1e-300), (1, 1.0 - 1e-300)), keep_order=True)
     # The row filling as first written divided by the zero.
     with pytest.raises(ZeroDivisionError):
-        fill_as_first_written(req.container, [1e-300, 1.0 - 1e-300])
+        fill_as_first_written(Rect(0, 0, 1e-100, 1e100), [1e-300, 1.0 - 1e-300])
 
 
 # Tiny areas beside large ones, in containers far from the origin, lose a
@@ -133,23 +145,22 @@ mixed_areas = st.lists(
 @example([1e-12, 100 - 1e-12], 1.0, 1e6, True)
 @example([2.0, 2.0], 0.25, 1e17, False)
 def test_one_pass_cuts_the_floats_of_the_row_filling_it_replaced(areas, aspect, offset, keep_order):
-    """Rect for rect float-equal to the earlier O(n**2) rows, or the same LayoutError."""
+    """Cell for cell float-equal to the earlier O(n**2) rows, or the same LayoutError."""
     total = sum(areas)
     width = (total * aspect) ** 0.5
-    container = Rect(offset, offset, width, total / width)
-    req = request(areas, container)
+    container = (offset, offset, width, total / width)
     order = list(range(len(areas)))
     if not keep_order:
         order.sort(key=lambda i: (-areas[i], i))
     try:
-        want = fill_as_first_written(container, [areas[i] for i in order])
+        want = fill_as_first_written(Rect(*container), [areas[i] for i in order])
     except LayoutError as exc:
         with pytest.raises(LayoutError) as got:
-            squarify(req, keep_order=keep_order)
+            squarify_areas(areas, container, keep_order=keep_order)
         assert str(got.value) == str(exc)
         return
-    got = squarify(req, keep_order=keep_order)
-    assert [got[i] for i in order] == want
+    got = squarify_areas(areas, container, keep_order=keep_order)
+    assert [Rect(*got[i]) for i in order] == want
 
 
 areas_lists = st.lists(
@@ -162,20 +173,21 @@ areas_lists = st.lists(
 def fitted_container(areas, aspect):
     total = sum(areas)
     width = (total * aspect) ** 0.5
-    return Rect(0, 0, width, total / width)
+    return (0, 0, width, total / width)
 
 
 @settings(max_examples=200, deadline=None)
 @given(areas_lists, st.floats(min_value=1.0, max_value=2.0))
 def test_exact_partition(areas, aspect):
     container = fitted_container(areas, aspect)
-    rects = squarify(request(areas, container))
+    cuts = squarify_areas(areas, container)
     # cuts are shared, so the areas add up exactly, not merely approximately
-    assert sum(r.area for r in rects) == pytest.approx(container.area, rel=1e-12)
-    for r in rects:
-        assert r.x >= container.x - 1e-12 and r.y >= container.y - 1e-12
-        assert r.x1 <= container.x1 + 1e-12 and r.y1 <= container.y1 + 1e-12
-    boxes = mm_boxes(rects)
+    assert sum(area(c) for c in cuts) == pytest.approx(area(container), rel=1e-12)
+    cx, cy, cw, ch = container
+    for x, y, w, h in cuts:
+        assert x >= cx - 1e-12 and y >= cy - 1e-12
+        assert x + w <= cx + cw + 1e-12 and y + h <= cy + ch + 1e-12
+    boxes = mm_boxes(cuts)
     for i, a in enumerate(boxes):
         for b in boxes[i + 1 :]:
             w = min(a[2], b[2]) - max(a[0], b[0])
@@ -195,32 +207,31 @@ def test_agrees_with_row_oracle_on_fixed_corpus():
         areas = [0.5 + 39.5 * rng.random() for _ in range(n)]
         aspect = 1.0 + rng.random()
         container = fitted_container(areas, aspect)
-        got = squarify(request(areas, container))
-        want = squarify_sorted(areas, (0.0, 0.0, container.width, container.height))
-        for rect, (wx, wy, ww, wh) in zip(got, want):
-            assert rect.x == pytest.approx(wx, abs=1e-6), case
-            assert rect.y == pytest.approx(wy, abs=1e-6), case
-            assert rect.width == pytest.approx(ww, abs=1e-6), case
-            assert rect.height == pytest.approx(wh, abs=1e-6), case
+        got = squarify_areas(areas, container)
+        want = squarify_sorted(areas, (0.0, 0.0, container[2], container[3]))
+        for (x, y, w, h), (wx, wy, ww, wh) in zip(got, want):
+            assert x == pytest.approx(wx, abs=1e-6), case
+            assert y == pytest.approx(wy, abs=1e-6), case
+            assert w == pytest.approx(ww, abs=1e-6), case
+            assert h == pytest.approx(wh, abs=1e-6), case
 
 
 def reconstruct_rows(cells, container):
-    """Split the output rects back into the greedy rows they came from."""
-    x, y, w, h = container.x, container.y, container.width, container.height
+    """Split the output cells back into the greedy rows they came from."""
+    x, y, w, h = container
     i = 0
     while i < len(cells):
         vertical = w >= h
         row = [cells[i]]
+        # A row shares its position and thickness across it: x and width
+        # for a column, y and height for a row.
+        a, b = (0, 2) if vertical else (1, 3)
         for cell in cells[i + 1 :]:
-            if vertical:
-                same = abs(cell.x - cells[i].x) < 1e-9 and abs(cell.width - cells[i].width) < 1e-9
-            else:
-                same = abs(cell.y - cells[i].y) < 1e-9 and abs(cell.height - cells[i].height) < 1e-9
-            if not same:
+            if abs(cell[a] - cells[i][a]) >= 1e-9 or abs(cell[b] - cells[i][b]) >= 1e-9:
                 break
             row.append(cell)
         yield i, len(row), (x, y, w, h)
-        thickness = cells[i].width if vertical else cells[i].height
+        thickness = cells[i][b]
         if vertical:
             x, w = x + thickness, w - thickness
         else:
@@ -234,7 +245,7 @@ def test_rows_satisfy_monotone_improvement(areas, aspect):
     """Each accepted row beats (or ties) both its shorter and longer variants."""
     container = fitted_container(areas, aspect)
     ordered = sorted(areas, reverse=True)
-    cells = squarify(request(ordered, container), keep_order=True)
+    cells = squarify_areas(ordered, container, keep_order=True)
     for start, size, box in reconstruct_rows(cells, container):
         for m in range(1, size):
             shorter, _ = row_rects(ordered[start : start + m], box)
@@ -250,59 +261,64 @@ def test_rows_satisfy_monotone_improvement(areas, aspect):
 @given(areas_lists, st.randoms(use_true_random=False))
 def test_order_independence_of_dimension_multiset(areas, rnd):
     container = fitted_container(areas, 1.5)
-    base = sorted(mm_boxes(squarify(request(areas, container))))
+    base = sorted(mm_boxes(squarify_areas(areas, container)))
     shuffled = list(areas)
     rnd.shuffle(shuffled)
-    again = sorted(mm_boxes(squarify(request(shuffled, container))))
+    again = sorted(mm_boxes(squarify_areas(shuffled, container)))
     assert base == again
 
 
 def test_keep_order_pins_first_item_to_origin():
     areas = [2, 9, 7, 6]
     container = fitted_container(areas, 1.3)
-    rects = squarify(request(areas, container), keep_order=True)
-    assert rects[0].x == container.x and rects[0].y == container.y
-    assert sum(r.area for r in rects) == pytest.approx(container.area, rel=1e-12)
+    cuts = squarify_areas(areas, container, keep_order=True)
+    assert cuts[0][:2] == container[:2]
+    assert sum(area(c) for c in cuts) == pytest.approx(area(container), rel=1e-12)
 
 
 # --- two-phase room layout ---------------------------------------------------
 
 
 def program_of(*kinds_areas):
-    entries = tuple(RoomEntry(i, k, float(a)) for i, (k, a) in enumerate(kinds_areas))
-    bedrooms = sum(1 for k, _ in kinds_areas if k in (K.MASTER_BEDROOM, K.BEDROOM))
-    return RoomProgram(bedrooms, len(entries), entries)
+    return tuple(RoomEntry(i, k, float(a)) for i, (k, a) in enumerate(kinds_areas))
+
+
+def accept(rid, kind, cut):
+    """A layout check that accepts every room and lists it as (id, kind, cut)."""
+    return rid, kind, cut
+
+
+def cuts_by_id(rooms):
+    return {rid: cut for rid, _, cut in rooms}
 
 
 def test_single_room_house_is_the_footprint():
     tree = build_hierarchy(program_of((K.LIVING_ROOM, 36)))
-    rooms = layout_rooms(Rect(0, 0, 6, 6), tree)
-    assert len(rooms) == 1
-    assert rooms[0].rect == Rect(0, 0, 6, 6)
-    assert rooms[0].kind is K.LIVING_ROOM
+    rooms = layout_rooms((0, 0, 6, 6), tree, accept)
+    assert rooms == [(0, K.LIVING_ROOM, (0, 0, 6, 6))]
 
 
 def test_living_room_plus_subtree_split_into_slabs():
     tree = build_hierarchy(program_of((K.LIVING_ROOM, 20), (K.MASTER_BEDROOM, 16)))
-    rooms = layout_rooms(Rect(0, 0, 6, 6), tree)
-    by_id = {r.id: r.rect for r in rooms}
-    assert by_id[0].area == pytest.approx(20, rel=1e-9)
-    assert by_id[1].area == pytest.approx(16, rel=1e-9)
+    by_id = cuts_by_id(layout_rooms((0, 0, 6, 6), tree, accept))
+    assert area(by_id[0]) == pytest.approx(20, rel=1e-9)
+    assert area(by_id[1]) == pytest.approx(16, rel=1e-9)
     # one vertical cut: living slab carries the full height at the origin
-    assert by_id[0].x == 0 and by_id[0].height == pytest.approx(6)
-    assert by_id[1].x == pytest.approx(by_id[0].x1)
+    assert by_id[0][0] == 0 and by_id[0][3] == pytest.approx(6)
+    assert by_id[1][0] == pytest.approx(by_id[0][0] + by_id[0][2])
 
 
 def test_parent_room_sits_inside_its_allotment_corner():
     tree = build_hierarchy(
         program_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4), (K.PANTRY, 5))
     )
-    footprint = Rect(0, 0, 6, 5)
-    rooms = layout_rooms(footprint, tree)
-    by_id = {r.id: r.rect for r in rooms}
-    assert CellRegion.from_rect(by_id[0]).subtract(CellRegion.from_rect(footprint)).is_empty
-    assert by_id[0].x == 0 and by_id[0].y == 0
-    assert sum(r.rect.area for r in rooms) == pytest.approx(footprint.area, rel=1e-9)
+    footprint = (0, 0, 6, 5)
+    rooms = layout_rooms(footprint, tree, accept)
+    by_id = cuts_by_id(rooms)
+    living = CellRegion.from_rect(Rect(*by_id[0]))
+    assert living.subtract(CellRegion.from_rect(Rect(*footprint))).is_empty
+    assert by_id[0][:2] == (0, 0)
+    assert sum(area(cut) for _, _, cut in rooms) == pytest.approx(area(footprint), rel=1e-9)
 
 
 KINDS = [K.KITCHEN, K.DINING_ROOM, K.MASTER_BEDROOM, K.BEDROOM, K.BATHROOM, K.LAUNDRY, K.PANTRY, K.STORAGE]
@@ -319,20 +335,19 @@ KINDS = [K.KITCHEN, K.DINING_ROOM, K.MASTER_BEDROOM, K.BEDROOM, K.BATHROOM, K.LA
 def test_every_leaf_gets_its_target_area(extras, aspect):
     prog = program_of((K.LIVING_ROOM, 9.0), *extras)
     tree = build_hierarchy(prog)
-    total = sum(e.target_area for e in prog.entries)
+    total = sum(e.target_area for e in prog)
     width = (total * aspect) ** 0.5
-    rooms = layout_rooms(Rect(0, 0, width, total / width), tree)
-    targets = {e.id: e.target_area for e in prog.entries}
-    assert sorted(r.id for r in rooms) == sorted(targets)
-    for room in rooms:
-        assert room.rect.area == pytest.approx(targets[room.id], rel=1e-6)
+    rooms = layout_rooms((0, 0, width, total / width), tree, accept)
+    targets = {e.id: e.target_area for e in prog}
+    assert sorted(rid for rid, _, _ in rooms) == sorted(targets)
+    for rid, _, cut in rooms:
+        assert area(cut) == pytest.approx(targets[rid], rel=1e-6)
 
 
 def test_layout_builds_a_rect_only_for_the_rooms_its_check_reaches(monkeypatch):
-    """The check gets each cut's floats: the layout itself builds no Rect.
+    """A level is cut only when the walk reaches it, and each room's cut goes to the check as is.
 
-    Without a check each room's PlacedRoom holds one Rect, and no allotment
-    gets one.  A layout rejected at its living room lays out one level.
+    A layout rejected at its living room lays out one level.
     """
     tree = build_hierarchy(
         program_of(
@@ -340,33 +355,24 @@ def test_layout_builds_a_rect_only_for_the_rooms_its_check_reaches(monkeypatch):
             (K.MASTER_BEDROOM, 16), (K.BATHROOM, 5), (K.BEDROOM, 10),
         )
     )
-    footprint = Rect(0, 0, 8, 7)
-    built, levels = [], []
-
-    class CountingRect(Rect):
-        def __post_init__(self):
-            super().__post_init__()
-            built.append(self)
-
+    footprint = (0, 0, 8, 7)
+    levels, made = [], []
     cuts = planwright.treemap._cuts
 
     def counting_cuts(container, areas):
         levels.append(len(areas))
-        return cuts(container, areas)
+        made.extend(cuts(container, areas))
+        return made[-len(areas) :]
 
-    monkeypatch.setattr(planwright.treemap, "Rect", CountingRect)
     monkeypatch.setattr(planwright.treemap, "_cuts", counting_cuts)
 
     # Living room and its four subtrees at the top, the kitchen's level below.
-    rooms = layout_rooms(footprint, tree)
-    assert (len(built), levels) == (len(rooms), [5, 2])
-    assert built == [room.rect for room in rooms]
-
-    built.clear()
-    levels.clear()
     cells = layout_rooms(footprint, tree, lambda rid, kind, cut: cut)
-    assert built == [] and levels == [5, 2]
-    assert cells == [(r.rect.x, r.rect.y, r.rect.width, r.rect.height) for r in rooms]
+    assert levels == [5, 2]
+    # Every room's cell is a cut its level made, passed on as is; the one cut
+    # left over is the kitchen's allotment, which its own level splits.
+    assert len(cells) == len(made) - 1
+    assert all(any(cell is cut for cut in made) for cell in cells)
 
     levels.clear()
 
@@ -375,23 +381,34 @@ def test_layout_builds_a_rect_only_for_the_rooms_its_check_reaches(monkeypatch):
 
     with pytest.raises(LayoutError, match="room 0 rejected"):
         layout_rooms(footprint, tree, reject)
-    assert built == [] and levels == [5]
+    assert levels == [5]
+
+
+def both_layouts(footprint):
+    """The package layout on the footprint cut and the per-level oracle on its Rect.
+
+    Each takes the tree and a check; without a check it accepts every room
+    and returns each room's id.
+    """
+    return (
+        lambda tree, check=lambda rid, kind, cut: rid: layout_rooms(footprint, tree, check),
+        lambda tree, check=lambda room: room.id: layout_rooms_per_level(Rect(*footprint), tree, check),
+    )
 
 
 def test_layout_checks_the_tree_total_against_the_footprint():
     """A tree whose aggregate does not fill the footprint fails before any room is checked."""
     tree = build_hierarchy(program_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4)))
     seen = []
-    for footprint in (Rect(0, 0, 5, 6), Rect(0, 0, 5, 4.9)):
+    for footprint in ((0, 0, 5, 6), (0, 0, 5, 4.9)):
         with pytest.raises(LayoutError, match="item areas sum to 25.0, container holds"):
             layout_rooms(footprint, tree, lambda rid, kind, cut: seen.append(rid))
         with pytest.raises(LayoutError, match="item areas sum to 25.0, container holds"):
-            layout_rooms_per_level(footprint, tree)
+            layout_rooms_per_level(Rect(*footprint), tree)
     assert seen == []
     # A mismatch within the tolerance passes on both paths.
-    footprint = Rect(0, 0, 5, 5 * (1 + 1e-9))
-    assert [r.id for r in layout_rooms(footprint, tree)] == [0, 1, 2]
-    assert [r.id for r in layout_rooms_per_level(footprint, tree)] == [0, 1, 2]
+    for layout in both_layouts((0, 0, 5, 5 * (1 + 1e-9))):
+        assert layout(tree) == [0, 1, 2]
 
 
 def test_a_non_positive_area_fails_when_its_level_is_reached():
@@ -399,10 +416,10 @@ def test_a_non_positive_area_fails_when_its_level_is_reached():
     tree = build_hierarchy(
         program_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 0), (K.MASTER_BEDROOM, 16))
     )
-    footprint = Rect(0, 0, 5, 7.4)
-    for layout in (layout_rooms, layout_rooms_per_level):
+    layouts = both_layouts((0, 0, 5, 7.4))
+    for layout in layouts:
         with pytest.raises(LayoutError, match=r"^item 2 has non-positive area 0\.0$"):
-            layout(footprint, tree)
+            layout(tree)
 
     def reject_bedroom(*room):
         rid = room[0] if len(room) == 3 else room[0].id
@@ -411,15 +428,15 @@ def test_a_non_positive_area_fails_when_its_level_is_reached():
         return rid
 
     # The bedroom's subtree outweighs the kitchen's, so it is placed first.
-    for layout in (layout_rooms, layout_rooms_per_level):
+    for layout in layouts:
         with pytest.raises(LayoutError, match="bedroom rejected"):
-            layout(footprint, tree, reject_bedroom)
+            layout(tree, reject_bedroom)
 
     # A NaN ahead of the zero hides it from a plain min().
     tree = build_hierarchy(program_of((K.LIVING_ROOM, float("nan")), (K.KITCHEN, 0)))
-    for layout in (layout_rooms, layout_rooms_per_level):
+    for layout in layouts:
         with pytest.raises(LayoutError, match=r"^item 1 has non-positive area 0\.0$"):
-            layout(footprint, tree)
+            layout(tree)
 
 
 def mm_check(min_mm, max_aspect, veto):
@@ -474,10 +491,13 @@ def test_layout_on_cut_floats_matches_the_request_per_level(
     tree = build_hierarchy(program_of((K.LIVING_ROOM, living), *extras), kitchen_via_dining=via_dining)
     total = tree.children[0].aggregate_area
     width = (total * aspect) ** 0.5
-    footprint = Rect(offset, offset, width, total / width)
+    footprint = (offset, offset, width, total / width)
     on_cut, on_room = mm_check(min_mm, max_aspect, veto)
     outcomes = []
-    for layout, check in ((layout_rooms, on_cut), (layout_rooms_per_level, on_room)):
+    for layout, check in (
+        (layout_rooms, on_cut),
+        (lambda footprint, tree, check: layout_rooms_per_level(Rect(*footprint), tree, check), on_room),
+    ):
         seen = []
 
         def recording(*room, check=check, seen=seen):
@@ -494,19 +514,22 @@ def test_layout_on_cut_floats_matches_the_request_per_level(
 def test_layout_requires_outside_root():
     tree = build_hierarchy(program_of((K.LIVING_ROOM, 10)))
     with pytest.raises(LayoutError):
-        layout_rooms(Rect(0, 0, 5, 2), tree.children[0])
+        layout_rooms((0, 0, 5, 2), tree.children[0], accept)
 
 
 def test_layout_lists_what_its_check_returns_in_placement_order():
     tree = build_hierarchy(program_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4)))
-    rooms = layout_rooms(Rect(0, 0, 5, 5), tree)
-    assert [r.id for r in rooms] == [0, 1, 2]
-    assert layout_rooms(Rect(0, 0, 5, 5), tree, lambda rid, kind, cut: Rect(*cut)) == [r.rect for r in rooms]
+    rooms = layout_rooms((0, 0, 5, 5), tree, accept)
+    assert [rid for rid, _, _ in rooms] == [0, 1, 2]
+    assert layout_rooms((0, 0, 5, 5), tree, lambda rid, kind, cut: cut) == [cut for _, _, cut in rooms]
+    # The same rooms, kinds and floats as the per-level walk's PlacedRooms.
+    oracle = layout_rooms_per_level(Rect(0, 0, 5, 5), tree)
+    assert rooms == [(r.id, r.kind, (r.rect.x, r.rect.y, r.rect.width, r.rect.height)) for r in oracle]
 
 
 def test_layout_stops_at_the_first_room_its_check_rejects():
     tree = build_hierarchy(program_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4)))
-    order = [room.id for room in layout_rooms(Rect(0, 0, 5, 5), tree)]
+    order = [rid for rid, _, _ in layout_rooms((0, 0, 5, 5), tree, accept)]
     seen = []
 
     def check(rid, kind, cut):
@@ -516,7 +539,7 @@ def test_layout_stops_at_the_first_room_its_check_rejects():
         return rid
 
     with pytest.raises(LayoutError, match=f"room {order[1]} rejected"):
-        layout_rooms(Rect(0, 0, 5, 5), tree, check)
+        layout_rooms((0, 0, 5, 5), tree, check)
     assert seen == order[:2]
 
 
@@ -534,10 +557,10 @@ def test_room_check_during_layout_matches_eager_check(knobs, monkeypatch):
 
     def layout(footprint, tree, check):
         try:
-            full = layout_rooms(footprint, tree)
+            full = layout_rooms(footprint, tree, accept)
         except LayoutError as exc:
             pytest.fail(f"the layout itself failed: {exc}")
-        rects = [(r.id, r.rect.x, r.rect.y, r.rect.x1, r.rect.y1) for r in full]
+        rects = [(rid, x, y, x + w, y + h) for rid, _, (x, y, w, h) in full]
         boxes, failure = eager_room_check(rects, cfg.min_room_width, cfg.max_room_aspect)
         placed = []
 
