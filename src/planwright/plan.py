@@ -4,7 +4,12 @@
 one seeded stream.  Recoverable stage failures (an unroutable corridor, a
 room squeezed too thin, a door that cannot fit) restart the whole house on
 the next substream, bounded by the config's attempt budget, so the result is
-a pure function of (seed, config).
+a pure function of (seed, config).  An attempt whose program holds a room
+with less target area than any cut passing the width check needs
+(``_area_floor``) stops right after sampling, as the layout failure it would
+be, without building the hierarchy or cutting the treemap; each attempt has
+its own substream, so the draws it skips move nothing.  The last attempt is
+always laid out in full, so a give-up names the first room the layout refuses.
 
 A finished plan holds every length in integer millimetres.  The JSON and the
 SVG are the only places it is written in metres: ``_m`` gives each length as
@@ -123,12 +128,21 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int, trace: 
     program = assign_functions(bedrooms, n_rooms, cfg.priority)
     program = sample_areas(program, rng, cfg)
     footprint, program = derive_footprint(program, rng, cfg)
+    min_mm = _mm(cfg.min_room_width)
+    if attempt < cfg.max_attempts:
+        # A room under the area floor fails the width check whatever its cut,
+        # so the attempt stops before the hierarchy and the treemap.  The
+        # last attempt runs in full, so the give-up message names the room
+        # the layout reaches first.
+        floor = _area_floor(min_mm)
+        small = [e.id for e in program if e.target_area * 1e6 < floor]
+        if small:
+            raise LayoutError(f"room {min(small)} narrower than {cfg.min_room_width} m")
     via_dining = rng.random() < cfg.kitchen_via_dining_prob
     tree = build_hierarchy(program, kitchen_via_dining=via_dining)
 
     # From here to the finished plan, geometry is in integer millimetres.
     fp_box = mm_box(footprint)
-    min_mm = _mm(cfg.min_room_width)
 
     def check(rid: int, kind: RoomKind, cut: Cut) -> tuple[int, RoomKind, Box]:
         """The room as an mm box, checked as the treemap places it."""
@@ -179,6 +193,17 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int, trace: 
     if not report.ok:
         raise OpeningError(f"self-check failed: {report.failures[0]}")
     return plan
+
+
+def _area_floor(min_mm: int) -> int:
+    """The least target area, in mm², of a room that can pass a ``min_mm`` width check.
+
+    ``mm_box`` moves each cut edge by at most 0.5 mm, so a room whose snapped
+    sides reach ``min_mm`` has float sides above ``min_mm - 1`` mm, and the
+    treemap cuts it to its target area up to float error: that area exceeds
+    ``(min_mm - 1)**2``.  The floor keeps one more millimetre per side as slack.
+    """
+    return max(min_mm - 2, 0) ** 2
 
 
 def _poly_from_json(doc, path: str) -> RectilinearPolygon:

@@ -42,12 +42,14 @@ def _check_level(container: Cut, ids: Sequence[int], areas: list[float]) -> None
     """The rule a level meets before it is cut, naming a bad area by its item id."""
     if not areas:
         raise LayoutError("layout request with no items")
-    if not min(areas) > 0:  # also true when a NaN comes first
-        for item_id, area in zip(ids, areas):
-            if area <= 0:
-                raise LayoutError(f"item {item_id} has non-positive area {area!r}")
     total, area = sum(areas), container[2] * container[3]
-    if abs(total - area) > AREA_TOLERANCE * area:
+    # A NaN is not positive: min() passes it over unless it comes first, but
+    # it makes the sum NaN, and a NaN total or container fails the last test.
+    if not (min(areas) > 0 and total == total):
+        for item_id, item_area in zip(ids, areas):
+            if not item_area > 0:
+                raise LayoutError(f"item {item_id} has non-positive area {item_area!r}")
+    if not abs(total - area) <= AREA_TOLERANCE * area:
         raise LayoutError(f"item areas sum to {total!r}, container holds {area!r}")
 
 
@@ -145,8 +147,12 @@ def layout_rooms(footprint: Cut, tree: HierarchyNode, check: Callable) -> list:
     """
     if tree.kind is not RoomKind.OUTSIDE or len(tree.children) != 1:
         raise LayoutError("layout expects the Outside root with its living-room child")
+    living = tree.children[0]
+    if not living.children:
+        # A lone room is no level's item, so it is held to the footprint here.
+        _check_level(footprint, [living.room_id], [living.target_area])
     rooms: list = []
-    _place(tree.children[0], footprint, rooms, check)
+    _place(living, footprint, rooms, check)
     return rooms
 
 

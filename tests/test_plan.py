@@ -21,7 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import planwright
-from planwright.geometry import MAX_EXACT, RectilinearPolygon
+import planwright.plan
+from planwright.geometry import MAX_EXACT, RectilinearPolygon, mm_box
 from planwright.openings import Opening, validate
 from planwright.plan import (
     SCHEMA_VERSION,
@@ -29,13 +30,16 @@ from planwright.plan import (
     GenerationError,
     PlanParseError,
     SvgStyle,
+    _area_floor,
+    _attempt,
     from_json,
     gallery_svg,
     generate,
     to_json,
     to_svg,
 )
-from planwright.sampling import GenConfig
+from planwright.sampling import GenConfig, RandomStream
+from planwright.treemap import LayoutError
 
 from oracles import plan_json
 
@@ -46,6 +50,8 @@ DATA = Path(__file__).parent / "data"
 PLAIN_SEED = 2
 CORRIDOR_SEED = 3
 HOPELESS_SEED = 5
+# Attempts the room-area floor stops over min_room_width=2.2 seeds 0-199.
+STRICT_STOPPED_0_199 = 3079
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +229,92 @@ def test_generation_error_tallies_rejections_by_stage():
         generate(3, GenConfig(min_room_width=2.2))
     assert err.value.rejections == {"sampling": 0, "layout": 30, "corridor": 2, "openings": 0}
     assert str(err.value) == "seed 3: no valid plan in 32 attempts (last: no valid corridor candidate)"
+
+
+@pytest.mark.parametrize(
+    "knobs, digest",
+    [
+        ({}, "3b0e08b1357a011d5a26a6b02365031ce3a37871c6ebf68e29d2b1d2fa39d148"),
+        (
+            {"min_room_width": 2.2},
+            "d4438c1bd406c34f4859627634ee1ceede0e1cc17e8c47210f985ef47e5503f1",
+        ),
+    ],
+)
+def test_rejection_tallies_pinned_over_seed_range(knobs, digest):
+    # The message digest above sees only the last attempt of a seed that
+    # gives up; this pins the stage every one of its failed attempts is
+    # tallied under, so an attempt moved from one stage to another shows.
+    cfg = GenConfig(**knobs)
+    h = hashlib.sha256()
+    for seed in range(100):
+        try:
+            generate(seed, cfg)
+        except GenerationError as exc:
+            h.update(f"{seed} {exc.rejections!r}\n".encode())
+    assert h.hexdigest() == digest
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    min_mm=st.integers(1, 5000),
+    x=st.integers(0, 10**6),
+    y=st.integers(0, 10**6),
+    fx=st.floats(-0.5, 0.5),
+    fy=st.floats(-0.5, 0.5),
+    dw=st.floats(-2, 2),
+    dh=st.floats(-2, 20000),
+)
+# Edges that snap outward by almost half a millimetre each, so a float side
+# just above min_mm - 1 passes the check.
+@example(min_mm=2200, x=0, y=0, fx=0.4999, fy=0.4999, dw=-0.9998, dh=-0.9998)
+@example(min_mm=1, x=3, y=3, fx=0.4999, fy=0.0, dw=-0.9998, dh=0.0)
+@example(min_mm=2, x=3, y=3, fx=0.4999, fy=0.4999, dw=-0.9998, dh=-0.9998)
+def test_a_cut_that_passes_the_width_check_holds_the_area_floor(min_mm, x, y, fx, fy, dw, dh):
+    """A room the width check accepts has more target area than ``_area_floor`` asks."""
+    w, h = (min_mm + dw) / 1000, (min_mm + dh) / 1000
+    if w <= 0 or h <= 0:
+        return
+    x0, y0, x1, y1 = mm_box(((x + fx) / 1000, (y + fy) / 1000, w, h))
+    if min(x1 - x0, y1 - y0) >= min_mm:
+        assert w * h * 1e6 >= _area_floor(min_mm)
+
+
+def test_the_area_floor_stops_only_attempts_the_layout_refuses(monkeypatch):
+    """Every attempt stopped at the area floor raises LayoutError when laid out in full.
+
+    The attempts run as ``generate`` runs them.  An attempt that is stopped
+    before the hierarchy is built is run again as the last attempt of its
+    budget, which the floor exempts, so it goes through ``build_hierarchy``
+    and ``layout_rooms`` with the pipeline's own room check.
+    """
+    cfg = GenConfig(min_room_width=2.2)
+    built = []
+    build_hierarchy = planwright.plan.build_hierarchy
+    monkeypatch.setattr(
+        planwright.plan, "build_hierarchy", lambda *a, **k: built.append(1) or build_hierarchy(*a, **k)
+    )
+    retryable = tuple(planwright.plan._STAGE)
+    stopped = 0
+    for seed in range(200):
+        root = RandomStream(seed)
+        for attempt in range(1, cfg.max_attempts + 1):
+            before = len(built)
+            try:
+                _attempt(seed, root.substream(attempt - 1), cfg, attempt, False)
+            except retryable as exc:
+                if type(exc) is not LayoutError or len(built) > before:
+                    continue
+                stopped += 1
+                assert attempt < cfg.max_attempts
+                assert str(exc).endswith(" narrower than 2.2 m")
+                in_full = dataclasses.replace(cfg, max_attempts=attempt)
+                with pytest.raises(LayoutError):
+                    _attempt(seed, root.substream(attempt - 1), in_full, attempt, False)
+                assert len(built) == before + 1
+            else:
+                break
+    assert stopped == STRICT_STOPPED_0_199
 
 
 def test_impossible_config_always_exhausts():

@@ -85,15 +85,22 @@ def test_request_validation():
         squarify((0, 0, 1, 1), ())
     with pytest.raises(LayoutError, match=r"^item 7 has non-positive area -1$"):
         squarify((0, 0, 1, 1), ((3, 2), (7, -1), (8, 0)))
-    # A NaN ahead of the zero hides it from a plain min().
-    with pytest.raises(LayoutError, match=r"^item 8 has non-positive area 0$"):
-        squarify((0, 0, 1, 1), ((3, float("nan")), (8, 0)))
+    # A NaN is not positive, wherever it stands, and is named before a later zero.
+    nan = float("nan")
+    with pytest.raises(LayoutError, match=r"^item 3 has non-positive area nan$"):
+        squarify((0, 0, 1, 1), ((3, nan), (8, 0)))
+    with pytest.raises(LayoutError, match=r"^item 0 has non-positive area nan$"):
+        squarify((0, 0, 2, 1), ((0, nan), (1, 1.0)))
+    with pytest.raises(LayoutError, match=r"^item 1 has non-positive area nan$"):
+        squarify((0, 0, 2, 1), ((0, 1.0), (1, nan)))
     with pytest.raises(LayoutError, match="^item areas sum to 2, container holds 1$"):
         squarify((0, 0, 1, 1), ((0, 1), (1, 1)))
     # A container with a side that is not positive holds no area to fill.
     for container in ((0, 0, -1, 1), (0, 0, 0, 1)):
         with pytest.raises(LayoutError, match="^item areas sum to 1, container holds"):
             squarify(container, ((0, 1),))
+    with pytest.raises(LayoutError, match="^item areas sum to 1, container holds nan$"):
+        squarify((0, 0, nan, 1), ((0, 1),))
 
 
 @pytest.mark.parametrize(
@@ -411,6 +418,21 @@ def test_layout_checks_the_tree_total_against_the_footprint():
         assert layout(tree) == [0, 1, 2]
 
 
+def test_a_lone_living_room_is_held_to_the_footprint():
+    """A one-room tree has no level to check, so its room is checked against the footprint."""
+    tree = build_hierarchy(program_of((K.LIVING_ROOM, 36)))
+    seen = []
+    with pytest.raises(LayoutError, match=r"^item areas sum to 36\.0, container holds 1$"):
+        layout_rooms((0, 0, 1, 1), tree, lambda rid, kind, cut: seen.append(rid))
+    assert seen == []
+    assert layout_rooms((0, 0, 4, 9), tree, accept) == [(0, K.LIVING_ROOM, (0, 0, 4, 9))]
+    # The footprint cut is handed to the check as it is, within the tolerance.
+    assert layout_rooms((0, 0, 6, 6 * (1 + 1e-9)), tree, accept)[0][2] == (0, 0, 6, 6 * (1 + 1e-9))
+    tree = build_hierarchy(program_of((K.LIVING_ROOM, float("nan"))))
+    with pytest.raises(LayoutError, match=r"^item 0 has non-positive area nan$"):
+        layout_rooms((0, 0, 6, 6), tree, accept)
+
+
 def test_a_non_positive_area_fails_when_its_level_is_reached():
     """As with a request per level: a room placed before that level is checked first."""
     tree = build_hierarchy(
@@ -432,11 +454,14 @@ def test_a_non_positive_area_fails_when_its_level_is_reached():
         with pytest.raises(LayoutError, match="bedroom rejected"):
             layout(tree, reject_bedroom)
 
-    # A NaN ahead of the zero hides it from a plain min().
+    # A NaN is not positive: the package names it, where the request as first
+    # written let it pass and named the zero behind it.
     tree = build_hierarchy(program_of((K.LIVING_ROOM, float("nan")), (K.KITCHEN, 0)))
-    for layout in layouts:
-        with pytest.raises(LayoutError, match=r"^item 1 has non-positive area 0\.0$"):
-            layout(tree)
+    package, first_written = layouts
+    with pytest.raises(LayoutError, match=r"^item 0 has non-positive area nan$"):
+        package(tree)
+    with pytest.raises(LayoutError, match=r"^item 1 has non-positive area 0\.0$"):
+        first_written(tree)
 
 
 def mm_check(min_mm, max_aspect, veto):
