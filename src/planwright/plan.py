@@ -130,10 +130,9 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int, trace: 
     footprint, program = derive_footprint(program, rng, cfg)
     min_mm = _mm(cfg.min_room_width)
     if attempt < cfg.max_attempts:
-        # A room under the area floor fails the width check whatever its cut,
-        # so the attempt stops before the hierarchy and the treemap.  The
-        # last attempt runs in full, so the give-up message names the room
-        # the layout reaches first.
+        # A room under the floor fails the width check whatever its cut.  The
+        # last attempt runs in full, so a give-up names the room the layout
+        # refuses first.
         floor = _area_floor(min_mm)
         small = [e.id for e in program if e.target_area * 1e6 < floor]
         if small:

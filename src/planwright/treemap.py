@@ -43,8 +43,8 @@ def _check_level(container: Cut, ids: Sequence[int], areas: list[float]) -> None
     if not areas:
         raise LayoutError("layout request with no items")
     total, area = sum(areas), container[2] * container[3]
-    # A NaN is not positive: min() passes it over unless it comes first, but
-    # it makes the sum NaN, and a NaN total or container fails the last test.
+    # min() passes over a NaN that does not come first; the sum does not.
+    # Written as negations, both tests also refuse a NaN (a NaN container too).
     if not (min(areas) > 0 and total == total):
         for item_id, item_area in zip(ids, areas):
             if not item_area > 0:
