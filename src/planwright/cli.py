@@ -123,6 +123,7 @@ def bench_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
     attempts: list[int] = []
     candidates: list[int] = []
     areas: list[float] = []
+    shares: list[float] = []
     rejections: Counter[str] = Counter()
     give_up_rejections: Counter[str] = Counter()
     for seed in range(args.n):
@@ -140,6 +141,8 @@ def bench_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
             rejections.update(c["reason"] for c in plan.trace["candidates"] if not c["valid"])
             if plan.corridor is not None:
                 areas.append(plan.trace["winner_area"])
+                x0, y0, x1, y1 = plan.footprint
+                shares.append(plan.corridor.area_mm2 / ((x1 - x0) * (y1 - y0)))
     report = {
         "plans": len(times_ms),
         "failures": len(failed_ms),
@@ -149,6 +152,8 @@ def bench_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
     }
     if args.trace:
         spread = (min(areas), statistics.median(areas), max(areas)) if areas else None
+        # The paper's minimum-used-space objective: corridor area over footprint area.
+        share = (statistics.median(shares), _percentile(shares, 0.95), max(shares)) if shares else None
         report.update(
             corridor_plans=len(areas),
             mean_candidates=round(statistics.mean(candidates), 2) if candidates else None,
@@ -156,6 +161,7 @@ def bench_cmd(args: argparse.Namespace, cfg: GenConfig) -> int:
             mean_attempts=round(statistics.mean(attempts), 2) if attempts else None,
             attempts_histogram=dict(sorted(Counter(attempts).items())),
             winner_area=spread and dict(zip(("min", "median", "max"), (round(a, 2) for a in spread))),
+            corridor_share=share and dict(zip(("median", "p95", "max"), (round(v, 3) for v in share))),
             rejections=dict(sorted(rejections.items(), key=lambda kv: (-kv[1], kv[0]))),
             give_up_rejections=dict(give_up_rejections),
         )

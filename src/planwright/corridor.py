@@ -29,7 +29,8 @@ order on ties, is the same winner.
 Everything is in integer millimetres: the footprint and the rooms arrive as
 ``(x0, y0, x1, y1)`` boxes, wall-graph vertices are ``(x, y)`` tuples and
 edges ``(ax, ay, bx, by)`` tuples with the lower end first, and the config's
-lengths are converted once per call.  Only the trace reports metres.
+lengths are read in mm from the config, which converts them once.  Only the
+trace reports metres.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ import heapq
 from dataclasses import dataclass, field, replace
 from itertools import product
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .geometry import Box, Grid, RectilinearPolygon, Run, _m, _mm, merge_runs
+from .geometry import Box, Grid, RectilinearPolygon, Run, _m, merge_runs
 from .sampling import GenConfig, RoomKind
 
 Vertex = tuple[int, int]
@@ -92,8 +93,7 @@ class CorridorPath:
     anchor: Vertex | None
 
 
-@dataclass(frozen=True)
-class EdgeAction:
+class EdgeAction(NamedTuple):
     """Modification of one path edge before thickening, in mm.
 
     shift moves the wall line sideways (signed; -corridor_width is the plain
@@ -118,8 +118,7 @@ class EdgeAction:
         }
 
 
-@dataclass(frozen=True)
-class CorridorCandidate:
+class CorridorCandidate(NamedTuple):
     """One evaluated corridor: ``area`` in mm², ``length`` in mm.
 
     An untraced search leaves a rejected candidate's area uncomputed, at 0.
@@ -172,11 +171,10 @@ def identify_corridor_rooms(
     boxes: dict[int, Box], parent_of: dict[int, int], cfg: GenConfig
 ) -> set[int]:
     """Rooms lacking a door-width shared wall with their hierarchy parent."""
-    door_mm = _mm(cfg.door_width)
     return {
         child_id
         for child_id, parent_id in parent_of.items()
-        if parent_id in boxes and _shared_wall(boxes[child_id], boxes[parent_id]) < door_mm
+        if parent_id in boxes and _shared_wall(boxes[child_id], boxes[parent_id]) < cfg.door_mm
     }
 
 
@@ -305,13 +303,15 @@ def route(graph: WallGraph, contact_sets: list[tuple[int, frozenset[Vertex]]]) -
 class _Workspace:
     """Room boxes, wall lines and mm lengths shared by every candidate evaluation.
 
+    ``door_pairs`` are the (child, parent) pairs each candidate's door check
+    reads, sorted, with every terminal hung on the living room.
     ``enumerate_candidates`` sets the search's ``grid``, the room ``masks`` on it and
     ``combinations``, the size of the action product; ``verdicts`` memoises room verdicts.
     """
 
     rooms: Rooms
     walls: tuple[Edge, ...]
-    parent_of: dict[int, int]
+    door_pairs: tuple[tuple[int, int], ...]
     terminals: frozenset[int]
     living_id: int
     living_box: Box
@@ -494,7 +494,17 @@ def _inside(boxes: list[Box], footprint: Box) -> bool:
 
 def _boxes_pass(boxes: list[Box], ws: _Workspace) -> bool:
     """In one piece, and joined by the living room at one box (so to all of them)."""
-    return _boxes_connected(boxes) and any(_boxes_connected([ws.living_box, b]) for b in boxes)
+    if not _boxes_connected(boxes):
+        return False
+    # The living room joins a box as in _boxes_connected: overlap or a shared edge, not a corner.
+    lx0, ly0, lx1, ly1 = ws.living_box
+    for bx0, by0, bx1, by1 in boxes:
+        if (
+            bx0 <= lx1 and lx0 <= bx1 and by0 <= ly1 and ly0 <= by1
+            and not ((bx0 == lx1 or bx1 == lx0) and (by0 == ly1 or by1 == ly0))
+        ):
+            return True
+    return False
 
 
 def _boxes_connected(boxes: list[Box]) -> bool:
@@ -618,9 +628,7 @@ def _evaluate(
         return reject("living space is not a simple region")
     changed[ws.living_id] = living
 
-    for child, parent in sorted(ws.parent_of.items()):
-        if child in ws.terminals:
-            parent = ws.living_id
+    for child, parent in ws.door_pairs:
         if child not in changed and parent not in changed:
             continue
         a, b = (changed.get(r, masks[r]) for r in (child, parent))
@@ -676,13 +684,16 @@ def plan_corridor(
     ws = _Workspace(
         rooms=rooms,
         walls=graph.edges,
-        parent_of=parent_of,
+        door_pairs=tuple(
+            (child, living_id if child in terminals else parent)
+            for child, parent in sorted(parent_of.items())
+        ),
         terminals=terminals,
         living_id=living_id,
         living_box=boxes[living_id],
-        corridor_width=_mm(cfg.corridor_width),
-        door_width=_mm(cfg.door_width),
-        min_room_width=_mm(cfg.min_room_width),
+        corridor_width=cfg.corridor_mm,
+        door_width=cfg.door_mm,
+        min_room_width=cfg.min_room_mm,
         max_room_aspect=cfg.max_room_aspect,
         fp_box=footprint,
         trace=trace,

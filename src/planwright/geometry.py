@@ -123,6 +123,18 @@ class RectilinearPolygon:
         self.mm: tuple[tuple[int, int], ...] = tuple(mm[start:] + mm[:start])
         self.area_mm2: int = twice_area // 2
 
+    @classmethod
+    def _normal(cls, mm: list[tuple[int, int]]) -> RectilinearPolygon:
+        """The polygon of a vertex loop already in the constructor's normal form, unchecked.
+
+        The loop must be simple, counter-clockwise, free of collinear vertices
+        and start at its least vertex; only the area is computed.
+        """
+        poly = cls.__new__(cls)
+        poly.mm = tuple(mm)
+        poly.area_mm2 = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(mm, mm[1:] + mm[:1])) // 2
+        return poly
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RectilinearPolygon) and self.mm == other.mm
 
@@ -261,7 +273,7 @@ class Grid:
 
     def shared_border(self, a: int, b: int) -> int:
         """Longest straight wall run between two disjoint regions, in mm."""
-        return max((hi - lo for _, _, lo, hi in self.shared_walls(a, b)), default=0)
+        return max((hi - lo for _, _, lo, hi in self._shared_runs(a, b)), default=0)
 
     def _faces(self, m: int) -> tuple[int, int, int, int]:
         """The cells of ``m`` with no cell of ``m`` below, above, left and right of them."""
@@ -304,11 +316,13 @@ class Grid:
         Runs on one line merge where they touch, and the list comes back
         sorted for deterministic downstream iteration.
         """
+        return sorted(self._shared_runs(a, b))
+
+    def _shared_runs(self, a: int, b: int) -> list[Run]:
+        """``shared_walls`` unsorted: the vertical runs, then the horizontal ones."""
         s = self.stride
         a, b = a & ~b, b & ~a
-        down = self._sides(a & b >> 1 | b & a >> 1, False, 1)
-        along = self._sides(a & b >> s | b & a >> s, True, 1)
-        return sorted(down + along)
+        return self._sides(a & b >> 1 | b & a >> 1, False, 1) + self._sides(a & b >> s | b & a >> s, True, 1)
 
     def exterior_walls(self, m: int, box: Box) -> list[Run]:
         """The boundary runs of ``m`` on the box's sides, facing out of the box.
@@ -325,7 +339,11 @@ class Grid:
         """Trace the boundary of ``m`` into a single simple polygon.
 
         Raises ValueError when the region is empty, disconnected, has a hole,
-        or pinches down to a corner contact.
+        or pinches down to a corner contact.  A loop walked to the end is
+        already in normal form: its runs keep the interior on their left, so
+        it runs counter-clockwise; runs along one side merge where they touch,
+        so no vertex is collinear; each vertex has one outgoing run, so it is
+        simple; and the walk starts at the least vertex.
         """
         # Each boundary run, directed with the interior on its left: bottom
         # and right sides run up the axis, top and left ones down it.
@@ -363,7 +381,7 @@ class Grid:
             if not self.connected(m):
                 raise ValueError("region is disconnected") from None
             raise
-        return RectilinearPolygon(loop)
+        return RectilinearPolygon._normal(loop)
 
 
 def _bits(m: int) -> Iterator[int]:

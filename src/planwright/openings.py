@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .geometry import Box, Grid, Run, _mm
+from .geometry import Box, Grid, Run
 from .hierarchy import OUTSIDE_ID
 from .sampling import BEDROOM_KINDS, GenConfig, RandomStream, RoomKind
 
@@ -90,7 +90,7 @@ def build_connection_graph(
     """
     masks = {rid: m for rid, _, m in rooms}
     kinds = {rid: kind for rid, kind, _ in rooms}
-    door_mm = _mm(cfg.door_width)
+    door_mm = cfg.door_mm
 
     edges: list[tuple[int, int]] = [(OUTSIDE_ID, living_id)]
     for child, parent in sorted(parent_of.items()):
@@ -217,7 +217,7 @@ def place_doors(
 ) -> tuple[list[Opening], _WallLedger]:
     """One door per graph edge, entry door first, uniform over feasible spots."""
     masks = {rid: m for rid, _, m in rooms}
-    door_mm = _mm(cfg.door_width)
+    door_mm = cfg.door_mm
     ledger = _WallLedger()
 
     living_id = next(rid for rid, kind, _ in rooms if kind is RoomKind.LIVING_ROOM)
@@ -251,7 +251,7 @@ def place_windows(
     cfg: GenConfig,
 ) -> list[Opening]:
     """One window per exterior room of an allowed kind, on a free exterior span."""
-    width_mm = _mm(cfg.window_width)
+    width_mm = cfg.window_mm
     openings: list[Opening] = []
     for rid, kind, m in sorted(rooms, key=lambda r: r[0]):
         if kind in cfg.window_banned:
@@ -334,8 +334,7 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
     # With a config, each opening is as wide as the config makes its kind.
     widths: dict[str, int] = {}
     if cfg is not None:
-        door_mm = _mm(cfg.door_width)
-        widths = {DOOR: door_mm, ENTRY_DOOR: door_mm, WINDOW: _mm(cfg.window_width)}
+        widths = {DOOR: cfg.door_mm, ENTRY_DOOR: cfg.door_mm, WINDOW: cfg.window_mm}
     door_edges: set[tuple[int, int]] = set()
     entry_count = 0
     # Keyed (vertical, line), so horizontal walls are reported first.

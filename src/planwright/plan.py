@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .corridor import CorridorError, plan_corridor
-from .geometry import MAX_EXACT, Box, Cut, Grid, RectilinearPolygon, _bits, _m, _mm, aspect_ratio, mm_box
+from .geometry import MAX_EXACT, Box, Cut, Grid, RectilinearPolygon, _bits, _m, aspect_ratio, mm_box
 from .hierarchy import OUTSIDE_ID, build_hierarchy
 from .openings import (
     ENTRY_DOOR,
@@ -128,7 +128,7 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int, trace: 
     program = assign_functions(bedrooms, n_rooms, cfg.priority)
     program = sample_areas(program, rng, cfg)
     footprint, program = derive_footprint(program, rng, cfg)
-    min_mm = _mm(cfg.min_room_width)
+    min_mm = cfg.min_room_mm
     if attempt < cfg.max_attempts:
         # A room under the floor fails the width check whatever its cut.  The
         # last attempt runs in full, so a give-up names the room the layout
@@ -475,6 +475,10 @@ def _fmt(v: float) -> str:
 
 def _label_point(poly: RectilinearPolygon) -> tuple[int, int]:
     """A point inside the polygon in mm: the centre of its largest cell on its own grid lines."""
+    if len(poly.mm) == 4:
+        # A rectangle is its own one cell, from its least vertex to the opposite one.
+        (x0, y0), _, (x1, y1), _ = poly.mm
+        return round(x0 + (x1 - x0) / 2), round(y0 + (y1 - y0) / 2)
     grid = Grid((), [poly])
     xs, ys, s = grid.xs, grid.ys, grid.stride
     best = None
@@ -511,17 +515,18 @@ def _render_plan(plan: FloorPlan, style: SvgStyle, ox: float, oy: float) -> list
         return " ".join(parts) + " Z"
 
     fills = dict(style.fills)
+    paths = [path_of(room.polygon) for room in plan.rooms]
     out: list[str] = []
-    for room in plan.rooms:
+    for room, path in zip(plan.rooms, paths):
         fill = fills.get(room.kind.category, "#eeeeee")
-        out.append(f'<path d="{path_of(room.polygon)}" fill="{fill}" stroke="none"/>')
+        out.append(f'<path d="{path}" fill="{fill}" stroke="none"/>')
     if plan.corridor is not None:
         out.append(
             f'<path d="{path_of(plan.corridor)}" fill="#f3dfae" stroke="none" opacity="0.85"/>'
         )
-    for room in plan.rooms:
+    for path in paths:
         out.append(
-            f'<path d="{path_of(room.polygon)}" fill="none" stroke="{style.wall}" '
+            f'<path d="{path}" fill="none" stroke="{style.wall}" '
             f'stroke-width="{_fmt(style.wall_width)}" stroke-linejoin="miter"/>'
         )
     out.append(

@@ -19,11 +19,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
-from .geometry import GRID, MAX_COORD, MAX_EXACT, Cut, snap
+from .geometry import GRID, MAX_COORD, MAX_EXACT, Cut, _mm, snap
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -271,13 +272,20 @@ def _default_areas() -> dict[RoomKind, AreaDistribution]:
     return areas
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenConfig:
-    """Every knob of the generator, loadable from human-editable JSON."""
+    """Every knob of the generator, loadable from human-editable JSON.
+
+    A config is frozen once its checks pass: fields cannot be assigned and
+    ``areas`` is a read-only mapping, so build a variant with
+    ``dataclasses.replace``, which checks it anew.  What the stages derive
+    from it - the fingerprint and the lengths in millimetres - is computed
+    once per config.
+    """
 
     joint_table: JointCountTable = field(default_factory=JointCountTable.default)
     priority: tuple[RoomKind, ...] = _DEFAULT_PRIORITY
-    areas: dict[RoomKind, AreaDistribution] = field(default_factory=_default_areas)
+    areas: Mapping[RoomKind, AreaDistribution] = field(default_factory=_default_areas)
     footprint_aspect: AreaDistribution = AreaDistribution(1.0, 2.0)
     max_footprint_aspect: float = 2.0
     corridor_width: float = 1.0
@@ -294,7 +302,9 @@ class GenConfig:
     max_attempts: int = 32
 
     def __post_init__(self) -> None:
-        self.priority = tuple(self.priority)  # a memo key of assign_functions, so hashable
+        # A memo key of assign_functions, so hashable.
+        object.__setattr__(self, "priority", tuple(self.priority))
+        object.__setattr__(self, "areas", MappingProxyType(dict(self.areas)))
         if len(self.priority) < 2 or self.priority[0] is not RoomKind.OUTSIDE:
             raise ConfigError("priority list must start with outside")
         if self.priority[1] is not RoomKind.LIVING_ROOM:
@@ -344,9 +354,36 @@ class GenConfig:
             "max_attempts": self.max_attempts,
         }
 
+    def __reduce__(self):
+        # A mappingproxy neither pickles nor deep-copies; rebuild through the constructor.
+        args = {f.name: getattr(self, f.name) for f in fields(self)}
+        args["areas"] = dict(self.areas)
+        return type(self), tuple(args.values())
+
     def fingerprint(self) -> str:
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         canonical = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+    # The lengths the stages place and check, in millimetres.
+    @cached_property
+    def corridor_mm(self) -> int:
+        return _mm(self.corridor_width)
+
+    @cached_property
+    def door_mm(self) -> int:
+        return _mm(self.door_width)
+
+    @cached_property
+    def window_mm(self) -> int:
+        return _mm(self.window_width)
+
+    @cached_property
+    def min_room_mm(self) -> int:
+        return _mm(self.min_room_width)
 
     @classmethod
     def from_json(cls, data: dict, base_dir: str | Path | None = None) -> "GenConfig":

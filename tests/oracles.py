@@ -439,6 +439,27 @@ def plan_json(plan):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def label_point(poly):
+    """The SVG label point in mm: the centre of the polygon's largest cell on its own grid.
+
+    The package's own code for every polygon before rectangles took a
+    shortcut; ties go to the leftmost, then lowest, cell.
+    """
+    grid = Grid((), [poly])
+    xs, ys, s = grid.xs, grid.ys, grid.stride
+    cells = grid.fill(poly)
+    best = None
+    for k in range(cells.bit_length()):
+        if not cells >> k & 1:
+            continue
+        i, j = k % s, k // s
+        w, h = xs[i + 1] - xs[i], ys[j + 1] - ys[j]
+        key = (w * h, -xs[i], -ys[j])
+        if best is None or key > best[0]:
+            best = (key, (xs[i] + w / 2, ys[j] + h / 2))
+    return round(best[1][0]), round(best[1][1])
+
+
 def _edges_mm(pts):
     """Polygon edges over mm vertices as (horizontal, line, lo, hi)."""
     for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):

@@ -226,6 +226,18 @@ def test_bench_trace_tallies_rejections_and_winner_area(capsys):
     assert list(counts.items()) == sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
+def test_bench_trace_reports_corridor_share(capsys):
+    # The corridor's area over the footprint's, over the corridor plans; the
+    # untraced report keeps its keys.
+    _, out, _ = run(capsys, "bench", "-n", "5")
+    assert "corridor_share" not in json.loads(out)
+    rc, out, _ = run(capsys, "bench", "-n", "5", "--trace")
+    assert rc == 0
+    share = json.loads(out)["corridor_share"]
+    assert set(share) == {"median", "p95", "max"}
+    assert 0 < share["median"] <= share["p95"] <= share["max"] < 1
+
+
 def test_bench_trace_counts_attempts_under_config(tmp_path, capsys):
     cfg = tmp_path / "strict.json"
     cfg.write_text(json.dumps({"min_room_width": 2.2}))
@@ -263,6 +275,7 @@ def test_bench_trace_with_no_plans_reports_nulls(tmp_path, capsys):
     report = json.loads(out)
     assert (report["plans"], report["failures"], report["corridor_plans"]) == (0, 1, 0)
     assert report["winner_area"] is None and report["mean_attempts"] is None
+    assert report["corridor_share"] is None
     assert report["max_candidates"] is None and report["rejections"] == {}
     assert report["attempts_histogram"] == {}
     assert sum(report["give_up_rejections"].values()) == 1

@@ -14,6 +14,7 @@ returns a plan or raises ``GenerationError``; any other exception is a bug.
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -94,8 +95,13 @@ def test_mutated_configs_load_and_generate_or_fail_cleanly(documents, data):
     except OSError:
         assert isinstance(doc.get("joint_table"), str)
         return
+    # The memoised fingerprint is the canonical-JSON hash, for the config and a variant of it.
+    variant = replace(cfg, max_attempts=min(cfg.max_attempts, 2))
+    for c in (cfg, variant):
+        canonical = json.dumps(c.to_json(), sort_keys=True, separators=(",", ":"))
+        assert c.fingerprint() == hashlib.sha256(canonical.encode()).hexdigest()[:16]
     try:
         seed = data.draw(st.sampled_from(SEEDS))
-        generate(seed, replace(cfg, max_attempts=min(cfg.max_attempts, 2)))
+        generate(seed, variant)
     except GenerationError:
         pass

@@ -323,6 +323,25 @@ def test_grid_walls_outline_and_fill_match_the_cell_set_oracle(a_boxes, b_boxes,
         assert sides == sorted(sides, key=lambda side: (not side[0], not side[1]))
 
 
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(lattice_boxes(), min_size=1, max_size=6),
+    st.lists(lattice_boxes(), max_size=3),
+    st.integers(min_value=0),
+)
+def test_outline_loop_is_already_normal(keep, cut, cells):
+    """Grid.outline skips the constructor's checks: the constructor leaves its loop as it is."""
+    grid = Grid(keep + cut)
+    m = masked(keep, grid)[1] & ~masked(cut, grid)[1]
+    for region in (m, cells & grid.full):
+        try:
+            poly = grid.outline(region)
+        except ValueError:
+            continue
+        checked = RectilinearPolygon(list(poly.mm))
+        assert (poly.mm, poly.area_mm2) == (checked.mm, checked.area_mm2)
+
+
 def fresh_borders(region):
     """The region's borders computed on a new CellRegion with nothing cached."""
     return CellRegion(region.xs, region.ys, region.cells)._facing_borders()

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import planwright
 import planwright.plan
-from planwright.geometry import MAX_EXACT, RectilinearPolygon, mm_box
+from planwright.geometry import MAX_EXACT, Grid, RectilinearPolygon, mm_box
 from planwright.openings import Opening, validate
 from planwright.plan import (
     SCHEMA_VERSION,
@@ -32,6 +32,7 @@ from planwright.plan import (
     SvgStyle,
     _area_floor,
     _attempt,
+    _label_point,
     from_json,
     gallery_svg,
     generate,
@@ -41,6 +42,7 @@ from planwright.plan import (
 from planwright.sampling import GenConfig, RandomStream
 from planwright.treemap import LayoutError
 
+import oracles
 from oracles import plan_json
 
 DATA = Path(__file__).parent / "data"
@@ -173,6 +175,25 @@ def test_plan_bytes_pinned_over_seed_range(knobs, digest):
             h.update(to_json(plan).encode())
             h.update(to_svg(plan).encode())
     assert h.hexdigest() == digest
+
+
+def test_byte_contract_pinned_over_1600_seeds():
+    # The whole byte contract: default seeds 0-999, then min_room_width=2.2
+    # seeds 0-599, run together.  The JSON digest takes each plan's document
+    # or, for a seed that gives up, its message and rejection tally; the SVG
+    # digest takes only the drawings.
+    h_json, h_svg = hashlib.sha256(), hashlib.sha256()
+    for cfg, seeds in ((GenConfig(), 1000), (GenConfig(min_room_width=2.2), 600)):
+        for seed in range(seeds):
+            try:
+                plan = generate(seed, cfg)
+            except GenerationError as exc:
+                h_json.update((str(exc) + repr(exc.rejections)).encode())
+            else:
+                h_json.update(to_json(plan).encode())
+                h_svg.update(to_svg(plan).encode())
+    assert h_json.hexdigest() == "1b81f7abdc3bfe7c0c2bd0a1de52e45c0d1f75fe72db8830aad7e04c5b8c7d54"
+    assert h_svg.hexdigest() == "bd3e2b1a7bcf6111529d1fd80f5b8e21ee43f6375a16ebf0e602c6427aa1ccec"
 
 
 @pytest.mark.parametrize(
@@ -620,6 +641,31 @@ def test_svg_structure(corridor_plan):
 
 def test_svg_deterministic(corridor_plan):
     assert to_svg(corridor_plan) == to_svg(corridor_plan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 9000), st.integers(0, 9000), st.integers(1, 3001), st.integers(1, 3001)),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_label_point_matches_the_grid_cells(parts):
+    # A rectangle's label point skips its one-cell grid; an odd side puts its
+    # centre on a half millimetre, which must round as on the grid.
+    boxes = [(x, y, x + w, y + h) for x, y, w, h in parts]
+    grid = Grid(boxes)
+    polygons = [grid.outline(grid.mask(boxes[0]))]
+    m = 0
+    for box in boxes:
+        m |= grid.mask(box)
+    try:
+        polygons.append(grid.outline(m))
+    except ValueError:
+        pass
+    for poly in polygons:
+        assert _label_point(poly) == oracles.label_point(poly)
 
 
 def test_svg_style_knobs(plain_plan):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 from types import SimpleNamespace
 
 import pytest
@@ -337,6 +339,29 @@ def test_config_fingerprint_tracks_content():
     assert GenConfig().fingerprint() == GenConfig().fingerprint()
     tweaked = GenConfig(door_width=0.8)
     assert tweaked.fingerprint() != GenConfig().fingerprint()
+    # A variant built from a config whose fingerprint is cached gets its own.
+    cfg = GenConfig()
+    cfg.fingerprint()
+    assert replace(cfg, door_width=0.8).fingerprint() == tweaked.fingerprint()
+    assert replace(cfg, door_width=0.8).door_mm == 800
+
+
+def test_config_is_frozen_after_its_checks():
+    cfg = GenConfig()
+    for f in fields(cfg):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
+    with pytest.raises(TypeError):
+        cfg.areas[RoomKind.KITCHEN] = AreaDistribution(1.0, 1.0)  # type: ignore[index]
+    # An assignment once let each of these past the checks; a variant cannot.
+    for knobs in ({"door_width": 0.9004}, {"max_attempts": 0}, {"min_room_width": -1.0}):
+        with pytest.raises(ConfigError):
+            replace(cfg, **knobs)
+    assert cfg == GenConfig()
+    assert (cfg.corridor_mm, cfg.door_mm, cfg.window_mm, cfg.min_room_mm) == (1000, 900, 1200, 1800)
+    # The read-only areas do not stop a config from being copied or pickled.
+    for again in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+        assert again == cfg and again.fingerprint() == cfg.fingerprint()
 
 
 def test_config_json_round_trip():

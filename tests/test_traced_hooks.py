@@ -66,7 +66,7 @@ def _attempt_stages(monkeypatch, seed, cfg):
     and the stages it then calls, in order.
     """
     plan = importlib.import_module("planwright.plan")
-    floor = plan._area_floor(plan._mm(cfg.min_room_width))
+    floor = plan._area_floor(cfg.min_room_mm)
     attempts = []
     for name in ("derive_footprint", "build_hierarchy", "layout_rooms"):
         original = getattr(plan, name)
