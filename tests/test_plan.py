@@ -39,7 +39,7 @@ from planwright.plan import (
     to_json,
     to_svg,
 )
-from planwright.sampling import GenConfig, RandomStream
+from planwright.sampling import GenConfig, RandomStream, RoomKind
 from planwright.treemap import LayoutError
 
 import oracles
@@ -194,6 +194,54 @@ def test_byte_contract_pinned_over_1600_seeds():
                 h_svg.update(to_svg(plan).encode())
     assert h_json.hexdigest() == "1b81f7abdc3bfe7c0c2bd0a1de52e45c0d1f75fe72db8830aad7e04c5b8c7d54"
     assert h_svg.hexdigest() == "bd3e2b1a7bcf6111529d1fd80f5b8e21ee43f6375a16ebf0e602c6427aa1ccec"
+
+
+_BATH_DOORS = GenConfig().optional_doors + (
+    (RoomKind.BATHROOM, RoomKind.BEDROOM, 0.5),
+    (RoomKind.BATHROOM, RoomKind.MASTER_BEDROOM, 0.5),
+)
+
+
+@pytest.mark.parametrize(
+    "knobs, digest",
+    [
+        (
+            {"corridor_width": 1.2},
+            "9c5f1e0bf2d1c687cfe8805628bc3d384b5aac198766d7825042c8b8f6d8a0e5",
+        ),
+        (
+            {"kitchen_via_dining_prob": 0.0},
+            "bc9af62945240a46b2349ca6982ad9c670bb8df7da9d3a4119f32858c2befb2c",
+        ),
+        (
+            {"kitchen_via_dining_prob": 1.0},
+            "059df6a4bd8799ba150587a16c6d97a98303f3138c4c18929123a6472fce1366",
+        ),
+        (
+            {"optional_doors": _BATH_DOORS},
+            "2be601f74396f3937d15ee2d57ed5327af02800434077b46587aa8868d4c65a4",
+        ),
+        ({"window_banned": ()}, "5593a1b0928f1970d2710d682fcfe413064903e45bbd32958d982493adee06c3"),
+        (
+            {"max_room_aspect": 3.0},
+            "075379cfc63edc2eb7a982e7319a68ff110e0fc838abbbf5a74738c815500f4d",
+        ),
+    ],
+)
+def test_byte_contract_pinned_over_config_variants(knobs, digest):
+    # Configs whose lengths, probabilities and bans the two pinned configs
+    # never vary.  Seeds 0-199 give each 117-125 corridor plans and 25-32
+    # give-ups; the digest is taken as in the 1,600-seed contract.
+    cfg = GenConfig(**knobs)
+    h = hashlib.sha256()
+    for seed in range(200):
+        try:
+            plan = generate(seed, cfg)
+        except GenerationError as exc:
+            h.update((str(exc) + repr(exc.rejections)).encode())
+        else:
+            h.update(to_json(plan).encode())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize(
