@@ -26,11 +26,12 @@ product order with the area of the valid ones alone, so a search that finds
 no valid corridor ranks nothing; the least valid candidate, first in product
 order on ties, is the same winner.
 
-Everything is in integer millimetres: the footprint and the rooms arrive as
-``(x0, y0, x1, y1)`` boxes, wall-graph vertices are ``(x, y)`` tuples and
-edges ``(ax, ay, bx, by)`` tuples with the lower end first, and the config's
-lengths are read in mm from the config, which converts them once.  Only the
-trace reports metres.
+The stages pass plain values, all in integer millimetres: the footprint and
+the rooms arrive as ``(x0, y0, x1, y1)`` boxes, the wall graph is the sorted
+tuple of its edges ``(ax, ay, bx, by)`` with the lower end first, vertices
+are ``(x, y)`` tuples, and a route is its ``(edges, anchor)`` pair.  The
+config's lengths are read in mm off the frozen config, which converts them
+once.  Only the trace reports metres.
 """
 
 from __future__ import annotations
@@ -69,28 +70,6 @@ def _run(edge: Edge) -> Run:
 
 def _length(edge: Edge) -> int:
     return edge[2] - edge[0] + edge[3] - edge[1]
-
-
-@dataclass(frozen=True)
-class WallGraph:
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
-
-    def adjacency(self) -> dict[Vertex, list[tuple[Vertex, Edge]]]:
-        adj: dict[Vertex, list[tuple[Vertex, Edge]]] = {v: [] for v in self.vertices}
-        for edge in self.edges:
-            a, b = _ends(edge)
-            adj[a].append((b, edge))
-            adj[b].append((a, edge))
-        for nbrs in adj.values():
-            nbrs.sort()
-        return adj
-
-
-@dataclass(frozen=True)
-class CorridorPath:
-    edges: tuple[Edge, ...]
-    anchor: Vertex | None
 
 
 class EdgeAction(NamedTuple):
@@ -178,8 +157,8 @@ def identify_corridor_rooms(
     }
 
 
-def build_wall_graph(footprint: Box, rooms: Rooms) -> WallGraph:
-    """Graph of all interior wall segments, split at every coincident vertex.
+def build_wall_graph(footprint: Box, rooms: Rooms) -> tuple[Edge, ...]:
+    """Graph of all interior wall segments, split at every coincident vertex, as sorted edges.
 
     Walls on the footprint boundary are excluded.  Collinear overlapping wall
     runs are merged, then re-split wherever another wall starts, ends or
@@ -209,16 +188,15 @@ def build_wall_graph(footprint: Box, rooms: Rooms) -> WallGraph:
                 inner = sorted(c for c in cuts if lo <= c <= hi)
                 for a, b in zip(inner, inner[1:]):
                     edges.append((line, a, line, b) if flip else (a, line, b, line))
-    edges.sort()
-    return WallGraph(tuple(sorted({v for e in edges for v in _ends(e)})), tuple(edges))
+    return tuple(sorted(edges))
 
 
-def _contact_vertices(graph: WallGraph, box: Box) -> frozenset[Vertex]:
-    """Graph vertices lying on the box's boundary."""
+def _contact_vertices(vertices: set[Vertex], box: Box) -> frozenset[Vertex]:
+    """The vertices lying on the box's boundary."""
     x0, y0, x1, y1 = box
     return frozenset(
         (px, py)
-        for px, py in graph.vertices
+        for px, py in vertices
         if (px in (x0, x1) and y0 <= py <= y1) or (py in (y0, y1) and x0 <= px <= x1)
     )
 
@@ -255,17 +233,27 @@ def _dijkstra(
     return dist, parent
 
 
-def route(graph: WallGraph, contact_sets: list[tuple[int, frozenset[Vertex]]]) -> CorridorPath:
-    """Connect every contact set to the first one (the living room's).
+def route(
+    graph: tuple[Edge, ...], contact_sets: list[tuple[int, frozenset[Vertex]]]
+) -> tuple[tuple[Edge, ...], Vertex | None]:
+    """Connect every contact set to the first one (the living room's): ``(edges, anchor)``.
 
     Two sets are joined by a weighted shortest path; further sets join the
     grown component nearest-first, Steiner-tree style.  A set already
-    touching the component contributes no edges.
+    touching the component contributes no edges.  When no set needs an edge,
+    the anchor is the least vertex where a set touches the component, and
+    None otherwise.
     """
     for room_id, verts in contact_sets:
         if not verts:
             raise CorridorError(f"room {room_id} has no walls in the corridor graph")
-    adj = graph.adjacency()
+    adj: dict[Vertex, list[tuple[Vertex, Edge]]] = {}
+    for edge in graph:
+        a, b = _ends(edge)
+        adj.setdefault(a, []).append((b, edge))
+        adj.setdefault(b, []).append((a, edge))
+    for nbrs in adj.values():
+        nbrs.sort()
     component = {v for v in contact_sets[0][1] if v in adj}
     if not component:
         raise CorridorError("living room has no walls in the corridor graph")
@@ -296,12 +284,12 @@ def route(graph: WallGraph, contact_sets: list[tuple[int, frozenset[Vertex]]]) -
         remaining = [(rid, verts) for rid, verts in remaining if rid != picked]
     edges = tuple(sorted(chosen))
     anchor = min(anchors) if (not edges and anchors) else None
-    return CorridorPath(edges, anchor)
+    return edges, anchor
 
 
 @dataclass
 class _Workspace:
-    """Room boxes, wall lines and mm lengths shared by every candidate evaluation.
+    """Room boxes, wall lines and the config shared by every candidate evaluation.
 
     ``door_pairs`` are the (child, parent) pairs each candidate's door check
     reads, sorted, with every terminal hung on the living room.
@@ -315,11 +303,8 @@ class _Workspace:
     terminals: frozenset[int]
     living_id: int
     living_box: Box
-    corridor_width: int
-    door_width: int
-    min_room_width: int
-    max_room_aspect: float
     fp_box: Box
+    cfg: GenConfig
     trace: bool = False
     grid: Grid | None = None
     masks: dict[int, int] = field(default_factory=dict)
@@ -351,7 +336,7 @@ def _nearest_align_shifts(edge: Edge, ws: _Workspace) -> list[int]:
     if below is not None:
         shifts.append(below - line)
     if above is not None:
-        shifts.append(above - line - ws.corridor_width)
+        shifts.append(above - line - ws.cfg.corridor_mm)
     return [s for s in shifts if s != 0]
 
 
@@ -366,12 +351,11 @@ def _lengthen_priority(edge: Edge, degrees: dict[Vertex, int], ws: _Workspace) -
     if len(free) < 2:
         return free
     lx0, ly0, lx1, ly1 = ws.living_box
+    d = ws.cfg.door_mm
 
     def gain(which: str) -> int:
-        act = EdgeAction(extend_lo=ws.door_width) if which == "lo" else EdgeAction(
-            extend_hi=ws.door_width
-        )
-        x0, y0, x1, y1 = _strip(edge, act, ws.corridor_width)
+        act = EdgeAction(extend_lo=d) if which == "lo" else EdgeAction(extend_hi=d)
+        x0, y0, x1, y1 = _strip(edge, act, ws.cfg.corridor_mm)
         return max(0, min(x1, lx1) - max(x0, lx0)) * max(0, min(y1, ly1) - max(y0, ly0))
 
     free.sort(key=lambda which: (-gain(which), which))
@@ -380,8 +364,8 @@ def _lengthen_priority(edge: Edge, degrees: dict[Vertex, int], ws: _Workspace) -
 
 def _alternatives(edge: Edge, degrees: dict[Vertex, int], ws: _Workspace) -> list[EdgeAction]:
     """At most MAX_ALTERNATIVES actions: keep, lengthen, flip+lengthen, shift."""
-    w = ws.corridor_width
-    d = ws.door_width
+    w = ws.cfg.corridor_mm
+    d = ws.cfg.door_mm
     alts: list[EdgeAction] = [EdgeAction()]
     free = _lengthen_priority(edge, degrees, ws)
     if free:
@@ -396,8 +380,10 @@ def _alternatives(edge: Edge, degrees: dict[Vertex, int], ws: _Workspace) -> lis
     return unique[:MAX_ALTERNATIVES]
 
 
-def enumerate_candidates(path: CorridorPath, ws: _Workspace) -> list[CorridorCandidate]:
-    """Evaluate the bounded Cartesian product of per-edge actions.
+def enumerate_candidates(
+    path: tuple[tuple[Edge, ...], Vertex | None], ws: _Workspace
+) -> list[CorridorCandidate]:
+    """Evaluate the bounded Cartesian product of per-edge actions on ``route``'s ``(edges, anchor)``.
 
     A zero-length path (vertex-only contact) borrows each graph edge incident
     to the anchor vertex as a one-edge path of its own.  Traced, every
@@ -410,11 +396,12 @@ def enumerate_candidates(path: CorridorPath, ws: _Workspace) -> list[CorridorCan
     first valid candidate of least ``sort_key``, the one ranking the full
     product would give.  ``ws.combinations`` counts the whole product.
     """
+    path_edges, anchor = path
     paths: list[tuple[Edge, ...]]
-    if path.edges:
-        paths = [path.edges]
-    elif path.anchor is not None:
-        incident = sorted(e for e in ws.walls if path.anchor in _ends(e))
+    if path_edges:
+        paths = [path_edges]
+    elif anchor is not None:
+        incident = sorted(e for e in ws.walls if anchor in _ends(e))
         paths = [(e,) for e in incident[:MAX_ALTERNATIVES]]
     else:
         return []
@@ -425,6 +412,7 @@ def enumerate_candidates(path: CorridorPath, ws: _Workspace) -> list[CorridorCan
     # combination fails the box checks builds neither.
     searches = []
     seen = [ws.fp_box, *(box for _, _, box in ws.rooms)]
+    width = ws.cfg.corridor_mm
     n_combos = 0
     for edges in paths:
         degrees: dict[Vertex, int] = {}
@@ -441,7 +429,7 @@ def enumerate_candidates(path: CorridorPath, ws: _Workspace) -> list[CorridorCan
             for i, e in enumerate(edges)
         ]
         options = [
-            [(a, _strip(e, a, ws.corridor_width)) for a in actions] for e, actions in zip(edges, per_edge)
+            [(a, _strip(e, a, width)) for a in actions] for e, actions in zip(edges, per_edge)
         ]
         seen.extend(box for pairs in options for _, box in pairs)
         n_combos += prod(map(len, options))
@@ -561,7 +549,7 @@ def _room_verdict(rid: int, after: int, ws: _Workspace) -> str:
             verdict = f"room {rid} swallowed by the corridor"
         elif not grid.connected(after):
             verdict = f"room {rid} split by the corridor"
-        elif _peculiar(after, grid, ws):
+        elif _peculiar(after, grid, ws.cfg):
             verdict = f"room {rid} left peculiar"
         else:
             verdict = ""
@@ -569,14 +557,14 @@ def _room_verdict(rid: int, after: int, ws: _Workspace) -> str:
     return verdict
 
 
-def _peculiar(m: int, grid: Grid, ws: _Workspace) -> bool:
+def _peculiar(m: int, grid: Grid, cfg: GenConfig) -> bool:
     if grid.pinch(m):
         return True
     rect = grid.full_rect(m)
     if rect is not None:
         w, h = rect
-        return min(w, h) < ws.min_room_width or max(w, h) > ws.max_room_aspect * min(w, h)
-    return grid.thickness(m) < ws.min_room_width
+        return min(w, h) < cfg.min_room_mm or max(w, h) > cfg.max_room_aspect * min(w, h)
+    return grid.thickness(m) < cfg.min_room_mm
 
 
 def _evaluate(
@@ -628,11 +616,12 @@ def _evaluate(
         return reject("living space is not a simple region")
     changed[ws.living_id] = living
 
+    door = ws.cfg.door_mm
     for child, parent in ws.door_pairs:
         if child not in changed and parent not in changed:
             continue
         a, b = (changed.get(r, masks[r]) for r in (child, parent))
-        if grid.shared_border(a, b) < ws.door_width:
+        if grid.shared_border(a, b) < door:
             return reject(f"no door-width wall between rooms {child} and {parent}")
 
     return CorridorCandidate(
@@ -676,14 +665,15 @@ def plan_corridor(
         )
 
     graph = build_wall_graph(footprint, rooms)
+    vertices = {v for e in graph for v in _ends(e)}
     contact_sets = [
-        (rid, _contact_vertices(graph, boxes[rid])) for rid in (living_id, *sorted(terminals))
+        (rid, _contact_vertices(vertices, boxes[rid])) for rid in (living_id, *sorted(terminals))
     ]
     path = route(graph, contact_sets)
 
     ws = _Workspace(
         rooms=rooms,
-        walls=graph.edges,
+        walls=graph,
         door_pairs=tuple(
             (child, living_id if child in terminals else parent)
             for child, parent in sorted(parent_of.items())
@@ -691,11 +681,8 @@ def plan_corridor(
         terminals=terminals,
         living_id=living_id,
         living_box=boxes[living_id],
-        corridor_width=cfg.corridor_mm,
-        door_width=cfg.door_mm,
-        min_room_width=cfg.min_room_mm,
-        max_room_aspect=cfg.max_room_aspect,
         fp_box=footprint,
+        cfg=cfg,
         trace=trace,
     )
     candidates = enumerate_candidates(path, ws)
@@ -713,15 +700,15 @@ def plan_corridor(
     if not trace:
         return result
 
-    path_mm = sum(_length(e) for e in path.edges)
+    path_mm = sum(_length(e) for e in path[0])
     doc = {
         "corridor_rooms": len(terminals),
-        "graph_edges": len(graph.edges),
-        "path_edges": len(path.edges),
+        "graph_edges": len(graph),
+        "path_edges": len(path[0]),
         "path_length": _m(path_mm),
         # The routing instance in mm, replayable by an external checker.
         "routing": {
-            "edges": [list(e) for e in graph.edges],
+            "edges": [list(e) for e in graph],
             "contacts": [[rid, sorted(map(list, verts))] for rid, verts in contact_sets],
             "path_mm": path_mm,
         },

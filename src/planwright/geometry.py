@@ -175,10 +175,9 @@ class Grid:
     ``ys[j]..ys[j + 1]`` and is bit ``j * stride + i``.  The stride is the
     column count plus one: the spare guard column is never set, so a one-cell
     shift left or right lands there instead of wrapping into the next row.
-    Each box's mask is built once.
     """
 
-    __slots__ = ("xs", "ys", "stride", "full", "border", "_xi", "_yi", "_masks")
+    __slots__ = ("xs", "ys", "stride", "full", "border", "_xi", "_yi")
 
     def __init__(self, boxes: Iterable[Box], polygons: Iterable[RectilinearPolygon] = ()) -> None:
         xs: set[int] = set()
@@ -194,22 +193,17 @@ class Grid:
         self.ys = tuple(sorted(ys))
         self._xi = {x: i for i, x in enumerate(self.xs)}
         self._yi = {y: j for j, y in enumerate(self.ys)}
-        self._masks: dict[Box, int] = {}
         self.stride = len(self.xs)
         self.full = self.mask((self.xs[0], self.ys[0], self.xs[-1], self.ys[-1]))
         full, s = self.full, self.stride
         self.border = full & ~(full >> 1 & full << 1 & full >> s & full << s)
 
     def mask(self, box: Box) -> int:
-        m = self._masks.get(box)
-        if m is None:
-            x0, y0, x1, y1 = box
-            i0, j0, s = self._xi[x0], self._yi[y0], self.stride
-            row = ((1 << (self._xi[x1] - i0)) - 1) << i0
-            # The row times 1 + 2**s + 2**(2s) + ...: one copy per row of the box.
-            m = row * (((1 << (s * (self._yi[y1] - j0))) - 1) // ((1 << s) - 1)) << (j0 * s)
-            self._masks[box] = m
-        return m
+        x0, y0, x1, y1 = box
+        i0, j0, s = self._xi[x0], self._yi[y0], self.stride
+        row = ((1 << (self._xi[x1] - i0)) - 1) << i0
+        # The row times 1 + 2**s + 2**(2s) + ...: one copy per row of the box.
+        return row * (((1 << (s * (self._yi[y1] - j0))) - 1) // ((1 << s) - 1)) << (j0 * s)
 
     def fill(self, polygon: RectilinearPolygon) -> int:
         """The cells inside a polygon whose vertices lie on the grid lines.

@@ -48,13 +48,6 @@ class ConnectionGraph:
     nodes: frozenset[int]
     edges: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "ConnectionGraph":
-        return cls(
-            nodes=frozenset(doc["nodes"]),
-            edges=tuple((a, b) for a, b in doc["edges"]),
-        )
-
 
 def _pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
@@ -270,9 +263,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "failures": list(self.failures)}
 
 
 def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:

@@ -429,11 +429,16 @@ def from_json(text: str) -> FloorPlan:
     gdoc = doc["connection_graph"]
     if not isinstance(gdoc, dict) or set(gdoc) != {"nodes", "edges"}:
         raise PlanParseError("$.connection_graph: expected nodes and edges")
-    for j, node in enumerate(_list(gdoc["nodes"], "$.connection_graph.nodes")):
-        _int(node, f"$.connection_graph.nodes[{j}]")
-    for j, edge in enumerate(_list(gdoc["edges"], "$.connection_graph.edges")):
-        _pair(edge, f"$.connection_graph.edges[{j}]", _int)
-    graph = ConnectionGraph.from_json(gdoc)
+    graph = ConnectionGraph(
+        nodes=frozenset(
+            _int(node, f"$.connection_graph.nodes[{j}]")
+            for j, node in enumerate(_list(gdoc["nodes"], "$.connection_graph.nodes"))
+        ),
+        edges=tuple(
+            _pair(edge, f"$.connection_graph.edges[{j}]", _int)
+            for j, edge in enumerate(_list(gdoc["edges"], "$.connection_graph.edges"))
+        ),
+    )
 
     return FloorPlan(
         seed=seed,

@@ -199,6 +199,9 @@ class JointCountTable:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, JointCountTable) and self.rows == other.rows
 
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
 
 @dataclass(frozen=True)
 class AreaDistribution:
@@ -359,6 +362,14 @@ class GenConfig:
         args = {f.name: getattr(self, f.name) for f in fields(self)}
         args["areas"] = dict(self.areas)
         return type(self), tuple(args.values())
+
+    def __hash__(self) -> int:
+        # Over the values == compares, areas as sorted items; the fingerprint
+        # would tell apart equal configs (a probability of 0.0 and of -0.0).
+        return hash(tuple(
+            tuple(sorted(self.areas.items())) if f.name == "areas" else getattr(self, f.name)
+            for f in fields(self)
+        ))
 
     def fingerprint(self) -> str:
         return self._fingerprint

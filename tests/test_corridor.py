@@ -19,7 +19,6 @@ import planwright.corridor
 from planwright.corridor import (
     CorridorError,
     EdgeAction,
-    WallGraph,
     build_wall_graph,
     identify_corridor_rooms,
     plan_corridor,
@@ -71,7 +70,12 @@ def degrees_of(edges) -> dict[tuple[int, int], int]:
 
 
 def path_mm(path) -> int:
-    return sum(bx - ax + by - ay for ax, ay, bx, by in path.edges)
+    return sum(bx - ax + by - ay for ax, ay, bx, by in path[0])
+
+
+def contacts(graph, box) -> frozenset[tuple[int, int]]:
+    """The graph's vertices on the box's boundary."""
+    return _contact_vertices(set(degrees_of(graph)), box)
 
 
 # Bathroom touches the living room only at the corner (3, 3).
@@ -104,8 +108,8 @@ def grid_layout(n: int, size: float = 3.0):
     return box(0, 0, n * size, n * size), rooms
 
 
-def graph_to_oracle_edges(graph: WallGraph):
-    return [((ax, ay), (bx, by), bx - ax + by - ay) for ax, ay, bx, by in graph.edges]
+def graph_to_oracle_edges(graph):
+    return [((ax, ay), (bx, by), bx - ax + by - ay) for ax, ay, bx, by in graph]
 
 
 # ---------------------------------------------------------------- detection
@@ -143,8 +147,8 @@ def test_wall_graph_pin_layout():
         seg(0, 3, 3, 3),
         seg(3, 3, 8, 3),
     }
-    assert set(graph.edges) == expected
-    assert len(graph.vertices) == 5
+    assert set(graph) == expected
+    assert len(degrees_of(graph)) == 5
 
 
 def test_wall_graph_excludes_footprint_boundary():
@@ -152,7 +156,7 @@ def test_wall_graph_excludes_footprint_boundary():
     fp = box(0, 0, 6, 4)
     rooms = [room(0, K.LIVING_ROOM, 0, 0, 3, 4), room(1, K.KITCHEN, 3, 0, 3, 4)]
     graph = build_wall_graph(fp, rooms)
-    assert set(graph.edges) == {seg(3, 0, 3, 4)}
+    assert set(graph) == {seg(3, 0, 3, 4)}
 
 
 def test_wall_graph_splits_runs_at_junctions():
@@ -164,15 +168,15 @@ def test_wall_graph_splits_runs_at_junctions():
         room(2, K.BEDROOM, 3, 2, 3, 2),
     ]
     graph = build_wall_graph(fp, rooms)
-    assert set(graph.edges) == {seg(3, 0, 3, 2), seg(3, 2, 3, 4), seg(3, 2, 6, 2)}
+    assert set(graph) == {seg(3, 0, 3, 2), seg(3, 2, 3, 4), seg(3, 2, 6, 2)}
 
 
 def test_wall_graph_grid_lattice():
     fp, rooms = grid_layout(3)
     graph = build_wall_graph(fp, rooms)
     # Two vertical and two horizontal lines, each split into three edges.
-    assert len(graph.edges) == 12
-    degrees = degrees_of(graph.edges)
+    assert len(graph) == 12
+    degrees = degrees_of(graph)
     # Eight stubs end on the boundary; four full crossings sit inside.
     assert sorted(degrees.values()) == [1] * 8 + [4] * 4
 
@@ -196,23 +200,23 @@ def random_layouts(draw):
 def test_route_corner_contact_yields_anchor():
     graph = build_wall_graph(PIN_FOOTPRINT, PIN_ROOMS)
     sets = [
-        (0, _contact_vertices(graph, PIN_ROOMS[0][2])),
-        (3, _contact_vertices(graph, PIN_ROOMS[3][2])),
+        (0, contacts(graph, PIN_ROOMS[0][2])),
+        (3, contacts(graph, PIN_ROOMS[3][2])),
     ]
     path = route(graph, sets)
-    assert path.edges == ()
-    assert path.anchor == (3000, 3000)
+    assert path[0] == ()
+    assert path[1] == (3000, 3000)
 
 
 def test_route_single_edge_path():
     graph = build_wall_graph(STRIP_FOOTPRINT, STRIP_ROOMS)
     sets = [
-        (0, _contact_vertices(graph, STRIP_ROOMS[0][2])),
-        (3, _contact_vertices(graph, STRIP_ROOMS[3][2])),
+        (0, contacts(graph, STRIP_ROOMS[0][2])),
+        (3, contacts(graph, STRIP_ROOMS[3][2])),
     ]
     path = route(graph, sets)
-    assert path.edges == (seg(3, 3, 6, 3),)
-    assert path.anchor is None
+    assert path[0] == (seg(3, 3, 6, 3),)
+    assert path[1] is None
     assert path_mm(path) == 3000
 
 
@@ -220,8 +224,8 @@ def test_route_across_grid_matches_bruteforce():
     fp, rooms = grid_layout(3)
     graph = build_wall_graph(fp, rooms)
     # Opposite corners of the grid: vertex-disjoint contact sets.
-    a = _contact_vertices(graph, rooms[0][2])
-    b = _contact_vertices(graph, rooms[8][2])
+    a = contacts(graph, rooms[0][2])
+    b = contacts(graph, rooms[8][2])
     path = route(graph, [(0, a), (8, b)])
     cost = shortest_path_bruteforce(graph_to_oracle_edges(graph), a, b)
     assert cost == 6000
@@ -241,8 +245,8 @@ def test_route_raises_when_sets_empty_or_unreachable():
     ]
     split = build_wall_graph(fp, rooms)
     sets = [
-        (0, _contact_vertices(split, rooms[0][2])),
-        (2, _contact_vertices(split, rooms[2][2])),
+        (0, contacts(split, rooms[0][2])),
+        (2, contacts(split, rooms[2][2])),
     ]
     with pytest.raises(CorridorError):
         route(split, sets)
@@ -253,10 +257,10 @@ def test_route_raises_when_sets_empty_or_unreachable():
 def test_route_length_matches_bruteforce(layout):
     fp, rooms = layout
     graph = build_wall_graph(fp, rooms)
-    if len(graph.edges) == 0 or len(graph.edges) > 12:
+    if len(graph) == 0 or len(graph) > 12:
         return
-    a = _contact_vertices(graph, rooms[0][2])
-    b = _contact_vertices(graph, rooms[-1][2])
+    a = contacts(graph, rooms[0][2])
+    b = contacts(graph, rooms[-1][2])
     if not a or not b:
         return
     cost = shortest_path_bruteforce(graph_to_oracle_edges(graph), a, b)
@@ -326,7 +330,7 @@ def test_plan_corridor_strip_layout_winner():
     trace = result.trace
     # Routing runs on the full wall graph.
     graph = build_wall_graph(STRIP_FOOTPRINT, STRIP_ROOMS)
-    assert trace["routing"]["edges"] == [list(e) for e in graph.edges]
+    assert trace["routing"]["edges"] == [list(e) for e in graph]
     assert trace["path_edges"] == 1
     assert trace["winner_area"] == pytest.approx(3.0)
     # One edge, four variants: keep, lengthen, flip+lengthen, plain flip.
@@ -346,7 +350,7 @@ def test_plan_corridor_pin_layout_borrows_incident_walls():
     assert result.trace["path_edges"] == 0
     assert result.trace["graph_edges"] == 4
     graph = build_wall_graph(PIN_FOOTPRINT, PIN_ROOMS)
-    assert result.trace["routing"]["edges"] == [list(e) for e in graph.edges]
+    assert result.trace["routing"]["edges"] == [list(e) for e in graph]
     assert result.corridor is not None
     # Each borrowed wall yields a 3 m strip; no cheaper corridor exists.
     assert result.trace["winner_area"] == pytest.approx(3.0)
@@ -455,7 +459,7 @@ def test_box_connectivity_and_area_match_region(boxes):
 def test_room_remainder_matches_full_subtract(room, boxes, min_width, max_aspect):
     # The search takes a room's remainder as room & ~corridor on the search's
     # grid; every check it runs must read the same as on the full subtract.
-    ws = SimpleNamespace(min_room_width=min_width, max_room_aspect=max_aspect)
+    cfg = GenConfig(min_room_width=min_width / 1000, max_room_aspect=max_aspect)
     full = CellRegion.from_boxes([room]).subtract(CellRegion.from_boxes(boxes))
     grid = Grid([room, *boxes])
     corridor = union_mask(grid, boxes)
@@ -470,7 +474,7 @@ def test_room_remainder_matches_full_subtract(room, boxes, min_width, max_aspect
     assert grid.mask(room) & ~after == union_mask(grid, clipped)
     assert local.area == full.area
     assert local.connected() == full.connected() == grid.connected(after)
-    assert _peculiar(after, grid, ws) == oracles.peculiar(full, min_width, max_aspect)
+    assert _peculiar(after, grid, cfg) == oracles.peculiar(full, min_width, max_aspect)
     assert _outcome(lambda: grid.outline(after)) == _outcome(full.to_polygon)
 
 
@@ -512,9 +516,8 @@ def test_grid_masks_match_the_cell_set_oracle(a_boxes, b_boxes, spare, min_width
     assert grid.hole(a) == same.has_hole()
     if not grid.pinch(a):
         assert grid.hole(a) == own.has_hole()
-    ws = SimpleNamespace(
-        grid=grid, verdicts={}, min_room_width=min_width, max_room_aspect=max_aspect
-    )
+    cfg = GenConfig(min_room_width=min_width / 1000, max_room_aspect=max_aspect)
+    ws = SimpleNamespace(grid=grid, verdicts={}, cfg=cfg)
     assert _room_verdict(7, a, ws) == oracles.room_verdict(7, same, min_width, max_aspect)
     assert ws.verdicts == {(7, a): _room_verdict(7, a, ws)}
     # The door-width check: the longest wall run the two regions share.

@@ -82,7 +82,7 @@ def test_package_root_exports_only_the_documented_api():
     for name in ROOT_API:
         assert getattr(planwright, name) is not None
     assert isinstance(planwright.__version__, str)
-    for name in ("route", "WallGraph", "squarify", "Grid", "RandomStream", "Opening", "layout_rooms"):
+    for name in ("route", "build_wall_graph", "squarify", "Grid", "RandomStream", "Opening", "layout_rooms"):
         assert not hasattr(planwright, name), name
     # The README's library example.
     from planwright import GenConfig, generate, to_json, to_svg  # noqa: F401
@@ -97,12 +97,11 @@ TEST_ONLY_ENTRY_POINTS = [
 ]
 
 
-def _unreferenced_definitions(package: Path) -> list[str]:
-    """Functions and classes that no code in the package names and no ``__all__`` exports.
+def _definitions(package: Path) -> tuple[list[tuple[str, str]], set[str], set[str]]:
+    """``(name, qualname)`` of every function and class, the names read, and ``__all__``.
 
-    A name counts as used where it is read as a name or an attribute outside
-    its own body, so a helper that only calls itself is still unused.  Dunder
-    methods are called by the language and never count.
+    A name counts as read where it is a name or an attribute outside its own
+    body, so a helper that only calls itself is not read.
     """
     defined, named, exported = [], set(), set()
 
@@ -128,16 +127,50 @@ def _unreferenced_definitions(package: Path) -> list[str]:
             if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
                 exported.update(ast.literal_eval(node.value))
         visit(tree, (), path.stem)
-    return sorted(
-        qualname
-        for name, qualname in defined
-        if name not in named | exported and not (name.startswith("__") and name.endswith("__"))
-    )
+    return defined, named, exported
+
+
+def _dunder(name: str) -> bool:
+    # Called by the language; never a helper.
+    return name.startswith("__") and name.endswith("__")
 
 
 def test_every_helper_is_called_by_the_package():
     """A helper nothing in the package calls is deleted, unless the tests use it as an entry point."""
-    assert _unreferenced_definitions(Path(planwright.__file__).parent) == TEST_ONLY_ENTRY_POINTS
+    defined, named, exported = _definitions(Path(planwright.__file__).parent)
+    unreferenced = sorted(
+        qualname for name, qualname in defined if name not in named | exported and not _dunder(name)
+    )
+    assert unreferenced == TEST_ONLY_ENTRY_POINTS
+
+
+# Names defined more than once.  The test above counts a definition as called
+# when any code reads its name, so a second helper under a name in use is
+# invisible to it; pinning the set makes each new one visible.
+SHARED_NAMES = {
+    "_length": ["corridor._length", "plan._length"],
+    "_list": ["plan._list", "sampling._list"],
+    "_number": ["plan._number", "sampling._number"],
+    "_pair": ["openings._pair", "plan._pair"],
+    "_place": ["openings._place", "treemap._place"],
+    "from_json": ["plan.from_json", "sampling.AreaDistribution.from_json", "sampling.GenConfig.from_json"],
+    "sort_key": ["corridor.CorridorCandidate.sort_key", "corridor.EdgeAction.sort_key"],
+    "to_json": [
+        "corridor.EdgeAction.to_json",
+        "plan.to_json",
+        "sampling.AreaDistribution.to_json",
+        "sampling.GenConfig.to_json",
+    ],
+}
+
+
+def test_names_defined_more_than_once_are_pinned():
+    defined, _, _ = _definitions(Path(planwright.__file__).parent)
+    by_name: dict[str, list[str]] = {}
+    for name, qualname in defined:
+        if not _dunder(name):
+            by_name.setdefault(name, []).append(qualname)
+    assert {name: sorted(q) for name, q in by_name.items() if len(q) > 1} == SHARED_NAMES
 
 
 def test_generate_deterministic(plain_plan):

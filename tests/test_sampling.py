@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import pickle
 from dataclasses import FrozenInstanceError, fields, replace
@@ -362,6 +363,35 @@ def test_config_is_frozen_after_its_checks():
     # The read-only areas do not stop a config from being copied or pickled.
     for again in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
         assert again == cfg and again.fingerprint() == cfg.fingerprint()
+
+
+def test_equal_configs_hash_equal_and_key_a_cache():
+    cfg = GenConfig(corridor_width=1.2)
+    copies = [
+        GenConfig(corridor_width=1.2),
+        copy.deepcopy(cfg),
+        pickle.loads(pickle.dumps(cfg)),
+        replace(GenConfig(), corridor_width=1.2),
+        GenConfig(corridor_width=1.2, areas=dict(reversed(list(cfg.areas.items())))),
+    ]
+    for again in copies:
+        assert again == cfg and hash(again) == hash(cfg)
+    assert hash(JointCountTable.default()) == hash(JointCountTable.default())
+    # Equal, though their fingerprints differ: the hash follows ==.
+    zero, negative_zero = GenConfig(kitchen_via_dining_prob=0.0), GenConfig(kitchen_via_dining_prob=-0.0)
+    assert zero == negative_zero and zero.fingerprint() != negative_zero.fingerprint()
+    assert hash(zero) == hash(negative_zero)
+
+    assert {cfg: "wide", GenConfig(): "default"}[copies[-1]] == "wide"
+    calls = []
+
+    @functools.lru_cache(maxsize=None)
+    def width(c: GenConfig) -> int:
+        calls.append(c)
+        return c.corridor_mm
+
+    assert [width(c) for c in (cfg, *copies, GenConfig())] == [1200] * 6 + [1000]
+    assert calls == [cfg, GenConfig()]
 
 
 def test_config_json_round_trip():
