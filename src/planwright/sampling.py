@@ -305,8 +305,11 @@ class GenConfig:
     max_attempts: int = 32
 
     def __post_init__(self) -> None:
-        # A memo key of assign_functions, so hashable.
+        # Tuples, so that a config hashes and compares by value; priority is
+        # also a memo key of assign_functions.
         object.__setattr__(self, "priority", tuple(self.priority))
+        object.__setattr__(self, "optional_doors", tuple(map(tuple, self.optional_doors)))
+        object.__setattr__(self, "window_banned", tuple(self.window_banned))
         object.__setattr__(self, "areas", MappingProxyType(dict(self.areas)))
         if len(self.priority) < 2 or self.priority[0] is not RoomKind.OUTSIDE:
             raise ConfigError("priority list must start with outside")

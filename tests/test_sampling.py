@@ -373,6 +373,13 @@ def test_equal_configs_hash_equal_and_key_a_cache():
         pickle.loads(pickle.dumps(cfg)),
         replace(GenConfig(), corridor_width=1.2),
         GenConfig(corridor_width=1.2, areas=dict(reversed(list(cfg.areas.items())))),
+        # Lists where the defaults hold tuples.
+        GenConfig(
+            corridor_width=1.2,
+            priority=list(cfg.priority),
+            optional_doors=[list(door) for door in cfg.optional_doors],
+            window_banned=list(cfg.window_banned),
+        ),
     ]
     for again in copies:
         assert again == cfg and hash(again) == hash(cfg)
@@ -390,7 +397,7 @@ def test_equal_configs_hash_equal_and_key_a_cache():
         calls.append(c)
         return c.corridor_mm
 
-    assert [width(c) for c in (cfg, *copies, GenConfig())] == [1200] * 6 + [1000]
+    assert [width(c) for c in (cfg, *copies, GenConfig())] == [1200] * 7 + [1000]
     assert calls == [cfg, GenConfig()]
 
 
