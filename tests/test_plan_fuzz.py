@@ -10,6 +10,7 @@ raise ``PlanParseError`` or return a plan, and ``validate`` must return a
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import math
 
@@ -105,3 +106,44 @@ def test_mutated_plans_parse_or_fail_cleanly(documents, data):
         return
     assert isinstance(validate(plan), ValidationReport)
     assert isinstance(validate(plan, GenConfig()), ValidationReport)
+
+
+def _cases(doc):
+    """(path, text) for every path of ``doc``: the value dropped, then each of ODD_VALUES.
+
+    The document is serialised twice per path, without the value and with a
+    marker in its place that each replacement's text then stands in for.
+    """
+    marker = "\0"
+    for path in list(_paths(doc)):
+        parent, key = _parent(doc, path), path[-1]
+        saved = copy.copy(parent)
+        del parent[key]
+        yield path, json.dumps(doc)
+        if isinstance(parent, dict):
+            parent.clear()
+            parent.update(saved)
+        else:
+            parent[:] = saved
+        parent[key] = marker
+        template = json.dumps(doc)
+        parent[key] = saved[key]
+        for value in ODD_VALUES:
+            yield path, template.replace(json.dumps(marker), json.dumps(value))
+
+
+def test_parse_and_check_contract_pinned(documents):
+    # Every path of each document, dropped or given each odd value, hashed as
+    # the parse error's text or as validate's failures without and with the
+    # default config; recorded before from_json built its paths lazily.
+    cfg = GenConfig()
+    h = hashlib.sha256()
+    for doc in copy.deepcopy(documents):
+        for path, text in _cases(doc):
+            try:
+                plan = from_json(text)
+            except PlanParseError as exc:
+                h.update(f"{path} error {exc}\n".encode())
+                continue
+            h.update(f"{path} {validate(plan).failures} {validate(plan, cfg).failures}\n".encode())
+    assert h.hexdigest() == "0d8a9227add65b864c0efed9e40f71c316b82b8de9d8a4d5d145617a1df58e4b"
