@@ -17,7 +17,7 @@ adjacency, vertex coincidence and boolean ops never need an epsilon.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 GRID = 0.001
 # Config lengths and area bounds beyond this many metres (square metres for
@@ -84,17 +84,15 @@ class RectilinearPolygon:
         mm = list(vertices)
         if len(mm) < 4:
             raise ValueError("rectilinear polygon needs at least 4 vertices")
-        n = len(mm)
         # Drop each vertex that lies on a straight line with both neighbours.
-        keep = []
-        for i, (x, y) in enumerate(mm):
-            (px, py), (nx, ny) = mm[i - 1], mm[(i + 1) % n]
-            if not (px == x == nx or py == y == ny):
-                keep.append(mm[i])
-        if len(keep) < 4:
-            raise ValueError("degenerate polygon after merging collinear vertices")
-        mm = keep
+        mm = [
+            v
+            for (px, py), v, (nx, ny) in zip(mm[-1:] + mm[:-1], mm, mm[1:] + mm[:1])
+            if not (px == v[0] == nx or py == v[1] == ny)
+        ]
         n = len(mm)
+        if n < 4:
+            raise ValueError("degenerate polygon after merging collinear vertices")
         twice_area = 0
         for (x0, y0), (x1, y1) in zip(mm, mm[1:] + mm[:1]):
             if x0 != x1 and y0 != y1:
@@ -111,10 +109,12 @@ class RectilinearPolygon:
             raise ValueError("polygon repeats a vertex")
         # Edge bounding boxes; for axis-aligned edges, overlapping boxes
         # means touching edges, which only neighbours in the cycle may do.
+        # Four vertices that pass the checks above are a rectangle's corners,
+        # and a rectangle's boundary cannot cross itself.
         boxes = [
             (min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1))
             for (x0, y0), (x1, y1) in zip(mm, mm[1:] + mm[:1])
-        ]
+        ] if n > 4 else []
         for i, (ax0, ax1, ay0, ay1) in enumerate(boxes):
             for bx0, bx1, by0, by1 in boxes[i + 2 : n if i else n - 1]:
                 if ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1:
@@ -177,7 +177,7 @@ class Grid:
     shift left or right lands there instead of wrapping into the next row.
     """
 
-    __slots__ = ("xs", "ys", "stride", "full", "border", "_xi", "_yi")
+    __slots__ = ("xs", "ys", "stride", "full", "border", "_xi", "_yi", "_outside")
 
     def __init__(self, boxes: Iterable[Box], polygons: Iterable[RectilinearPolygon] = ()) -> None:
         xs: set[int] = set()
@@ -197,6 +197,8 @@ class Grid:
         self.full = self.mask((self.xs[0], self.ys[0], self.xs[-1], self.ys[-1]))
         full, s = self.full, self.stride
         self.border = full & ~(full >> 1 & full << 1 & full >> s & full << s)
+        # The last box exterior_walls was asked about, with its mask's faces.
+        self._outside: tuple = (None, ())
 
     def mask(self, box: Box) -> int:
         x0, y0, x1, y1 = box
@@ -210,8 +212,12 @@ class Grid:
 
         A cell is inside when the vertical edges spanning its row at or left
         of it are odd in number, so each such edge flips the cells from its
-        column rightward.
+        column rightward.  A rectangle is the box from its least vertex to
+        the opposite one.
         """
+        if len(polygon.mm) == 4:
+            (x0, y0), _, (x1, y1), _ = polygon.mm
+            return self.mask((x0, y0, x1, y1))
         right, m = self.xs[-1], 0
         for (ax, ay), (bx, by) in polygon.edges_mm():
             if ax == bx:
@@ -321,10 +327,15 @@ class Grid:
     def exterior_walls(self, m: int, box: Box) -> list[Run]:
         """The boundary runs of ``m`` on the box's sides, facing out of the box.
 
-        Bottom runs come first, then top, left and right ones.
+        Bottom runs come first, then top, left and right ones.  The box's own
+        faces are computed once per grid and box, and kept for the next call
+        with the same box: one grid serves one plan, whose every call names
+        its footprint.
         """
+        if self._outside[0] != box:
+            self._outside = (box, self._faces(self.mask(box)))
         runs: list[Run] = []
-        for f, g, (horizontal, far) in zip(self._faces(m), self._faces(self.mask(box)), _SIDES):
+        for f, g, (horizontal, far) in zip(self._faces(m), self._outside[1], _SIDES):
             if f & g:
                 runs += self._sides(f & g, horizontal, far)
         return runs
@@ -376,11 +387,3 @@ class Grid:
                 raise ValueError("region is disconnected") from None
             raise
         return RectilinearPolygon._normal(loop)
-
-
-def _bits(m: int) -> Iterator[int]:
-    """Indices of the set bits, lowest first."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low

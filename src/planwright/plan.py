@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .corridor import CorridorError, plan_corridor
-from .geometry import MAX_EXACT, Box, Cut, Grid, RectilinearPolygon, _bits, _m, aspect_ratio, mm_box
+from .geometry import MAX_EXACT, Box, Cut, RectilinearPolygon, _m, aspect_ratio, mm_box
 from .hierarchy import OUTSIDE_ID, build_hierarchy
 from .openings import (
     ENTRY_DOOR,
@@ -205,73 +205,111 @@ def _area_floor(min_mm: int) -> int:
     return max(min_mm - 2, 0) ** 2
 
 
-def _poly_from_json(doc, path: str) -> RectilinearPolygon:
+# Each reader below takes the JSON path of its value as a tuple of parts - a
+# key as a string, a list index as an int - and joins it with ``_at`` only
+# when it raises, so a document that parses formats no path.
+
+
+def _at(path: tuple) -> str:
+    """The path ``("rooms", 0, "polygon")`` written as ``$.rooms[0].polygon``."""
+    return "$" + "".join(f"[{part}]" if type(part) is int else f".{part}" for part in path)
+
+
+def _poly_from_json(doc, path: tuple) -> RectilinearPolygon:
     if not isinstance(doc, list) or len(doc) < 4:
-        raise PlanParseError(f"{path}: expected a vertex list")
-    vertices = [_point(v, f"{path}[{k}]") for k, v in enumerate(doc)]
+        raise PlanParseError(f"{_at(path)}: expected a vertex list")
+    vertices = [_point(v, path + (k,)) for k, v in enumerate(doc)]
     try:
         return RectilinearPolygon(vertices)
     except ValueError as exc:
-        raise PlanParseError(f"{path}: {exc}") from exc
+        raise PlanParseError(f"{_at(path)}: {exc}") from exc
 
 
-def _int(value, path: str) -> int:
+def _int(value, path: tuple) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise PlanParseError(f"{path}: expected an integer")
+        raise PlanParseError(f"{_at(path)}: expected an integer")
     return value
 
 
-def _number(value, path: str) -> float:
+def _number(value, path: tuple) -> float:
     # Exact types leave out bool; the bound leaves out NaN, the infinities
     # and integers too large for a float.
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise PlanParseError(f"{path}: expected a finite number")
+        raise PlanParseError(f"{_at(path)}: expected a finite number")
     return value
 
 
-def _length(value, path: str) -> int:
+def _length(value, path: tuple) -> int:
     """A length or coordinate given in metres, as whole millimetres."""
     if type(value) in (int, float) and abs(value) <= MAX_EXACT:
         mm = round(value * 1000)
         if _m(mm) == value:
             return mm
-        raise PlanParseError(f"{path}: {value!r} m is not a whole number of millimetres")
+        raise PlanParseError(f"{_at(path)}: {value!r} m is not a whole number of millimetres")
     _number(value, path)  # a value that is not a finite number fails here
-    raise PlanParseError(f"{path}: coordinate beyond {MAX_EXACT:g} m")
+    raise PlanParseError(f"{_at(path)}: coordinate beyond {MAX_EXACT:g} m")
 
 
-def _str(value, path: str) -> str:
+def _str(value, path: tuple) -> str:
     if not isinstance(value, str):
-        raise PlanParseError(f"{path}: expected a string")
+        raise PlanParseError(f"{_at(path)}: expected a string")
     return value
 
 
-def _list(value, path: str) -> list:
+def _list(value, path: tuple) -> list:
     if not isinstance(value, list):
-        raise PlanParseError(f"{path}: expected a list")
+        raise PlanParseError(f"{_at(path)}: expected a list")
     return value
 
 
-def _pair(value, path: str, item) -> tuple:
+def _pair(value, path: tuple, item) -> tuple:
     """A two-element list whose elements ``item`` checks."""
     if not isinstance(value, list) or len(value) != 2:
-        raise PlanParseError(f"{path}: expected a pair")
-    return (item(value[0], f"{path}[0]"), item(value[1], f"{path}[1]"))
+        raise PlanParseError(f"{_at(path)}: expected a pair")
+    return item(value[0], path + (0,)), item(value[1], path + (1,))
 
 
-def _point(value, path: str) -> tuple[int, int]:
+def _ids(value, path: tuple) -> tuple[int, int]:
+    """A pair of integers; two plain ints, as ``to_json`` writes them, take one call."""
+    if type(value) is list and len(value) == 2 and type(value[0]) is int and type(value[1]) is int:
+        return value[0], value[1]
+    return _pair(value, path, _int)
+
+
+def _point(value, path: tuple) -> tuple[int, int]:
+    """An [x, y] pair of lengths; two floats on the grid, as ``to_json`` writes them, take one call."""
+    if type(value) is list and len(value) == 2:
+        x, y = value
+        if type(x) is float and type(y) is float and abs(x) <= MAX_EXACT and abs(y) <= MAX_EXACT:
+            mx, my = round(x * 1000), round(y * 1000)
+            if _m(mx) == x and _m(my) == y:
+                return mx, my
     return _pair(value, path, _length)
 
 
-# The plan writer.  Each helper returns one JSON value laid out exactly as
-# json.dumps(indent=2) lays it out when the value's first line sits at
-# indent ``pad``.  Numbers print as their repr, which is what the json module
-# writes for ints and floats.
+# The plan writer.  It writes the document exactly as json.dumps(indent=2)
+# lays it out: each object below is its own template, and each list helper
+# returns one JSON value laid out for a first line at indent ``pad``.
+# Numbers print as their repr and strings as the json module's ASCII encoder
+# quotes them, which is what json.dumps writes.  A document's lengths come
+# from ``metres``, a ``_Text`` that writes each distinct millimetre value once.
 
 
-def _object_json(fields: tuple[tuple[str, str], ...], pad: str) -> str:
-    inner = pad + "  "
-    return "{\n" + ",\n".join(f'{inner}"{key}": {value}' for key, value in fields) + f"\n{pad}}}"
+class _Text(dict):
+    """Each key's text, written by ``write`` when first asked for; one lives for one document."""
+
+    __slots__ = ("write",)
+
+    def __init__(self, write) -> None:
+        self.write = write
+
+    def __missing__(self, key):
+        text = self[key] = self.write(key)
+        return text
+
+
+# A string as json.dumps writes it, without building an encoder.
+_quote = json.encoder.encode_basestring_ascii
 
 
 def _list_json(items: list[str], pad: str) -> str:
@@ -283,39 +321,41 @@ def _list_json(items: list[str], pad: str) -> str:
 
 
 def _pairs_json(pairs, pad: str) -> str:
-    """A list of two-number lists."""
+    """A list of two-number lists, each number given as its text."""
     if not pairs:
         return "[]"
     inner, item = pad + "  ", pad + "    "
-    body = f"\n{inner}],\n{inner}[\n{item}".join(f"{a!r},\n{item}{b!r}" for a, b in pairs)
+    body = f"\n{inner}],\n{inner}[\n{item}".join([f"{a},\n{item}{b}" for a, b in pairs])
     return f"[\n{inner}[\n{item}{body}\n{inner}]\n{pad}]"
 
 
-def _poly_json(poly: RectilinearPolygon, pad: str) -> str:
-    return _pairs_json([(_m(x), _m(y)) for x, y in poly.mm], pad)
+def _poly_json(poly: RectilinearPolygon, pad: str, metres: _Text) -> str:
+    return _pairs_json([(metres[x], metres[y]) for x, y in poly.mm], pad)
 
 
-def _room_json(room: Room) -> str:
-    fields = (
-        ("id", repr(room.id)),
-        ("kind", json.dumps(room.kind.value)),
-        ("target_area", repr(room.target_area)),
-        ("polygon", _poly_json(room.polygon, "      ")),
+def _room_json(room: Room, metres: _Text) -> str:
+    return (
+        "{\n"
+        f'      "id": {room.id!r},\n'
+        f'      "kind": {_quote(room.kind.value)},\n'
+        f'      "target_area": {room.target_area!r},\n'
+        f'      "polygon": {_poly_json(room.polygon, "      ", metres)}\n'
+        "    }"
     )
-    return _object_json(fields, "    ")
 
 
-def _opening_json(opening: Opening) -> str:
+def _opening_json(opening: Opening, metres: _Text) -> str:
     horizontal, line, lo, hi = opening.wall
     ends = ((lo, line), (hi, line)) if horizontal else ((line, lo), (line, hi))
-    fields = (
-        ("kind", json.dumps(opening.kind)),
-        ("wall", _pairs_json([(_m(x), _m(y)) for x, y in ends], "      ")),
-        ("offset", repr(_m(opening.lo - lo))),
-        ("width", repr(_m(opening.hi - opening.lo))),
-        ("rooms", _list_json([repr(r) for r in opening.rooms], "      ")),
+    return (
+        "{\n"
+        f'      "kind": {_quote(opening.kind)},\n'
+        f'      "wall": {_pairs_json([(metres[x], metres[y]) for x, y in ends], "      ")},\n'
+        f'      "offset": {metres[opening.lo - lo]},\n'
+        f'      "width": {metres[opening.hi - opening.lo]},\n'
+        f'      "rooms": {_list_json([repr(r) for r in opening.rooms], "      ")}\n'
+        "    }"
     )
-    return _object_json(fields, "    ")
 
 
 def to_json(plan: FloorPlan) -> str:
@@ -324,24 +364,25 @@ def to_json(plan: FloorPlan) -> str:
     The text equals ``json.dumps(doc, indent=2) + "\\n"`` for the document
     dict with its keys in the order written here.
     """
-    footprint = tuple((key, repr(_m(v))) for key, v in zip(("x", "y", "x1", "y1"), plan.footprint))
-    graph = (
-        ("nodes", _list_json([repr(n) for n in sorted(plan.graph.nodes)], "    ")),
-        ("edges", _pairs_json(plan.graph.edges, "    ")),
+    metres = _Text(lambda mm: repr(_m(mm)))
+    x, y, x1, y1 = [metres[v] for v in plan.footprint]
+    corridor = "null" if plan.corridor is None else _poly_json(plan.corridor, "  ", metres)
+    nodes = _list_json([repr(n) for n in sorted(plan.graph.nodes)], "    ")
+    edges = _pairs_json([(repr(a), repr(b)) for a, b in plan.graph.edges], "    ")
+    return (
+        "{\n"
+        f'  "schema_version": {SCHEMA_VERSION!r},\n'
+        f'  "seed": {plan.seed!r},\n'
+        f'  "config_fingerprint": {_quote(plan.config_fingerprint)},\n'
+        f'  "attempts": {plan.attempts!r},\n'
+        f'  "corridor_candidates": {plan.corridor_candidates!r},\n'
+        f'  "footprint": {{\n    "x": {x},\n    "y": {y},\n    "x1": {x1},\n    "y1": {y1}\n  }},\n'
+        f'  "rooms": {_list_json([_room_json(room, metres) for room in plan.rooms], "  ")},\n'
+        f'  "corridor": {corridor},\n'
+        f'  "openings": {_list_json([_opening_json(o, metres) for o in plan.openings], "  ")},\n'
+        f'  "connection_graph": {{\n    "nodes": {nodes},\n    "edges": {edges}\n  }}\n'
+        "}\n"
     )
-    doc = (
-        ("schema_version", repr(SCHEMA_VERSION)),
-        ("seed", repr(plan.seed)),
-        ("config_fingerprint", json.dumps(plan.config_fingerprint)),
-        ("attempts", repr(plan.attempts)),
-        ("corridor_candidates", repr(plan.corridor_candidates)),
-        ("footprint", _object_json(footprint, "  ")),
-        ("rooms", _list_json([_room_json(room) for room in plan.rooms], "  ")),
-        ("corridor", "null" if plan.corridor is None else _poly_json(plan.corridor, "  ")),
-        ("openings", _list_json([_opening_json(o) for o in plan.openings], "  ")),
-        ("connection_graph", _object_json(graph, "  ")),
-    )
-    return _object_json(doc, "") + "\n"
 
 
 _TOP_FIELDS = {
@@ -367,56 +408,52 @@ def from_json(text: str) -> FloorPlan:
         raise PlanParseError(f"$: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise PlanParseError("$: expected an object")
-    unknown = set(doc) - _TOP_FIELDS
+    unknown = doc.keys() - _TOP_FIELDS
     if unknown:
         raise PlanParseError(f"$.{sorted(unknown)[0]}: unknown field")
-    missing = _TOP_FIELDS - set(doc)
+    missing = _TOP_FIELDS - doc.keys()
     if missing:
         raise PlanParseError(f"$.{sorted(missing)[0]}: missing field")
-    if _int(doc["schema_version"], "$.schema_version") != SCHEMA_VERSION:
+    if _int(doc["schema_version"], ("schema_version",)) != SCHEMA_VERSION:
         raise PlanParseError(f"$.schema_version: unsupported {doc['schema_version']!r}")
-    seed = _int(doc["seed"], "$.seed")
-    fingerprint = _str(doc["config_fingerprint"], "$.config_fingerprint")
-    attempts = _int(doc["attempts"], "$.attempts")
-    candidates = _int(doc["corridor_candidates"], "$.corridor_candidates")
+    seed = _int(doc["seed"], ("seed",))
+    fingerprint = _str(doc["config_fingerprint"], ("config_fingerprint",))
+    attempts = _int(doc["attempts"], ("attempts",))
+    candidates = _int(doc["corridor_candidates"], ("corridor_candidates",))
 
     fp = doc["footprint"]
-    if not isinstance(fp, dict) or set(fp) != {"x", "y", "x1", "y1"}:
+    if not isinstance(fp, dict) or fp.keys() != {"x", "y", "x1", "y1"}:
         raise PlanParseError("$.footprint: expected x, y, x1, y1")
-    footprint = tuple(_length(fp[k], f"$.footprint.{k}") for k in ("x", "y", "x1", "y1"))
+    footprint = tuple(_length(fp[k], ("footprint", k)) for k in ("x", "y", "x1", "y1"))
     x, y, x1, y1 = footprint
     if x1 <= x or y1 <= y:
         raise PlanParseError("$.footprint: x1 and y1 must exceed x and y")
 
     rooms = []
-    for i, rdoc in enumerate(_list(doc["rooms"], "$.rooms")):
-        if not isinstance(rdoc, dict) or set(rdoc) != _ROOM_FIELDS:
+    for i, rdoc in enumerate(_list(doc["rooms"], ("rooms",))):
+        if not isinstance(rdoc, dict) or rdoc.keys() != _ROOM_FIELDS:
             raise PlanParseError(f"$.rooms[{i}]: expected fields {sorted(_ROOM_FIELDS)}")
         try:
             kind = RoomKind(rdoc["kind"])
         except ValueError as exc:
             raise PlanParseError(f"$.rooms[{i}].kind: {rdoc['kind']!r}") from exc
-        rooms.append(
-            Room(
-                id=_int(rdoc["id"], f"$.rooms[{i}].id"),
-                kind=kind,
-                polygon=_poly_from_json(rdoc["polygon"], f"$.rooms[{i}].polygon"),
-                target_area=_number(rdoc["target_area"], f"$.rooms[{i}].target_area"),
-            )
-        )
+        rid = _int(rdoc["id"], ("rooms", i, "id"))
+        polygon = _poly_from_json(rdoc["polygon"], ("rooms", i, "polygon"))
+        rooms.append(Room(rid, kind, polygon, _number(rdoc["target_area"], ("rooms", i, "target_area"))))
 
     corridor = None
     if doc["corridor"] is not None:
-        corridor = _poly_from_json(doc["corridor"], "$.corridor")
+        corridor = _poly_from_json(doc["corridor"], ("corridor",))
 
     openings = []
-    for i, odoc in enumerate(_list(doc["openings"], "$.openings")):
-        if not isinstance(odoc, dict) or set(odoc) != _OPENING_FIELDS:
+    for i, odoc in enumerate(_list(doc["openings"], ("openings",))):
+        if not isinstance(odoc, dict) or odoc.keys() != _OPENING_FIELDS:
             raise PlanParseError(f"$.openings[{i}]: expected fields {sorted(_OPENING_FIELDS)}")
-        kind = _str(odoc["kind"], f"$.openings[{i}].kind")
-        ids = _pair(odoc["rooms"], f"$.openings[{i}].rooms", _int)
-        (ax, ay), (bx, by) = a, b = _pair(odoc["wall"], f"$.openings[{i}].wall", _point)
-        offset, width = (_length(odoc[k], f"$.openings[{i}].{k}") for k in ("offset", "width"))
+        kind = _str(odoc["kind"], ("openings", i, "kind"))
+        ids = _ids(odoc["rooms"], ("openings", i, "rooms"))
+        (ax, ay), (bx, by) = a, b = _pair(odoc["wall"], ("openings", i, "wall"), _point)
+        offset = _length(odoc["offset"], ("openings", i, "offset"))
+        width = _length(odoc["width"], ("openings", i, "width"))
         if ax != bx and ay != by:
             raise PlanParseError(f"$.openings[{i}]: segment not axis-aligned: {a} -> {b} mm")
         if a == b:
@@ -427,16 +464,16 @@ def from_json(text: str) -> FloorPlan:
         openings.append(Opening(kind, wall, lo, lo + width, ids))
 
     gdoc = doc["connection_graph"]
-    if not isinstance(gdoc, dict) or set(gdoc) != {"nodes", "edges"}:
+    if not isinstance(gdoc, dict) or gdoc.keys() != {"nodes", "edges"}:
         raise PlanParseError("$.connection_graph: expected nodes and edges")
     graph = ConnectionGraph(
         nodes=frozenset(
-            _int(node, f"$.connection_graph.nodes[{j}]")
-            for j, node in enumerate(_list(gdoc["nodes"], "$.connection_graph.nodes"))
+            _int(node, ("connection_graph", "nodes", j))
+            for j, node in enumerate(_list(gdoc["nodes"], ("connection_graph", "nodes")))
         ),
         edges=tuple(
-            _pair(edge, f"$.connection_graph.edges[{j}]", _int)
-            for j, edge in enumerate(_list(gdoc["edges"], "$.connection_graph.edges"))
+            _ids(edge, ("connection_graph", "edges", j))
+            for j, edge in enumerate(_list(gdoc["edges"], ("connection_graph", "edges")))
         ),
     )
 
@@ -479,20 +516,28 @@ def _fmt(v: float) -> str:
 
 
 def _label_point(poly: RectilinearPolygon) -> tuple[int, int]:
-    """A point inside the polygon in mm: the centre of its largest cell on its own grid lines."""
+    """A point inside the polygon in mm: the centre of its largest cell on its own grid lines.
+
+    Ties go to the leftmost, then lowest, cell.
+    """
     if len(poly.mm) == 4:
         # A rectangle is its own one cell, from its least vertex to the opposite one.
         (x0, y0), _, (x1, y1), _ = poly.mm
         return round(x0 + (x1 - x0) / 2), round(y0 + (y1 - y0) / 2)
-    grid = Grid((), [poly])
-    xs, ys, s = grid.xs, grid.ys, grid.stride
+    xs = sorted({x for x, _ in poly.mm})
+    ys = sorted({y for _, y in poly.mm})
+    column = {x: i for i, x in enumerate(xs)}
+    walls = [(ax, min(ay, by), max(ay, by)) for (ax, ay), (bx, by) in poly.edges_mm() if ax == bx]
     best = None
-    for k in _bits(grid.fill(poly)):
-        i, j = k % s, k // s
-        w, h = xs[i + 1] - xs[i], ys[j + 1] - ys[j]
-        key = (w * h, -xs[i], -ys[j])
-        if best is None or key > best[0]:
-            best = (key, (xs[i] + w / 2, ys[j] + h / 2))
+    for y0, y1 in zip(ys, ys[1:]):
+        # A row is inside from the first wall across it to the second, the third to the fourth...
+        cuts = iter(sorted(x for x, lo, hi in walls if lo <= y0 and y1 <= hi))
+        for left, right in zip(cuts, cuts):
+            i, k = column[left], column[right]
+            for x0, x1 in zip(xs[i:k], xs[i + 1 : k + 1]):
+                key = ((x1 - x0) * (y1 - y0), -x0, -y0)
+                if best is None or key > best[0]:
+                    best = (key, (x0 + (x1 - x0) / 2, y0 + (y1 - y0) / 2))
     assert best is not None
     return round(best[1][0]), round(best[1][1])
 
@@ -508,16 +553,17 @@ def _render_plan(plan: FloorPlan, style: SvgStyle, ox: float, oy: float) -> list
     s = style.scale
     fx, fy, fw, fh = _footprint_m(plan)
 
-    def px(x: int, y: int) -> tuple[float, float]:
-        """The page position of a point given in mm."""
-        return (ox + (_m(x) - fx) * s, oy + (fy + fh - _m(y)) * s)
+    def page_x(x: int) -> float:
+        return ox + (_m(x) - fx) * s
+
+    def page_y(y: int) -> float:
+        return oy + (fy + fh - _m(y)) * s
+
+    # The text of each page x and y given in mm, written once per plan.
+    xt, yt = _Text(lambda x: _fmt(page_x(x))), _Text(lambda y: _fmt(page_y(y)))
 
     def path_of(poly: RectilinearPolygon) -> str:
-        parts = []
-        for i, p in enumerate(poly.mm):
-            x, y = px(*p)
-            parts.append(f"{'M' if i == 0 else 'L'} {_fmt(x)} {_fmt(y)}")
-        return " ".join(parts) + " Z"
+        return "M " + " L ".join([f"{xt[x]} {yt[y]}" for x, y in poly.mm]) + " Z"
 
     fills = dict(style.fills)
     paths = [path_of(room.polygon) for room in plan.rooms]
@@ -529,10 +575,11 @@ def _render_plan(plan: FloorPlan, style: SvgStyle, ox: float, oy: float) -> list
         out.append(
             f'<path d="{path_of(plan.corridor)}" fill="#f3dfae" stroke="none" opacity="0.85"/>'
         )
+    wall_width = _fmt(style.wall_width)
     for path in paths:
         out.append(
             f'<path d="{path}" fill="none" stroke="{style.wall}" '
-            f'stroke-width="{_fmt(style.wall_width)}" stroke-linejoin="miter"/>'
+            f'stroke-width="{wall_width}" stroke-linejoin="miter"/>'
         )
     out.append(
         f'<rect x="{_fmt(ox)}" y="{_fmt(oy)}" width="{_fmt(fw * s)}" '
@@ -540,19 +587,18 @@ def _render_plan(plan: FloorPlan, style: SvgStyle, ox: float, oy: float) -> list
         f'stroke-width="{_fmt(style.outline_width)}"/>'
     )
 
+    gap = _fmt(max(style.wall_width, style.outline_width) + 2)
     for opening in plan.openings:
         horizontal, line, _, _ = opening.wall
         lo, hi = opening.lo, opening.hi
-        if horizontal:
-            (ax, ay), (bx, by) = px(lo, line), px(hi, line)
-        else:
-            (ax, ay), (bx, by) = px(line, lo), px(line, hi)
-        gap = max(style.wall_width, style.outline_width) + 2
+        # The opening's ends in mm.
+        (x0, y0), (x1, y1) = ((lo, line), (hi, line)) if horizontal else ((line, lo), (line, hi))
         out.append(
-            f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" y2="{_fmt(by)}" '
-            f'stroke="{style.background}" stroke-width="{_fmt(gap)}"/>'
+            f'<line x1="{xt[x0]}" y1="{yt[y0]}" x2="{xt[x1]}" y2="{yt[y1]}" '
+            f'stroke="{style.background}" stroke-width="{gap}"/>'
         )
         if opening.kind == WINDOW:
+            ax, ay, bx, by = page_x(x0), page_y(y0), page_x(x1), page_y(y1)
             dx, dy = (0.0, 2.0) if horizontal else (2.0, 0.0)
             for sign in (-1, 1):
                 out.append(
@@ -563,22 +609,24 @@ def _render_plan(plan: FloorPlan, style: SvgStyle, ox: float, oy: float) -> list
             continue
         color = style.entry_color if opening.kind == ENTRY_DOOR else style.door_color
         r = _m(hi - lo) * s
-        leaf = (ax, ay - r) if horizontal else (ax + r, ay)
+        # The leaf's free end: up from a horizontal wall's first end, right of a vertical one's.
+        leaf = f"{xt[x0]} {_fmt(page_y(y0) - r)}" if horizontal else f"{_fmt(page_x(x0) + r)} {yt[y0]}"
+        radius = _fmt(r)
         out.append(
-            f'<path d="M {_fmt(ax)} {_fmt(ay)} L {_fmt(leaf[0])} {_fmt(leaf[1])} '
-            f'A {_fmt(r)} {_fmt(r)} 0 0 1 {_fmt(bx)} {_fmt(by)}" '
+            f'<path d="M {xt[x0]} {yt[y0]} L {leaf} A {radius} {radius} 0 0 1 {xt[x1]} {yt[y1]}" '
             f'fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
 
     if style.labels:
+        font_size, dy = _fmt(style.font_size), _fmt(style.font_size + 1)
         for room in plan.rooms:
-            cx, cy = px(*_label_point(room.polygon))
+            x, y = _label_point(room.polygon)
             name = room.kind.value.replace("_", " ").capitalize()
             out.append(
-                f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
-                f'font-family="Helvetica, Arial, sans-serif" font-size="{_fmt(style.font_size)}" '
+                f'<text x="{xt[x]}" y="{yt[y]}" text-anchor="middle" '
+                f'font-family="Helvetica, Arial, sans-serif" font-size="{font_size}" '
                 f'fill="{style.label_color}">{name}'
-                f'<tspan x="{_fmt(cx)}" dy="{_fmt(style.font_size + 1)}">'
+                f'<tspan x="{xt[x]}" dy="{dy}">'
                 f"{room.area:.1f} m²</tspan></text>"
             )
     return out
@@ -586,10 +634,10 @@ def _render_plan(plan: FloorPlan, style: SvgStyle, ox: float, oy: float) -> list
 
 def _svg_document(width: float, height: float, background: str, body: list[str]) -> str:
     """A standalone SVG of the given size: background rect, then ``body``."""
+    w, h = _fmt(width), _fmt(height)
     return "\n".join([
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="{background}"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
+        f'<rect width="{w}" height="{h}" fill="{background}"/>',
         *body,
         "</svg>",
     ]) + "\n"

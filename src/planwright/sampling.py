@@ -22,7 +22,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import AbstractSet, Mapping, NamedTuple
 
 from .geometry import GRID, MAX_COORD, MAX_EXACT, Cut, _mm, snap
 
@@ -145,7 +145,8 @@ class JointCountTable:
     __slots__ = ("rows", "_cum", "_support")
 
     def __init__(self, rows) -> None:
-        rows = tuple(tuple(float(v) for v in row) for row in rows)
+        # Plus 0.0 stores a cell of -0.0 as 0.0, which it equals but is not written as.
+        rows = tuple(tuple(float(v) + 0.0 for v in row) for row in rows)
         if len(rows) != 5 or any(len(row) != 10 for row in rows):
             raise ConfigError("joint table must be 5 rows x 10 columns")
         total = 0.0
@@ -305,12 +306,21 @@ class GenConfig:
     max_attempts: int = 32
 
     def __post_init__(self) -> None:
+        for name in ("priority", "optional_doors", "window_banned"):
+            # An unordered container lists its kinds in hash order, and the
+            # fingerprint would list them so.
+            if isinstance(getattr(self, name), (AbstractSet, Mapping)):
+                raise ConfigError(f"{name} must be a list, not a {type(getattr(self, name)).__name__}")
         # Tuples, so that a config hashes and compares by value; priority is
-        # also a memo key of assign_functions.
+        # also a memo key of assign_functions.  A float -0.0 equals 0.0 but is
+        # written "-0.0", so the probabilities store it as 0.0 and equal configs
+        # fingerprint alike; the other float fields are refused at zero.
         object.__setattr__(self, "priority", tuple(self.priority))
-        object.__setattr__(self, "optional_doors", tuple(map(tuple, self.optional_doors)))
+        doors = tuple((a, b, _unsigned(p)) for a, b, p in self.optional_doors)
+        object.__setattr__(self, "optional_doors", doors)
         object.__setattr__(self, "window_banned", tuple(self.window_banned))
         object.__setattr__(self, "areas", MappingProxyType(dict(self.areas)))
+        object.__setattr__(self, "kitchen_via_dining_prob", _unsigned(self.kitchen_via_dining_prob))
         if len(self.priority) < 2 or self.priority[0] is not RoomKind.OUTSIDE:
             raise ConfigError("priority list must start with outside")
         if self.priority[1] is not RoomKind.LIVING_ROOM:
@@ -333,9 +343,17 @@ class GenConfig:
             raise ConfigError("footprint_aspect cannot draw a ratio within max_footprint_aspect")
         if not 0 <= self.kitchen_via_dining_prob <= 1:
             raise ConfigError("kitchen_via_dining_prob must be in [0, 1]")
+        pairs = set()
         for a, b, p in self.optional_doors:
             if not 0 <= p <= 1:
                 raise ConfigError(f"optional door probability for ({a.value}, {b.value}) must be in [0, 1]")
+            # Only the first entry for a pair is ever drawn.
+            if frozenset((a, b)) in pairs:
+                raise ConfigError(f"optional_doors lists the pair ({a.value}, {b.value}) twice")
+            pairs.add(frozenset((a, b)))
+        for kind in self.window_banned:
+            if self.window_banned.count(kind) > 1:
+                raise ConfigError(f"window_banned lists {kind.value} twice")
         if type(self.max_attempts) is not int or self.max_attempts < 1:
             raise ConfigError(f"max_attempts must be a whole number >= 1, got {self.max_attempts!r}")
         for kind in self.priority:
@@ -368,7 +386,7 @@ class GenConfig:
 
     def __hash__(self) -> int:
         # Over the values == compares, areas as sorted items; the fingerprint
-        # would tell apart equal configs (a probability of 0.0 and of -0.0).
+        # would tell apart equal configs (a max_room_aspect of 4 and of 4.0).
         return hash(tuple(
             tuple(sorted(self.areas.items())) if f.name == "areas" else getattr(self, f.name)
             for f in fields(self)
@@ -456,6 +474,11 @@ class GenConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_json(data, base_dir=path.parent)
+
+
+def _unsigned(value):
+    """``value``, with a float -0.0 as 0.0."""
+    return 0.0 if type(value) is float and value == 0 else value
 
 
 def _number(value, name: str) -> int | float:

@@ -9,6 +9,7 @@ second one would hide what the first did to ``generate``.  ``GenConfig.from_json
 must then raise ``ConfigError`` (or ``OSError`` when ``joint_table`` became a
 string, which names a CSV file), or return a config for which ``generate``
 returns a plan or raises ``GenerationError``; any other exception is a bug.
+A config that loads must also fingerprint like the configs equal to it.
 """
 
 from __future__ import annotations
@@ -83,6 +84,15 @@ def _mutate(doc, data) -> None:
         value[data.draw(st.sampled_from(KINDS + ["uniform", "constant"]))] = {"constant": 5.0}
 
 
+def _signed_zeros(node):
+    """The document with every float 0.0 in it written as -0.0."""
+    if isinstance(node, dict):
+        return {key: _signed_zeros(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_signed_zeros(value) for value in node]
+    return -0.0 if type(node) is float and node == 0 else node
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_mutated_configs_load_and_generate_or_fail_cleanly(documents, data):
@@ -95,6 +105,11 @@ def test_mutated_configs_load_and_generate_or_fail_cleanly(documents, data):
     except OSError:
         assert isinstance(doc.get("joint_table"), str)
         return
+    # Equal configs fingerprint alike: the document with each float zero
+    # written as -0.0, and the config's own JSON read back, load as equals.
+    for twin_doc in (_signed_zeros(doc), json.loads(json.dumps(cfg.to_json()))):
+        twin = GenConfig.from_json(twin_doc)
+        assert twin == cfg and twin.fingerprint() == cfg.fingerprint()
     # The memoised fingerprint is the canonical-JSON hash, for the config and a variant of it.
     variant = replace(cfg, max_attempts=min(cfg.max_attempts, 2))
     for c in (cfg, variant):

@@ -5,14 +5,19 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import math
 import pickle
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planwright
 from planwright import sampling
 from planwright.geometry import aspect_ratio
 from planwright.hierarchy import build_hierarchy
@@ -385,8 +390,12 @@ def test_equal_configs_hash_equal_and_key_a_cache():
         assert again == cfg and hash(again) == hash(cfg)
     assert hash(JointCountTable.default()) == hash(JointCountTable.default())
     # Equal, though their fingerprints differ: the hash follows ==.
+    four, four_float = GenConfig(max_room_aspect=4), GenConfig(max_room_aspect=4.0)
+    assert four == four_float and four.fingerprint() != four_float.fingerprint()
+    assert hash(four) == hash(four_float)
+    # -0.0 is stored as 0.0, so these fingerprint alike too.
     zero, negative_zero = GenConfig(kitchen_via_dining_prob=0.0), GenConfig(kitchen_via_dining_prob=-0.0)
-    assert zero == negative_zero and zero.fingerprint() != negative_zero.fingerprint()
+    assert zero == negative_zero and zero.fingerprint() == negative_zero.fingerprint()
     assert hash(zero) == hash(negative_zero)
 
     assert {cfg: "wide", GenConfig(): "default"}[copies[-1]] == "wide"
@@ -399,6 +408,89 @@ def test_equal_configs_hash_equal_and_key_a_cache():
 
     assert [width(c) for c in (cfg, *copies, GenConfig())] == [1200] * 7 + [1000]
     assert calls == [cfg, GenConfig()]
+
+
+def test_unordered_or_repeated_config_lists_are_refused():
+    K = RoomKind
+    banned, doors = GenConfig().window_banned, GenConfig().optional_doors
+    for knobs in (
+        {"window_banned": set(banned)},
+        {"window_banned": frozenset(banned)},
+        {"window_banned": dict.fromkeys(banned)},
+        {"window_banned": dict.fromkeys(banned).keys()},
+        {"optional_doors": set(doors)},
+        {"priority": dict.fromkeys(PRIORITY)},
+        {"priority": frozenset(PRIORITY)},
+    ):
+        with pytest.raises(ConfigError, match="must be a list"):
+            GenConfig(**knobs)
+    # A kind pair twice, in either order, and a banned kind twice.
+    for twice in ((K.KITCHEN, K.DINING_ROOM, 0.5), (K.DINING_ROOM, K.KITCHEN, 0.2)):
+        with pytest.raises(ConfigError, match=r"lists the pair \(\w+, \w+\) twice"):
+            GenConfig(optional_doors=(*doors, twice))
+    with pytest.raises(ConfigError, match="window_banned lists bathroom twice"):
+        GenConfig(window_banned=(K.BATHROOM, K.KITCHEN, K.BATHROOM))
+    # Lists and one-room pairs stay as they were.
+    assert GenConfig(optional_doors=[*doors, (K.BEDROOM, K.BEDROOM, 0.5)]).optional_doors[-1][0] is K.BEDROOM
+    assert GenConfig(window_banned=[K.KITCHEN, K.BATHROOM]).window_banned == (K.KITCHEN, K.BATHROOM)
+
+
+def test_negative_zero_is_stored_as_zero():
+    # A zero probability and a zero joint-table cell, each written as 0.0 and as -0.0.
+    for path in (("kitchen_via_dining_prob",), ("optional_doors", 0, 2), ("joint_table", 0, 5)):
+        configs = []
+        for zero in (0.0, -0.0):
+            doc = GenConfig().to_json()
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = zero
+            configs.append(GenConfig.from_json(doc))
+        plus, minus = configs
+        assert minus == plus and minus.fingerprint() == plus.fingerprint()
+        assert "-0.0" not in json.dumps(minus.to_json())
+    assert math.copysign(1, GenConfig(kitchen_via_dining_prob=-0.0).kitchen_via_dining_prob) == 1
+    # A zero written as an int stays one, so no fingerprint but a -0.0 one moves.
+    assert type(GenConfig(kitchen_via_dining_prob=0).kitchen_via_dining_prob) is int
+    assert GenConfig().fingerprint() == "aeaeba853cc33c38"
+
+
+# Set-free configs, built the same way here and in the child interpreters below.
+CONFIGS_SOURCE = """
+from planwright.sampling import GenConfig, RoomKind as K
+CONFIGS = [
+    GenConfig(),
+    GenConfig(min_room_width=2.2),
+    GenConfig(window_banned=[K.KITCHEN, K.BATHROOM, K.STORAGE]),
+    GenConfig(optional_doors=[
+        (K.KITCHEN, K.DINING_ROOM, 0.5), (K.BATHROOM, K.BEDROOM, 0.25), (K.LIVING_ROOM, K.DINING_ROOM, 1.0),
+    ]),
+]
+"""
+
+
+def test_config_fingerprint_is_hash_seed_independent():
+    scope: dict = {}
+    exec(CONFIGS_SOURCE, scope)
+    expected = [cfg.fingerprint() for cfg in scope["CONFIGS"]]
+    assert expected[0] == "aeaeba853cc33c38"
+    script = CONFIGS_SOURCE + "print(*(cfg.fingerprint() for cfg in CONFIGS))"
+    # The child imports the same planwright this process does.
+    package_root = str(Path(planwright.__file__).resolve().parents[1])
+    for hash_seed in ("0", "1", "2", "3"):
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={
+                "PYTHONHASHSEED": hash_seed,
+                "PATH": "/usr/bin:/bin",
+                "PYTHONPATH": package_root,
+                "PYTHONDONTWRITEBYTECODE": "1",
+            },
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == expected
 
 
 def test_config_json_round_trip():
