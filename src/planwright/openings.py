@@ -442,7 +442,7 @@ def validate(plan, cfg: GenConfig | None = None) -> ValidationReport:
 def _on_wall(wall: Run, runs: list[Run]) -> bool:
     """The wall lies within one of the runs."""
     horizontal, line, lo, hi = wall
-    return any(
-        (h, run_line) == (horizontal, line) and run_lo <= lo and hi <= run_hi
-        for h, run_line, run_lo, run_hi in runs
-    )
+    for h, run_line, run_lo, run_hi in runs:
+        if h == horizontal and run_line == line and run_lo <= lo and hi <= run_hi:
+            return True
+    return False

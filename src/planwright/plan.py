@@ -282,7 +282,7 @@ def _point(value, path: tuple) -> tuple[int, int]:
         x, y = value
         if type(x) is float and type(y) is float and abs(x) <= MAX_EXACT and abs(y) <= MAX_EXACT:
             mx, my = round(x * 1000), round(y * 1000)
-            if _m(mx) == x and _m(my) == y:
+            if mx / 1000 == x and my / 1000 == y:  # _m, spelled out
                 return mx, my
     return _pair(value, path, _length)
 
@@ -346,11 +346,12 @@ def _room_json(room: Room, metres: _Text) -> str:
 
 def _opening_json(opening: Opening, metres: _Text) -> str:
     horizontal, line, lo, hi = opening.wall
-    ends = ((lo, line), (hi, line)) if horizontal else ((line, lo), (line, hi))
+    (ax, ay), (bx, by) = ((lo, line), (hi, line)) if horizontal else ((line, lo), (line, hi))
     return (
         "{\n"
         f'      "kind": {_quote(opening.kind)},\n'
-        f'      "wall": {_pairs_json([(metres[x], metres[y]) for x, y in ends], "      ")},\n'
+        f'      "wall": [\n        [\n          {metres[ax]},\n          {metres[ay]}\n        ],\n'
+        f'        [\n          {metres[bx]},\n          {metres[by]}\n        ]\n      ],\n'
         f'      "offset": {metres[opening.lo - lo]},\n'
         f'      "width": {metres[opening.hi - opening.lo]},\n'
         f'      "rooms": {_list_json([repr(r) for r in opening.rooms], "      ")}\n'
@@ -618,7 +619,7 @@ def _render_plan(plan: FloorPlan, style: SvgStyle, ox: float, oy: float) -> list
         )
 
     if style.labels:
-        font_size, dy = _fmt(style.font_size), _fmt(style.font_size + 1)
+        font_size, line_gap = _fmt(style.font_size), _fmt(style.font_size + 1)
         for room in plan.rooms:
             x, y = _label_point(room.polygon)
             name = room.kind.value.replace("_", " ").capitalize()
@@ -626,7 +627,7 @@ def _render_plan(plan: FloorPlan, style: SvgStyle, ox: float, oy: float) -> list
                 f'<text x="{xt[x]}" y="{yt[y]}" text-anchor="middle" '
                 f'font-family="Helvetica, Arial, sans-serif" font-size="{font_size}" '
                 f'fill="{style.label_color}">{name}'
-                f'<tspan x="{xt[x]}" dy="{dy}">'
+                f'<tspan x="{xt[x]}" dy="{line_gap}">'
                 f"{room.area:.1f} m²</tspan></text>"
             )
     return out
