@@ -327,10 +327,9 @@ class Grid:
     def exterior_walls(self, m: int, box: Box) -> list[Run]:
         """The boundary runs of ``m`` on the box's sides, facing out of the box.
 
-        Bottom runs come first, then top, left and right ones.  The box's own
-        faces are computed once per grid and box, and kept for the next call
-        with the same box: one grid serves one plan, whose every call names
-        its footprint.
+        Bottom runs come first, then top, left and right ones.  The grid
+        keeps the faces of the last box it was asked about, so the many calls
+        a plan makes with its footprint compute the footprint's faces once.
         """
         if self._outside[0] != box:
             self._outside = (box, self._faces(self.mask(box)))

@@ -205,9 +205,10 @@ def _area_floor(min_mm: int) -> int:
     return max(min_mm - 2, 0) ** 2
 
 
-# Each reader below takes the JSON path of its value as a tuple of parts - a
-# key as a string, a list index as an int - and joins it with ``_at`` only
-# when it raises, so a document that parses formats no path.
+# Each reader below checks one value of a plan document.  It takes the JSON
+# path of that value as a tuple of parts - a key as a string, a list index as
+# an int - and joins it with ``_at`` only when it raises, so a document that
+# parses formats no path.
 
 
 def _at(path: tuple) -> str:
@@ -403,6 +404,8 @@ _OPENING_FIELDS = {"kind", "wall", "offset", "width", "rooms"}
 
 
 def from_json(text: str) -> FloorPlan:
+    """Read an untrusted plan document; one off the schema raises
+    ``PlanParseError`` naming the JSON path of its first bad value."""
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
