@@ -283,7 +283,7 @@ def _point(value, path: tuple) -> tuple[int, int]:
         x, y = value
         if type(x) is float and type(y) is float and abs(x) <= MAX_EXACT and abs(y) <= MAX_EXACT:
             mx, my = round(x * 1000), round(y * 1000)
-            if mx / 1000 == x and my / 1000 == y:  # _m, spelled out
+            if mx / 1000 == x and my / 1000 == y:  # the check _length makes, without its calls
                 return mx, my
     return _pair(value, path, _length)
 

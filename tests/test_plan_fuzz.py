@@ -114,7 +114,7 @@ def _cases(doc):
     The document is serialised twice per path, without the value and with a
     marker in its place that each replacement's text then stands in for.
     """
-    marker = "\0"
+    marker, texts = "\0", [json.dumps(value) for value in ODD_VALUES]
     for path in list(_paths(doc)):
         parent, key = _parent(doc, path), path[-1]
         saved = copy.copy(parent)
@@ -128,8 +128,8 @@ def _cases(doc):
         parent[key] = marker
         template = json.dumps(doc)
         parent[key] = saved[key]
-        for value in ODD_VALUES:
-            yield path, template.replace(json.dumps(marker), json.dumps(value))
+        for text in texts:
+            yield path, template.replace(json.dumps(marker), text)
 
 
 def test_parse_and_check_contract_pinned(documents):
