@@ -1,7 +1,7 @@
 """Connection graph, door and window placement, and plan validation.
 
-The hierarchy tree (with corridor-served rooms re-hung off the living room)
-dictates the mandatory door set; configured optional pairs are added by coin
+The hierarchy's parent of each room (with corridor-served rooms re-hung off
+the living room) dictates the mandatory door set; configured optional pairs are added by coin
 flip when the rooms actually share enough wall.  Every edge then gets one
 door at a uniformly random feasible position, the house gets an entry door
 on the living room's longest exterior wall, and eligible exterior rooms get
@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .geometry import Box, Grid, Run
-from .hierarchy import OUTSIDE_ID
 from .sampling import BEDROOM_KINDS, GenConfig, RandomStream, RoomKind
 
+# The connection graph's node for the outside of the house.
+OUTSIDE_ID = -1
 DOOR = "door"
 ENTRY_DOOR = "entry_door"
 WINDOW = "window"

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .corridor import CorridorError, plan_corridor
 from .geometry import MAX_EXACT, Box, Cut, RectilinearPolygon, _m, aspect_ratio, mm_box
-from .hierarchy import OUTSIDE_ID, build_hierarchy
+from .hierarchy import build_hierarchy
 from .openings import (
     ENTRY_DOOR,
     WINDOW,
@@ -138,7 +138,7 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int, trace: 
         if small:
             raise LayoutError(f"room {min(small)} narrower than {cfg.min_room_width} m")
     via_dining = rng.random() < cfg.kitchen_via_dining_prob
-    tree = build_hierarchy(program, kitchen_via_dining=via_dining)
+    levels, parent_of = build_hierarchy(program, kitchen_via_dining=via_dining)
 
     # From here to the finished plan, geometry is in integer millimetres.
     fp_box = mm_box(footprint)
@@ -154,14 +154,8 @@ def _attempt(seed: int, rng: RandomStream, cfg: GenConfig, attempt: int, trace: 
             raise LayoutError(f"room {rid} too elongated")
         return rid, kind, box
 
-    placed = layout_rooms(footprint, tree, check)
-
-    parent_of: dict[int, int] = {}
-    for node in tree.walk():
-        for child in node.children:
-            if node.room_id != OUTSIDE_ID:
-                parent_of[child.room_id] = node.room_id
-    living_id = tree.children[0].room_id
+    placed = layout_rooms(footprint, levels, check)
+    living_id = placed[0][0]  # the layout places the living room first
 
     corridor = plan_corridor(fp_box, placed, parent_of, living_id, cfg, trace=trace)
     for t in corridor.reparented:

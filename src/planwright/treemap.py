@@ -2,11 +2,12 @@
 
 ``squarify`` partitions a rectangle into one cell per requested area with no
 gaps or overlaps, greedily keeping each cell as square as the row rule
-allows.  ``layout_rooms`` applies it level by level to the hierarchy tree:
-the footprint is split among the living room and its child subtrees by
-aggregate area, then each subtree's allotment is split among the parent room
-itself and its children, recursively.  A per-room check passed in sees each
-room as it is placed, so a failing layout stops at its first failing room.
+allows.  ``layout_rooms`` applies it level by level to the levels
+``build_hierarchy`` returns: the footprint is split among the living room
+and its child subtrees by subtree area, then each subtree's allotment is
+split among the parent room itself and its children, recursively.  A
+per-room check passed in sees each room as it is placed, so a failing
+layout stops at its first failing room.
 
 Rectangles here are plain ``(x, y, width, height)`` float tuples (``Cut``),
 in and out.  Both functions check a level with ``_check_level`` (it has
@@ -28,8 +29,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .geometry import Cut
-from .hierarchy import HierarchyNode
-from .sampling import RoomKind
 
 AREA_TOLERANCE = 1e-6
 
@@ -134,38 +133,40 @@ def _cuts(container: Cut, areas: list[float]) -> list[Cut]:
     return cuts
 
 
-def layout_rooms(footprint: Cut, tree: HierarchyNode, check: Callable) -> list:
-    """Place every room of the (area-annotated) hierarchy inside the footprint.
+def layout_rooms(footprint: Cut, levels: dict, check: Callable) -> list:
+    """Place every room of the hierarchy's ``levels`` inside the footprint.
 
-    A parent room is the first, unsorted item of its own allotment so it
-    stays adjacent to the edge it shares with the level above; child subtrees
-    follow in decreasing aggregate area.
+    ``levels`` maps each room to ``(kind, target_area, children)``, with
+    ``(child_id, subtree_area)`` children and the living room's entry last,
+    as ``build_hierarchy`` returns it.  A parent room is the first, unsorted
+    item of its own allotment so it stays adjacent to the edge it shares with
+    the level above; child subtrees follow in decreasing subtree area.
 
     ``check(room_id, kind, cut)`` sees each room as it is placed, with its
     ``(x, y, width, height)`` floats, and may raise.  The result lists what it
     returns, in placement order.
     """
-    if tree.kind is not RoomKind.OUTSIDE or len(tree.children) != 1:
-        raise LayoutError("layout expects the Outside root with its living-room child")
-    living = tree.children[0]
-    if not living.children:
+    living = next(reversed(levels))
+    _, area, children = levels[living]
+    if not children:
         # A lone room is no level's item, so it is held to the footprint here.
-        _check_level(footprint, [living.room_id], [living.target_area])
+        _check_level(footprint, [living], [area])
     rooms: list = []
-    _place(living, footprint, rooms, check)
+    _place(levels, living, footprint, rooms, check)
     return rooms
 
 
-def _place(node: HierarchyNode, cut: Cut, rooms: list, check: Callable) -> None:
-    if not node.children:
-        rooms.append(check(node.room_id, node.kind, cut))
+def _place(levels: dict, room_id: int, cut: Cut, rooms: list, check: Callable) -> None:
+    kind, area, children = levels[room_id]
+    if not children:
+        rooms.append(check(room_id, kind, cut))
         return
-    children = sorted(node.children, key=lambda c: (-c.aggregate_area, c.room_id))
-    areas = [node.target_area, *[c.aggregate_area for c in children]]
-    _check_level(cut, [node.room_id, *[c.room_id for c in children]], areas)
+    children = sorted(children, key=lambda c: (-c[1], c[0]))
+    areas = [area, *[child_area for _, child_area in children]]
+    _check_level(cut, [room_id, *[child_id for child_id, _ in children]], areas)
     # The level's cuts are all made before its first room is checked, so a
     # side lost to float precision anywhere in the level fails the layout first.
     cuts = _cuts(cut, areas)
-    rooms.append(check(node.room_id, node.kind, cuts[0]))
-    for child, child_cut in zip(children, cuts[1:]):
-        _place(child, child_cut, rooms, check)
+    rooms.append(check(room_id, kind, cuts[0]))
+    for (child_id, _), child_cut in zip(children, cuts[1:]):
+        _place(levels, child_id, child_cut, rooms, check)

@@ -757,6 +757,28 @@ def aggregate_areas(root: HierarchyNode) -> HierarchyNode:
     return root
 
 
+def hierarchy_of(entries, *, kitchen_via_dining: bool = False) -> HierarchyNode:
+    """``build_hierarchy``'s tree for a program given as the package's tuple of entries."""
+    bedrooms = sum(1 for e in entries if e.kind in BEDROOM_KINDS)
+    program = RoomProgram(bedrooms, len(entries), tuple(entries))
+    return build_hierarchy(program, kitchen_via_dining=kitchen_via_dining)
+
+
+def hierarchy_values(tree: HierarchyNode) -> tuple[dict, dict]:
+    """The tree as the package's ``(levels, parent_of)``, the Outside root left out.
+
+    Each room maps to its kind, its target area and its children as
+    ``(id, aggregate area)``, and each room under the living room to its parent.
+    """
+    levels, parent_of = {}, {}
+    for node in tree.children[0].walk():
+        children = [(child.room_id, child.aggregate_area) for child in node.children]
+        levels[node.room_id] = (node.kind, node.target_area, children)
+        for child_id, _ in children:
+            parent_of[child_id] = node.room_id
+    return levels, parent_of
+
+
 # --- cell-set regions and the checks on them --------------------------------
 # The cell-set Region the package used for every area before one grid per
 # plan replaced it, with the set algebra and shape tests the corridor search

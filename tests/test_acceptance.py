@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from planwright.cli import main as cli_main
-from planwright.hierarchy import OUTSIDE_ID
-from planwright.openings import DOOR, ENTRY_DOOR, validate
+from planwright.openings import DOOR, ENTRY_DOOR, OUTSIDE_ID, validate
 from planwright.plan import GenerationError, generate, to_json, to_svg
 from planwright.sampling import (
     BEDROOM_KINDS,

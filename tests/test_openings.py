@@ -15,10 +15,10 @@ from pathlib import Path
 import pytest
 
 from planwright.geometry import Grid, RectilinearPolygon, Run, mm_box
-from planwright.hierarchy import OUTSIDE_ID
 from planwright.openings import (
     DOOR,
     ENTRY_DOOR,
+    OUTSIDE_ID,
     WINDOW,
     ConnectionGraph,
     Opening,

@@ -294,10 +294,12 @@ NEW_FRONT = SimpleNamespace(
 def _front(stages, bedrooms, rooms, seed, cfg, via):
     """Each front stage's output, or the error that stopped them, and the stream counter.
 
-    A program is compared as its bedroom and room counts and its entries, and
-    the footprint as its four floats.  The first version's programs and Rect
-    carry these as fields; the package's are a tuple of entries and a float
-    tuple, so their counts are read off the entries.
+    A program is compared as its bedroom and room counts and its entries, the
+    footprint as its four floats and the hierarchy as ``(levels, parent_of)``.
+    The first version's programs and Rect carry these as fields, and its
+    hierarchy is a tree; the package's are a tuple of entries, a float tuple
+    and the two dicts, so their counts are read off the entries and the tree
+    is projected onto the dicts.
     """
     first = stages is oracles
 
@@ -318,11 +320,11 @@ def _front(stages, bedrooms, rooms, seed, cfg, via):
         if first:
             footprint = (footprint.x, footprint.y, footprint.width, footprint.height)
         out += [footprint, program(drawn)]
-        tree = stages.build_hierarchy(drawn, kitchen_via_dining=via)
-        out += [
-            (n.room_id, n.kind, n.target_area, n.aggregate_area, [c.room_id for c in n.children])
-            for n in tree.walk()
-        ]
+        hierarchy = stages.build_hierarchy(drawn, kitchen_via_dining=via)
+        if first:
+            hierarchy = oracles.hierarchy_values(hierarchy)
+        # Compared exactly: the floats, and the order of each level's children.
+        out.append(hierarchy)
     except (ValueError, SamplingError) as exc:
         out.append((type(exc), str(exc)))
     return out, rng.counter

@@ -17,6 +17,7 @@ from oracles import (
     CellRegion,
     Rect,
     eager_room_check,
+    hierarchy_of,
     layout_rooms_per_level,
     rect_mm,
     row_rects,
@@ -299,15 +300,18 @@ def cuts_by_id(rooms):
     return {rid: cut for rid, _, cut in rooms}
 
 
+def levels_of(*kinds_areas):
+    return build_hierarchy(program_of(*kinds_areas))[0]
+
+
 def test_single_room_house_is_the_footprint():
-    tree = build_hierarchy(program_of((K.LIVING_ROOM, 36)))
-    rooms = layout_rooms((0, 0, 6, 6), tree, accept)
+    rooms = layout_rooms((0, 0, 6, 6), levels_of((K.LIVING_ROOM, 36)), accept)
     assert rooms == [(0, K.LIVING_ROOM, (0, 0, 6, 6))]
 
 
 def test_living_room_plus_subtree_split_into_slabs():
-    tree = build_hierarchy(program_of((K.LIVING_ROOM, 20), (K.MASTER_BEDROOM, 16)))
-    by_id = cuts_by_id(layout_rooms((0, 0, 6, 6), tree, accept))
+    levels = levels_of((K.LIVING_ROOM, 20), (K.MASTER_BEDROOM, 16))
+    by_id = cuts_by_id(layout_rooms((0, 0, 6, 6), levels, accept))
     assert area(by_id[0]) == pytest.approx(20, rel=1e-9)
     assert area(by_id[1]) == pytest.approx(16, rel=1e-9)
     # one vertical cut: living slab carries the full height at the origin
@@ -316,11 +320,9 @@ def test_living_room_plus_subtree_split_into_slabs():
 
 
 def test_parent_room_sits_inside_its_allotment_corner():
-    tree = build_hierarchy(
-        program_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4), (K.PANTRY, 5))
-    )
+    levels = levels_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4), (K.PANTRY, 5))
     footprint = (0, 0, 6, 5)
-    rooms = layout_rooms(footprint, tree, accept)
+    rooms = layout_rooms(footprint, levels, accept)
     by_id = cuts_by_id(rooms)
     living = CellRegion.from_rect(Rect(*by_id[0]))
     assert living.subtract(CellRegion.from_rect(Rect(*footprint))).is_empty
@@ -341,10 +343,10 @@ KINDS = [K.KITCHEN, K.DINING_ROOM, K.MASTER_BEDROOM, K.BEDROOM, K.BATHROOM, K.LA
 )
 def test_every_leaf_gets_its_target_area(extras, aspect):
     prog = program_of((K.LIVING_ROOM, 9.0), *extras)
-    tree = build_hierarchy(prog)
+    levels, _ = build_hierarchy(prog)
     total = sum(e.target_area for e in prog)
     width = (total * aspect) ** 0.5
-    rooms = layout_rooms((0, 0, width, total / width), tree, accept)
+    rooms = layout_rooms((0, 0, width, total / width), levels, accept)
     targets = {e.id: e.target_area for e in prog}
     assert sorted(rid for rid, _, _ in rooms) == sorted(targets)
     for rid, _, cut in rooms:
@@ -356,11 +358,9 @@ def test_layout_builds_a_rect_only_for_the_rooms_its_check_reaches(monkeypatch):
 
     A layout rejected at its living room lays out one level.
     """
-    tree = build_hierarchy(
-        program_of(
-            (K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4),
-            (K.MASTER_BEDROOM, 16), (K.BATHROOM, 5), (K.BEDROOM, 10),
-        )
+    hierarchy = levels_of(
+        (K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4),
+        (K.MASTER_BEDROOM, 16), (K.BATHROOM, 5), (K.BEDROOM, 10),
     )
     footprint = (0, 0, 8, 7)
     levels, made = [], []
@@ -374,7 +374,7 @@ def test_layout_builds_a_rect_only_for_the_rooms_its_check_reaches(monkeypatch):
     monkeypatch.setattr(planwright.treemap, "_cuts", counting_cuts)
 
     # Living room and its four subtrees at the top, the kitchen's level below.
-    cells = layout_rooms(footprint, tree, lambda rid, kind, cut: cut)
+    cells = layout_rooms(footprint, hierarchy, lambda rid, kind, cut: cut)
     assert levels == [5, 2]
     # Every room's cell is a cut its level made, passed on as is; the one cut
     # left over is the kitchen's allotment, which its own level splits.
@@ -387,61 +387,62 @@ def test_layout_builds_a_rect_only_for_the_rooms_its_check_reaches(monkeypatch):
         raise LayoutError(f"room {rid} rejected")
 
     with pytest.raises(LayoutError, match="room 0 rejected"):
-        layout_rooms(footprint, tree, reject)
+        layout_rooms(footprint, hierarchy, reject)
     assert levels == [5]
 
 
-def both_layouts(footprint):
-    """The package layout on the footprint cut and the per-level oracle on its Rect.
+def both_layouts(footprint, prog):
+    """The package layout of the program's levels on the footprint cut, and the
+    per-level oracle of its reference tree on the footprint's Rect.
 
-    Each takes the tree and a check; without a check it accepts every room
-    and returns each room's id.
+    Each takes a check; without one it accepts every room and returns each
+    room's id.
     """
+    levels, _ = build_hierarchy(prog)
+    tree = hierarchy_of(prog)
     return (
-        lambda tree, check=lambda rid, kind, cut: rid: layout_rooms(footprint, tree, check),
-        lambda tree, check=lambda room: room.id: layout_rooms_per_level(Rect(*footprint), tree, check),
+        lambda check=lambda rid, kind, cut: rid: layout_rooms(footprint, levels, check),
+        lambda check=lambda room: room.id: layout_rooms_per_level(Rect(*footprint), tree, check),
     )
 
 
 def test_layout_checks_the_tree_total_against_the_footprint():
-    """A tree whose aggregate does not fill the footprint fails before any room is checked."""
-    tree = build_hierarchy(program_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4)))
+    """A hierarchy whose total area does not fill the footprint fails before any room is checked."""
+    prog = program_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4))
     seen = []
     for footprint in ((0, 0, 5, 6), (0, 0, 5, 4.9)):
+        package, first_written = both_layouts(footprint, prog)
         with pytest.raises(LayoutError, match="item areas sum to 25.0, container holds"):
-            layout_rooms(footprint, tree, lambda rid, kind, cut: seen.append(rid))
+            package(lambda rid, kind, cut: seen.append(rid))
         with pytest.raises(LayoutError, match="item areas sum to 25.0, container holds"):
-            layout_rooms_per_level(Rect(*footprint), tree)
+            first_written()
     assert seen == []
     # A mismatch within the tolerance passes on both paths.
-    for layout in both_layouts((0, 0, 5, 5 * (1 + 1e-9))):
-        assert layout(tree) == [0, 1, 2]
+    for layout in both_layouts((0, 0, 5, 5 * (1 + 1e-9)), prog):
+        assert layout() == [0, 1, 2]
 
 
 def test_a_lone_living_room_is_held_to_the_footprint():
-    """A one-room tree has no level to check, so its room is checked against the footprint."""
-    tree = build_hierarchy(program_of((K.LIVING_ROOM, 36)))
+    """A one-room hierarchy has no level to check, so its room is checked against the footprint."""
+    levels = levels_of((K.LIVING_ROOM, 36))
     seen = []
     with pytest.raises(LayoutError, match=r"^item areas sum to 36\.0, container holds 1$"):
-        layout_rooms((0, 0, 1, 1), tree, lambda rid, kind, cut: seen.append(rid))
+        layout_rooms((0, 0, 1, 1), levels, lambda rid, kind, cut: seen.append(rid))
     assert seen == []
-    assert layout_rooms((0, 0, 4, 9), tree, accept) == [(0, K.LIVING_ROOM, (0, 0, 4, 9))]
+    assert layout_rooms((0, 0, 4, 9), levels, accept) == [(0, K.LIVING_ROOM, (0, 0, 4, 9))]
     # The footprint cut is handed to the check as it is, within the tolerance.
-    assert layout_rooms((0, 0, 6, 6 * (1 + 1e-9)), tree, accept)[0][2] == (0, 0, 6, 6 * (1 + 1e-9))
-    tree = build_hierarchy(program_of((K.LIVING_ROOM, float("nan"))))
+    assert layout_rooms((0, 0, 6, 6 * (1 + 1e-9)), levels, accept)[0][2] == (0, 0, 6, 6 * (1 + 1e-9))
     with pytest.raises(LayoutError, match=r"^item 0 has non-positive area nan$"):
-        layout_rooms((0, 0, 6, 6), tree, accept)
+        layout_rooms((0, 0, 6, 6), levels_of((K.LIVING_ROOM, float("nan"))), accept)
 
 
 def test_a_non_positive_area_fails_when_its_level_is_reached():
     """As with a request per level: a room placed before that level is checked first."""
-    tree = build_hierarchy(
-        program_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 0), (K.MASTER_BEDROOM, 16))
-    )
-    layouts = both_layouts((0, 0, 5, 7.4))
+    prog = program_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 0), (K.MASTER_BEDROOM, 16))
+    layouts = both_layouts((0, 0, 5, 7.4), prog)
     for layout in layouts:
         with pytest.raises(LayoutError, match=r"^item 2 has non-positive area 0\.0$"):
-            layout(tree)
+            layout()
 
     def reject_bedroom(*room):
         rid = room[0] if len(room) == 3 else room[0].id
@@ -452,16 +453,16 @@ def test_a_non_positive_area_fails_when_its_level_is_reached():
     # The bedroom's subtree outweighs the kitchen's, so it is placed first.
     for layout in layouts:
         with pytest.raises(LayoutError, match="bedroom rejected"):
-            layout(tree, reject_bedroom)
+            layout(reject_bedroom)
 
     # A NaN is not positive: the package names it, where the request as first
     # written let it pass and named the zero behind it.
-    tree = build_hierarchy(program_of((K.LIVING_ROOM, float("nan")), (K.KITCHEN, 0)))
-    package, first_written = layouts
+    prog = program_of((K.LIVING_ROOM, float("nan")), (K.KITCHEN, 0))
+    package, first_written = both_layouts((0, 0, 5, 7.4), prog)
     with pytest.raises(LayoutError, match=r"^item 0 has non-positive area nan$"):
-        package(tree)
+        package()
     with pytest.raises(LayoutError, match=r"^item 1 has non-positive area 0\.0$"):
-        first_written(tree)
+        first_written()
 
 
 def mm_check(min_mm, max_aspect, veto):
@@ -513,15 +514,17 @@ def test_layout_on_cut_floats_matches_the_request_per_level(
     living, extras, via_dining, aspect, offset, min_mm, max_aspect, veto
 ):
     """Same rooms to the check in the same order, or the same failure at the same room."""
-    tree = build_hierarchy(program_of((K.LIVING_ROOM, living), *extras), kitchen_via_dining=via_dining)
+    prog = program_of((K.LIVING_ROOM, living), *extras)
+    levels, _ = build_hierarchy(prog, kitchen_via_dining=via_dining)
+    tree = hierarchy_of(prog, kitchen_via_dining=via_dining)
     total = tree.children[0].aggregate_area
     width = (total * aspect) ** 0.5
     footprint = (offset, offset, width, total / width)
     on_cut, on_room = mm_check(min_mm, max_aspect, veto)
     outcomes = []
     for layout, check in (
-        (layout_rooms, on_cut),
-        (lambda footprint, tree, check: layout_rooms_per_level(Rect(*footprint), tree, check), on_room),
+        (lambda check: layout_rooms(footprint, levels, check), on_cut),
+        (lambda check: layout_rooms_per_level(Rect(*footprint), tree, check), on_room),
     ):
         seen = []
 
@@ -530,31 +533,26 @@ def test_layout_on_cut_floats_matches_the_request_per_level(
             return seen[-1]
 
         try:
-            outcomes.append((layout(footprint, tree, recording), seen, None))
+            outcomes.append((layout(recording), seen, None))
         except LayoutError as exc:
             outcomes.append((None, seen, str(exc)))
     assert outcomes[0] == outcomes[1]
 
 
-def test_layout_requires_outside_root():
-    tree = build_hierarchy(program_of((K.LIVING_ROOM, 10)))
-    with pytest.raises(LayoutError):
-        layout_rooms((0, 0, 5, 2), tree.children[0], accept)
-
-
 def test_layout_lists_what_its_check_returns_in_placement_order():
-    tree = build_hierarchy(program_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4)))
-    rooms = layout_rooms((0, 0, 5, 5), tree, accept)
+    prog = program_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4))
+    levels, _ = build_hierarchy(prog)
+    rooms = layout_rooms((0, 0, 5, 5), levels, accept)
     assert [rid for rid, _, _ in rooms] == [0, 1, 2]
-    assert layout_rooms((0, 0, 5, 5), tree, lambda rid, kind, cut: cut) == [cut for _, _, cut in rooms]
+    assert layout_rooms((0, 0, 5, 5), levels, lambda rid, kind, cut: cut) == [cut for _, _, cut in rooms]
     # The same rooms, kinds and floats as the per-level walk's PlacedRooms.
-    oracle = layout_rooms_per_level(Rect(0, 0, 5, 5), tree)
+    oracle = layout_rooms_per_level(Rect(0, 0, 5, 5), hierarchy_of(prog))
     assert rooms == [(r.id, r.kind, (r.rect.x, r.rect.y, r.rect.width, r.rect.height)) for r in oracle]
 
 
 def test_layout_stops_at_the_first_room_its_check_rejects():
-    tree = build_hierarchy(program_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4)))
-    order = [rid for rid, _, _ in layout_rooms((0, 0, 5, 5), tree, accept)]
+    levels = levels_of((K.LIVING_ROOM, 12), (K.KITCHEN, 9), (K.LAUNDRY, 4))
+    order = [rid for rid, _, _ in layout_rooms((0, 0, 5, 5), levels, accept)]
     seen = []
 
     def check(rid, kind, cut):
@@ -564,7 +562,7 @@ def test_layout_stops_at_the_first_room_its_check_rejects():
         return rid
 
     with pytest.raises(LayoutError, match=f"room {order[1]} rejected"):
-        layout_rooms((0, 0, 5, 5), tree, check)
+        layout_rooms((0, 0, 5, 5), levels, check)
     assert seen == order[:2]
 
 
@@ -580,9 +578,9 @@ def test_room_check_during_layout_matches_eager_check(knobs, monkeypatch):
     cfg = GenConfig(**knobs)
     outcomes = {"passed": 0, "failed": 0}
 
-    def layout(footprint, tree, check):
+    def layout(footprint, levels, check):
         try:
-            full = layout_rooms(footprint, tree, accept)
+            full = layout_rooms(footprint, levels, accept)
         except LayoutError as exc:
             pytest.fail(f"the layout itself failed: {exc}")
         rects = [(rid, x, y, x + w, y + h) for rid, _, (x, y, w, h) in full]
@@ -595,7 +593,7 @@ def test_room_check_during_layout_matches_eager_check(knobs, monkeypatch):
             return result
 
         try:
-            rooms = layout_rooms(footprint, tree, recording)
+            rooms = layout_rooms(footprint, levels, recording)
         except LayoutError as exc:
             assert str(exc) == failure
             assert placed == boxes[: len(placed)]
