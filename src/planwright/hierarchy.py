@@ -74,7 +74,7 @@ def build_hierarchy(program: tuple[RoomEntry, ...], *, kitchen_via_dining: bool 
     return levels, parent_of
 
 
-# Module functions, not closures: two closures made per call cost build_hierarchy about a tenth.
+# Module functions, not closures: two closures made per call cost build_hierarchy a tenth of its time.
 def _attach(levels: dict, parent_of: dict, room_id: int, kind: RoomKind, area: float, children: list) -> tuple:
     """Record the room with its children; return its ``(id, subtree area)``."""
     total = area

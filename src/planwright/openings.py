@@ -1,8 +1,8 @@
 """Connection graph, door and window placement, and plan validation.
 
-The hierarchy's parent of each room (with corridor-served rooms re-hung off
-the living room) dictates the mandatory door set; configured optional pairs are added by coin
-flip when the rooms actually share enough wall.  Every edge then gets one
+Each room's hierarchy parent (corridor-served rooms re-hung off the living
+room) dictates the mandatory door set; configured optional pairs are added
+by coin flip when the rooms actually share enough wall.  Every edge then gets one
 door at a uniformly random feasible position, the house gets an entry door
 on the living room's longest exterior wall, and eligible exterior rooms get
 a window.  Rooms arrive as masks on the plan's ``Grid``, so shared and
