@@ -392,11 +392,10 @@ def test_layout_builds_a_rect_only_for_the_rooms_its_check_reaches(monkeypatch):
 
 
 def both_layouts(footprint, prog):
-    """The package layout of the program's levels on the footprint cut, and the
-    per-level oracle of its reference tree on the footprint's Rect.
+    """The package layout of the program's levels and the per-level oracle of its tree.
 
-    Each takes a check; without one it accepts every room and returns each
-    room's id.
+    The package lays out on the footprint cut, the oracle on its Rect.  Each
+    takes a check; without one it accepts every room and returns each room's id.
     """
     levels, _ = build_hierarchy(prog)
     tree = hierarchy_of(prog)
